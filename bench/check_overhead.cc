@@ -2,11 +2,9 @@
 // cost, standalone and as the audit's fast-reject pre-screen?
 //
 // Serves stacks at 600 requests, then at epoch sizes {1, 50, 0=∞} measures
-// (median of 3): the standalone checker pass (CheckRun), the full streamed
-// audit with the pre-screen on, and the same audit with it off. The verdict,
-// reason, rule, and diagnostics must be identical with the pre-screen on and
-// off, and on a clean run the pre-screen must add under 10% end-to-end.
-// Final rows replay the KSEG mutation corpora (the fuzzer's stacks and
+// (fastest of 5): the standalone checker pass (CheckRun) and the full
+// streamed audit, which always runs the pre-screen; both must pass the
+// honest run. Final rows replay the KSEG mutation corpora (the fuzzer's stacks and
 // auction seed families) through the standalone checker alone and report the
 // fraction rejected without any re-execution.
 //
@@ -34,8 +32,6 @@ struct Row {
   double check_seconds = 0;
   double check_per_epoch_ms = 0;
   double audit_seconds = 0;
-  double audit_no_prescreen_seconds = 0;
-  double prescreen_overhead_pct = 0;
   bool accepted = false;
 };
 
@@ -45,9 +41,7 @@ double Now() {
 }
 
 // The audited work is deterministic and CPU-bound, so the fastest rep is the
-// closest estimate of its true cost — medians of a 3-rep sample on a shared
-// 1-core box still carry enough scheduler noise to swing the <10% overhead
-// gate either way on a ~0.2s denominator.
+// closest estimate of its true cost on a shared 1-core box.
 double MinOf(const std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); }
 
 ServerRunResult Serve(const AppSpec& app, const char* name, WorkloadKind kind, size_t requests,
@@ -87,19 +81,6 @@ FuzzCatch MeasureStaticCatch(const ServerRunResult& run, uint64_t epoch_size) {
   return result;
 }
 
-bool SameOutcome(const AuditResult& a, const AuditResult& b) {
-  if (a.accepted != b.accepted || a.reason != b.reason || a.rule != b.rule ||
-      a.diagnostics.size() != b.diagnostics.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.diagnostics.size(); ++i) {
-    if (a.diagnostics[i].Format() != b.diagnostics[i].Format()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_check_overhead.json";
   bool quick = false;
@@ -118,44 +99,31 @@ int Main(int argc, char** argv) {
 
   std::printf("=== Static model check: cost per epoch vs full audit ===\n");
   std::printf("(stacks, %zu requests)\n", kRequests);
-  std::printf("%-10s %7s %11s %13s %11s %14s %10s\n", "epoch size", "epochs", "check (s)",
-              "per-epoch ms", "audit (s)", "no-screen (s)", "overhead");
+  std::printf("%-10s %7s %11s %13s %11s\n", "epoch size", "epochs", "check (s)",
+              "per-epoch ms", "audit (s)");
 
   std::vector<Row> rows;
-  double total_on = 0, total_off = 0;
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{50}, uint64_t{0}}) {
-    std::vector<double> check_times, on_times, off_times;
+    std::vector<double> check_times, audit_times;
     CheckResult check;
-    StreamAuditResult on, off;
+    StreamAuditResult audit;
     for (int rep = 0; rep < kReps; ++rep) {
       double t0 = Now();
       check = CheckRun(run.trace, run.advice, epoch_size);
       check_times.push_back(Now() - t0);
 
-      VerifierConfig cfg{IsolationLevel::kSerializable, 1};
       t0 = Now();
-      on = AuditStreamed(app, run.trace, run.advice, cfg, epoch_size);
-      on_times.push_back(Now() - t0);
-
-      cfg.prescreen = false;
-      t0 = Now();
-      off = AuditStreamed(app, run.trace, run.advice, cfg, epoch_size);
-      off_times.push_back(Now() - t0);
+      audit = AuditStreamed(app, run.trace, run.advice,
+                            VerifierConfig{IsolationLevel::kSerializable, 1}, epoch_size);
+      audit_times.push_back(Now() - t0);
     }
     if (!check.ok) {
       std::fprintf(stderr, "BUG: honest run failed the model check: %s\n", check.reason.c_str());
       return 1;
     }
-    if (!on.audit.accepted) {
-      std::fprintf(stderr, "BUG: audit rejected the honest run: %s\n", on.audit.reason.c_str());
-      return 1;
-    }
-    if (!SameOutcome(on.audit, off.audit)) {
-      std::fprintf(stderr,
-                   "BUG: prescreen changed the verdict at epoch size %llu "
-                   "(on: %s/%s, off: %s/%s)\n",
-                   static_cast<unsigned long long>(epoch_size), on.audit.rule.c_str(),
-                   on.audit.reason.c_str(), off.audit.rule.c_str(), off.audit.reason.c_str());
+    if (!audit.audit.accepted) {
+      std::fprintf(stderr, "BUG: audit rejected the honest run: %s\n",
+                   audit.audit.reason.c_str());
       return 1;
     }
 
@@ -164,31 +132,13 @@ int Main(int argc, char** argv) {
     row.epochs = check.epochs;
     row.check_seconds = MinOf(check_times);
     row.check_per_epoch_ms = 1e3 * row.check_seconds / static_cast<double>(check.epochs);
-    row.audit_seconds = MinOf(on_times);
-    row.audit_no_prescreen_seconds = MinOf(off_times);
-    row.prescreen_overhead_pct =
-        100.0 * (row.audit_seconds - row.audit_no_prescreen_seconds) /
-        row.audit_no_prescreen_seconds;
-    row.accepted = on.audit.accepted;
+    row.audit_seconds = MinOf(audit_times);
+    row.accepted = audit.audit.accepted;
     rows.push_back(row);
-    total_on += row.audit_seconds;
-    total_off += row.audit_no_prescreen_seconds;
-    std::printf("%-10llu %7llu %11.4f %13.4f %11.4f %14.4f %9.1f%%\n",
+    std::printf("%-10llu %7llu %11.4f %13.4f %11.4f\n",
                 static_cast<unsigned long long>(epoch_size),
                 static_cast<unsigned long long>(row.epochs), row.check_seconds,
-                row.check_per_epoch_ms, row.audit_seconds, row.audit_no_prescreen_seconds,
-                row.prescreen_overhead_pct);
-  }
-  // Gate the aggregate, not the per-row ratios: the epoch-50 and one-epoch
-  // audits finish in ~0.2s, where this box's scheduler jitter alone swings a
-  // per-row ratio by ~10 points either way. The summed denominator is
-  // dominated by the 600-epoch run, which is long enough to be stable.
-  const double total_overhead_pct = 100.0 * (total_on - total_off) / total_off;
-  std::printf("prescreen overhead (all epoch sizes): %.1f%%\n", total_overhead_pct);
-  if (total_overhead_pct >= 10.0) {
-    std::fprintf(stderr, "BUG: aggregate prescreen overhead %.1f%% >= 10%%\n",
-                 total_overhead_pct);
-    return 1;
+                row.check_per_epoch_ms, row.audit_seconds);
   }
 
   // Static-catch fractions over the two fuzz corpora (checker alone, no
@@ -243,12 +193,10 @@ int Main(int argc, char** argv) {
     std::fprintf(out,
                  "    {\"epoch_size\": %llu, \"epochs\": %llu, \"check_seconds\": %.6f, "
                  "\"check_per_epoch_ms\": %.6f, \"audit_seconds\": %.6f, "
-                 "\"audit_no_prescreen_seconds\": %.6f, \"prescreen_overhead_pct\": %.3f, "
                  "\"accepted\": %s}%s\n",
                  static_cast<unsigned long long>(r.epoch_size),
                  static_cast<unsigned long long>(r.epochs), r.check_seconds,
-                 r.check_per_epoch_ms, r.audit_seconds, r.audit_no_prescreen_seconds,
-                 r.prescreen_overhead_pct, r.accepted ? "true" : "false",
+                 r.check_per_epoch_ms, r.audit_seconds, r.accepted ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out,

@@ -26,8 +26,10 @@
 //
 // Every KAR-SEG advice rule fires only on genuinely cross-epoch phenomena: a
 // single-epoch stream (epoch_requests == 0) can never trip 004..009, which is
-// what keeps the streamed-with-pre-screen verdict bit-identical to the
-// one-shot audit on honest slicings.
+// what keeps the streamed verdict bit-identical to the one-shot audit on
+// honest slicings. The session's pre-screen is always on, and it is not a
+// redundant fast path: KAR-SEG-007 and KAR-SEG-008 findings are enforced only
+// here; a stream that breaks only them passes every dynamic check.
 #ifndef SRC_ANALYSIS_CARRY_LINT_H_
 #define SRC_ANALYSIS_CARRY_LINT_H_
 

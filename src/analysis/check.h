@@ -6,8 +6,9 @@
 // KAR-ADV lint with carry-backed resolution, the KAR-SEG cross-epoch rules of
 // src/analysis/carry_lint.h), so any stream the checker rejects is rejected
 // by the full audit with the same first rule — and the session's fast-reject
-// pre-screen is this same pass, so statically-rejectable advice never reaches
-// ReExec. The container walk (PairedSegmentCursor inside check.cc) owns the
+// pre-screen is this same pass, always on, so statically-rejectable advice
+// never reaches ReExec. KAR-SEG-007 and KAR-SEG-008 findings are enforced only
+// by this pass; a stream that breaks only them passes every dynamic check. The container walk (PairedSegmentCursor inside check.cc) owns the
 // file-layer rules KAR-SEG-001..003 and 010 and is shared with
 // LoadSegmentStreams, the audit path's segment-container front end.
 #ifndef SRC_ANALYSIS_CHECK_H_

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/analysis/check.h"
-
 namespace karousos {
 
 void FeedRemaining(AuditSession* session, const EpochSlices& slices,
@@ -22,45 +20,49 @@ void FeedRemaining(AuditSession* session, const EpochSlices& slices,
   }
 }
 
+StreamAuditResult RunStreamedAudit(AuditSession* session, const SegmentLoadResult& run,
+                                   const std::function<void(AuditSession&)>& after_epoch) {
+  StreamAuditResult result;
+  result.epochs = run.slices.segments.size();
+  if (!run.ok) {
+    result.audit.reason = run.reason;
+    result.audit.rule = run.rule;
+    result.audit.diagnostics = run.diagnostics;
+    return result;
+  }
+  FeedRemaining(session, run.slices, after_epoch);
+  result.audit = session->Finish();
+  result.peak_resident_advice_bytes = session->peak_resident_advice_bytes();
+  return result;
+}
+
+namespace {
+
+StreamAuditResult AuditRun(const AppSpec& app, const SegmentLoadResult& run,
+                           const VerifierConfig& config, const UntrackedAccessLog* untracked) {
+  AuditSession session(*app.program, config, run.slices.epoch_requests);
+  if (untracked != nullptr) {
+    session.set_untracked_accesses(untracked);
+  }
+  return RunStreamedAudit(&session, run);
+}
+
+}  // namespace
+
 StreamAuditResult AuditSegments(const AppSpec& app, const std::vector<uint8_t>& trace_bytes,
                                 const std::vector<uint8_t>& advice_bytes,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked) {
-  SegmentLoadResult load = LoadSegmentStreams(trace_bytes, advice_bytes, epoch_requests);
-  StreamAuditResult result;
-  if (!load.ok) {
-    result.audit.accepted = false;
-    result.audit.reason = std::move(load.reason);
-    result.audit.rule = std::move(load.rule);
-    result.audit.diagnostics = std::move(load.diagnostics);
-    result.epochs = load.slices.segments.size();
-    return result;
-  }
-  AuditSession session(*app.program, config, epoch_requests);
-  if (untracked != nullptr) {
-    session.set_untracked_accesses(untracked);
-  }
-  FeedRemaining(&session, load.slices);
-  result.audit = session.Finish();
-  result.peak_resident_advice_bytes = session.peak_resident_advice_bytes();
-  result.epochs = load.slices.segments.size();
-  return result;
+  return AuditRun(app, LoadSegmentStreams(trace_bytes, advice_bytes, epoch_requests), config,
+                  untracked);
 }
 
 StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Advice& advice,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked) {
-  EpochSlices slices = SliceRun(trace, advice, epoch_requests);
-  AuditSession session(*app.program, config, epoch_requests);
-  if (untracked != nullptr) {
-    session.set_untracked_accesses(untracked);
-  }
-  FeedRemaining(&session, slices);
-  StreamAuditResult result;
-  result.audit = session.Finish();
-  result.peak_resident_advice_bytes = session.peak_resident_advice_bytes();
-  result.epochs = slices.segments.size();
-  return result;
+  SegmentLoadResult run;
+  run.slices = SliceRun(trace, advice, epoch_requests);
+  return AuditRun(app, run, config, untracked);
 }
 
 }  // namespace karousos

@@ -169,7 +169,7 @@ std::optional<bool> ByteReader::ReadBool() {
   return *b == 1;
 }
 
-std::optional<Value> ByteReader::ReadValue() {
+std::optional<Value> ByteReader::ReadValueAt(size_t depth) {
   auto kind_byte = ReadByte();
   if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
     return std::nullopt;
@@ -210,13 +210,13 @@ std::optional<Value> ByteReader::ReadValue() {
     }
     case Value::Kind::kList: {
       auto n = ReadVarint();
-      if (!n || *n > remaining()) {
+      if (!n || *n > remaining() || depth == kMaxValueDepth) {
         return std::nullopt;
       }
       ValueList items;
       items.reserve(*n);
       for (uint64_t i = 0; i < *n; ++i) {
-        auto item = ReadValue();
+        auto item = ReadValueAt(depth + 1);
         if (!item) {
           return std::nullopt;
         }
@@ -226,7 +226,7 @@ std::optional<Value> ByteReader::ReadValue() {
     }
     case Value::Kind::kMap: {
       auto n = ReadVarint();
-      if (!n || *n > remaining()) {
+      if (!n || *n > remaining() || depth == kMaxValueDepth) {
         return std::nullopt;
       }
       ValueMap m;
@@ -235,7 +235,7 @@ std::optional<Value> ByteReader::ReadValue() {
         if (!key) {
           return std::nullopt;
         }
-        auto item = ReadValue();
+        auto item = ReadValueAt(depth + 1);
         if (!item) {
           return std::nullopt;
         }

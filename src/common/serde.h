@@ -17,6 +17,13 @@
 
 namespace karousos {
 
+// The deepest list/map nesting a Value decoder accepts. Both Value decoders
+// (ByteReader::ReadValue and the KSEG dictionary transcoder) recurse once per
+// level, so a hostile payload of nested one-element lists would otherwise
+// overflow the stack; past this depth they return nullopt like any other
+// malformed input. Application values nest a few levels deep.
+constexpr size_t kMaxValueDepth = 256;
+
 class ByteWriter {
  public:
   // LEB128-style varint; small ids and opnums dominate the advice, so this
@@ -64,13 +71,17 @@ class ByteReader {
   // valid only while that buffer outlives the view. Same validation as
   // ReadString (rejects truncated buffers identically).
   std::optional<std::string_view> ReadStringView();
-  std::optional<Value> ReadValue();
+  // Rejects lists/maps nested deeper than kMaxValueDepth.
+  std::optional<Value> ReadValue() { return ReadValueAt(0); }
   std::optional<bool> ReadBool();
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 
  private:
+  // `depth` counts the lists/maps already open around the value.
+  std::optional<Value> ReadValueAt(size_t depth);
+
   const uint8_t* buf_;
   size_t size_;
   size_t pos_ = 0;

@@ -167,7 +167,9 @@ class CompactDecoder {
   std::optional<uint8_t> Byte() { return in_.ReadByte(); }
   std::optional<bool> Bool() { return in_.ReadBool(); }
 
-  std::optional<Value> Val() {
+  // `depth` counts the lists/maps already open around the value; nesting
+  // past kMaxValueDepth is malformed, exactly as in ByteReader::ReadValue.
+  std::optional<Value> Val(size_t depth = 0) {
     if (!c_.dict) {
       return in_.ReadValue();
     }
@@ -210,13 +212,13 @@ class CompactDecoder {
       }
       case Value::Kind::kList: {
         auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining()) {
+        if (!n || *n > in_.remaining() || depth == kMaxValueDepth) {
           return std::nullopt;
         }
         ValueList items;
         items.reserve(static_cast<size_t>(*n));
         for (uint64_t i = 0; i < *n; ++i) {
-          auto item = Val();
+          auto item = Val(depth + 1);
           if (!item) {
             return std::nullopt;
           }
@@ -226,7 +228,7 @@ class CompactDecoder {
       }
       case Value::Kind::kMap: {
         auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining()) {
+        if (!n || *n > in_.remaining() || depth == kMaxValueDepth) {
           return std::nullopt;
         }
         ValueMap m;
@@ -235,7 +237,7 @@ class CompactDecoder {
           if (!key) {
             return std::nullopt;
           }
-          auto item = Val();
+          auto item = Val(depth + 1);
           if (!item) {
             return std::nullopt;
           }

@@ -330,8 +330,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteVarint(v_.var_dict_entries_pruned_);
   w.WriteVarint(v_.peak_resident_);
 
-  // v2: the fast-reject pre-screen's cross-epoch state (empty when the
-  // session runs with prescreen off — the encoding is the same either way).
+  // v2: the fast-reject pre-screen's cross-epoch state.
   v_.carry_lint_.Serialize(&w);
 
   SegmentWriter out;

@@ -18,7 +18,7 @@ namespace karousos {
 
 namespace {
 
-constexpr uint8_t kShardArtifactFormatVersion = 1;
+constexpr uint8_t kShardArtifactFormatVersion = 2;
 
 void SerializeTxOpImport(const ContinuityImports::TxOpImport& imp, ByteWriter* out) {
   SerializeTxOpRef(imp.ref, out);
@@ -97,7 +97,6 @@ void ShardArtifact::Serialize(ByteWriter* out) const {
   out->WriteVarint(epoch_requests);
   out->WriteVarint(epochs);
   out->WriteByte(static_cast<uint8_t>(isolation));
-  out->WriteBool(prescreen);
 
   out->WriteVarint(rids.size());
   for (RequestId rid : rids) {
@@ -216,9 +215,8 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
   auto epoch_requests = in->ReadVarint();
   auto epochs = in->ReadVarint();
   auto isolation = in->ReadByte();
-  auto prescreen = in->ReadBool();
   if (!shard || !count || !mode || *mode > 1 || !epoch_requests || !epochs || !isolation ||
-      *isolation > static_cast<uint8_t>(IsolationLevel::kReadUncommitted) || !prescreen) {
+      *isolation > static_cast<uint8_t>(IsolationLevel::kReadUncommitted)) {
     return std::nullopt;
   }
   a.shard = static_cast<uint32_t>(*shard);
@@ -227,7 +225,6 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
   a.epoch_requests = *epoch_requests;
   a.epochs = *epochs;
   a.isolation = static_cast<IsolationLevel>(*isolation);
-  a.prescreen = *prescreen;
 
   auto rid_count = in->ReadVarint();
   if (!rid_count || !BoundedCount(in, *rid_count)) return std::nullopt;
@@ -436,7 +433,6 @@ class ShardAudit {
     a.epoch_requests = b.epoch_requests;
     a.epochs = b.epochs;
     a.isolation = config.isolation;
-    a.prescreen = config.prescreen;
     a.rids = b.rids;
     a.rid_digest = b.rid_digest;
     a.trace_digest = b.trace_digest;
@@ -639,7 +635,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
         a->epochs != head.epochs) {
       return fail_flat(kKarSeg015, loc, "shard partitioning disagrees across artifacts");
     }
-    if (a->isolation != head.isolation || a->prescreen != head.prescreen) {
+    if (a->isolation != head.isolation) {
       return fail_flat(kKarSeg015, loc, "audit configuration disagrees across artifacts");
     }
     if (a->trace_digest != head.trace_digest || a->balance_digest != head.balance_digest) {

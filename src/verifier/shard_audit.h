@@ -56,7 +56,6 @@ struct ShardArtifact {
   uint64_t epoch_requests = 0;
   uint64_t epochs = 0;
   IsolationLevel isolation = IsolationLevel::kSerializable;
-  bool prescreen = true;
 
   // Boundary echoes: per-shard rid coverage and the replicated-run digests.
   std::vector<RequestId> rids;
@@ -137,7 +136,7 @@ struct ShardArtifact {
 
 // Runs the full streaming audit over one (loaded and validated) shard file,
 // scoped to the shard's requests, and packages verdict + exports.
-// config.threads and config.prescreen compose exactly as on the epoch axis.
+// config.threads composes exactly as on the epoch axis.
 ShardArtifact RunShardAudit(const Program& program, const ShardFile& file,
                             const VerifierConfig& config);
 

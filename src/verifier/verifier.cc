@@ -557,10 +557,8 @@ Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op)
 void Verifier::StreamBegin(uint64_t epoch_requests) {
   streaming_ = true;
   epoch_requests_ = epoch_requests;
-  if (config_.prescreen) {
-    carry_lint_.Begin(epoch_requests, /*standalone=*/false);
-    carry_lint_.SetShardFilter(shard_rids_);  // Begin resets the lint's state.
-  }
+  carry_lint_.Begin(epoch_requests, /*standalone=*/false);
+  carry_lint_.SetShardFilter(shard_rids_);  // Begin resets the lint's state.
 }
 
 void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
@@ -663,9 +661,7 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
       for (const auto& imp : segment.imports.var_entries) {
         pending_var_imports_.emplace(std::make_pair(imp.vid, imp.op), imp);
       }
-      if (config_.prescreen) {
-        carry_lint_.RegisterImports(segment);
-      }
+      carry_lint_.RegisterImports(segment);
       // Slice-local lint; the global write-order rules run once at Finish.
       LintEpochContext lint_ctx;
       lint_ctx.trace_rids = &trace_rids_;
@@ -684,15 +680,13 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
           throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
         }
       }
-      if (config_.prescreen) {
-        // Fast-reject pre-screen: the cross-epoch static rules, before any of
-        // this epoch's graph building or re-execution.
-        size_t first_seg = diagnostics_.size();
-        carry_lint_.CheckEpoch(segment, trace_rids_, &diagnostics_);
-        for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-          if (diagnostics_[i].severity == LintSeverity::kError) {
-            throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-          }
+      // Fast-reject pre-screen: the cross-epoch static rules, before any of
+      // this epoch's graph building or re-execution.
+      size_t first_seg = diagnostics_.size();
+      carry_lint_.CheckEpoch(segment, trace_rids_, &diagnostics_);
+      for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
+        if (diagnostics_[i].severity == LintSeverity::kError) {
+          throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
         }
       }
       BuildAdviceIndices();
@@ -758,7 +752,7 @@ size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
 
 void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   peak_resident_ = std::max(peak_resident_, MeasureResidentBytes(segment));
-  if (config_.prescreen && !decided_) {
+  if (!decided_) {
     carry_lint_.EndEpoch(segment);
   }
 
@@ -907,15 +901,13 @@ AuditResult Verifier::StreamFinish() {
           throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
         }
       }
-      if (config_.prescreen) {
-        // Finish-time static rules (early content, residual imports, prec
-        // acyclicity), in the same slot the standalone checker runs them.
-        size_t first_seg = diagnostics_.size();
-        carry_lint_.Finish(&diagnostics_);
-        for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-          if (diagnostics_[i].severity == LintSeverity::kError) {
-            throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-          }
+      // Finish-time static rules (early content, residual imports, prec
+      // acyclicity), in the same slot the standalone checker runs them.
+      size_t first_seg = diagnostics_.size();
+      carry_lint_.Finish(&diagnostics_);
+      for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
+        if (diagnostics_[i].severity == LintSeverity::kError) {
+          throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
         }
       }
       StreamConfirmImports();

@@ -63,12 +63,6 @@ struct VerifierConfig {
   // Audit-group parallelism for ReExec: 0 = one thread per hardware thread,
   // 1 = the serial path (the determinism oracle), N = N worker threads.
   unsigned threads = 1;
-  // Streaming-only: run the cross-epoch static model check (KAR-SEG rules,
-  // src/analysis/carry_lint.h) as a fast-reject pre-screen inside each epoch,
-  // before that epoch's re-execution. Off switches to the purely dynamic
-  // path; the verdict is identical either way (the pre-screen only ever
-  // rejects advice the dynamic checks would also reject).
-  bool prescreen = true;
 };
 
 struct AuditResult {
@@ -396,8 +390,10 @@ class Verifier {
   // confirmed against the carries at Finish.
   std::map<TxOpRef, ContinuityImports::TxOpImport> pending_tx_imports_;
   std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport> pending_var_imports_;
-  // The fast-reject pre-screen (config_.prescreen): cross-epoch static rules
-  // run per epoch before re-execution, sharing the session checkpoint.
+  // The fast-reject pre-screen, always on in a streamed audit: cross-epoch
+  // static rules (src/analysis/carry_lint.h) run per epoch before
+  // re-execution, sharing the session checkpoint. KAR-SEG-007 and
+  // KAR-SEG-008 findings are enforced only here.
   CarryLint carry_lint_;
   // var_dict entries dropped by per-epoch pruning, so the final
   // stats.var_dict_entries matches the one-shot count.

@@ -1,11 +1,12 @@
 // Storage-class advice compression, end to end: every stage combination must
 // decode back to byte-identical advice (decode(encode(x)) == x at the Advice
 // level), the audit verdict must be bit-identical between compressed and raw
-// streams across the full epoch/threads/prescreen matrix, and corrupted
+// streams across the full epoch/threads matrix, and corrupted
 // compressed containers must reject cleanly — mirroring
 // tests/segment_corruption_test.cc for the v2 flagged format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -188,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(Fixtures, KsegCompressTest, ::testing::ValuesIn(kFixtur
                          });
 
 // Audit verdicts must be bit-identical between raw and compressed streams
-// across epoch sizes x threads x prescreen — the compression layer is
+// across epoch sizes x threads — the compression layer is
 // invisible to the audit's semantics.
 TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
   struct AppRun {
@@ -237,24 +238,20 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
       EXPECT_EQ(raw_check.epochs, comp_check.epochs);
 
       for (unsigned threads : thread_counts) {
-        for (bool prescreen : {true, false}) {
-          SCOPED_TRACE(std::string(r.app) + " epoch=" + std::to_string(epoch_requests) +
-                       " threads=" + std::to_string(threads) +
-                       " prescreen=" + std::to_string(prescreen));
-          VerifierConfig vc;
-          vc.threads = threads;
-          vc.prescreen = prescreen;
-          StreamAuditResult raw_audit =
-              AuditSegments(app, raw_trace, raw_advice, vc, epoch_requests);
-          StreamAuditResult comp_audit =
-              AuditSegments(app, comp_trace, comp_advice, vc, epoch_requests);
-          EXPECT_TRUE(raw_audit.audit.accepted) << raw_audit.audit.reason;
-          EXPECT_EQ(raw_audit.audit.accepted, comp_audit.audit.accepted);
-          EXPECT_EQ(raw_audit.audit.reason, comp_audit.audit.reason);
-          EXPECT_EQ(raw_audit.audit.rule, comp_audit.audit.rule);
-          EXPECT_EQ(raw_audit.audit.diagnostics.size(), comp_audit.audit.diagnostics.size());
-          EXPECT_EQ(raw_audit.epochs, comp_audit.epochs);
-        }
+        SCOPED_TRACE(std::string(r.app) + " epoch=" + std::to_string(epoch_requests) +
+                     " threads=" + std::to_string(threads));
+        VerifierConfig vc;
+        vc.threads = threads;
+        StreamAuditResult raw_audit =
+            AuditSegments(app, raw_trace, raw_advice, vc, epoch_requests);
+        StreamAuditResult comp_audit =
+            AuditSegments(app, comp_trace, comp_advice, vc, epoch_requests);
+        EXPECT_TRUE(raw_audit.audit.accepted) << raw_audit.audit.reason;
+        EXPECT_EQ(raw_audit.audit.accepted, comp_audit.audit.accepted);
+        EXPECT_EQ(raw_audit.audit.reason, comp_audit.audit.reason);
+        EXPECT_EQ(raw_audit.audit.rule, comp_audit.audit.rule);
+        EXPECT_EQ(raw_audit.audit.diagnostics.size(), comp_audit.audit.diagnostics.size());
+        EXPECT_EQ(raw_audit.epochs, comp_audit.epochs);
       }
     }
   }
@@ -386,6 +383,37 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
       // is caught by the sequencing rule, not the decoder); the requirement
       // is the clean walk above — no crash, no unbounded allocation.
     }
+  }
+}
+
+// The dictionary transcoder has its own recursive Value decoder; it must cap
+// nesting exactly like ByteReader::ReadValue, so a 50,000-deep payload (which
+// overflows the stack uncapped) is malformed while the cap depth decodes.
+TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
+  const Value sentinel(int64_t{0x123456789A});
+  Advice advice;
+  advice.var_logs[7][OpRef{1, 2, 3}] =
+      VarLogEntry{VarLogEntry::Kind::kWrite, sentinel, OpRef{}};
+  KsegCompression dict_only;
+  dict_only.dict = true;
+  ByteWriter encoded;
+  EncodeCompactAdvicePayload(advice, ContinuityImports{}, dict_only, &encoded);
+  ByteWriter needle;
+  needle.WriteValue(sentinel);  // Ints encode alike with and without the dict stage.
+  const std::vector<uint8_t>& bytes = encoded.bytes();
+  auto at = std::search(bytes.begin(), bytes.end(), needle.bytes().begin(), needle.bytes().end());
+  ASSERT_NE(at, bytes.end());
+  for (size_t depth : {kMaxValueDepth, size_t{50000}}) {
+    std::vector<uint8_t> spliced(bytes.begin(), at);
+    for (size_t i = 0; i < depth; ++i) {
+      spliced.push_back(static_cast<uint8_t>(Value::Kind::kList));
+      spliced.push_back(1);
+    }
+    spliced.push_back(static_cast<uint8_t>(Value::Kind::kNull));
+    spliced.insert(spliced.end(), at + static_cast<ptrdiff_t>(needle.size()), bytes.end());
+    EXPECT_EQ(DecodeCompactAdvicePayload(spliced.data(), spliced.size(), dict_only).has_value(),
+              depth <= kMaxValueDepth)
+        << "depth " << depth;
   }
 }
 

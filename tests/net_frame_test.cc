@@ -240,5 +240,34 @@ TEST(FrameDecoderTest, MalformedPayloadsRejectCleanly) {
   EXPECT_FALSE(DecodeErrorPayload({}, &message));
 }
 
+TEST(FrameDecoderTest, TooDeepRequestPayloadRejectsCleanly) {
+  // A request frame whose input is 50,000 nested one-element lists (100,001
+  // bytes, well under the frame limit): the frame layer passes it through,
+  // and the payload decoder must reject it — the server answers with an
+  // error frame and closes, counting a protocol error — instead of
+  // overflowing the stack. The cap depth itself still decodes.
+  for (size_t depth : {kMaxValueDepth, size_t{50000}}) {
+    ByteWriter payload;
+    payload.WriteVarint(9);
+    for (size_t i = 0; i < depth; ++i) {
+      payload.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+      payload.WriteVarint(1);
+    }
+    payload.WriteByte(static_cast<uint8_t>(Value::Kind::kNull));
+    ByteWriter out;
+    AppendWirePreface(&out);
+    EncodeFrame(FrameType::kRequest, payload.bytes().data(), payload.size(), &out);
+
+    Decoded decoded = DecodeInChunks(out.bytes(), 4096);
+    ASSERT_FALSE(decoded.error) << decoded.error_message;
+    ASSERT_EQ(decoded.frames.size(), 1u);
+    uint64_t seq = 0;
+    Value value;
+    EXPECT_EQ(DecodeSeqValuePayload(decoded.frames[0].payload, &seq, &value),
+              depth <= kMaxValueDepth)
+        << "depth " << depth;
+  }
+}
+
 }  // namespace
 }  // namespace karousos

@@ -5,7 +5,6 @@
 //
 //     threads      {1, 4}
 //   × epoch size   {1, 50, 0 = one epoch}
-//   × prescreen    {on, off}
 //   × path         {one-shot AuditOnly, AuditStreamed, AuditSegments}
 //
 // The scenarios deliberately span the repo's behavioral surface: the
@@ -13,8 +12,8 @@
 // (stacks, wiki), hot-key transaction contention with retries (auction, at
 // two skew levels and under weak isolation), and the four apps sharing one
 // server (mixed). All scenarios are honest: the accept verdict plus empty
-// reason/rule/diagnostics must survive every slicing, threading, and
-// prescreen choice. (Adversarial equivalence, where reasons may legitimately
+// reason/rule/diagnostics must survive every slicing and threading
+// choice. (Adversarial equivalence, where reasons may legitimately
 // shift at epoch size 1, is epoch_audit_test's job.)
 #include <gtest/gtest.h>
 
@@ -113,8 +112,8 @@ TEST_P(ScenarioDifferentialTest, OutcomeIsInvariantAcrossTheMatrix) {
   const Scenario& s = GetParam();
   ScenarioRun run = Serve(s);
 
-  // The oracle: serial one-shot audit with the prescreen on.
-  VerifierConfig oracle_config{s.isolation, 1, true};
+  // The oracle: serial one-shot audit.
+  VerifierConfig oracle_config{s.isolation, 1};
   AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
                                  oracle_config, &run.server.untracked_accesses);
   ASSERT_TRUE(oracle.accepted) << s.name << ": " << oracle.reason;
@@ -125,30 +124,27 @@ TEST_P(ScenarioDifferentialTest, OutcomeIsInvariantAcrossTheMatrix) {
     std::vector<uint8_t> trace_kseg = EncodeTraceSegments(slices);
     std::vector<uint8_t> advice_kseg = EncodeAdviceSegments(slices);
     for (unsigned threads : {1u, 4u}) {
-      for (bool prescreen : {true, false}) {
-        VerifierConfig config{s.isolation, threads, prescreen};
-        std::string context = std::string(s.name) +
-                              " epoch_size=" + std::to_string(epoch_size) +
-                              " threads=" + std::to_string(threads) +
-                              " prescreen=" + (prescreen ? "on" : "off");
+      VerifierConfig config{s.isolation, threads};
+      std::string context = std::string(s.name) +
+                            " epoch_size=" + std::to_string(epoch_size) +
+                            " threads=" + std::to_string(threads);
 
-        // One-shot (epoch size only affects the streamed paths).
-        AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                        config, &run.server.untracked_accesses);
-        ExpectSameOutcome(oracle, oneshot, context + " path=oneshot");
+      // One-shot (epoch size only affects the streamed paths).
+      AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                      config, &run.server.untracked_accesses);
+      ExpectSameOutcome(oracle, oneshot, context + " path=oneshot");
 
-        // Streamed from in-memory structures.
-        StreamAuditResult streamed =
-            AuditStreamed(run.app, run.server.trace, run.server.advice, config,
-                          epoch_size, &run.server.untracked_accesses);
-        ExpectSameOutcome(oracle, streamed.audit, context + " path=streamed");
+      // Streamed from in-memory structures.
+      StreamAuditResult streamed =
+          AuditStreamed(run.app, run.server.trace, run.server.advice, config,
+                        epoch_size, &run.server.untracked_accesses);
+      ExpectSameOutcome(oracle, streamed.audit, context + " path=streamed");
 
-        // Streamed from the serialized KSEG containers (the wire artifact).
-        StreamAuditResult from_kseg =
-            AuditSegments(run.app, trace_kseg, advice_kseg, config, epoch_size,
-                          &run.server.untracked_accesses);
-        ExpectSameOutcome(oracle, from_kseg.audit, context + " path=segments");
-      }
+      // Streamed from the serialized KSEG containers (the wire artifact).
+      StreamAuditResult from_kseg =
+          AuditSegments(run.app, trace_kseg, advice_kseg, config, epoch_size,
+                        &run.server.untracked_accesses);
+      ExpectSameOutcome(oracle, from_kseg.audit, context + " path=segments");
     }
   }
 }

@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
+#include "src/server/advice.h"
 
 namespace karousos {
 namespace {
+
+// `depth` one-element lists around a null: the smallest encoding that nests
+// `depth` levels deep (2 bytes a level).
+std::vector<uint8_t> NestedLists(size_t depth) {
+  ByteWriter w;
+  for (size_t i = 0; i < depth; ++i) {
+    w.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+    w.WriteVarint(1);
+  }
+  w.WriteByte(static_cast<uint8_t>(Value::Kind::kNull));
+  return w.Take();
+}
 
 TEST(SerdeTest, VarintRoundTrip) {
   ByteWriter w;
@@ -148,6 +163,55 @@ TEST(SerdeTest, MalformedValueKindFails) {
   std::vector<uint8_t> bytes = {0x09};  // Kind byte out of range.
   ByteReader r(bytes);
   EXPECT_FALSE(r.ReadValue().has_value());
+}
+
+TEST(SerdeTest, ValueNestingIsCappedAtMaxDepth) {
+  // 50,000 levels is a 100,001-byte payload; uncapped, the recursive decoder
+  // overflows the stack on it.
+  for (size_t depth : {kMaxValueDepth, kMaxValueDepth + 1, size_t{50000}}) {
+    std::vector<uint8_t> bytes = NestedLists(depth);
+    ByteReader r(bytes);
+    auto decoded = r.ReadValue();
+    EXPECT_EQ(decoded.has_value(), depth <= kMaxValueDepth) << "depth " << depth;
+    if (decoded) {
+      EXPECT_TRUE(r.AtEnd());
+    }
+  }
+  // Maps count toward the same cap: a one-key map around cap lists.
+  ByteWriter w;
+  w.WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+  w.WriteVarint(1);
+  w.WriteString("k");
+  std::vector<uint8_t> bytes = w.Take();
+  std::vector<uint8_t> inner = NestedLists(kMaxValueDepth);
+  bytes.insert(bytes.end(), inner.begin(), inner.end());
+  ByteReader r(bytes);
+  EXPECT_FALSE(r.ReadValue().has_value());
+}
+
+TEST(SerdeTest, AdviceWithTooDeepValueIsMalformed) {
+  // One var-log write whose value is swapped, in the encoded advice, for a
+  // nested payload.
+  const Value sentinel(int64_t{0x123456789A});
+  Advice advice;
+  advice.var_logs[7][OpRef{1, 2, 3}] =
+      VarLogEntry{VarLogEntry::Kind::kWrite, sentinel, OpRef{}};
+  ByteWriter encoded;
+  advice.Serialize(&encoded);
+  ByteWriter needle;
+  needle.WriteValue(sentinel);
+  const std::vector<uint8_t>& bytes = encoded.bytes();
+  auto at = std::search(bytes.begin(), bytes.end(), needle.bytes().begin(), needle.bytes().end());
+  ASSERT_NE(at, bytes.end());
+  for (size_t depth : {kMaxValueDepth, size_t{50000}}) {
+    std::vector<uint8_t> spliced(bytes.begin(), at);
+    std::vector<uint8_t> nested = NestedLists(depth);
+    spliced.insert(spliced.end(), nested.begin(), nested.end());
+    spliced.insert(spliced.end(), at + static_cast<ptrdiff_t>(needle.size()), bytes.end());
+    ByteReader r(spliced);
+    EXPECT_EQ(Advice::Deserialize(&r).has_value(), depth <= kMaxValueDepth)
+        << "depth " << depth;
+  }
 }
 
 TEST(SerdeTest, RandomValueFuzzRoundTrip) {

@@ -43,8 +43,6 @@ MEASURE_FIELDS = (
     "check_seconds",
     "check_per_epoch_ms",
     "audit_seconds",
-    "audit_no_prescreen_seconds",
-    "prescreen_overhead_pct",
     # auction_contention hot-key fields. conflicts/abort_rate are workload
     # shape, not speed — reported in the diff but never gated on time.
     "conflicts",

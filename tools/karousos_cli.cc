@@ -86,13 +86,15 @@ int Usage() {
                "      --net-batch: write everything up front + half-close (pairs with a\n"
                "      `serve --net-batch` server)\n"
                "  karousos audit  --app <motd|stacks|wiki|auction|mixed> --trace FILE --advice FILE\n"
-               "                  [--segments DIR] [--no-prescreen]\n"
+               "                  [--segments DIR]\n"
                "                  [--isolation ser|rc|ru] [--threads N] [--profile]\n"
                "                  [--epoch-size N] [--checkpoint FILE] [--resume FILE]\n"
                "      --segments: audit DIR/trace.kseg + DIR/advice.kseg (KSEG containers\n"
                "      are also auto-detected on --trace/--advice; --epoch-size required)\n"
-               "      --no-prescreen: disable the static fast-reject pre-screen (same\n"
-               "      verdict, purely dynamic rejection path)\n"
+               "      KSEG containers and monolithic files given --epoch-size,\n"
+               "      --checkpoint or --resume take the streamed audit, which runs the\n"
+               "      static KAR-SEG pre-screen before each epoch's re-execution; the\n"
+               "      pre-screen alone enforces KAR-SEG-007 and KAR-SEG-008\n"
                "      --threads: audit-group parallelism (1 = serial, 0 = all hardware\n"
                "      threads); the verdict is identical for every value\n"
                "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess)\n"
@@ -108,7 +110,7 @@ int Usage() {
                "      carries the replicated trace, its advice slice, and a cross-shard\n"
                "      boundary manifest, and audits independently with `audit-shard`\n"
                "  karousos audit-shard --app <...> --shard-file FILE [--out ARTIFACT]\n"
-               "                  [--isolation ser|rc|ru] [--threads N] [--no-prescreen]\n"
+               "                  [--isolation ser|rc|ru] [--threads N]\n"
                "      audit one shard in isolation (full verifier; epochs and threads\n"
                "      compose) and write its verdict artifact for `audit-merge`\n"
                "  karousos audit-merge --in-dir DIR | --artifact FILE [--artifact FILE ...]\n"
@@ -176,7 +178,6 @@ struct Args {
   bool epoch_size_set = false;
   bool races = false;
   bool profile = false;
-  bool no_prescreen = false;
   // Network front-end (serve --listen / load --connect).
   std::string listen;
   std::string connect;
@@ -211,11 +212,6 @@ std::optional<Args> Parse(int argc, char** argv) {
     }
     if (flag == "--profile") {
       args.profile = true;
-      ++i;
-      continue;
-    }
-    if (flag == "--no-prescreen") {
-      args.no_prescreen = true;
       ++i;
       continue;
     }
@@ -602,7 +598,20 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-int CmdAudit(const Args& args) {
+// The (trace, advice) pair `audit`, `check` and `analyze` read: KSEG
+// containers (--segments DIR, or detected on --trace/--advice; --epoch-size
+// required), kept as bytes for the container front ends, or monolithic files,
+// decoded.
+struct RunInput {
+  bool segmented = false;
+  std::vector<uint8_t> trace_bytes;
+  std::vector<uint8_t> advice_bytes;
+  std::optional<Trace> trace;
+  std::optional<Advice> advice;
+};
+
+// Fills `in`, or returns the exit code the command stops with.
+std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
   std::string trace_path = args.trace_path;
   std::string advice_path = args.advice_path;
   if (!args.segments_dir.empty()) {
@@ -619,55 +628,43 @@ int CmdAudit(const Args& args) {
     return 1;
   }
   if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    // Segment containers: the container front end file-checks and decodes the
-    // streams, then the session audits epoch by epoch.
     if (!args.epoch_size_set) {
       std::fprintf(stderr, "--epoch-size is required for segment containers\n");
       return 2;
     }
-    AppSpec app = MakeApp(args.app);
-    VerifierConfig config{ParseIsolation(args.isolation), args.threads};
-    config.prescreen = !args.no_prescreen;
-    StreamAuditResult streamed =
-        AuditSegments(app, *trace_bytes, *advice_bytes, config, args.epoch_size);
-    std::printf("streamed %llu epochs (epoch size %llu), peak resident advice %zu B\n",
-                static_cast<unsigned long long>(streamed.epochs),
-                static_cast<unsigned long long>(args.epoch_size),
-                streamed.peak_resident_advice_bytes);
-    if (args.profile) {
-      std::printf("%s\n", AuditProfileToJson(streamed.audit.profile).c_str());
-    }
-    if (streamed.audit.accepted) {
-      std::printf("ACCEPTED: %zu requests in %zu groups, %zu handler executions, "
-                  "G = %zu nodes / %zu edges\n",
-                  streamed.audit.stats.group_lane_total, streamed.audit.stats.groups,
-                  streamed.audit.stats.handler_executions, streamed.audit.stats.graph_nodes,
-                  streamed.audit.stats.graph_edges);
-      return 0;
-    }
-    std::printf("REJECTED: %s\n", streamed.audit.reason.c_str());
-    return 1;
+    in->segmented = true;
+    in->trace_bytes = std::move(*trace_bytes);
+    in->advice_bytes = std::move(*advice_bytes);
+    return std::nullopt;
   }
   ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
+  in->trace = Trace::Deserialize(&trace_reader);
+  if (!in->trace) {
     std::printf("REJECTED: malformed trace file\n");
     return 1;
   }
   ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("REJECTED: malformed advice (server misbehavior)\n");
+  in->advice = Advice::Deserialize(&advice_reader);
+  if (!in->advice) {
+    std::printf("REJECTED: malformed advice file (server misbehavior)\n");
     return 1;
+  }
+  return std::nullopt;
+}
+
+// `karousos audit`: the one-shot audit for a monolithic pair, otherwise the
+// one streamed loop over either stored form, with checkpoint and resume.
+int CmdAudit(const Args& args) {
+  RunInput in;
+  if (auto code = ReadRunInput(args, &in)) {
+    return *code;
   }
   AppSpec app = MakeApp(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
-  config.prescreen = !args.no_prescreen;
 
   AuditResult audit;
-  if (args.epoch_size_set || !args.resume_path.empty() || !args.checkpoint_path.empty()) {
-    // Epoch-streamed path: slice the inputs, feed one epoch at a time, and
-    // (optionally) persist the carry state after every epoch.
+  if (in.segmented || args.epoch_size_set || !args.resume_path.empty() ||
+      !args.checkpoint_path.empty()) {
     std::unique_ptr<AuditSession> session;
     if (!args.resume_path.empty()) {
       auto checkpoint = ReadFile(args.resume_path);
@@ -686,11 +683,16 @@ int CmdAudit(const Args& args) {
     } else {
       session = std::make_unique<AuditSession>(*app.program, config, args.epoch_size);
     }
-    // Resume must re-slice at the checkpoint's epoch size, or epoch indices
-    // would not line up with the audited prefix.
-    EpochSlices slices = SliceRun(*trace, *advice, session->epoch_requests());
+    // A resumed audit decodes at the checkpoint's epoch size, or epoch
+    // indices would not line up with the audited prefix.
+    SegmentLoadResult run;
+    if (in.segmented) {
+      run = LoadSegmentStreams(in.trace_bytes, in.advice_bytes, session->epoch_requests());
+    } else {
+      run.slices = SliceRun(*in.trace, *in.advice, session->epoch_requests());
+    }
     bool checkpoint_failed = false;
-    FeedRemaining(session.get(), slices, [&](AuditSession& s) {
+    StreamAuditResult streamed = RunStreamedAudit(session.get(), run, [&](AuditSession& s) {
       if (!args.checkpoint_path.empty() &&
           !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
         checkpoint_failed = true;
@@ -700,13 +702,13 @@ int CmdAudit(const Args& args) {
       std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
       return 1;
     }
-    audit = session->Finish();
-    std::printf("streamed %zu epochs (epoch size %llu), peak resident advice %zu B\n",
-                slices.segments.size(),
+    std::printf("streamed %llu epochs (epoch size %llu), peak resident advice %zu B\n",
+                static_cast<unsigned long long>(streamed.epochs),
                 static_cast<unsigned long long>(session->epoch_requests()),
-                session->peak_resident_advice_bytes());
+                streamed.peak_resident_advice_bytes);
+    audit = std::move(streamed.audit);
   } else {
-    audit = AuditOnly(app, *trace, *advice, config);
+    audit = AuditOnly(app, *in.trace, *in.advice, config);
   }
   if (args.profile) {
     std::printf("%s\n", AuditProfileToJson(audit.profile).c_str());
@@ -798,7 +800,6 @@ int CmdAuditShard(const Args& args) {
   }
   AppSpec app = MakeApp(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
-  config.prescreen = !args.no_prescreen;
   ShardArtifact artifact = RunShardAudit(*app.program, loaded.file, config);
   if (!args.out_path.empty()) {
     if (!WriteFile(args.out_path, EncodeShardArtifact(artifact))) {
@@ -1091,74 +1092,38 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-// The streaming static model check: file-layer walk + per-epoch KAR-ADV lint
-// + cross-epoch KAR-SEG rules, no re-execution. Shared by `check` and by
-// `analyze` when it is handed segment containers.
-int RunSegmentCheck(const std::vector<uint8_t>& trace_bytes,
-                    const std::vector<uint8_t>& advice_bytes, uint64_t epoch_requests) {
-  CheckResult result = CheckSegmentStreams(trace_bytes, advice_bytes, epoch_requests);
+// The streaming static model check: file-layer walk (KSEG only) + per-epoch
+// KAR-ADV lint + cross-epoch KAR-SEG rules, no re-execution. Monolithic
+// files are sliced at `epoch_requests` first (0 = one epoch). Shared by
+// `check` and by `analyze` when it is handed segment containers.
+int RunCheck(const RunInput& in, uint64_t epoch_requests) {
+  CheckResult result =
+      in.segmented ? CheckSegmentStreams(in.trace_bytes, in.advice_bytes, epoch_requests)
+                   : CheckRun(*in.trace, *in.advice, epoch_requests);
   for (const LintDiagnostic& d : result.diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
-  if (result.ok) {
-    std::printf("model check: clean (%llu epochs, %llu frames)\n",
-                static_cast<unsigned long long>(result.epochs),
-                static_cast<unsigned long long>(result.frames));
-    return 0;
+  if (!result.ok) {
+    std::printf("REJECTED: %s\n", result.reason.c_str());
+    return 1;
   }
-  std::printf("REJECTED: %s\n", result.reason.c_str());
-  return 1;
+  std::printf("model check: clean (%llu epochs", static_cast<unsigned long long>(result.epochs));
+  if (in.segmented) {
+    std::printf(", %llu frames", static_cast<unsigned long long>(result.frames));
+  }
+  std::printf(")\n");
+  return 0;
 }
 
 // `karousos check`: the static half of the audit, standalone. Accepts the
 // segmented production artifact (--segments DIR or KSEG --trace/--advice) or
 // a monolithic pair, which it slices at --epoch-size first.
 int CmdCheck(const Args& args) {
-  std::string trace_path = args.trace_path;
-  std::string advice_path = args.advice_path;
-  if (!args.segments_dir.empty()) {
-    trace_path = args.segments_dir + "/trace.kseg";
-    advice_path = args.segments_dir + "/advice.kseg";
+  RunInput in;
+  if (auto code = ReadRunInput(args, &in)) {
+    return *code;
   }
-  if (trace_path.empty() || advice_path.empty()) {
-    return Usage();
-  }
-  auto trace_bytes = ReadFile(trace_path);
-  auto advice_bytes = ReadFile(advice_path);
-  if (!trace_bytes || !advice_bytes) {
-    std::fprintf(stderr, "failed to read inputs\n");
-    return 1;
-  }
-  if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    return RunSegmentCheck(*trace_bytes, *advice_bytes, args.epoch_size);
-  }
-  ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
-    std::printf("malformed trace file\n");
-    return 1;
-  }
-  ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("malformed advice file\n");
-    return 1;
-  }
-  CheckResult result = CheckRun(*trace, *advice, args.epoch_size);
-  for (const LintDiagnostic& d : result.diagnostics) {
-    std::printf("%s\n", d.Format().c_str());
-  }
-  if (result.ok) {
-    std::printf("model check: clean (%llu epochs)\n",
-                static_cast<unsigned long long>(result.epochs));
-    return 0;
-  }
-  std::printf("REJECTED: %s\n", result.reason.c_str());
-  return 1;
+  return RunCheck(in, args.epoch_size);
 }
 
 // Runs the structural advice linter over (trace, advice) files — the same
@@ -1166,41 +1131,20 @@ int CmdCheck(const Args& args) {
 // re-execution. Prints every diagnostic; exits 1 iff there are findings.
 // Segment containers divert to the streaming model check.
 int CmdAnalyzeLint(const Args& args) {
-  if (args.trace_path.empty() || args.advice_path.empty()) {
-    return Usage();
+  RunInput in;
+  if (auto code = ReadRunInput(args, &in)) {
+    return *code;
   }
-  auto trace_bytes = ReadFile(args.trace_path);
-  auto advice_bytes = ReadFile(args.advice_path);
-  if (!trace_bytes || !advice_bytes) {
-    std::fprintf(stderr, "failed to read inputs\n");
-    return 1;
+  if (in.segmented) {
+    return RunCheck(in, args.epoch_size);
   }
-  if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    return RunSegmentCheck(*trace_bytes, *advice_bytes, args.epoch_size);
-  }
-  ByteReader trace_reader(*trace_bytes);
-  auto trace = Trace::Deserialize(&trace_reader);
-  if (!trace) {
-    std::printf("malformed trace file\n");
-    return 1;
-  }
-  ByteReader advice_reader(*advice_bytes);
-  auto advice = Advice::Deserialize(&advice_reader);
-  if (!advice) {
-    std::printf("malformed advice file\n");
-    return 1;
-  }
-  std::vector<LintDiagnostic> diagnostics = LintAdvice(*trace, *advice);
+  std::vector<LintDiagnostic> diagnostics = LintAdvice(*in.trace, *in.advice);
   for (const LintDiagnostic& d : diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
   if (diagnostics.empty()) {
     std::printf("advice lint: clean (%zu requests, %zu var-log entries)\n",
-                advice->tags.size(), advice->var_log_entry_count());
+                in.advice->tags.size(), in.advice->var_log_entry_count());
     return 0;
   }
   std::printf("advice lint: %zu finding(s)\n", diagnostics.size());
