@@ -32,7 +32,6 @@ StreamAuditResult RunStreamedAudit(AuditSession* session, const SegmentLoadResul
   }
   FeedRemaining(session, run.slices, after_epoch);
   result.audit = session->Finish();
-  result.peak_resident_advice_bytes = session->peak_resident_advice_bytes();
   return result;
 }
 

@@ -21,9 +21,6 @@ namespace karousos {
 
 struct StreamAuditResult {
   AuditResult audit;
-  // High-water mark of resident advice-derived bytes (slice + imports +
-  // carries, serialized) across the whole stream.
-  size_t peak_resident_advice_bytes = 0;
   uint64_t epochs = 0;
 };
 

@@ -3,6 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <string>
+
+#include "src/common/serde.h"
 
 namespace karousos {
 
@@ -13,7 +16,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Value> Parse(JsonParseError* error) {
-    std::optional<Value> value = ParseValue();
+    std::optional<Value> value = ParseValue(0);
     if (value.has_value()) {
       SkipWhitespace();
       if (pos_ != text_.size()) {
@@ -60,7 +63,11 @@ class Parser {
     return Fail("invalid literal");
   }
 
-  std::optional<Value> ParseValue() {
+  // `depth` counts the arrays/objects enclosing the value. Like
+  // ByteReader::ReadValue, nesting stops at kMaxValueDepth: a parsed input
+  // must stay decodable wherever it is recorded, and the recursion must not
+  // overflow the stack.
+  std::optional<Value> ParseValue(size_t depth) {
     SkipWhitespace();
     if (pos_ >= text_.size()) {
       Fail("unexpected end of input");
@@ -85,9 +92,9 @@ class Parser {
       case '"':
         return ParseString();
       case '[':
-        return ParseArray();
+        return ParseArray(depth);
       case '{':
-        return ParseObject();
+        return ParseObject(depth);
       default:
         return ParseNumber();
     }
@@ -255,8 +262,13 @@ class Parser {
     return std::nullopt;
   }
 
-  std::optional<Value> ParseArray() {
-    if (!Consume('[')) {
+  bool CheckDepth(size_t depth) {
+    return depth < kMaxValueDepth ||
+           Fail("nesting deeper than " + std::to_string(kMaxValueDepth) + " levels");
+  }
+
+  std::optional<Value> ParseArray(size_t depth) {
+    if (!CheckDepth(depth) || !Consume('[')) {
       return std::nullopt;
     }
     ValueList items;
@@ -266,7 +278,7 @@ class Parser {
       return Value(std::move(items));
     }
     while (true) {
-      auto item = ParseValue();
+      auto item = ParseValue(depth + 1);
       if (!item) {
         return std::nullopt;
       }
@@ -283,8 +295,8 @@ class Parser {
     }
   }
 
-  std::optional<Value> ParseObject() {
-    if (!Consume('{')) {
+  std::optional<Value> ParseObject(size_t depth) {
+    if (!CheckDepth(depth) || !Consume('{')) {
       return std::nullopt;
     }
     ValueMap fields;
@@ -303,7 +315,7 @@ class Parser {
       if (!Consume(':')) {
         return std::nullopt;
       }
-      auto value = ParseValue();
+      auto value = ParseValue(depth + 1);
       if (!value) {
         return std::nullopt;
       }

@@ -125,7 +125,9 @@ bool SegmentReader::Pull(uint8_t* dest, size_t n, size_t* got) {
   } else {
     size_t avail = mem_size_ - pos_;
     *got = n < avail ? n : avail;
-    std::memcpy(dest, mem_ + pos_, *got);
+    if (*got > 0) {  // An empty payload's dest (or an empty buffer) may be null.
+      std::memcpy(dest, mem_ + pos_, *got);
+    }
   }
   pos_ += *got;
   return *got == n;

@@ -12,7 +12,7 @@ namespace {
 
 // Bumped whenever the checkpoint payload layout changes; Restore refuses
 // other versions (a stale checkpoint must fail loudly, not misparse).
-constexpr uint64_t kCheckpointVersion = 2;
+constexpr uint64_t kCheckpointVersion = 3;
 
 void WriteTxnKey(const TxnKey& t, ByteWriter* w) {
   w->WriteVarint(t.rid);
@@ -82,7 +82,11 @@ uint64_t AuditSession::epoch_requests() const { return v_.epoch_requests_; }
 
 bool AuditSession::decided() const { return v_.decided_; }
 
-size_t AuditSession::peak_resident_advice_bytes() const { return v_.peak_resident_; }
+size_t AuditSession::peak_resident_advice_bytes() const {
+  ByteWriter w;
+  WriteCarries(&w);
+  return w.size();
+}
 
 bool AuditSession::FeedEpoch(const EpochSegment& segment) {
   if (v_.decided_) {
@@ -100,6 +104,31 @@ bool AuditSession::FeedEpoch(const EpochSegment& segment) {
 }
 
 AuditResult AuditSession::Finish() { return v_.StreamFinish(); }
+
+void AuditSession::WriteCarries(ByteWriter* w) const {
+  w->WriteVarint(v_.txn_size_carry_.size());
+  for (const auto& [txn, size] : v_.txn_size_carry_) {
+    WriteTxnKey(txn, w);
+    w->WriteVarint(size);
+  }
+  w->WriteVarint(v_.put_carry_.size());
+  for (const auto& [ref, put] : v_.put_carry_) {
+    SerializeTxOpRef(ref, w);
+    w->WriteString(put.key);
+    w->WriteValue(put.value);
+    w->WriteFixed64(put.hid);
+    w->WriteVarint(put.opnum);
+  }
+  w->WriteVarint(v_.var_carry_.size());
+  for (const auto& [key, carry] : v_.var_carry_) {
+    w->WriteFixed64(key.first);
+    SerializeOpRef(key.second, w);
+    w->WriteBool(carry.is_write);
+    if (carry.is_write) {
+      w->WriteValue(carry.value);
+    }
+  }
+}
 
 std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   ByteWriter w;
@@ -270,28 +299,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   }
 
   // Carries and pending imports.
-  w.WriteVarint(v_.txn_size_carry_.size());
-  for (const auto& [txn, size] : v_.txn_size_carry_) {
-    WriteTxnKey(txn, &w);
-    w.WriteVarint(size);
-  }
-  w.WriteVarint(v_.put_carry_.size());
-  for (const auto& [ref, put] : v_.put_carry_) {
-    SerializeTxOpRef(ref, &w);
-    w.WriteString(put.key);
-    w.WriteValue(put.value);
-    w.WriteFixed64(put.hid);
-    w.WriteVarint(put.opnum);
-  }
-  w.WriteVarint(v_.var_carry_.size());
-  for (const auto& [key, carry] : v_.var_carry_) {
-    w.WriteFixed64(key.first);
-    SerializeOpRef(key.second, &w);
-    w.WriteBool(carry.is_write);
-    if (carry.is_write) {
-      w.WriteValue(carry.value);
-    }
-  }
+  WriteCarries(&w);
   w.WriteVarint(v_.pending_tx_imports_.size());
   for (const auto& [ref, imp] : v_.pending_tx_imports_) {
     SerializeTxOpRef(ref, &w);
@@ -328,9 +336,8 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteVarint(v_.stats_.isolation_dg_nodes);
   w.WriteVarint(v_.stats_.isolation_dg_edges);
   w.WriteVarint(v_.var_dict_entries_pruned_);
-  w.WriteVarint(v_.peak_resident_);
 
-  // v2: the fast-reject pre-screen's cross-epoch state.
+  // The fast-reject pre-screen's cross-epoch state.
   v_.carry_lint_.Serialize(&w);
 
   SegmentWriter out;
@@ -550,7 +557,6 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
   v.stats_.isolation_dg_nodes = c.V();
   v.stats_.isolation_dg_edges = c.V();
   v.var_dict_entries_pruned_ = c.V();
-  v.peak_resident_ = c.V();
 
   if (c.ok && !v.carry_lint_.Deserialize(&c.r)) {
     c.ok = false;

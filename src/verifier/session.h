@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/serde.h"
 #include "src/server/rollover.h"
 #include "src/verifier/verifier.h"
 
@@ -65,11 +66,18 @@ class AuditSession {
   uint64_t epoch_requests() const;
   // True once a mid-stream rejection fixed the verdict.
   bool decided() const;
-  // High-water mark of resident advice-derived bytes (current slice +
-  // imports + carries, serialized) — the epoch bench's y-axis.
+  // Serialized size of the carried state (transaction sizes, PUT carries,
+  // var carries, in their checkpoint encoding), computed on demand. Carries
+  // only grow, so after Finish this is their peak. A model, not a
+  // measurement — real memory is the kernel's peak RSS. Kept only for the
+  // pipeline bench's ungated verifier.modelled_resident_bytes; the audit
+  // itself never calls it.
   size_t peak_resident_advice_bytes() const;
 
  private:
+  // The checkpoint's carry section.
+  void WriteCarries(ByteWriter* w) const;
+
   Verifier v_;
 };
 

@@ -18,7 +18,7 @@ namespace karousos {
 
 namespace {
 
-constexpr uint8_t kShardArtifactFormatVersion = 2;
+constexpr uint8_t kShardArtifactFormatVersion = 3;
 
 void SerializeTxOpImport(const ContinuityImports::TxOpImport& imp, ByteWriter* out) {
   SerializeTxOpRef(imp.ref, out);
@@ -119,7 +119,6 @@ void ShardArtifact::Serialize(ByteWriter* out) const {
     out->WriteString(d.location);
     out->WriteString(d.message);
   }
-  out->WriteVarint(peak_resident);
 
   out->WriteVarint(tags.size());
   for (const auto& [rid, tag] : tags) {
@@ -269,9 +268,6 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
                                            static_cast<LintSeverity>(*severity),
                                            std::move(*location), std::move(*message)});
   }
-  auto peak_resident = in->ReadVarint();
-  if (!peak_resident) return std::nullopt;
-  a.peak_resident = *peak_resident;
 
   auto tag_count = in->ReadVarint();
   if (!tag_count || !BoundedCount(in, *tag_count)) return std::nullopt;
@@ -458,7 +454,6 @@ class ShardAudit {
     // Finish-time rejections never set decided_ (StreamFinish catches into the
     // result directly), so they order after every mid-stream rejection.
     a.decided_epoch = v.decided_ ? v.decided_epoch_ : b.epochs;
-    a.peak_resident = v.peak_resident_;
     a.trace_rid_count = v.trace_rids_.size();
     a.trace_rid_digest =
         DigestRids(std::vector<RequestId>(v.trace_rids_.begin(), v.trace_rids_.end()));

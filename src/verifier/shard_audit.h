@@ -77,9 +77,6 @@ struct ShardArtifact {
   uint64_t decided_epoch = 0;
   std::vector<LintDiagnostic> diagnostics;
 
-  // Resident high-water mark of the shard audit (bench counter).
-  uint64_t peak_resident = 0;
-
   // --- Exports for the merge's global checks (populated on accept) ---------
 
   // Per-request re-execution tags (KAR-SEG-012's group-atomicity check).

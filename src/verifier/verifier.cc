@@ -720,38 +720,7 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
   ++epochs_fed_;
 }
 
-size_t Verifier::MeasureResidentBytes(const EpochSegment& segment) const {
-  // What the session must hold to keep auditing: this epoch's slice and
-  // imports plus the carried state of every completed epoch, measured in
-  // serialized bytes (the same metric as the one-shot advice footprint).
-  ByteWriter w;
-  segment.advice.Serialize(&w);
-  segment.imports.Serialize(&w);
-  for (const auto& [txn, size] : txn_size_carry_) {
-    w.WriteVarint(txn.rid);
-    w.WriteVarint(txn.tid);
-    w.WriteVarint(size);
-  }
-  for (const auto& [ref, put] : put_carry_) {
-    SerializeTxOpRef(ref, &w);
-    w.WriteString(put.key);
-    w.WriteValue(put.value);
-    w.WriteVarint(put.hid);
-    w.WriteVarint(put.opnum);
-  }
-  for (const auto& [key, carry] : var_carry_) {
-    w.WriteVarint(key.first);
-    SerializeOpRef(key.second, &w);
-    w.WriteBool(carry.is_write);
-    if (carry.is_write) {
-      w.WriteValue(carry.value);
-    }
-  }
-  return w.size();
-}
-
 void Verifier::StreamEndEpoch(const EpochSegment& segment) {
-  peak_resident_ = std::max(peak_resident_, MeasureResidentBytes(segment));
   if (!decided_) {
     carry_lint_.EndEpoch(segment);
   }

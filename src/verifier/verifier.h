@@ -287,7 +287,6 @@ class Verifier {
   void StreamTimePrecedence(const std::vector<TraceEvent>& window);
   void StreamEndEpoch(const EpochSegment& segment);
   void StreamConfirmImports();
-  size_t MeasureResidentBytes(const EpochSegment& segment) const;
 
   // The canonical handler-matching order shared with the server: global
   // handlers in registration order, then per-request registrations in
@@ -398,9 +397,6 @@ class Verifier {
   // var_dict entries dropped by per-epoch pruning, so the final
   // stats.var_dict_entries matches the one-shot count.
   size_t var_dict_entries_pruned_ = 0;
-  // High-water mark of serialized resident advice-derived bytes (slice +
-  // imports + carries), the quantity the epoch bench plots.
-  size_t peak_resident_ = 0;
 };
 
 }  // namespace karousos

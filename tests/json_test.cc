@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "src/common/rng.h"
+#include "src/common/serde.h"
 
 namespace karousos {
 namespace {
@@ -51,6 +55,28 @@ TEST(JsonTest, Errors) {
   EXPECT_FALSE(ParseJson(R"("\q")", &error).has_value());
   EXPECT_FALSE(ParseJson("-", &error).has_value());
   EXPECT_FALSE(error.message.empty());
+}
+
+TEST(JsonTest, NestingIsCappedAtMaxDepth) {
+  // `depth` nested arrays around a null, and the same depth of objects.
+  auto arrays = [](size_t depth) {
+    return std::string(depth, '[') + "null" + std::string(depth, ']');
+  };
+  auto objects = [](size_t depth) {
+    std::string text;
+    for (size_t i = 0; i < depth; ++i) text += "{\"k\":";
+    return text + "1" + std::string(depth, '}');
+  };
+  for (size_t depth : {kMaxValueDepth, kMaxValueDepth + 1, size_t{100000}}) {
+    for (const std::string& text : {arrays(depth), objects(depth)}) {
+      JsonParseError error;
+      std::optional<Value> parsed = ParseJson(text, &error);
+      EXPECT_EQ(parsed.has_value(), depth <= kMaxValueDepth) << "depth " << depth;
+      if (!parsed) {
+        EXPECT_NE(error.message.find("nesting"), std::string::npos) << error.message;
+      }
+    }
+  }
 }
 
 TEST(JsonTest, IntegerOverflowFallsBackToDouble) {

@@ -15,6 +15,8 @@
 
 #include "src/analysis/carry_lint.h"
 #include "src/audit/audit.h"
+#include "src/common/segment.h"
+#include "src/common/serde.h"
 #include "src/kem/varid.h"
 #include "src/server/shard.h"
 #include "src/verifier/shard_audit.h"
@@ -414,6 +416,23 @@ TEST(ShardMergeAdversaryTest, TruncatedArtifactRefused) {
     ShardArtifactLoadResult result = LoadShardArtifactBytes(truncated);
     EXPECT_FALSE(result.ok) << "cut=" << cut;
     EXPECT_FALSE(result.rule.empty()) << "cut=" << cut;
+  }
+
+  // A well-framed artifact whose version byte (the first payload byte; the
+  // current version is 3) differs does not load.
+  ByteWriter payload;
+  artifacts[0].Serialize(&payload);
+  std::vector<uint8_t> raw = payload.Take();
+  ASSERT_EQ(raw[0], 3u);
+  for (uint8_t version : {3, 2, 4}) {
+    raw[0] = version;
+    SegmentWriter other;
+    other.Append(SegmentKind::kShardArtifact, artifacts[0].shard, raw);
+    ShardArtifactLoadResult result = LoadShardArtifactBytes(other.Take());
+    EXPECT_EQ(result.ok, version == 3) << "version=" << int{version} << ": " << result.reason;
+    if (version != 3) {
+      EXPECT_EQ(result.rule, kKarSeg015) << "version=" << int{version};
+    }
   }
 }
 

@@ -99,7 +99,7 @@ int Usage() {
                "      threads); the verdict is identical for every value\n"
                "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess)\n"
                "      --epoch-size: stream the audit in epochs of N requests (0 = one\n"
-               "      epoch); same verdict as the one-shot audit, bounded advice memory\n"
+               "      epoch); same verdict as the one-shot audit\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"
                "      --resume: restore the carry state from FILE and continue from the\n"
                "      first unaudited epoch\n"
@@ -702,10 +702,9 @@ int CmdAudit(const Args& args) {
       std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
       return 1;
     }
-    std::printf("streamed %llu epochs (epoch size %llu), peak resident advice %zu B\n",
+    std::printf("streamed %llu epochs (epoch size %llu)\n",
                 static_cast<unsigned long long>(streamed.epochs),
-                static_cast<unsigned long long>(session->epoch_requests()),
-                streamed.peak_resident_advice_bytes);
+                static_cast<unsigned long long>(session->epoch_requests()));
     audit = std::move(streamed.audit);
   } else {
     audit = AuditOnly(app, *in.trace, *in.advice, config);
@@ -807,10 +806,8 @@ int CmdAuditShard(const Args& args) {
       return 1;
     }
   }
-  std::printf("shard %u/%u: %llu epochs, %zu rids, peak resident advice %llu B\n",
-              artifact.shard, artifact.count,
-              static_cast<unsigned long long>(artifact.epochs), artifact.rids.size(),
-              static_cast<unsigned long long>(artifact.peak_resident));
+  std::printf("shard %u/%u: %llu epochs, %zu rids\n", artifact.shard, artifact.count,
+              static_cast<unsigned long long>(artifact.epochs), artifact.rids.size());
   if (artifact.accepted) {
     std::printf("SHARD ACCEPTED: %zu write-order entries, %zu txns, "
                 "%zu pending imports, %zu exports\n",

@@ -2,7 +2,9 @@
 # Smoke-checks the streamed `karousos audit` over a compressed KSEG container:
 # --checkpoint must write its file, --resume must restore it and reach the
 # uninterrupted verdict, and a forged trace must be rejected on the same
-# streamed path.
+# streamed path. Also checks that `serve --inputs` refuses a request nested
+# past the decoder's depth cap with a JSON error instead of crashing or
+# recording a trace the audit cannot read.
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -54,6 +56,23 @@ status=$?
 printf '%s\n' "$out"
 [ "$status" -eq 1 ] || fail "audit of a forged trace exited $status"
 printf '%s\n' "$out" | grep -q '^REJECTED: ' || fail "audit of a forged trace printed no REJECTED line"
+
+# Over-deep JSON requests: exit 1 with a JSON error, no signal, no trace.
+for depth in 1000 100000; do
+  awk -v d="$depth" 'BEGIN {
+    for (i = 0; i < d; i++) printf "[";
+    printf "null";
+    for (i = 0; i < d; i++) printf "]";
+    print "";
+  }' >"$dir/deep.jsonl"
+  err="$("$bin" serve --app motd --inputs "$dir/deep.jsonl" \
+      --out-trace "$dir/deep_trace.bin" --out-advice "$dir/deep_advice.bin" 2>&1)"
+  status=$?
+  [ "$status" -eq 1 ] || fail "serve on a $depth-deep input line exited $status"
+  printf '%s\n' "$err" | grep -q 'JSON error' ||
+    fail "serve on a $depth-deep input line printed no JSON error: $err"
+  [ ! -e "$dir/deep_trace.bin" ] || fail "serve wrote a trace for a $depth-deep input line"
+done
 
 rm -rf "$dir"
 echo "cli smoke check passed"
