@@ -1,6 +1,5 @@
 #include "src/analysis/check.h"
 
-#include <memory>
 #include <utility>
 
 #include "src/analysis/lint.h"
@@ -10,12 +9,20 @@ namespace karousos {
 
 namespace {
 
-// Reject-reason prefix by rule family, mirroring the session's throw sites:
-// slice-local lint findings reject as "advice lint: ...", the cross-epoch
-// static rules as "model check: ...", and the container walk (which the
-// session never sees — its front end is LoadSegmentStreams) as
-// "segment stream: ...".
-std::string ReasonFor(const LintDiagnostic& d) {
+std::string FrameLoc(const char* stream, const SegmentRecord& rec) {
+  return std::string(stream) + "[offset " + std::to_string(rec.offset) + "]";
+}
+
+int Fail(const char* rule, std::string location, std::string message,
+         std::vector<LintDiagnostic>* diags) {
+  diags->push_back(
+      LintDiagnostic{rule, LintSeverity::kError, std::move(location), std::move(message)});
+  return -1;
+}
+
+}  // namespace
+
+std::string RejectReason(const LintDiagnostic& d) {
   bool seg = d.rule.rfind("KAR-SEG", 0) == 0;
   bool file_layer = d.rule == kKarSeg001 || d.rule == kKarSeg002 || d.rule == kKarSeg003 ||
                     d.rule == kKarSeg010;
@@ -23,128 +30,96 @@ std::string ReasonFor(const LintDiagnostic& d) {
   return prefix + d.Format();
 }
 
-// Walks a (trace, advice) container pair in lockstep, yielding one decoded
-// EpochSegment per epoch. Owns the file-layer rules: unreadable container
-// (001), frame schema (002), epoch sequencing (003), stream pairing (010).
-class PairedSegmentCursor {
- public:
-  PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
-                      const std::vector<uint8_t>& advice_bytes) {
-    trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
-    advice_ =
-        SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
+PairedSegmentCursor::PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
+                                         const std::vector<uint8_t>& advice_bytes) {
+  trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
+  advice_ =
+      SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
+}
+
+int PairedSegmentCursor::Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) {
+  if (trace_ == nullptr) {
+    return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_open_error_, diags);
   }
-
-  // 1: *out filled. 0: both streams cleanly ended. -1: error (one finding
-  // appended to *diags).
-  int Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) {
-    if (trace_ == nullptr) {
-      return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_open_error_,
-                  diags);
-    }
-    if (advice_ == nullptr) {
-      return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_open_error_,
-                  diags);
-    }
-    SegmentRecord trace_rec;
-    bool have_trace = trace_->Next(&trace_rec);
-    if (!have_trace && !trace_->ok()) {
-      return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_->error(), diags);
-    }
-    SegmentRecord advice_rec;
-    bool have_advice = advice_->Next(&advice_rec);
-    if (!have_advice && !advice_->ok()) {
-      return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_->error(),
-                  diags);
-    }
-    if (!have_trace && !have_advice) {
-      return 0;
-    }
-    if (have_trace != have_advice) {
-      uint64_t epoch = have_trace ? trace_rec.epoch : advice_rec.epoch;
-      frames_ += 1;
-      return Fail(kKarSeg010, have_trace ? "trace" : "advice",
-                  std::string("trace and advice streams disagree on the epoch set: the ") +
-                      (have_trace ? "trace" : "advice") + " stream has a frame for epoch " +
-                      std::to_string(epoch) + " but the " +
-                      (have_trace ? "advice" : "trace") + " stream ended",
-                  diags);
-    }
-    frames_ += 2;
-    if (trace_rec.kind != SegmentKind::kTrace) {
-      return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                  std::string("unexpected ") + SegmentKindName(trace_rec.kind) +
-                      " frame in the trace stream",
-                  diags);
-    }
-    if (advice_rec.kind != SegmentKind::kAdvice) {
-      return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                  std::string("unexpected ") + SegmentKindName(advice_rec.kind) +
-                      " frame in the advice stream",
-                  diags);
-    }
-    if (trace_rec.epoch != next_epoch_) {
-      return Fail(kKarSeg003, FrameLoc("trace", trace_rec),
-                  SequencingMessage(trace_rec.epoch), diags);
-    }
-    if (advice_rec.epoch != next_epoch_) {
-      return Fail(kKarSeg003, FrameLoc("advice", advice_rec),
-                  SequencingMessage(advice_rec.epoch), diags);
-    }
-    auto window = DecodeTraceSegmentPayload(trace_rec.payload, trace_rec.flags);
-    if (!window) {
-      return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                  "trace segment payload for epoch " + std::to_string(trace_rec.epoch) +
-                      " is malformed",
-                  diags);
-    }
-    auto advice_payload = DecodeAdviceSegmentPayload(advice_rec.payload, advice_rec.flags);
-    if (!advice_payload) {
-      return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                  "advice segment payload for epoch " + std::to_string(advice_rec.epoch) +
-                      " is malformed",
-                  diags);
-    }
-    out->epoch = next_epoch_;
-    out->window = std::move(*window);
-    out->advice = std::move(advice_payload->advice);
-    out->imports = std::move(advice_payload->imports);
-    ++next_epoch_;
-    return 1;
+  if (advice_ == nullptr) {
+    return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_open_error_,
+                diags);
   }
-
-  uint64_t frames() const { return frames_; }
-
- private:
-  static std::string FrameLoc(const char* stream, const SegmentRecord& rec) {
-    return std::string(stream) + "[offset " + std::to_string(rec.offset) + "]";
+  SegmentRecord trace_rec;
+  bool have_trace = trace_->Next(&trace_rec);
+  if (!have_trace && !trace_->ok()) {
+    return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_->error(), diags);
   }
-
-  std::string SequencingMessage(uint64_t got) const {
-    if (got < next_epoch_) {
-      return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
-             " (expected epoch " + std::to_string(next_epoch_) + ")";
-    }
-    return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
-           std::to_string(next_epoch_) + ")";
+  SegmentRecord advice_rec;
+  bool have_advice = advice_->Next(&advice_rec);
+  if (!have_advice && !advice_->ok()) {
+    return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_->error(),
+                diags);
   }
-
-  static int Fail(const char* rule, std::string location, std::string message,
-                  std::vector<LintDiagnostic>* diags) {
-    diags->push_back(
-        LintDiagnostic{rule, LintSeverity::kError, std::move(location), std::move(message)});
-    return -1;
+  if (!have_trace && !have_advice) {
+    return 0;
   }
+  if (have_trace != have_advice) {
+    uint64_t epoch = have_trace ? trace_rec.epoch : advice_rec.epoch;
+    frames_ += 1;
+    return Fail(kKarSeg010, have_trace ? "trace" : "advice",
+                std::string("trace and advice streams disagree on the epoch set: the ") +
+                    (have_trace ? "trace" : "advice") + " stream has a frame for epoch " +
+                    std::to_string(epoch) + " but the " + (have_trace ? "advice" : "trace") +
+                    " stream ended",
+                diags);
+  }
+  frames_ += 2;
+  if (trace_rec.kind != SegmentKind::kTrace) {
+    return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
+                std::string("unexpected ") + SegmentKindName(trace_rec.kind) +
+                    " frame in the trace stream",
+                diags);
+  }
+  if (advice_rec.kind != SegmentKind::kAdvice) {
+    return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
+                std::string("unexpected ") + SegmentKindName(advice_rec.kind) +
+                    " frame in the advice stream",
+                diags);
+  }
+  if (trace_rec.epoch != next_epoch_) {
+    return Fail(kKarSeg003, FrameLoc("trace", trace_rec), SequencingMessage(trace_rec.epoch),
+                diags);
+  }
+  if (advice_rec.epoch != next_epoch_) {
+    return Fail(kKarSeg003, FrameLoc("advice", advice_rec), SequencingMessage(advice_rec.epoch),
+                diags);
+  }
+  auto window = DecodeTraceSegmentPayload(trace_rec.payload, trace_rec.flags);
+  if (!window) {
+    return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
+                "trace segment payload for epoch " + std::to_string(trace_rec.epoch) +
+                    " is malformed",
+                diags);
+  }
+  auto advice_payload = DecodeAdviceSegmentPayload(advice_rec.payload, advice_rec.flags);
+  if (!advice_payload) {
+    return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
+                "advice segment payload for epoch " + std::to_string(advice_rec.epoch) +
+                    " is malformed",
+                diags);
+  }
+  out->epoch = next_epoch_;
+  out->window = std::move(*window);
+  out->advice = std::move(advice_payload->advice);
+  out->imports = std::move(advice_payload->imports);
+  ++next_epoch_;
+  return 1;
+}
 
-  std::unique_ptr<SegmentReader> trace_;
-  std::unique_ptr<SegmentReader> advice_;
-  std::string trace_open_error_;
-  std::string advice_open_error_;
-  uint64_t next_epoch_ = 0;
-  uint64_t frames_ = 0;
-};
-
-}  // namespace
+std::string PairedSegmentCursor::SequencingMessage(uint64_t got) const {
+  if (got < next_epoch_) {
+    return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
+           " (expected epoch " + std::to_string(next_epoch_) + ")";
+  }
+  return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
+         std::to_string(next_epoch_) + ")";
+}
 
 SegmentChecker::SegmentChecker(uint64_t epoch_requests) : epoch_requests_(epoch_requests) {
   carry_.Begin(epoch_requests, /*standalone=*/true);
@@ -158,7 +133,7 @@ void SegmentChecker::NoteVerdict() {
     if (d.severity == LintSeverity::kError) {
       result_.ok = false;
       result_.rule = d.rule;
-      result_.reason = ReasonFor(d);
+      result_.reason = RejectReason(d);
       return;
     }
   }
@@ -246,7 +221,7 @@ CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
     result.ok = false;
     const LintDiagnostic& first = result.diagnostics.back();
     result.rule = first.rule;
-    result.reason = ReasonFor(first);
+    result.reason = RejectReason(first);
   } else {
     result = checker.Finish();
   }
@@ -283,7 +258,7 @@ SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
       out.ok = false;
       const LintDiagnostic& first = out.diagnostics.back();
       out.rule = first.rule;
-      out.reason = ReasonFor(first);
+      out.reason = RejectReason(first);
       break;
     }
     if (r == 0) {

@@ -210,7 +210,8 @@ std::optional<Value> ByteReader::ReadValueAt(size_t depth) {
     }
     case Value::Kind::kList: {
       auto n = ReadVarint();
-      if (!n || *n > remaining() || depth == kMaxValueDepth) {
+      // An item is at least its kind byte.
+      if (!n || !CanHold(*n, 1) || depth == kMaxValueDepth) {
         return std::nullopt;
       }
       ValueList items;
@@ -226,7 +227,8 @@ std::optional<Value> ByteReader::ReadValueAt(size_t depth) {
     }
     case Value::Kind::kMap: {
       auto n = ReadVarint();
-      if (!n || *n > remaining() || depth == kMaxValueDepth) {
+      // An entry is at least a key length and a kind byte.
+      if (!n || !CanHold(*n, 2) || depth == kMaxValueDepth) {
         return std::nullopt;
       }
       ValueMap m;

@@ -77,6 +77,12 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
+  // True when `count` elements of at least `min_bytes` encoded bytes each fit
+  // in what is left. Count-prefixed decoders check this before they reserve,
+  // so a hostile count reserves at most one element per `min_bytes` bytes.
+  bool CanHold(uint64_t count, size_t min_bytes) const {
+    return count <= remaining() / min_bytes;
+  }
 
  private:
   // `depth` counts the lists/maps already open around the value.

@@ -178,7 +178,8 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
   for (uint64_t i = 0; i < *n_hls; ++i) {
     auto rid = in->ReadVarint();
     auto n = in->ReadVarint();
-    if (!rid || !n || *n > in->remaining()) {
+    // An entry is at least kind, hid, opnum and event: 1 + 8 + 1 + 8 bytes.
+    if (!rid || !n || !in->CanHold(*n, 18)) {
       return std::nullopt;
     }
     std::vector<HandlerLogEntry> log;
@@ -214,7 +215,8 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
   for (uint64_t i = 0; i < *n_vls; ++i) {
     auto vid = in->ReadFixed64();
     auto n = in->ReadVarint();
-    if (!vid || !n || *n > in->remaining()) {
+    // An entry is at least op, kind and prec: 10 + 1 + 10 bytes.
+    if (!vid || !n || !in->CanHold(*n, 21)) {
       return std::nullopt;
     }
     VarLog log;
@@ -253,7 +255,8 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
     auto rid = in->ReadVarint();
     auto tid = in->ReadFixed64();
     auto n = in->ReadVarint();
-    if (!rid || !tid || !n || *n > in->remaining()) {
+    // An op is at least type, hid and opnum: 1 + 8 + 1 bytes.
+    if (!rid || !tid || !n || !in->CanHold(*n, 10)) {
       return std::nullopt;
     }
     TransactionLog log;
@@ -298,7 +301,8 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
     a.tx_logs[TxnKey{*rid, *tid}] = std::move(log);
   }
   auto n_wo = in->ReadVarint();
-  if (!n_wo || *n_wo > in->remaining()) {
+  // An entry is a TxOpRef: rid, tid and index, 1 + 8 + 1 bytes at least.
+  if (!n_wo || !in->CanHold(*n_wo, 10)) {
     return std::nullopt;
   }
   a.write_order.reserve(*n_wo);

@@ -212,7 +212,7 @@ class CompactDecoder {
       }
       case Value::Kind::kList: {
         auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining() || depth == kMaxValueDepth) {
+        if (!n || !in_.CanHold(*n, 1) || depth == kMaxValueDepth) {
           return std::nullopt;
         }
         ValueList items;
@@ -228,7 +228,7 @@ class CompactDecoder {
       }
       case Value::Kind::kMap: {
         auto n = in_.ReadVarint();
-        if (!n || *n > in_.remaining() || depth == kMaxValueDepth) {
+        if (!n || !in_.CanHold(*n, 2) || depth == kMaxValueDepth) {
           return std::nullopt;
         }
         ValueMap m;
@@ -249,7 +249,10 @@ class CompactDecoder {
     return std::nullopt;
   }
 
-  size_t remaining() const { return in_.remaining(); }
+  // ByteReader::CanHold over the body. Every field the transcoder writes is
+  // at least one byte (a dictionary reference or a varint), so callers pass
+  // a field count as `min_bytes`.
+  bool CanHold(uint64_t count, size_t min_bytes) const { return in_.CanHold(count, min_bytes); }
   bool AtEnd() const { return in_.AtEnd(); }
 
  private:
@@ -397,7 +400,8 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
   for (uint64_t i = 0; i < *n_hls; ++i) {
     auto rid = d->Lane(&prev_rid);
     auto n = d->Varint();
-    if (!rid || !n || *n > d->remaining()) {
+    // Kind, hid, opnum, event.
+    if (!rid || !n || !d->CanHold(*n, 4)) {
       return std::nullopt;
     }
     std::vector<HandlerLogEntry> log;
@@ -438,7 +442,8 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
   for (uint64_t i = 0; i < *n_vls; ++i) {
     auto vid = d->Id();
     auto n = d->Varint();
-    if (!vid || !n || *n > d->remaining()) {
+    // Op rid, hid, opnum, kind, prec rid, hid, opnum.
+    if (!vid || !n || !d->CanHold(*n, 7)) {
       return std::nullopt;
     }
     VarLog log;
@@ -483,7 +488,8 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
     auto rid = d->Lane(&prev_rid);
     auto tid = d->Id();
     auto n = d->Varint();
-    if (!rid || !tid || !n || *n > d->remaining()) {
+    // Type, hid, opnum.
+    if (!rid || !tid || !n || !d->CanHold(*n, 3)) {
       return std::nullopt;
     }
     TransactionLog log;
@@ -535,7 +541,8 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
   }
 
   auto n_wo = d->Varint();
-  if (!n_wo || *n_wo > d->remaining()) {
+  // Rid, tid, index.
+  if (!n_wo || !d->CanHold(*n_wo, 3)) {
     return std::nullopt;
   }
   a.write_order.reserve(static_cast<size_t>(*n_wo));
@@ -639,7 +646,8 @@ void EncodeImports(const ContinuityImports& imports, CompactEncoder* e) {
 std::optional<ContinuityImports> DecodeImports(CompactDecoder* d) {
   ContinuityImports imports;
   auto tx_count = d->Varint();
-  if (!tx_count || *tx_count > d->remaining()) {
+  // Rid, tid, index, two bools, type, key, value, hid, opnum.
+  if (!tx_count || !d->CanHold(*tx_count, 10)) {
     return std::nullopt;
   }
   imports.tx_ops.reserve(static_cast<size_t>(*tx_count));
@@ -671,7 +679,8 @@ std::optional<ContinuityImports> DecodeImports(CompactDecoder* d) {
     imports.tx_ops.push_back(std::move(imp));
   }
   auto var_count = d->Varint();
-  if (!var_count || *var_count > d->remaining()) {
+  // Vid, rid, hid, opnum, present, kind, value.
+  if (!var_count || !d->CanHold(*var_count, 7)) {
     return std::nullopt;
   }
   imports.var_entries.reserve(static_cast<size_t>(*var_count));
@@ -720,7 +729,8 @@ std::optional<std::vector<TraceEvent>> DecodeCompactTracePayload(const uint8_t* 
     return std::nullopt;
   }
   auto n = d.Varint();
-  if (!n || *n > d.remaining() + 1) {
+  // Kind, rid, payload.
+  if (!n || !d.CanHold(*n, 3)) {
     return std::nullopt;
   }
   std::vector<TraceEvent> events;

@@ -38,7 +38,9 @@ void ContinuityImports::Serialize(ByteWriter* out) const {
 std::optional<ContinuityImports> ContinuityImports::Deserialize(ByteReader* in) {
   ContinuityImports imports;
   auto tx_count = in->ReadVarint();
-  if (!tx_count) return std::nullopt;
+  // An import is at least a TxOpRef (10), two bools and the type (3), an
+  // empty key and a null value (2), hid (8) and opnum (1): 24 bytes.
+  if (!tx_count || !in->CanHold(*tx_count, 24)) return std::nullopt;
   imports.tx_ops.reserve(*tx_count);
   for (uint64_t i = 0; i < *tx_count; ++i) {
     TxOpImport imp;
@@ -64,7 +66,9 @@ std::optional<ContinuityImports> ContinuityImports::Deserialize(ByteReader* in) 
     imports.tx_ops.push_back(std::move(imp));
   }
   auto var_count = in->ReadVarint();
-  if (!var_count) return std::nullopt;
+  // An import is at least vid (8), an OpRef (10), present and kind (2) and a
+  // null value (1): 21 bytes.
+  if (!var_count || !in->CanHold(*var_count, 21)) return std::nullopt;
   imports.var_entries.reserve(*var_count);
   for (uint64_t i = 0; i < *var_count; ++i) {
     VarImport imp;

@@ -134,7 +134,8 @@ void Trace::Serialize(ByteWriter* out) const { SerializeTraceEvents(events, out)
 
 std::optional<Trace> Trace::Deserialize(ByteReader* in) {
   auto n = in->ReadVarint();
-  if (!n) {
+  // An event is at least kind, rid and a null payload: 3 bytes.
+  if (!n || !in->CanHold(*n, 3)) {
     return std::nullopt;
   }
   Trace trace;

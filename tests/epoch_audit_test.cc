@@ -6,8 +6,11 @@
 // verdict, and malformed or mismatched checkpoints are refused.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -255,9 +258,12 @@ TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
   ASSERT_NE(resumed, nullptr) << error;
   EXPECT_EQ(resumed->next_epoch(), half);
   EXPECT_EQ(resumed->epoch_requests(), kEpochSize);
-  FeedRemaining(resumed.get(), slices);
-  AuditResult finished = resumed->Finish();
-  ExpectSameOutcome(oneshot, finished, "resumed");
+  // The resumed stream pulls every epoch again and feeds only the rest.
+  const size_t total = slices.segments.size();
+  SliceSource source(std::move(slices));
+  StreamAuditResult finished = RunStreamedAudit(resumed.get(), &source);
+  EXPECT_EQ(finished.epochs, total);
+  ExpectSameOutcome(oneshot, finished.audit, "resumed");
 }
 
 TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
@@ -351,6 +357,162 @@ TEST(EpochStreamTest, OutOfOrderSegmentRejects) {
   AuditResult result = session.Finish();
   EXPECT_FALSE(result.accepted);
   EXPECT_NE(result.reason.find("out of order"), std::string::npos) << result.reason;
+}
+
+// --- Stream order: decode, feed, drop ----------------------------------------
+
+// Flips the last payload byte of the advice frame for `epoch`, so that frame
+// fails its CRC (KAR-SEG-001) while every earlier frame still decodes.
+void BreakAdviceFrame(std::vector<uint8_t>* container, uint64_t epoch) {
+  std::string error;
+  std::unique_ptr<SegmentReader> reader =
+      SegmentReader::FromBytes(container->data(), container->size(), &error);
+  ASSERT_NE(reader, nullptr) << error;
+  std::vector<uint64_t> ends;  // One past each frame's last byte.
+  SegmentRecord record;
+  while (reader->Next(&record)) {
+    if (!ends.empty()) {
+      ends.back() = record.offset;
+    }
+    ends.push_back(container->size());
+  }
+  ASSERT_LT(epoch, ends.size());
+  (*container)[ends[epoch] - 1] ^= 0xFF;
+}
+
+// Counts pulls and remembers the thread that made them.
+class CountingSource : public EpochSource {
+ public:
+  explicit CountingSource(EpochSource* inner, uint64_t throw_at = UINT64_MAX)
+      : inner_(inner), throw_at_(throw_at) {}
+
+  int Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) override {
+    puller_ = std::this_thread::get_id();
+    if (pulls_ == throw_at_) {
+      throw std::runtime_error("decode failed at epoch " + std::to_string(pulls_));
+    }
+    ++pulls_;
+    return inner_->Next(out, diags);
+  }
+
+  uint64_t pulls() const { return pulls_; }
+  std::thread::id puller() const { return puller_; }
+
+ private:
+  EpochSource* inner_;
+  uint64_t throw_at_;
+  uint64_t pulls_ = 0;
+  std::thread::id puller_;
+};
+
+// A lint-rejectable epoch 1 ahead of a CRC-broken frame: the first finding in
+// stream order wins, for the standalone check and the audit alike, whether
+// the broken frame is the one the decode thread reads ahead (epoch 2) or a
+// later one (epoch 3).
+TEST(EpochStreamOrderTest, FirstFindingInStreamOrderWins) {
+  HonestRun run = RunApp("stacks", 60);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 5u);
+  const std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices);
+  const std::vector<uint8_t> honest_advice = EncodeAdviceSegments(slices);
+  ASSERT_FALSE(slices.segments[1].advice.tags.empty());
+  slices.segments[1].advice.tags.erase(slices.segments[1].advice.tags.begin());
+  const std::vector<uint8_t> linted_advice = EncodeAdviceSegments(slices);
+  const VerifierConfig config{IsolationLevel::kSerializable, 1};
+
+  for (uint64_t broken : {uint64_t{2}, uint64_t{3}}) {
+    const std::string context = "broken frame at epoch " + std::to_string(broken);
+    // The broken frame alone is a file-layer rejection.
+    std::vector<uint8_t> advice_bytes = honest_advice;
+    BreakAdviceFrame(&advice_bytes, broken);
+    EXPECT_EQ(CheckSegmentStreams(trace_bytes, advice_bytes, 7).rule, kKarSeg001) << context;
+    StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, 7);
+    EXPECT_FALSE(audited.audit.accepted) << context;
+    EXPECT_EQ(audited.audit.rule, kKarSeg001) << context;
+    EXPECT_EQ(audited.audit.reason.rfind("segment stream: ", 0), 0u) << audited.audit.reason;
+    EXPECT_EQ(audited.epochs, broken) << context;
+
+    // Behind the epoch-1 lint finding it is never reported.
+    advice_bytes = linted_advice;
+    BreakAdviceFrame(&advice_bytes, broken);
+    CheckResult check = CheckSegmentStreams(trace_bytes, advice_bytes, 7);
+    audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, 7);
+    EXPECT_FALSE(check.ok) << context;
+    EXPECT_EQ(check.rule, "KAR-ADV-014") << context << ": " << check.reason;
+    EXPECT_FALSE(audited.audit.accepted) << context;
+    EXPECT_EQ(audited.audit.rule, check.rule) << context << ": " << audited.audit.reason;
+    EXPECT_EQ(audited.audit.reason, check.reason) << context;
+    EXPECT_EQ(audited.epochs, 2u) << context;
+  }
+}
+
+// A rejection at epoch j stops the decode thread: it reads at most one epoch
+// ahead (j+1) and never pulls past it.
+TEST(EpochStreamOrderTest, RejectionStopsDecodingAfterTheNextEpoch) {
+  HonestRun run = RunApp("stacks", 60);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 6u);
+  const uint64_t rejected_at = 2;
+  slices.segments[rejected_at].advice.tags.erase(
+      slices.segments[rejected_at].advice.tags.begin());
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession session(*run.app.program, config, 7);
+  SliceSource slice_source(std::move(slices));
+  CountingSource source(&slice_source);
+  StreamAuditResult result = RunStreamedAudit(&session, &source);
+  EXPECT_FALSE(result.audit.accepted);
+  EXPECT_EQ(result.audit.rule, "KAR-ADV-014") << result.audit.reason;
+  EXPECT_EQ(result.epochs, rejected_at + 1);
+  EXPECT_EQ(session.next_epoch(), rejected_at + 1);
+  EXPECT_GE(source.pulls(), rejected_at + 1);
+  EXPECT_LE(source.pulls(), rejected_at + 2);
+}
+
+// The source runs on the helper thread; what it throws is rethrown on the
+// caller's, after the epochs before it were fed.
+TEST(EpochStreamOrderTest, DecodeExceptionSurfacesOnTheCallerThread) {
+  HonestRun run = RunApp("motd", 40);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 4u);
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession session(*run.app.program, config, 7);
+  SliceSource slice_source(std::move(slices));
+  CountingSource source(&slice_source, /*throw_at=*/2);
+  bool caught = false;
+  try {
+    RunStreamedAudit(&session, &source);
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "decode failed at epoch 2");
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_NE(source.puller(), std::this_thread::get_id());
+  EXPECT_EQ(session.next_epoch(), 2u);
+}
+
+// A resumed audit still decodes and file-checks the epochs its checkpoint
+// covers: a broken frame there rejects even though it is never fed.
+TEST(EpochStreamOrderTest, ResumeFileChecksTheCoveredEpochs) {
+  HonestRun run = RunApp("stacks", 60);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 4u);
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession first(*run.app.program, config, 7);
+  ASSERT_TRUE(first.FeedEpoch(slices.segments[0]));
+  ASSERT_TRUE(first.FeedEpoch(slices.segments[1]));
+  std::vector<uint8_t> checkpoint = first.SaveCheckpoint();
+
+  const std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices);
+  std::vector<uint8_t> advice_bytes = EncodeAdviceSegments(slices);
+  BreakAdviceFrame(&advice_bytes, 0);
+  std::string error;
+  auto resumed = AuditSession::Restore(*run.app.program, config, checkpoint, &error);
+  ASSERT_NE(resumed, nullptr) << error;
+  PairedSegmentCursor cursor(trace_bytes, advice_bytes);
+  StreamAuditResult result = RunStreamedAudit(resumed.get(), &cursor);
+  EXPECT_FALSE(result.audit.accepted);
+  EXPECT_EQ(result.audit.rule, kKarSeg001) << result.audit.reason;
+  EXPECT_EQ(resumed->next_epoch(), 2u);
 }
 
 }  // namespace

@@ -417,5 +417,31 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
   }
 }
 
+// The transcoder's count headers are bounded by their entries' minimum
+// encoded size (one byte a field): a trace or advice body whose count claims
+// remaining() entries is rejected up front under every stage set.
+TEST(KsegCompressCorruptionTest, CountHeaderClaimingRemainingBytesRejects) {
+  constexpr size_t kTail = 64;
+  KsegCompression none;
+  KsegCompression lanes;
+  lanes.lanes = true;
+  for (const KsegCompression& c : {none, lanes}) {
+    ByteWriter trace;
+    trace.WriteVarint(kTail);
+    std::vector<uint8_t> bytes = trace.Take();
+    bytes.resize(bytes.size() + kTail, 0);
+    EXPECT_FALSE(DecodeCompactTracePayload(bytes.data(), bytes.size(), c).has_value());
+
+    ByteWriter advice;
+    advice.WriteVarint(0);      // Tags.
+    advice.WriteVarint(1);      // One handler log...
+    advice.WriteVarint(1);      // ... for rid 1 ...
+    advice.WriteVarint(kTail);  // ... claiming every remaining byte as an entry.
+    bytes = advice.Take();
+    bytes.resize(bytes.size() + kTail, 0);
+    EXPECT_FALSE(DecodeCompactAdvicePayload(bytes.data(), bytes.size(), c).has_value());
+  }
+}
+
 }  // namespace
 }  // namespace karousos

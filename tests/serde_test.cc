@@ -6,6 +6,8 @@
 
 #include "src/common/rng.h"
 #include "src/server/advice.h"
+#include "src/server/rollover.h"
+#include "src/trace/trace.h"
 
 namespace karousos {
 namespace {
@@ -211,6 +213,80 @@ TEST(SerdeTest, AdviceWithTooDeepValueIsMalformed) {
     ByteReader r(spliced);
     EXPECT_EQ(Advice::Deserialize(&r).has_value(), depth <= kMaxValueDepth)
         << "depth " << depth;
+  }
+}
+
+// `prefix`, then a count header claiming `count` entries, then `tail` zero
+// bytes: with count == tail the header claims exactly remaining() entries.
+std::vector<uint8_t> CountHeader(ByteWriter prefix, uint64_t count, size_t tail) {
+  prefix.WriteVarint(count);
+  std::vector<uint8_t> bytes = prefix.Take();
+  bytes.resize(bytes.size() + tail, 0);
+  return bytes;
+}
+
+// Count-prefixed decoders bound a count by the element's minimum encoded
+// size before they reserve, so one input byte cannot reserve a whole
+// element's worth of memory. A count of remaining() entries is rejected
+// wherever an entry needs more than one byte, and an absurd count is
+// rejected instead of throwing from reserve.
+TEST(SerdeTest, CountHeadersAreBoundedByTheMinimumEntrySize) {
+  constexpr size_t kTail = 64;
+  const uint64_t kHuge = uint64_t{1} << 62;
+  auto value = [](const std::vector<uint8_t>& bytes) {
+    ByteReader r(bytes);
+    return r.ReadValue();
+  };
+  ByteWriter list;
+  list.WriteByte(static_cast<uint8_t>(Value::Kind::kList));
+  // A list item can be a one-byte null, so remaining() items is the exact bound.
+  auto nulls = value(CountHeader(list, kTail, kTail));
+  ASSERT_TRUE(nulls.has_value());
+  EXPECT_EQ(nulls->AsList().size(), kTail);
+  EXPECT_FALSE(value(CountHeader(list, kTail + 1, kTail)).has_value());
+  ByteWriter map;
+  map.WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+  EXPECT_FALSE(value(CountHeader(map, kTail, kTail)).has_value());
+
+  for (uint64_t count : {uint64_t{kTail}, kHuge}) {
+    std::vector<uint8_t> trace_bytes = CountHeader(ByteWriter(), count, kTail);
+    ByteReader trace_reader(trace_bytes);
+    EXPECT_FALSE(Trace::Deserialize(&trace_reader).has_value()) << count;
+
+    ByteWriter var_imports;
+    var_imports.WriteVarint(0);  // No tx-op imports.
+    for (const std::vector<uint8_t>& bytes :
+         {CountHeader(ByteWriter(), count, kTail), CountHeader(var_imports, count, kTail)}) {
+      ByteReader r(bytes);
+      EXPECT_FALSE(ContinuityImports::Deserialize(&r).has_value()) << count;
+    }
+  }
+
+  // Advice: the handler-log, var-log, tx-log and write-order counts.
+  ByteWriter handler_log;
+  handler_log.WriteVarint(0);  // Tags.
+  handler_log.WriteVarint(1);  // One handler log...
+  handler_log.WriteVarint(1);  // ... for rid 1.
+  ByteWriter var_log;
+  var_log.WriteVarint(0);
+  var_log.WriteVarint(0);
+  var_log.WriteVarint(1);  // One var log...
+  var_log.WriteFixed64(9);  // ... for vid 9.
+  ByteWriter tx_log;
+  tx_log.WriteVarint(0);
+  tx_log.WriteVarint(0);
+  tx_log.WriteVarint(0);
+  tx_log.WriteVarint(1);    // One transaction log...
+  tx_log.WriteVarint(1);    // ... for rid 1,
+  tx_log.WriteFixed64(5);   // tid 5.
+  ByteWriter write_order;
+  for (int i = 0; i < 4; ++i) {
+    write_order.WriteVarint(0);
+  }
+  for (const ByteWriter& prefix : {handler_log, var_log, tx_log, write_order}) {
+    std::vector<uint8_t> bytes = CountHeader(prefix, kTail, kTail);
+    ByteReader r(bytes);
+    EXPECT_FALSE(Advice::Deserialize(&r).has_value());
   }
 }
 

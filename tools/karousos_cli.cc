@@ -684,20 +684,25 @@ int CmdAudit(const Args& args) {
       session = std::make_unique<AuditSession>(*app.program, config, args.epoch_size);
     }
     // A resumed audit decodes at the checkpoint's epoch size, or epoch
-    // indices would not line up with the audited prefix.
-    SegmentLoadResult run;
+    // indices would not line up with the audited prefix. A monolithic run is
+    // sliced by moving its advice, and the trace goes once it is sliced.
+    std::unique_ptr<EpochSource> source;
     if (in.segmented) {
-      run = LoadSegmentStreams(in.trace_bytes, in.advice_bytes, session->epoch_requests());
+      source = std::make_unique<PairedSegmentCursor>(in.trace_bytes, in.advice_bytes);
     } else {
-      run.slices = SliceRun(*in.trace, *in.advice, session->epoch_requests());
+      source = std::make_unique<SliceSource>(
+          SliceRunOwned(*in.trace, std::move(*in.advice), session->epoch_requests()));
+      in.trace.reset();
+      in.advice.reset();
     }
     bool checkpoint_failed = false;
-    StreamAuditResult streamed = RunStreamedAudit(session.get(), run, [&](AuditSession& s) {
-      if (!args.checkpoint_path.empty() &&
-          !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
-        checkpoint_failed = true;
-      }
-    });
+    StreamAuditResult streamed =
+        RunStreamedAudit(session.get(), source.get(), [&](AuditSession& s) {
+          if (!args.checkpoint_path.empty() &&
+              !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
+            checkpoint_failed = true;
+          }
+        });
     if (checkpoint_failed) {
       std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
       return 1;

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke-checks the streamed `karousos audit` over a compressed KSEG container:
 # --checkpoint must write its file, --resume must restore it and reach the
-# uninterrupted verdict, and a forged trace must be rejected on the same
-# streamed path. Also checks that `serve --inputs` refuses a request nested
+# uninterrupted verdict, a forged trace must be rejected on the same streamed
+# path, and a truncated last frame must be rejected only after the epochs
+# before it were fed. Also checks that `serve --inputs` refuses a request nested
 # past the decoder's depth cap with a JSON error instead of crashing or
 # recording a trace the audit cannot read.
 #
@@ -56,6 +57,35 @@ status=$?
 printf '%s\n' "$out"
 [ "$status" -eq 1 ] || fail "audit of a forged trace exited $status"
 printf '%s\n' "$out" | grep -q '^REJECTED: ' || fail "audit of a forged trace printed no REJECTED line"
+
+# A truncated last advice frame: the epochs before it are fed (the checkpoint
+# is written after each one), then the broken frame rejects with its
+# file-layer finding. Resuming from that checkpoint over the intact container
+# picks up at the last epoch and reaches the uninterrupted verdict.
+mkdir -p "$dir/trunc" || fail "cannot create $dir/trunc"
+cp "$dir/seg/trace.kseg" "$dir/trunc/trace.kseg" || fail "cannot copy the trace container"
+size="$(wc -c <"$dir/seg/advice.kseg")"
+head -c "$((size - 1))" "$dir/seg/advice.kseg" >"$dir/trunc/advice.kseg" ||
+  fail "cannot truncate the advice container"
+out="$("$bin" audit --app stacks --segments "$dir/trunc" --epoch-size 50 \
+    --checkpoint "$dir/ckpt_trunc")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -eq 1 ] || fail "audit of a truncated container exited $status"
+printf '%s\n' "$out" | grep -q '^REJECTED: segment stream: ' ||
+  fail "audit of a truncated container printed no 'REJECTED: segment stream:' line"
+[ -s "$dir/ckpt_trunc" ] ||
+  fail "no checkpoint: the epochs before the truncated frame were not fed"
+out="$("$bin" audit --app stacks --segments "$dir/seg" --epoch-size 50 \
+    --resume "$dir/ckpt_trunc")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -eq 0 ] || fail "audit resumed past the truncated frame exited $status"
+printf '%s\n' "$out" | grep -qx "resumed from $dir/ckpt_trunc at epoch $((epochs - 1))" ||
+  fail "the truncated audit did not feed the $((epochs - 1)) epochs before the broken frame"
+resumed="$(printf '%s\n' "$out" | grep '^ACCEPTED: ')"
+[ "$resumed" = "$accepted" ] ||
+  fail "verdict '$resumed' resumed past the truncated frame differs from '$accepted'"
 
 # Over-deep JSON requests: exit 1 with a JSON error, no signal, no trace.
 for depth in 1000 100000; do
