@@ -31,26 +31,64 @@ std::string Describe(const TxnKey& t) {
 
 }  // namespace
 
-TxOpResolverFn MakeLogResolver(const TransactionLogs& logs) {
-  return [&logs](const TxOpRef& ref) {
-    ResolvedTxOp out;
-    auto it = logs.find(TxnKey{ref.rid, ref.tid});
-    if (it == logs.end()) {
-      return out;
-    }
-    out.txn_present = true;
-    if (ref.index < 1 || ref.index > it->second.size()) {
-      return out;
-    }
-    const TxOperation& op = it->second[ref.index - 1];
-    out.op_present = true;
-    out.is_put = op.type == TxOpType::kPut;
-    out.key = op.key;
-    out.put_value = &op.put_value;
-    out.hid = op.hid;
-    out.opnum = op.opnum;
+ResolvedTxOp ResolveInLogs(const TransactionLogs& logs, const TxOpRef& ref) {
+  ResolvedTxOp out;
+  auto it = logs.find(TxnKey{ref.rid, ref.tid});
+  if (it == logs.end()) {
     return out;
-  };
+  }
+  out.txn_present = true;
+  if (ref.index < 1 || ref.index > it->second.size()) {
+    return out;
+  }
+  const TxOperation& op = it->second[ref.index - 1];
+  out.op_present = true;
+  out.is_put = op.type == TxOpType::kPut;
+  out.key = op.key;
+  out.put_value = &op.put_value;
+  out.hid = op.hid;
+  out.opnum = op.opnum;
+  return out;
+}
+
+TxOpResolverFn MakeLogResolver(const TransactionLogs& logs) {
+  return [&logs](const TxOpRef& ref) { return ResolveInLogs(logs, ref); };
+}
+
+void HistoryAnalysis::SerializeSections(ByteWriter* out) const {
+  out->WriteVarint(committed.size());
+  for (const TxnKey& txn : committed) {
+    SerializeTxnKey(txn, out);
+  }
+  out->WriteVarint(read_map.size());
+  for (const auto& [write, readers] : read_map) {
+    SerializeTxOpRef(write, out);
+    out->WriteVarint(readers.size());
+    for (const TxOpRef& reader : readers) {
+      SerializeTxOpRef(reader, out);
+    }
+  }
+  out->WriteVarint(last_modification.size());
+  for (const auto& [key, index] : last_modification) {
+    SerializeTxnKey(TxnKey{std::get<0>(key), std::get<1>(key)}, out);
+    out->WriteString(std::get<2>(key));
+    out->WriteVarint(index);
+  }
+}
+
+void HistoryAnalysis::DeserializeSections(StateReader* in) {
+  in->Each(kMinTxnKeyBytes, [&] { committed.insert(in->Txn()); });
+  // A read-map entry is its write and a reader count.
+  in->Each(kMinTxOpRefBytes + 1, [&] {
+    TxOpRef write = in->Tx();
+    in->List(&read_map[write], kMinTxOpRefBytes, [in] { return in->Tx(); });
+  });
+  // A last-modification entry is its txn, a key length and an index.
+  in->Each(kMinTxnKeyBytes + 2, [&] {
+    TxnKey txn = in->Txn();
+    std::string key = in->S();
+    last_modification[{txn.rid, txn.tid, std::move(key)}] = static_cast<uint32_t>(in->V());
+  });
 }
 
 HistoryAnalysis AnalyzeLogs(const TransactionLogs& logs) {

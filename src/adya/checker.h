@@ -22,6 +22,7 @@
 
 #include "src/adya/history.h"
 #include "src/common/graph.h"
+#include "src/common/serde.h"
 #include "src/txkv/store.h"
 
 namespace karousos {
@@ -46,7 +47,9 @@ struct ResolvedTxOp {
 
 using TxOpResolverFn = std::function<ResolvedTxOp(const TxOpRef&)>;
 
-// A resolver over a complete set of logs (the one-shot view).
+// What `logs` hold at `ref`, and a resolver over a complete set of logs (the
+// one-shot view).
+ResolvedTxOp ResolveInLogs(const TransactionLogs& logs, const TxOpRef& ref);
 TxOpResolverFn MakeLogResolver(const TransactionLogs& logs);
 
 // Output of the log-shape analysis shared by the isolation checker and the
@@ -64,6 +67,11 @@ struct HistoryAnalysis {
   // (rid, tid, key) -> index of the last PUT that a *committed* transaction
   // made to key (Figure 14's lastModification).
   std::map<std::tuple<RequestId, TxId, std::string>, uint32_t> last_modification;
+
+  // The three sections above, in the one encoding the checkpoint and the
+  // shard artifact share (ok and reason travel with each carrier's verdict).
+  void SerializeSections(ByteWriter* out) const;
+  void DeserializeSections(StateReader* in);
 };
 
 // Validates transaction-log well-formedness and fills the analysis:

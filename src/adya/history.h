@@ -39,21 +39,6 @@ struct TxOperation {
   bool get_found = false;   // GET only; whether the key existed.
 };
 
-struct TxnKey {
-  RequestId rid = 0;
-  TxId tid = 0;
-
-  friend bool operator==(const TxnKey&, const TxnKey&) = default;
-  friend auto operator<=>(const TxnKey&, const TxnKey&) = default;
-};
-
-template <>
-struct FlatHash<TxnKey> {
-  size_t operator()(const TxnKey& k) const {
-    return static_cast<size_t>(HashMix64(SplitMix64(k.rid), k.tid));
-  }
-};
-
 // Map ordering keeps iteration deterministic (the verifier's behaviour, and
 // hence test expectations, must not depend on hash order).
 using TransactionLog = std::vector<TxOperation>;

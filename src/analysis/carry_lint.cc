@@ -188,9 +188,9 @@ void CarryLint::CheckWriteOrderRecurrence(const EpochSegment& segment,
 }
 
 // KAR-SEG-008, per-epoch half: direction of this epoch's allegations, and
-// confirmation of earlier allegations whose target epoch just arrived. The
-// comparison semantics mirror the session's StreamConfirmImports exactly,
-// with the carry replaced by the live slice.
+// confirmation of earlier allegations whose target epoch just arrived, by the
+// one import-confirmation predicate (rollover.h) with the live slice as the
+// real content.
 void CarryLint::CheckImports(const EpochSegment& segment, const std::set<RequestId>& trace_rids,
                              std::vector<LintDiagnostic>* out) {
   for (const auto& imp : segment.imports.tx_ops) {
@@ -212,7 +212,6 @@ void CarryLint::CheckImports(const EpochSegment& segment, const std::set<Request
     }
   }
 
-  const Advice& advice = segment.advice;
   for (auto it = pending_tx_imports_.begin(); it != pending_tx_imports_.end();) {
     const TxOpRef& ref = it->first;
     if (it->second.registered_epoch >= epochs_ ||
@@ -221,29 +220,7 @@ void CarryLint::CheckImports(const EpochSegment& segment, const std::set<Request
       ++it;
       continue;
     }
-    const ContinuityImports::TxOpImport& imp = it->second.imp;
-    bool real_txn = false;
-    bool real_op = false;
-    const TxOperation* real = nullptr;
-    auto log_it = advice.tx_logs.find(TxnKey{ref.rid, ref.tid});
-    if (log_it != advice.tx_logs.end()) {
-      real_txn = true;
-      if (ref.index >= 1 && ref.index <= log_it->second.size()) {
-        real_op = true;
-        real = &log_it->second[ref.index - 1];
-      }
-    }
-    bool ok = real_txn == imp.txn_present && real_op == imp.op_present;
-    if (ok && imp.op_present) {
-      bool real_is_put = real != nullptr && real->type == TxOpType::kPut;
-      bool imp_is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      ok = real_is_put == imp_is_put;
-      if (ok && imp_is_put) {
-        ok = real->key == imp.key && real->put_value == imp.value && real->hid == imp.hid &&
-             real->opnum == imp.opnum;
-      }
-    }
-    if (!ok) {
+    if (!TxImportMatches(it->second.imp, ResolveInLogs(segment.advice.tx_logs, ref))) {
       Emit(kKarSeg008, TxImportLoc(ref),
            "continuity import does not match the advice it mirrors (epoch " +
                std::to_string(epochs_) + " arrived)",
@@ -259,25 +236,15 @@ void CarryLint::CheckImports(const EpochSegment& segment, const std::set<Request
       ++it;
       continue;
     }
-    const ContinuityImports::VarImport& imp = it->second.imp;
-    const VarLogEntry* real = nullptr;
-    auto log_it = advice.var_logs.find(vid);
-    if (log_it != advice.var_logs.end()) {
+    ResolvedVarEntry real;
+    auto log_it = segment.advice.var_logs.find(vid);
+    if (log_it != segment.advice.var_logs.end()) {
       auto entry_it = log_it->second.find(op);
       if (entry_it != log_it->second.end()) {
-        real = &entry_it->second;
+        real = {true, entry_it->second.kind == VarLogEntry::Kind::kWrite, &entry_it->second.value};
       }
     }
-    bool ok;
-    if (real == nullptr) {
-      ok = !imp.present;
-    } else {
-      bool real_is_write = real->kind == VarLogEntry::Kind::kWrite;
-      bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite;
-      ok = imp.present && real_is_write == imp_is_write &&
-           (!real_is_write || real->value == imp.value);
-    }
-    if (!ok) {
+    if (!VarImportMatches(it->second.imp, real)) {
       Emit(kKarSeg008, VarImportLoc(vid, op),
            "continuity import does not match the advice it mirrors (epoch " +
                std::to_string(epochs_) + " arrived)",
@@ -456,18 +423,7 @@ ResolvedTxOp CarryLint::ResolveTxOp(const TxOpRef& ref) const {
   }
   auto imp_it = pending_tx_imports_.find(ref);
   if (imp_it != pending_tx_imports_.end()) {
-    const ContinuityImports::TxOpImport& imp = imp_it->second.imp;
-    ResolvedTxOp out;
-    out.txn_present = imp.txn_present;
-    out.op_present = imp.op_present;
-    if (imp.op_present) {
-      out.is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      out.key = imp.key;
-      out.put_value = &imp.value;
-      out.hid = imp.hid;
-      out.opnum = imp.opnum;
-    }
-    return out;
+    return ResolveImport(imp_it->second.imp);
   }
   return ResolvedTxOp{};
 }
@@ -485,126 +441,68 @@ VarPrecLookup CarryLint::ResolveVarPrec(VarId vid, const OpRef& op) const {
   return VarPrecLookup{};
 }
 
+// Every map is written in ascending key order, so the encoding is canonical.
 void CarryLint::Serialize(ByteWriter* out) const {
   out->WriteVarint(epoch_requests_);
   out->WriteBool(standalone_);
   out->WriteVarint(epochs_);
-
-  std::vector<OpRef> claimed;
-  claimed.reserve(claimed_ops_.size());
-  for (const auto& [op, epoch] : claimed_ops_) {
-    claimed.push_back(op);
+  out->WriteVarint(claimed_ops_.size());
+  for (const auto* e : SortedEntries(claimed_ops_)) {
+    SerializeOpRef(e->first, out);
+    out->WriteVarint(e->second);
   }
-  std::sort(claimed.begin(), claimed.end());
-  out->WriteVarint(claimed.size());
-  for (const OpRef& op : claimed) {
-    SerializeOpRef(op, out);
-    out->WriteVarint(claimed_ops_.find(op)->second);
+  out->WriteVarint(opcount_epochs_.size());
+  for (const auto* e : SortedEntries(opcount_epochs_)) {
+    out->WriteVarint(e->first.first);
+    out->WriteFixed64(e->first.second);
+    out->WriteVarint(e->second);
   }
-
-  std::vector<std::pair<RequestId, HandlerId>> opcount_keys;
-  opcount_keys.reserve(opcount_epochs_.size());
-  for (const auto& [key, epoch] : opcount_epochs_) {
-    opcount_keys.push_back(key);
+  out->WriteVarint(write_order_epochs_.size());
+  for (const auto* e : SortedEntries(write_order_epochs_)) {
+    SerializeTxOpRef(e->first, out);
+    out->WriteVarint(e->second);
   }
-  std::sort(opcount_keys.begin(), opcount_keys.end());
-  out->WriteVarint(opcount_keys.size());
-  for (const auto& key : opcount_keys) {
-    out->WriteVarint(key.first);
-    out->WriteVarint(key.second);
-    out->WriteVarint(opcount_epochs_.find(key)->second);
+  out->WriteVarint(prec_edges_.size());
+  for (const auto* e : SortedEntries(prec_edges_)) {
+    out->WriteFixed64(e->first.first);
+    SerializeOpRef(e->first.second, out);
+    SerializeOpRef(e->second.prec, out);
+    out->WriteVarint(e->second.epoch);
   }
-
-  std::vector<TxOpRef> wo_keys;
-  wo_keys.reserve(write_order_epochs_.size());
-  for (const auto& [ref, epoch] : write_order_epochs_) {
-    wo_keys.push_back(ref);
-  }
-  std::sort(wo_keys.begin(), wo_keys.end());
-  out->WriteVarint(wo_keys.size());
-  for (const TxOpRef& ref : wo_keys) {
-    SerializeTxOpRef(ref, out);
-    out->WriteVarint(write_order_epochs_.find(ref)->second);
-  }
-
-  std::vector<std::pair<VarId, OpRef>> prec_keys;
-  prec_keys.reserve(prec_edges_.size());
-  for (const auto& [key, edge] : prec_edges_) {
-    prec_keys.push_back(key);
-  }
-  std::sort(prec_keys.begin(), prec_keys.end());
-  out->WriteVarint(prec_keys.size());
-  for (const auto& key : prec_keys) {
-    const PrecEdge& edge = prec_edges_.find(key)->second;
-    out->WriteVarint(key.first);
-    SerializeOpRef(key.second, out);
-    SerializeOpRef(edge.prec, out);
-    out->WriteVarint(edge.epoch);
-  }
-
   out->WriteVarint(early_content_.size());
   for (const EarlyContent& e : early_content_) {
     out->WriteVarint(e.seen_epoch);
     out->WriteVarint(e.owner_epoch);
     out->WriteString(e.location);
   }
-
   out->WriteVarint(pending_tx_imports_.size());
   for (const auto& [ref, pending] : pending_tx_imports_) {
-    SerializeTxOpRef(ref, out);
-    const ContinuityImports::TxOpImport& imp = pending.imp;
-    out->WriteBool(imp.txn_present);
-    out->WriteBool(imp.op_present);
-    out->WriteByte(imp.type);
-    out->WriteString(imp.key);
-    out->WriteValue(imp.value);
-    out->WriteVarint(imp.hid);
-    out->WriteVarint(imp.opnum);
+    pending.imp.Serialize(out);
     out->WriteVarint(pending.registered_epoch);
   }
-
   out->WriteVarint(pending_var_imports_.size());
   for (const auto& [key, pending] : pending_var_imports_) {
-    out->WriteVarint(key.first);
-    SerializeOpRef(key.second, out);
-    const ContinuityImports::VarImport& imp = pending.imp;
-    out->WriteBool(imp.present);
-    out->WriteByte(imp.kind);
-    out->WriteValue(imp.value);
+    pending.imp.Serialize(out);
     out->WriteVarint(pending.registered_epoch);
   }
-
   if (!standalone_) {
     return;  // The session's checkpoint never carries the resolution mirror.
   }
-  std::vector<TxnKey> txn_keys;
-  txn_keys.reserve(txn_sizes_.size());
-  for (const auto& [key, size] : txn_sizes_) {
-    txn_keys.push_back(key);
-  }
-  std::sort(txn_keys.begin(), txn_keys.end());
-  out->WriteVarint(txn_keys.size());
-  for (const TxnKey& key : txn_keys) {
-    out->WriteVarint(key.rid);
-    out->WriteVarint(key.tid);
-    out->WriteVarint(txn_sizes_.find(key)->second);
+  out->WriteVarint(txn_sizes_.size());
+  for (const auto* e : SortedEntries(txn_sizes_)) {
+    SerializeTxnKey(e->first, out);
+    out->WriteVarint(e->second);
   }
   out->WriteVarint(put_keys_.size());
   for (const auto& [ref, key] : put_keys_) {
     SerializeTxOpRef(ref, out);
     out->WriteString(key);
   }
-  std::vector<std::pair<VarId, OpRef>> kind_keys;
-  kind_keys.reserve(var_kinds_.size());
-  for (const auto& [key, is_write] : var_kinds_) {
-    kind_keys.push_back(key);
-  }
-  std::sort(kind_keys.begin(), kind_keys.end());
-  out->WriteVarint(kind_keys.size());
-  for (const auto& key : kind_keys) {
-    out->WriteVarint(key.first);
-    SerializeOpRef(key.second, out);
-    out->WriteBool(var_kinds_.find(key)->second);
+  out->WriteVarint(var_kinds_.size());
+  for (const auto* e : SortedEntries(var_kinds_)) {
+    out->WriteFixed64(e->first.first);
+    SerializeOpRef(e->first.second, out);
+    out->WriteBool(e->second);
   }
   out->WriteVarint(order_.size());
   for (const TxOpRef& ref : order_) {
@@ -612,212 +510,64 @@ void CarryLint::Serialize(ByteWriter* out) const {
   }
 }
 
-bool CarryLint::Deserialize(ByteReader* in) {
+void CarryLint::Deserialize(StateReader* in) {
   *this = CarryLint();
-  auto epoch_requests = in->ReadVarint();
-  auto standalone = in->ReadBool();
-  auto epochs = in->ReadVarint();
-  if (!epoch_requests || !standalone || !epochs) {
-    return false;
-  }
-  epoch_requests_ = *epoch_requests;
-  standalone_ = *standalone;
-  epochs_ = *epochs;
-
-  // Every element costs at least one byte, so a count beyond the remaining
-  // bytes is malformed — the bound keeps a hostile checkpoint from forcing a
-  // huge allocation before the truncation surfaces.
-  auto bounded = [in](std::optional<uint64_t> n) -> std::optional<uint64_t> {
-    if (!n || *n > in->remaining()) {
-      return std::nullopt;
-    }
-    return n;
-  };
-
-  auto n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  claimed_ops_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto op = DeserializeOpRef(in);
-    auto epoch = in->ReadVarint();
-    if (!op || !epoch) {
-      return false;
-    }
-    claimed_ops_.emplace(*op, *epoch);
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  opcount_epochs_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto rid = in->ReadVarint();
-    auto hid = in->ReadVarint();
-    auto epoch = in->ReadVarint();
-    if (!rid || !hid || !epoch) {
-      return false;
-    }
-    opcount_epochs_.emplace(std::make_pair(*rid, *hid), *epoch);
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  write_order_epochs_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto ref = DeserializeTxOpRef(in);
-    auto epoch = in->ReadVarint();
-    if (!ref || !epoch) {
-      return false;
-    }
-    write_order_epochs_.emplace(*ref, *epoch);
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  prec_edges_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto vid = in->ReadVarint();
-    auto op = DeserializeOpRef(in);
-    auto prec = DeserializeOpRef(in);
-    auto epoch = in->ReadVarint();
-    if (!vid || !op || !prec || !epoch) {
-      return false;
-    }
-    prec_edges_.emplace(std::make_pair(*vid, *op), PrecEdge{*prec, *epoch});
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  early_content_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto seen = in->ReadVarint();
-    auto owner = in->ReadVarint();
-    auto location = in->ReadString();
-    if (!seen || !owner || !location) {
-      return false;
-    }
-    early_content_.push_back(EarlyContent{*seen, *owner, std::move(*location)});
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto ref = DeserializeTxOpRef(in);
-    auto txn_present = in->ReadBool();
-    auto op_present = in->ReadBool();
-    auto type = in->ReadByte();
-    auto key = in->ReadString();
-    auto value = in->ReadValue();
-    auto hid = in->ReadVarint();
-    auto opnum = in->ReadVarint();
-    auto registered = in->ReadVarint();
-    if (!ref || !txn_present || !op_present || !type || !key || !value || !hid || !opnum ||
-        !registered) {
-      return false;
-    }
-    ContinuityImports::TxOpImport imp;
-    imp.ref = *ref;
-    imp.txn_present = *txn_present;
-    imp.op_present = *op_present;
-    imp.type = *type;
-    imp.key = std::move(*key);
-    imp.value = std::move(*value);
-    imp.hid = *hid;
-    imp.opnum = static_cast<OpNum>(*opnum);
-    pending_tx_imports_.emplace(*ref, PendingTxImport{std::move(imp), *registered});
-  }
-
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto vid = in->ReadVarint();
-    auto op = DeserializeOpRef(in);
-    auto present = in->ReadBool();
-    auto kind = in->ReadByte();
-    auto value = in->ReadValue();
-    auto registered = in->ReadVarint();
-    if (!vid || !op || !present || !kind || !value || !registered) {
-      return false;
-    }
-    ContinuityImports::VarImport imp;
-    imp.vid = *vid;
-    imp.op = *op;
-    imp.present = *present;
-    imp.kind = *kind;
-    imp.value = std::move(*value);
-    pending_var_imports_.emplace(std::make_pair(*vid, *op),
-                                 PendingVarImport{std::move(imp), *registered});
-  }
-
+  epoch_requests_ = in->V();
+  standalone_ = in->Bool();
+  epochs_ = in->V();
+  // Each minimum below is the entry's smallest encoding: its key, then a
+  // one-byte epoch, count, bool or empty string.
+  in->Each(kMinOpRefBytes + 1, [&] {
+    OpRef op = in->Op();
+    claimed_ops_.emplace(op, in->V());
+  });
+  in->Each(10, [&] {
+    RequestId rid = in->V();
+    HandlerId hid = in->F64();
+    opcount_epochs_.emplace(std::make_pair(rid, hid), in->V());
+  });
+  in->Each(kMinTxOpRefBytes + 1, [&] {
+    TxOpRef ref = in->Tx();
+    write_order_epochs_.emplace(ref, in->V());
+  });
+  in->Each(8 + 2 * kMinOpRefBytes + 1, [&] {
+    VarId vid = in->F64();
+    OpRef op = in->Op();
+    OpRef prec = in->Op();
+    prec_edges_.emplace(std::make_pair(vid, op), PrecEdge{prec, in->V()});
+  });
+  in->Each(3, [&] {
+    uint64_t seen = in->V();
+    uint64_t owner = in->V();
+    early_content_.push_back(EarlyContent{seen, owner, in->S()});
+  });
+  in->Each(ContinuityImports::TxOpImport::kMinBytes + 1, [&] {
+    auto imp = ContinuityImports::TxOpImport::Deserialize(in);
+    TxOpRef ref = imp.ref;
+    pending_tx_imports_.emplace(ref, PendingTxImport{std::move(imp), in->V()});
+  });
+  in->Each(ContinuityImports::VarImport::kMinBytes + 1, [&] {
+    auto imp = ContinuityImports::VarImport::Deserialize(in);
+    auto key = std::make_pair(imp.vid, imp.op);
+    pending_var_imports_.emplace(key, PendingVarImport{std::move(imp), in->V()});
+  });
   if (!standalone_) {
-    return true;
+    return;
   }
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  txn_sizes_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto rid = in->ReadVarint();
-    auto tid = in->ReadVarint();
-    auto size = in->ReadVarint();
-    if (!rid || !tid || !size) {
-      return false;
-    }
-    txn_sizes_.emplace(TxnKey{*rid, static_cast<TxId>(*tid)}, static_cast<uint32_t>(*size));
-  }
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto ref = DeserializeTxOpRef(in);
-    auto key = in->ReadString();
-    if (!ref || !key) {
-      return false;
-    }
-    put_keys_.emplace(*ref, std::move(*key));
-  }
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  var_kinds_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto vid = in->ReadVarint();
-    auto op = DeserializeOpRef(in);
-    auto is_write = in->ReadBool();
-    if (!vid || !op || !is_write) {
-      return false;
-    }
-    var_kinds_.emplace(std::make_pair(*vid, *op), *is_write);
-  }
-  n = bounded(in->ReadVarint());
-  if (!n) {
-    return false;
-  }
-  order_.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto ref = DeserializeTxOpRef(in);
-    if (!ref) {
-      return false;
-    }
-    order_.push_back(*ref);
-  }
-  return true;
+  in->Each(kMinTxnKeyBytes + 1, [&] {
+    TxnKey txn = in->Txn();
+    txn_sizes_.emplace(txn, static_cast<uint32_t>(in->V()));
+  });
+  in->Each(kMinTxOpRefBytes + 1, [&] {
+    TxOpRef ref = in->Tx();
+    put_keys_.emplace(ref, in->S());
+  });
+  in->Each(8 + kMinOpRefBytes + 1, [&] {
+    VarId vid = in->F64();
+    OpRef op = in->Op();
+    var_kinds_.emplace(std::make_pair(vid, op), in->Bool());
+  });
+  in->List(&order_, kMinTxOpRefBytes, [in] { return in->Tx(); });
 }
 
 }  // namespace karousos

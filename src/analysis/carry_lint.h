@@ -121,9 +121,9 @@ class CarryLint {
   uint64_t epochs_folded() const { return epochs_; }
 
   // Checkpoint round-trip (canonical sorted encoding, the session checkpoint
-  // discipline). Deserialize returns false on malformed or truncated input.
+  // discipline). Malformed or truncated input fails `in`.
   void Serialize(ByteWriter* out) const;
-  bool Deserialize(ByteReader* in);
+  void Deserialize(StateReader* in);
 
  private:
   struct PrecEdge {

@@ -5,10 +5,15 @@
 #ifndef SRC_ANALYSIS_DIAGNOSTIC_H_
 #define SRC_ANALYSIS_DIAGNOSTIC_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace karousos {
+
+class ByteWriter;
+class StateReader;
 
 enum class LintSeverity : uint8_t {
   kError,    // Structurally invalid advice: the audit rejects up front.
@@ -26,6 +31,12 @@ struct LintDiagnostic {
   // "KAR-ADV-003 error at var_logs[...]: ..." — the single-line rendering
   // used by the CLI and by the verifier's reject reasons.
   std::string Format() const;
+
+  // One encoding wherever a diagnostic is carried (the checkpoint, the shard
+  // artifact). The decoder refuses a severity byte that names no severity.
+  static constexpr size_t kMinBytes = 4;  // Three empty strings and the severity.
+  void Serialize(ByteWriter* out) const;
+  static LintDiagnostic Deserialize(StateReader* in);
 };
 
 // True iff any diagnostic has error severity.

@@ -7,6 +7,7 @@
 
 #include "src/common/flat_map.h"
 #include "src/common/graph.h"
+#include "src/common/serde.h"
 
 namespace karousos {
 
@@ -24,6 +25,22 @@ std::string LintDiagnostic::Format() const {
   std::ostringstream out;
   out << rule << " " << LintSeverityName(severity) << " at " << location << ": " << message;
   return out.str();
+}
+
+void LintDiagnostic::Serialize(ByteWriter* out) const {
+  out->WriteString(rule);
+  out->WriteByte(static_cast<uint8_t>(severity));
+  out->WriteString(location);
+  out->WriteString(message);
+}
+
+LintDiagnostic LintDiagnostic::Deserialize(StateReader* in) {
+  LintDiagnostic d;
+  d.rule = in->S();
+  d.severity = static_cast<LintSeverity>(in->Enum(static_cast<uint8_t>(LintSeverity::kWarning)));
+  d.location = in->S();
+  d.message = in->S();
+  return d;
 }
 
 bool HasLintErrors(const std::vector<LintDiagnostic>& diagnostics) {

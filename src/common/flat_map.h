@@ -16,6 +16,7 @@
 #ifndef SRC_COMMON_FLAT_MAP_H_
 #define SRC_COMMON_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -40,6 +41,13 @@ struct FlatHash<OpRef> : OpRefHash {};
 
 template <>
 struct FlatHash<TxOpRef> : TxOpRefHash {};
+
+template <>
+struct FlatHash<TxnKey> {
+  size_t operator()(const TxnKey& k) const {
+    return static_cast<size_t>(HashMix64(SplitMix64(k.rid), k.tid));
+  }
+};
 
 template <typename A, typename B>
 struct FlatHash<std::pair<A, B>> {
@@ -257,6 +265,21 @@ class FlatMap {
   std::vector<uint16_t> meta_;
   size_t size_ = 0;
 };
+
+// The map's entries in ascending key order. FlatMap iterates in insertion
+// order, so a canonical encoding (the checkpoint, the pre-screen state) walks
+// this instead.
+template <typename Key, typename T, typename Hash>
+std::vector<const std::pair<Key, T>*> SortedEntries(const FlatMap<Key, T, Hash>& map) {
+  std::vector<const std::pair<Key, T>*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) {
+    entries.push_back(&entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
 
 // Hash set over the same table: FlatMap with an empty payload and key-only
 // surface (insert returns whether the key was new, matching std::set usage).

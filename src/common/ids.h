@@ -107,6 +107,15 @@ struct TxOpRefHash {
   }
 };
 
+// Key of one transaction log: the issuing request and the transaction id.
+struct TxnKey {
+  RequestId rid = 0;
+  TxId tid = 0;
+
+  friend bool operator==(const TxnKey&, const TxnKey&) = default;
+  friend auto operator<=>(const TxnKey&, const TxnKey&) = default;
+};
+
 // Direct-mapped memo of (name, salt) -> 64-bit digest for the collector's
 // hot path, where the same handful of variable / event / function names are
 // digested once per operation. A hit validates the cached bytes with a plain

@@ -206,7 +206,7 @@ std::optional<std::vector<uint8_t>> BlockFrameDecode(const uint8_t* data, size_t
 
 std::optional<std::vector<uint64_t>> ReadU64Dict(ByteReader* in) {
   auto count = in->ReadVarint();
-  if (!count || *count > in->remaining() / 8) {
+  if (!count || !in->CanHold(*count, 8)) {
     return std::nullopt;
   }
   std::vector<uint64_t> dict;
@@ -223,7 +223,8 @@ std::optional<std::vector<uint64_t>> ReadU64Dict(ByteReader* in) {
 
 std::optional<std::vector<std::string>> ReadStringDict(ByteReader* in) {
   auto count = in->ReadVarint();
-  if (!count || *count > in->remaining()) {
+  // A string is at least its length byte.
+  if (!count || !in->CanHold(*count, 1)) {
     return std::nullopt;
   }
   std::vector<std::string> dict;

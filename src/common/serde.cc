@@ -76,6 +76,52 @@ void ByteWriter::WriteValue(const Value& v) {
   }
 }
 
+void SerializeOpRef(const OpRef& op, ByteWriter* out) {
+  out->WriteVarint(op.rid);
+  out->WriteFixed64(op.hid);
+  out->WriteVarint(op.opnum);
+}
+
+std::optional<OpRef> DeserializeOpRef(ByteReader* in) {
+  auto rid = in->ReadVarint();
+  auto hid = in->ReadFixed64();
+  auto opnum = in->ReadVarint();
+  if (!rid || !hid || !opnum || *opnum > kOpNumInf) {
+    return std::nullopt;
+  }
+  return OpRef{*rid, *hid, static_cast<OpNum>(*opnum)};
+}
+
+void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out) {
+  out->WriteVarint(op.rid);
+  out->WriteFixed64(op.tid);
+  out->WriteVarint(op.index);
+}
+
+std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in) {
+  auto rid = in->ReadVarint();
+  auto tid = in->ReadFixed64();
+  auto index = in->ReadVarint();
+  if (!rid || !tid || !index) {
+    return std::nullopt;
+  }
+  return TxOpRef{*rid, *tid, static_cast<uint32_t>(*index)};
+}
+
+void SerializeTxnKey(const TxnKey& txn, ByteWriter* out) {
+  out->WriteVarint(txn.rid);
+  out->WriteFixed64(txn.tid);
+}
+
+std::optional<TxnKey> DeserializeTxnKey(ByteReader* in) {
+  auto rid = in->ReadVarint();
+  auto tid = in->ReadFixed64();
+  if (!rid || !tid) {
+    return std::nullopt;
+  }
+  return TxnKey{*rid, *tid};
+}
+
 namespace {
 
 // Nibble-sliced CRC-32 table (16 entries) for the reflected IEEE polynomial

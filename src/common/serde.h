@@ -1,4 +1,5 @@
-// Compact binary encoding used as the advice wire format.
+// Compact binary encoding used as the advice wire format and for the
+// verifier state that crosses a process boundary.
 //
 // The paper evaluates advice *size* (Figure 8), so the advice structures in
 // src/server/advice.h get a real byte encoding rather than an estimate: the
@@ -13,6 +14,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/ids.h"
 #include "src/common/value.h"
 
 namespace karousos {
@@ -91,6 +93,101 @@ class ByteReader {
   const uint8_t* buf_;
   size_t size_;
   size_t pos_ = 0;
+};
+
+// The id coordinates every advice and state codec shares: rid as a varint,
+// hid/tid as fixed64 (they are digests), opnum/index as a varint.
+void SerializeOpRef(const OpRef& op, ByteWriter* out);
+std::optional<OpRef> DeserializeOpRef(ByteReader* in);
+void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out);
+std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in);
+void SerializeTxnKey(const TxnKey& txn, ByteWriter* out);
+std::optional<TxnKey> DeserializeTxnKey(ByteReader* in);
+
+// Smallest encodings of the coordinates above, for count bounds.
+inline constexpr size_t kMinOpRefBytes = 10;    // rid 1 + hid 8 + opnum 1.
+inline constexpr size_t kMinTxOpRefBytes = 10;  // rid 1 + tid 8 + index 1.
+inline constexpr size_t kMinTxnKeyBytes = 9;    // rid 1 + tid 8.
+
+// The one failure-latching reader for the verifier's carried state: the
+// checkpoint, the pre-screen state, the shard boundary, the shard artifact
+// and the continuity imports all decode through it. Once any field fails to
+// parse, every getter returns a default and ok() stays false, so a decoder
+// reads linearly and checks once at the end. Every count is bounded by the
+// element's minimum encoded size (ByteReader::CanHold), so a hostile count
+// fails before anything is sized from it.
+class StateReader {
+ public:
+  explicit StateReader(ByteReader* in) : in_(in) {}
+
+  uint64_t V() { return Get(in_->ReadVarint()); }
+  uint64_t F64() { return Get(in_->ReadFixed64()); }
+  uint8_t B() { return Get(in_->ReadByte()); }
+  bool Bool() { return Get(in_->ReadBool()); }
+  std::string S() { return Get(in_->ReadString()); }
+  Value Val() { return Get(in_->ReadValue()); }
+  OpRef Op() { return Get(DeserializeOpRef(in_)); }
+  TxOpRef Tx() { return Get(DeserializeTxOpRef(in_)); }
+  TxnKey Txn() { return Get(DeserializeTxnKey(in_)); }
+  // A byte naming one of the enumerators 0..max; a larger byte fails.
+  uint8_t Enum(uint8_t max) {
+    uint8_t b = B();
+    if (b > max) {
+      ok_ = false;
+    }
+    return ok_ ? b : 0;
+  }
+
+  // The count of a sequence whose elements encode to at least `min_bytes`
+  // each. A count the remaining bytes cannot hold fails; after any failure
+  // the count is 0, so the loop it drives ends.
+  size_t Count(size_t min_bytes) {
+    uint64_t n = V();
+    if (!ok_ || !in_->CanHold(n, min_bytes)) {
+      ok_ = false;
+      return 0;
+    }
+    return static_cast<size_t>(n);
+  }
+
+  // Runs read_one() once per element of a counted sequence, stopping at the
+  // first failure.
+  template <typename F>
+  void Each(size_t min_bytes, F&& read_one) {
+    for (size_t n = Count(min_bytes); n > 0 && ok_; --n) {
+      read_one();
+    }
+  }
+
+  // Appends a counted sequence to `out`, reserving once: the count is
+  // already bounded, so a forged one reserves at most one element per
+  // `min_bytes` input bytes and the vector never regrows.
+  template <typename T, typename F>
+  void List(std::vector<T>* out, size_t min_bytes, F&& read_one) {
+    size_t n = Count(min_bytes);
+    out->reserve(out->size() + n);
+    for (; n > 0 && ok_; --n) {
+      out->push_back(read_one());
+    }
+  }
+
+  void Fail() { ok_ = false; }
+  bool ok() const { return ok_; }
+  // Every field parsed and the payload is consumed to its last byte.
+  bool Done() const { return ok_ && in_->AtEnd(); }
+
+ private:
+  template <typename T>
+  T Get(std::optional<T> v) {
+    if (!v || !ok_) {
+      ok_ = false;
+      return T{};
+    }
+    return std::move(*v);
+  }
+
+  ByteReader* in_;
+  bool ok_ = true;
 };
 
 // CRC-32 (IEEE 802.3 polynomial, reflected). Used by the epoch segment

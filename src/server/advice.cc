@@ -2,38 +2,6 @@
 
 namespace karousos {
 
-void SerializeOpRef(const OpRef& op, ByteWriter* out) {
-  out->WriteVarint(op.rid);
-  out->WriteFixed64(op.hid);
-  out->WriteVarint(op.opnum);
-}
-
-std::optional<OpRef> DeserializeOpRef(ByteReader* in) {
-  auto rid = in->ReadVarint();
-  auto hid = in->ReadFixed64();
-  auto opnum = in->ReadVarint();
-  if (!rid || !hid || !opnum || *opnum > kOpNumInf) {
-    return std::nullopt;
-  }
-  return OpRef{*rid, *hid, static_cast<OpNum>(*opnum)};
-}
-
-void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out) {
-  out->WriteVarint(op.rid);
-  out->WriteFixed64(op.tid);
-  out->WriteVarint(op.index);
-}
-
-std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in) {
-  auto rid = in->ReadVarint();
-  auto tid = in->ReadFixed64();
-  auto index = in->ReadVarint();
-  if (!rid || !tid || !index) {
-    return std::nullopt;
-  }
-  return TxOpRef{*rid, *tid, static_cast<uint32_t>(*index)};
-}
-
 namespace {
 
 void SerializeTags(const std::map<RequestId, uint64_t>& tags, ByteWriter* out) {
@@ -81,8 +49,7 @@ void SerializeVarLogs(const std::map<VarId, VarLog>& logs, ByteWriter* out) {
 void SerializeTxLogs(const TransactionLogs& logs, ByteWriter* out) {
   out->WriteVarint(logs.size());
   for (const auto& [txn, log] : logs) {
-    out->WriteVarint(txn.rid);
-    out->WriteFixed64(txn.tid);
+    SerializeTxnKey(txn, out);
     out->WriteVarint(log.size());
     for (const TxOperation& op : log) {
       out->WriteByte(static_cast<uint8_t>(op.type));
@@ -252,11 +219,10 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
     return std::nullopt;
   }
   for (uint64_t i = 0; i < *n_txls; ++i) {
-    auto rid = in->ReadVarint();
-    auto tid = in->ReadFixed64();
+    auto txn = DeserializeTxnKey(in);
     auto n = in->ReadVarint();
     // An op is at least type, hid and opnum: 1 + 8 + 1 bytes.
-    if (!rid || !tid || !n || !in->CanHold(*n, 10)) {
+    if (!txn || !n || !in->CanHold(*n, 10)) {
       return std::nullopt;
     }
     TransactionLog log;
@@ -298,7 +264,7 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in) {
       }
       log.push_back(std::move(op));
     }
-    a.tx_logs[TxnKey{*rid, *tid}] = std::move(log);
+    a.tx_logs[*txn] = std::move(log);
   }
   auto n_wo = in->ReadVarint();
   // An entry is a TxOpRef: rid, tid and index, 1 + 8 + 1 bytes at least.

@@ -87,11 +87,6 @@ struct Advice {
   size_t handler_log_entry_count() const;
 };
 
-void SerializeOpRef(const OpRef& op, ByteWriter* out);
-std::optional<OpRef> DeserializeOpRef(ByteReader* in);
-void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out);
-std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in);
-
 }  // namespace karousos
 
 #endif  // SRC_SERVER_ADVICE_H_

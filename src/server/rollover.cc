@@ -13,78 +13,66 @@ uint64_t EpochOfRid(RequestId rid, uint64_t epoch_requests) {
   return (rid - 1) / epoch_requests;
 }
 
+void ContinuityImports::TxOpImport::Serialize(ByteWriter* out) const {
+  SerializeTxOpRef(ref, out);
+  out->WriteBool(txn_present);
+  out->WriteBool(op_present);
+  out->WriteByte(type);
+  out->WriteString(key);
+  out->WriteValue(value);
+  out->WriteFixed64(hid);
+  out->WriteVarint(opnum);
+}
+
+ContinuityImports::TxOpImport ContinuityImports::TxOpImport::Deserialize(StateReader* in) {
+  TxOpImport imp;
+  imp.ref = in->Tx();
+  imp.txn_present = in->Bool();
+  imp.op_present = in->Bool();
+  imp.type = in->B();
+  imp.key = in->S();
+  imp.value = in->Val();
+  imp.hid = in->F64();
+  imp.opnum = static_cast<OpNum>(in->V());
+  return imp;
+}
+
+void ContinuityImports::VarImport::Serialize(ByteWriter* out) const {
+  out->WriteFixed64(vid);
+  SerializeOpRef(op, out);
+  out->WriteBool(present);
+  out->WriteByte(kind);
+  out->WriteValue(value);
+}
+
+ContinuityImports::VarImport ContinuityImports::VarImport::Deserialize(StateReader* in) {
+  VarImport imp;
+  imp.vid = in->F64();
+  imp.op = in->Op();
+  imp.present = in->Bool();
+  imp.kind = in->B();
+  imp.value = in->Val();
+  return imp;
+}
+
 void ContinuityImports::Serialize(ByteWriter* out) const {
   out->WriteVarint(tx_ops.size());
   for (const TxOpImport& imp : tx_ops) {
-    SerializeTxOpRef(imp.ref, out);
-    out->WriteBool(imp.txn_present);
-    out->WriteBool(imp.op_present);
-    out->WriteByte(imp.type);
-    out->WriteString(imp.key);
-    out->WriteValue(imp.value);
-    out->WriteFixed64(imp.hid);
-    out->WriteVarint(imp.opnum);
+    imp.Serialize(out);
   }
   out->WriteVarint(var_entries.size());
   for (const VarImport& imp : var_entries) {
-    out->WriteFixed64(imp.vid);
-    SerializeOpRef(imp.op, out);
-    out->WriteBool(imp.present);
-    out->WriteByte(imp.kind);
-    out->WriteValue(imp.value);
+    imp.Serialize(out);
   }
 }
 
 std::optional<ContinuityImports> ContinuityImports::Deserialize(ByteReader* in) {
+  StateReader r(in);
   ContinuityImports imports;
-  auto tx_count = in->ReadVarint();
-  // An import is at least a TxOpRef (10), two bools and the type (3), an
-  // empty key and a null value (2), hid (8) and opnum (1): 24 bytes.
-  if (!tx_count || !in->CanHold(*tx_count, 24)) return std::nullopt;
-  imports.tx_ops.reserve(*tx_count);
-  for (uint64_t i = 0; i < *tx_count; ++i) {
-    TxOpImport imp;
-    auto ref = DeserializeTxOpRef(in);
-    auto txn_present = in->ReadBool();
-    auto op_present = in->ReadBool();
-    auto type = in->ReadByte();
-    auto key = in->ReadString();
-    auto value = in->ReadValue();
-    auto hid = in->ReadFixed64();
-    auto opnum = in->ReadVarint();
-    if (!ref || !txn_present || !op_present || !type || !key || !value || !hid || !opnum) {
-      return std::nullopt;
-    }
-    imp.ref = *ref;
-    imp.txn_present = *txn_present;
-    imp.op_present = *op_present;
-    imp.type = *type;
-    imp.key = std::move(*key);
-    imp.value = std::move(*value);
-    imp.hid = *hid;
-    imp.opnum = static_cast<OpNum>(*opnum);
-    imports.tx_ops.push_back(std::move(imp));
-  }
-  auto var_count = in->ReadVarint();
-  // An import is at least vid (8), an OpRef (10), present and kind (2) and a
-  // null value (1): 21 bytes.
-  if (!var_count || !in->CanHold(*var_count, 21)) return std::nullopt;
-  imports.var_entries.reserve(*var_count);
-  for (uint64_t i = 0; i < *var_count; ++i) {
-    VarImport imp;
-    auto vid = in->ReadFixed64();
-    auto op = DeserializeOpRef(in);
-    auto present = in->ReadBool();
-    auto kind = in->ReadByte();
-    auto value = in->ReadValue();
-    if (!vid || !op || !present || !kind || !value) return std::nullopt;
-    imp.vid = *vid;
-    imp.op = *op;
-    imp.present = *present;
-    imp.kind = *kind;
-    imp.value = std::move(*value);
-    imports.var_entries.push_back(std::move(imp));
-  }
+  r.List(&imports.tx_ops, TxOpImport::kMinBytes, [&r] { return TxOpImport::Deserialize(&r); });
+  r.List(&imports.var_entries, VarImport::kMinBytes,
+         [&r] { return VarImport::Deserialize(&r); });
+  if (!r.ok()) return std::nullopt;
   return imports;
 }
 
@@ -120,6 +108,41 @@ ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, c
   imp.kind = static_cast<uint8_t>(eit->second.kind);
   imp.value = eit->second.value;
   return imp;
+}
+
+ResolvedTxOp ResolveImport(const ContinuityImports::TxOpImport& imp) {
+  ResolvedTxOp out;
+  out.txn_present = imp.txn_present;
+  out.op_present = imp.op_present;
+  if (imp.op_present) {
+    out.is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
+    out.key = imp.key;
+    out.put_value = &imp.value;
+    out.hid = imp.hid;
+    out.opnum = imp.opnum;
+  }
+  return out;
+}
+
+ResolvedVarEntry ResolveImport(const ContinuityImports::VarImport& imp) {
+  return {imp.present, static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite,
+          &imp.value};
+}
+
+bool TxImportMatches(const ContinuityImports::TxOpImport& imp, const ResolvedTxOp& real) {
+  if (real.txn_present != imp.txn_present || real.op_present != imp.op_present) return false;
+  if (!imp.op_present) return true;
+  bool imp_is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
+  if (real.is_put != imp_is_put) return false;
+  return !imp_is_put || (real.key == imp.key && *real.put_value == imp.value &&
+                         real.hid == imp.hid && real.opnum == imp.opnum);
+}
+
+bool VarImportMatches(const ContinuityImports::VarImport& imp, const ResolvedVarEntry& real) {
+  if (real.present != imp.present) return false;
+  if (!imp.present) return true;
+  bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite;
+  return real.is_write == imp_is_write && (!imp_is_write || *real.value == imp.value);
 }
 
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {

@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/adya/checker.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
 #include "src/server/advice.h"
@@ -45,6 +46,9 @@ uint64_t EpochOfRid(RequestId rid, uint64_t epoch_requests);
 // holds — including its defects — so that epoch-sliced validation reaches
 // the same verdict as one-shot validation.
 struct ContinuityImports {
+  // Each import has one encoding, the KSEG raw frame's, wherever it travels
+  // (epoch frames, shard files, the checkpoint, the pre-screen state and the
+  // shard artifact).
   struct TxOpImport {
     TxOpRef ref;
     bool txn_present = false;  // The referenced transaction exists at all.
@@ -54,6 +58,12 @@ struct ContinuityImports {
     Value value;               // PUT value (when present and a PUT).
     HandlerId hid = 0;         // Issuing handler op (when present).
     OpNum opnum = 0;
+
+    // A TxOpRef (10), two bools and the type (3), an empty key and a null
+    // value (2), hid (8) and opnum (1).
+    static constexpr size_t kMinBytes = 24;
+    void Serialize(ByteWriter* out) const;
+    static TxOpImport Deserialize(StateReader* in);
   };
   struct VarImport {
     VarId vid = 0;
@@ -61,6 +71,11 @@ struct ContinuityImports {
     bool present = false;  // The referenced entry exists in vid's log.
     uint8_t kind = 0;      // VarLogEntry::Kind (when present).
     Value value;           // Entry value (when present).
+
+    // vid (8), an OpRef (10), present and kind (2) and a null value (1).
+    static constexpr size_t kMinBytes = 21;
+    void Serialize(ByteWriter* out) const;
+    static VarImport Deserialize(StateReader* in);
   };
 
   std::vector<TxOpImport> tx_ops;
@@ -79,6 +94,29 @@ struct ContinuityImports {
 // shard slicer (src/server/shard.h).
 ContinuityImports::TxOpImport DescribeTxOp(const Advice& advice, const TxOpRef& ref);
 ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, const OpRef& op);
+
+// What lives at a var-log coordinate: the slice's own entry, a carried one,
+// an import or the owning shard's export (the var-log ResolvedTxOp). `value`
+// is null for carried reads, which drop their value; it is always set for
+// writes.
+struct ResolvedVarEntry {
+  bool present = false;
+  bool is_write = false;
+  const Value* value = nullptr;
+};
+
+// An allegation read as a resolution (what the verifier sees at an imported
+// coordinate until the target's epoch or shard confirms it).
+ResolvedTxOp ResolveImport(const ContinuityImports::TxOpImport& imp);
+ResolvedVarEntry ResolveImport(const ContinuityImports::VarImport& imp);
+
+// The one import-confirmation predicate per kind: does the allegation match
+// the real content at its coordinate? Only presence, PUT-ness (write-ness)
+// and the PUT (write) payload can influence any consumer, so that is what
+// they pin down. Every confirmer (the session at Finish, the pre-screen when
+// the target epoch arrives, the shard merge) calls these.
+bool TxImportMatches(const ContinuityImports::TxOpImport& imp, const ResolvedTxOp& real);
+bool VarImportMatches(const ContinuityImports::VarImport& imp, const ResolvedVarEntry& real);
 
 // One epoch's audit input: the trace window, the advice slice, and the
 // continuity imports for the slice's forward references.

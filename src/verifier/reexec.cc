@@ -557,7 +557,7 @@ Value ReplayCtx::ReadLane(VarId vid, const OpRef& cur) {
         if (entry.kind != VarLogEntry::Kind::kRead || entry.prec.IsNil()) {
           Verifier::Reject("variable log entry for a read is malformed");
         }
-        Verifier::ResolvedVarEntry dictating = v_.ResolveVarEntry(vid, entry.prec);
+        ResolvedVarEntry dictating = v_.ResolveVarEntry(vid, entry.prec);
         if (!dictating.present || !dictating.is_write || dictating.value == nullptr) {
           Verifier::Reject("logged read's dictating write is not a logged write");
         }
@@ -611,7 +611,7 @@ void ReplayCtx::WriteLane(VarId vid, const OpRef& cur, const Value& value) {
           Verifier::Reject("variable log entry re-executed twice");
         }
         if (!entry.prec.IsNil()) {
-          Verifier::ResolvedVarEntry prec = v_.ResolveVarEntry(vid, entry.prec);
+          ResolvedVarEntry prec = v_.ResolveVarEntry(vid, entry.prec);
           if (!prec.present || !prec.is_write) {
             Verifier::Reject("logged write's predecessor is not a logged write");
           }

@@ -90,10 +90,9 @@ struct ShardArtifact {
 
   // The shard's history analysis (src/adya/checker.h), merged for the global
   // isolation check: committed and last_modification partition by owning rid;
-  // read_map reader lists interleave by sorted reader reference.
-  std::set<TxnKey> committed;
-  std::map<TxOpRef, std::vector<TxOpRef>> read_map;
-  std::map<std::tuple<RequestId, TxId, std::string>, uint32_t> last_modification;
+  // read_map reader lists interleave by sorted reader reference. Only its
+  // three sections travel; ok and reason are the verdict's.
+  HistoryAnalysis history;
 
   // Value-free resolution carries for the merged isolation check. The
   // checker never dereferences PUT values, so key/hid/opnum suffice.

@@ -493,42 +493,18 @@ ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
   if (!streaming_) {
     return ResolvedTxOp{};
   }
-  auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-  if (size_it != txn_size_carry_.end()) {
-    ResolvedTxOp out;
-    out.txn_present = true;
-    if (ref.index >= 1 && ref.index <= size_it->second) {
-      out.op_present = true;
-      auto put_it = put_carry_.find(ref);
-      if (put_it != put_carry_.end()) {
-        out.is_put = true;
-        out.key = put_it->second.key;
-        out.put_value = &put_it->second.value;
-        out.hid = put_it->second.hid;
-        out.opnum = put_it->second.opnum;
-      }
-    }
-    return out;
+  ResolvedTxOp carried = CarriedTxOp(ref);
+  if (carried.txn_present) {
+    return carried;
   }
   auto imp_it = pending_tx_imports_.find(ref);
   if (imp_it != pending_tx_imports_.end()) {
-    const ContinuityImports::TxOpImport& imp = imp_it->second;
-    ResolvedTxOp out;
-    out.txn_present = imp.txn_present;
-    out.op_present = imp.op_present;
-    if (imp.op_present) {
-      out.is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      out.key = imp.key;
-      out.put_value = &imp.value;
-      out.hid = imp.hid;
-      out.opnum = imp.opnum;
-    }
-    return out;
+    return ResolveImport(imp_it->second);
   }
   return ResolvedTxOp{};
 }
 
-Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
+ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
   auto log_it = var_log_idx_.find(vid);
   if (log_it != var_log_idx_.end()) {
     auto entry_it = log_it->second.find(op);
@@ -540,18 +516,45 @@ Verifier::ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op)
   if (!streaming_) {
     return {};
   }
-  auto carry_it = var_carry_.find({vid, op});
-  if (carry_it != var_carry_.end()) {
-    const VarCarry& carry = carry_it->second;
-    return {true, carry.is_write, carry.is_write ? &carry.value : nullptr};
+  ResolvedVarEntry carried = CarriedVarEntry({vid, op});
+  if (carried.present) {
+    return carried;
   }
   auto imp_it = pending_var_imports_.find({vid, op});
   if (imp_it != pending_var_imports_.end() && imp_it->second.present) {
-    const ContinuityImports::VarImport& imp = imp_it->second;
-    return {true, static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite,
-            &imp.value};
+    return ResolveImport(imp_it->second);
   }
   return {};
+}
+
+ResolvedTxOp Verifier::CarriedTxOp(const TxOpRef& ref) const {
+  ResolvedTxOp out;
+  auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
+  if (size_it == txn_size_carry_.end()) {
+    return out;
+  }
+  out.txn_present = true;
+  if (ref.index >= 1 && ref.index <= size_it->second) {
+    out.op_present = true;
+    auto put_it = put_carry_.find(ref);
+    if (put_it != put_carry_.end()) {
+      out.is_put = true;
+      out.key = put_it->second.key;
+      out.put_value = &put_it->second.value;
+      out.hid = put_it->second.hid;
+      out.opnum = put_it->second.opnum;
+    }
+  }
+  return out;
+}
+
+ResolvedVarEntry Verifier::CarriedVarEntry(const std::pair<VarId, OpRef>& key) const {
+  auto carry_it = var_carry_.find(key);
+  if (carry_it == var_carry_.end()) {
+    return {};
+  }
+  const VarCarry& carry = carry_it->second;
+  return {true, carry.is_write, carry.is_write ? &carry.value : nullptr};
 }
 
 void Verifier::StreamBegin(uint64_t epoch_requests) {
@@ -788,32 +791,7 @@ void Verifier::StreamConfirmImports() {
     if (ForeignRid(ref.rid)) {
       continue;  // Owned elsewhere: the merge confirms it against that shard.
     }
-    bool real_txn = false;
-    bool real_op = false;
-    const PutCarry* real_put = nullptr;
-    auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-    if (size_it != txn_size_carry_.end()) {
-      real_txn = true;
-      if (ref.index >= 1 && ref.index <= size_it->second) {
-        real_op = true;
-        auto put_it = put_carry_.find(ref);
-        if (put_it != put_carry_.end()) {
-          real_put = &put_it->second;
-        }
-      }
-    }
-    bool ok = real_txn == imp.txn_present && real_op == imp.op_present;
-    if (ok && imp.op_present) {
-      // Only PUT-ness and PUT payloads can influence any consumer, so that is
-      // what the confirmation pins down.
-      bool imp_is_put = static_cast<TxOpType>(imp.type) == TxOpType::kPut;
-      ok = (real_put != nullptr) == imp_is_put;
-      if (ok && imp_is_put) {
-        ok = real_put->key == imp.key && real_put->value == imp.value &&
-             real_put->hid == imp.hid && real_put->opnum == imp.opnum;
-      }
-    }
-    if (!ok) {
+    if (!TxImportMatches(imp, CarriedTxOp(ref))) {
       Reject("continuity import for " + ref.ToString() + " does not match the advice it mirrors");
     }
   }
@@ -821,17 +799,7 @@ void Verifier::StreamConfirmImports() {
     if (ForeignRid(key.second.rid)) {
       continue;
     }
-    auto carry_it = var_carry_.find(key);
-    bool ok;
-    if (carry_it == var_carry_.end()) {
-      ok = !imp.present;
-    } else {
-      const VarCarry& carry = carry_it->second;
-      bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite;
-      ok = imp.present && carry.is_write == imp_is_write &&
-           (!carry.is_write || carry.value == imp.value);
-    }
-    if (!ok) {
+    if (!VarImportMatches(imp, CarriedVarEntry(key))) {
       Reject("continuity import for variable log entry " + key.second.ToString() +
              " does not match the advice it mirrors");
     }

@@ -251,19 +251,14 @@ class Verifier {
     bool is_write = false;
     Value value;
   };
-  // Resolution of a variable-log coordinate across epoch boundaries. `value`
-  // is null for carried reads (see VarCarry); it is always set for writes.
-  struct ResolvedVarEntry {
-    bool present = false;
-    bool is_write = false;
-    const Value* value = nullptr;
-  };
-
   // Resolve a transaction-log / var-log coordinate: current slice first (the
   // one-shot lookup, and the only step taken when !streaming_), then carried
   // state from completed epochs, then forward continuity imports.
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
+  // The carried-state step alone: what completed epochs left at a coordinate.
+  ResolvedTxOp CarriedTxOp(const TxOpRef& ref) const;
+  ResolvedVarEntry CarriedVarEntry(const std::pair<VarId, OpRef>& key) const;
 
   // Shard-axis scope (src/verifier/shard_audit.h): restricts this audit to
   // the requests a shard owns. Must be set before StreamBegin. The trace-level

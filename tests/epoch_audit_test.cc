@@ -6,6 +6,7 @@
 // verdict, and malformed or mismatched checkpoints are refused.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -13,9 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/analysis/carry_lint.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
+#include "src/common/graph.h"
 #include "src/common/segment.h"
+#include "src/common/serde.h"
 #include "src/kem/varid.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
@@ -290,8 +294,39 @@ TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
   ExpectSameOutcome(oneshot, finished, "checkpoint-every-epoch");
 }
 
+// The payload of a checkpoint's single frame.
+std::vector<uint8_t> CheckpointPayload(const std::vector<uint8_t>& checkpoint) {
+  std::string error;
+  std::unique_ptr<SegmentReader> reader =
+      SegmentReader::FromBytes(checkpoint.data(), checkpoint.size(), &error);
+  EXPECT_NE(reader, nullptr) << error;
+  SegmentRecord record;
+  EXPECT_TRUE(reader != nullptr && reader->Next(&record));
+  return record.payload;
+}
+
+// A checkpoint frame around any payload, so a mutated payload reaches the
+// payload decoder instead of stopping at the container CRC.
+std::vector<uint8_t> FrameCheckpoint(const std::vector<uint8_t>& payload) {
+  SegmentWriter writer;
+  writer.Append(SegmentKind::kCheckpoint, 0, payload);
+  return writer.Take();
+}
+
+// `payload` cut at `offset`, where a count now claims every byte after it as
+// an entry.
+std::vector<uint8_t> ClaimRemaining(const std::vector<uint8_t>& payload, size_t offset) {
+  constexpr size_t kFiller = 4096;
+  ByteWriter out;
+  out.WriteBytes(payload.data(), offset);
+  out.WriteVarint(kFiller);
+  std::vector<uint8_t> forged = out.Take();
+  forged.resize(forged.size() + kFiller, 0);
+  return forged;
+}
+
 TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
-  HonestRun run = RunApp("motd", 10);
+  HonestRun run = RunApp("stacks", 24);
   VerifierConfig config{IsolationLevel::kSerializable, 1};
   std::string error;
   EXPECT_EQ(AuditSession::Restore(*run.app.program, config, {}, &error), nullptr);
@@ -302,11 +337,13 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
   EXPECT_EQ(AuditSession::Restore(*run.app.program, config, garbage, &error), nullptr);
   EXPECT_FALSE(error.empty());
 
-  // A valid checkpoint with any single truncation must also be refused.
-  AuditSession session(*run.app.program, config, 3);
-  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 3);
-  ASSERT_FALSE(slices.segments.empty());
-  session.FeedEpoch(slices.segments[0]);
+  // A mid-stream stacks checkpoint: graph, tracked variables, carries and
+  // the pre-screen state all hold entries.
+  AuditSession session(*run.app.program, config, 6);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 6);
+  ASSERT_GE(slices.segments.size(), 3u);
+  ASSERT_TRUE(session.FeedEpoch(slices.segments[0]));
+  ASSERT_TRUE(session.FeedEpoch(slices.segments[1]));
   std::vector<uint8_t> checkpoint = session.SaveCheckpoint();
   std::vector<uint8_t> truncated(checkpoint.begin(), checkpoint.end() - 1);
   error.clear();
@@ -314,20 +351,140 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
   EXPECT_FALSE(error.empty());
 
   // A well-framed checkpoint of another format version (the leading payload
-  // varint; the current version is 3) must be refused, not misparsed.
-  std::unique_ptr<SegmentReader> reader =
-      SegmentReader::FromBytes(checkpoint.data(), checkpoint.size(), &error);
-  ASSERT_NE(reader, nullptr) << error;
-  SegmentRecord record;
-  ASSERT_TRUE(reader->Next(&record));
-  ASSERT_EQ(record.payload[0], 3u);
-  for (uint8_t version : {2, 4}) {
-    record.payload[0] = version;
-    SegmentWriter other;
-    other.Append(SegmentKind::kCheckpoint, record.epoch, record.payload);
+  // varint; the current version is 4) must be refused, not misparsed.
+  std::vector<uint8_t> payload = CheckpointPayload(checkpoint);
+  ASSERT_EQ(payload[0], 4u);
+  for (uint8_t version : {3, 4, 5}) {
+    std::vector<uint8_t> other = payload;
+    other[0] = version;
     error.clear();
-    EXPECT_EQ(AuditSession::Restore(*run.app.program, config, other.Take(), &error), nullptr);
-    EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+    auto restored = AuditSession::Restore(*run.app.program, config, FrameCheckpoint(other), &error);
+    EXPECT_EQ(restored != nullptr, version == 4) << "version=" << int{version} << ": " << error;
+    if (version != 4) {
+      EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+    }
+  }
+
+  // Every proper prefix of the payload is refused by the payload decoder.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::vector<uint8_t> prefix(payload.begin(), payload.begin() + cut);
+    error.clear();
+    EXPECT_EQ(AuditSession::Restore(*run.app.program, config, FrameCheckpoint(prefix), &error),
+              nullptr)
+        << "cut=" << cut;
+    EXPECT_FALSE(error.empty()) << "cut=" << cut;
+  }
+  // Every single-byte flip is refused or loads; it never crashes or throws.
+  for (size_t i = 0; i < payload.size(); ++i) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[i] ^= 0xFF;
+    error.clear();
+    auto restored =
+        AuditSession::Restore(*run.app.program, config, FrameCheckpoint(flipped), &error);
+    EXPECT_TRUE(restored != nullptr || !error.empty()) << "byte " << i;
+  }
+
+  // The pre-screen state closes the payload. A fresh session's state is
+  // exactly a fresh CarryLint's, so its first count (the claimed
+  // operations) sits three bytes into that tail.
+  AuditSession fresh(*run.app.program, config, 6);
+  std::vector<uint8_t> fresh_payload = CheckpointPayload(fresh.SaveCheckpoint());
+  CarryLint lint;
+  lint.Begin(6, /*standalone=*/false);
+  ByteWriter lint_state;
+  lint.Serialize(&lint_state);
+  ASSERT_GE(fresh_payload.size(), lint_state.size());
+  size_t lint_at = fresh_payload.size() - lint_state.size();
+  ASSERT_TRUE(std::equal(lint_state.bytes().begin(), lint_state.bytes().end(),
+                         fresh_payload.begin() + lint_at));
+  ASSERT_NE(AuditSession::Restore(*run.app.program, config, FrameCheckpoint(fresh_payload),
+                                  &error),
+            nullptr)
+      << error;
+  error.clear();
+  EXPECT_EQ(AuditSession::Restore(*run.app.program, config,
+                                  FrameCheckpoint(ClaimRemaining(fresh_payload, lint_at + 3)),
+                                  &error),
+            nullptr);
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+}
+
+// The execution graph's node keys replay in id order, so a repeated key
+// would leave fewer nodes than the edges were checked against.
+TEST(EpochCheckpointTest, RestoreRefusesDuplicateGraphNode) {
+  HonestRun run = RunApp("stacks", 24);
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession session(*run.app.program, config, 6);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 6);
+  ASSERT_TRUE(session.FeedEpoch(slices.segments[0]));
+  std::vector<uint8_t> payload = CheckpointPayload(session.SaveCheckpoint());
+
+  auto key_bytes = [](const NodeKey& key) {
+    ByteWriter w;
+    w.WriteFixed64(key.a);
+    w.WriteFixed64(key.b);
+    w.WriteFixed64(key.c);
+    return w.Take();
+  };
+  // Request 1's response-delivery node becomes a second copy of its arrival
+  // node. Both keys occur only in the node list.
+  const std::vector<uint8_t> arrival = key_bytes(NodeKey::ForRequestArrival(1));
+  const std::vector<uint8_t> delivery = key_bytes(NodeKey::ForResponseDelivery(1));
+  auto count = [&payload](const std::vector<uint8_t>& pattern) {
+    size_t n = 0;
+    for (auto it = payload.begin();
+         (it = std::search(it, payload.end(), pattern.begin(), pattern.end())) != payload.end();
+         ++it) {
+      ++n;
+    }
+    return n;
+  };
+  ASSERT_EQ(count(arrival), 1u);
+  ASSERT_EQ(count(delivery), 1u);
+  auto at = std::search(payload.begin(), payload.end(), delivery.begin(), delivery.end());
+  std::copy(arrival.begin(), arrival.end(), at);
+
+  std::string error;
+  EXPECT_EQ(AuditSession::Restore(*run.app.program, config, FrameCheckpoint(payload), &error),
+            nullptr);
+  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+}
+
+// A checkpoint taken after a lint rejection carries the diagnostic; a
+// severity byte that names no severity is refused, as the artifact refuses it.
+TEST(EpochCheckpointTest, RestoreRefusesUnknownDiagnosticSeverity) {
+  HonestRun run = RunApp("stacks", 60);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
+  ASSERT_GE(slices.segments.size(), 2u);
+  ASSERT_FALSE(slices.segments[1].advice.tags.empty());
+  slices.segments[1].advice.tags.erase(slices.segments[1].advice.tags.begin());
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession session(*run.app.program, config, 7);
+  ASSERT_TRUE(session.FeedEpoch(slices.segments[0]));
+  EXPECT_FALSE(session.FeedEpoch(slices.segments[1]));
+  std::vector<uint8_t> payload = CheckpointPayload(session.SaveCheckpoint());
+  AuditResult result = session.Finish();
+  ASSERT_EQ(result.rule, "KAR-ADV-014") << result.reason;
+  ASSERT_FALSE(result.diagnostics.empty());
+
+  // Locate the first diagnostic by its encoding; its severity byte follows
+  // the rule string.
+  ByteWriter encoded;
+  result.diagnostics[0].Serialize(&encoded);
+  auto at = std::search(payload.begin(), payload.end(), encoded.bytes().begin(),
+                        encoded.bytes().end());
+  ASSERT_NE(at, payload.end());
+  size_t severity_at = static_cast<size_t>(at - payload.begin()) + 1 +
+                       result.diagnostics[0].rule.size();
+  ASSERT_EQ(payload[severity_at], static_cast<uint8_t>(LintSeverity::kError));
+
+  std::string error;
+  for (uint8_t severity : {0, 1, 2}) {
+    payload[severity_at] = severity;
+    error.clear();
+    auto restored =
+        AuditSession::Restore(*run.app.program, config, FrameCheckpoint(payload), &error);
+    EXPECT_EQ(restored != nullptr, severity <= 1) << "severity=" << int{severity} << ": " << error;
   }
 }
 

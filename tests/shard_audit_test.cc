@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -384,10 +385,59 @@ TEST(ShardMergeAdversaryTest, WriteOrderTotalsMismatch) {
   EXPECT_EQ(merged.rule, kKarSeg013) << merged.reason;
 }
 
+// `payload` cut at `offset`, where a count now claims every byte after it as
+// an entry.
+std::vector<uint8_t> ClaimRemaining(const std::vector<uint8_t>& payload, size_t offset) {
+  constexpr size_t kFiller = 4096;
+  ByteWriter out;
+  out.WriteBytes(payload.data(), offset);
+  out.WriteVarint(kFiller);
+  std::vector<uint8_t> forged = out.Take();
+  forged.resize(forged.size() + kFiller, 0);
+  return forged;
+}
+
+// Where two encodings first differ: with `one` holding a single entry more
+// than `empty` in one collection, that is the collection's count.
+size_t FirstDifference(const std::vector<uint8_t>& empty, const std::vector<uint8_t>& one) {
+  return static_cast<size_t>(
+      std::mismatch(empty.begin(), empty.end(), one.begin(), one.end()).first - empty.begin());
+}
+
+template <typename T>
+std::vector<uint8_t> Encode(const T& value) {
+  ByteWriter out;
+  value.Serialize(&out);
+  return out.Take();
+}
+
+// A shard file whose boundary frame carries `boundary_payload`, the epoch
+// frames copied from `file` unchanged.
+std::vector<uint8_t> WithBoundaryPayload(const std::vector<uint8_t>& file,
+                                         const std::vector<uint8_t>& boundary_payload) {
+  std::string error;
+  std::unique_ptr<SegmentReader> reader =
+      SegmentReader::FromBytes(file.data(), file.size(), &error);
+  EXPECT_NE(reader, nullptr) << error;
+  SegmentWriter writer;
+  SegmentRecord rec;
+  while (reader != nullptr && reader->Next(&rec)) {
+    writer.Append(rec.kind, rec.epoch,
+                  rec.kind == SegmentKind::kShardBoundary ? boundary_payload : rec.payload);
+  }
+  return writer.Take();
+}
+
+std::vector<uint8_t> FrameArtifact(const std::vector<uint8_t>& payload, uint32_t shard) {
+  SegmentWriter writer;
+  writer.Append(SegmentKind::kShardArtifact, shard, payload);
+  return writer.Take();
+}
+
 TEST(ShardMergeAdversaryTest, TruncatedBoundarySegment) {
-  HonestRun run = RunApp("motd", 40);
+  HonestRun run = RunApp("stacks", 60);
   std::vector<ShardFile> shards =
-      ShardRun(run.server.trace, run.server.advice, 50, ShardSpec{2, ShardMode::kHash});
+      ShardRun(run.server.trace, run.server.advice, 15, ShardSpec{2, ShardMode::kHash});
   ASSERT_EQ(shards.size(), 2u);
   std::vector<uint8_t> bytes = EncodeShardFile(shards[0]);
 
@@ -404,11 +454,48 @@ TEST(ShardMergeAdversaryTest, TruncatedBoundarySegment) {
   result = LoadShardBytes(corrupted);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.rule.empty()) << result.reason;
+
+  // Re-framed, the boundary payload itself reaches the decoder.
+  const std::vector<uint8_t> payload = Encode(shards[0].boundary);
+  ASSERT_FALSE(shards[0].boundary.chains.empty());
+  ASSERT_TRUE(LoadShardBytes(WithBoundaryPayload(bytes, payload)).ok);
+  // Every proper prefix is refused as a malformed boundary.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::vector<uint8_t> prefix(payload.begin(), payload.begin() + cut);
+    result = LoadShardBytes(WithBoundaryPayload(bytes, prefix));
+    EXPECT_FALSE(result.ok) << "cut=" << cut;
+    EXPECT_EQ(result.rule, kKarSeg011) << "cut=" << cut;
+    EXPECT_NE(result.reason.find("shard-boundary payload is malformed"), std::string::npos)
+        << "cut=" << cut << ": " << result.reason;
+  }
+  // Every single-byte flip is refused or loads; it never crashes or throws.
+  for (size_t i = 0; i < payload.size(); ++i) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[i] ^= 0xFF;
+    result = LoadShardBytes(WithBoundaryPayload(bytes, flipped));
+    EXPECT_TRUE(result.ok || !result.rule.empty()) << "byte " << i;
+  }
+  // A count that claims every remaining byte as an entry is refused: the rid
+  // count and the chain count, located by adding one entry to an empty
+  // boundary.
+  ShardBoundary empty;
+  ShardBoundary one_rid = empty;
+  one_rid.rids.push_back(1);
+  ShardBoundary one_chain = empty;
+  one_chain.chains.push_back(ShardBoundary::Chain{});
+  for (const ShardBoundary* one : {&one_rid, &one_chain}) {
+    size_t at = FirstDifference(Encode(empty), Encode(*one));
+    std::vector<uint8_t> forged = ClaimRemaining(Encode(empty), at);
+    ByteReader in(forged);
+    EXPECT_FALSE(ShardBoundary::Deserialize(&in).has_value()) << "count at " << at;
+    result = LoadShardBytes(WithBoundaryPayload(bytes, forged));
+    EXPECT_EQ(result.rule, kKarSeg011) << result.reason;
+  }
 }
 
 TEST(ShardMergeAdversaryTest, TruncatedArtifactRefused) {
-  HonestRun run = RunApp("motd", 40);
-  std::vector<ShardArtifact> artifacts = HonestArtifacts(run, 2, 50);
+  HonestRun run = RunApp("stacks", 60);
+  std::vector<ShardArtifact> artifacts = HonestArtifacts(run, 2, 15);
   ASSERT_EQ(artifacts.size(), 2u);
   std::vector<uint8_t> bytes = EncodeShardArtifact(artifacts[0]);
   for (size_t cut : {size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
@@ -419,20 +506,58 @@ TEST(ShardMergeAdversaryTest, TruncatedArtifactRefused) {
   }
 
   // A well-framed artifact whose version byte (the first payload byte; the
-  // current version is 3) differs does not load.
-  ByteWriter payload;
-  artifacts[0].Serialize(&payload);
-  std::vector<uint8_t> raw = payload.Take();
-  ASSERT_EQ(raw[0], 3u);
-  for (uint8_t version : {3, 2, 4}) {
+  // current version is 4) differs does not load.
+  std::vector<uint8_t> raw = Encode(artifacts[0]);
+  ASSERT_EQ(raw[0], 4u);
+  for (uint8_t version : {4, 3, 5}) {
     raw[0] = version;
-    SegmentWriter other;
-    other.Append(SegmentKind::kShardArtifact, artifacts[0].shard, raw);
-    ShardArtifactLoadResult result = LoadShardArtifactBytes(other.Take());
-    EXPECT_EQ(result.ok, version == 3) << "version=" << int{version} << ": " << result.reason;
-    if (version != 3) {
+    ShardArtifactLoadResult result = LoadShardArtifactBytes(FrameArtifact(raw, artifacts[0].shard));
+    EXPECT_EQ(result.ok, version == 4) << "version=" << int{version} << ": " << result.reason;
+    if (version != 4) {
       EXPECT_EQ(result.rule, kKarSeg015) << "version=" << int{version};
     }
+  }
+
+  // Re-framed payload sweeps over an artifact that carries history and
+  // continuity imports: every proper prefix is refused...
+  const ShardArtifact* rich = &artifacts[0];
+  for (const ShardArtifact& a : artifacts) {
+    if (a.tx_exports.size() + a.pending_tx_imports.size() >
+        rich->tx_exports.size() + rich->pending_tx_imports.size()) {
+      rich = &a;
+    }
+  }
+  ASSERT_FALSE(rich->history.committed.empty());
+  ASSERT_FALSE(rich->tx_exports.empty() && rich->pending_tx_imports.empty());
+  const std::vector<uint8_t> payload = Encode(*rich);
+  ASSERT_TRUE(LoadShardArtifactBytes(FrameArtifact(payload, rich->shard)).ok);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::vector<uint8_t> prefix(payload.begin(), payload.begin() + cut);
+    ShardArtifactLoadResult result = LoadShardArtifactBytes(FrameArtifact(prefix, rich->shard));
+    EXPECT_FALSE(result.ok) << "cut=" << cut;
+    EXPECT_NE(result.reason.find("shard-artifact payload is malformed"), std::string::npos)
+        << "cut=" << cut << ": " << result.reason;
+  }
+  // ...and every single-byte flip is refused or loads, never crashing.
+  for (size_t i = 0; i < payload.size(); ++i) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[i] ^= 0xFF;
+    ShardArtifactLoadResult result = LoadShardArtifactBytes(FrameArtifact(flipped, rich->shard));
+    EXPECT_TRUE(result.ok || !result.rule.empty()) << "byte " << i;
+  }
+  // A count that claims every remaining byte as an entry is refused: the rid
+  // count and the diagnostic count.
+  ShardArtifact empty;
+  ShardArtifact one_rid = empty;
+  one_rid.rids.push_back(1);
+  ShardArtifact one_diagnostic = empty;
+  one_diagnostic.diagnostics.push_back(LintDiagnostic{});
+  for (const ShardArtifact* one : {&one_rid, &one_diagnostic}) {
+    size_t at = FirstDifference(Encode(empty), Encode(*one));
+    ShardArtifactLoadResult result =
+        LoadShardArtifactBytes(FrameArtifact(ClaimRemaining(Encode(empty), at), 0));
+    EXPECT_FALSE(result.ok) << "count at " << at;
+    EXPECT_EQ(result.rule, kKarSeg015) << result.reason;
   }
 }
 
