@@ -17,13 +17,12 @@
 // Usage: advice_size [output.json] [--quick]   (--quick: 1 rep instead of 3;
 // sizes are deterministic either way, so the committed baseline's rows still
 // match)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/analysis/check.h"
 #include "src/audit/stream.h"
 #include "src/common/kcodec.h"
@@ -76,26 +75,6 @@ struct Row {
   double decode_seconds = 0;
   double codec_overhead_pct = 0;
 };
-
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-AppSpec MakeApp(const std::string& name) {
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  return MakeAuctionApp();
-}
 
 // Decodes every frame of both streams (the verifier's read path, isolated
 // from replay); returns false on any undecodable frame.
@@ -151,7 +130,7 @@ int Main(int argc, char** argv) {
   std::vector<Row> rows;
   int bugs = 0;
   for (const BenchApp& spec : kApps) {
-    AppSpec app = MakeApp(spec.name);
+    AppSpec app = MakeApp(spec.name).value();
     WorkloadConfig wl;
     wl.app = spec.name;
     wl.kind = spec.kind;
@@ -166,18 +145,18 @@ int Main(int argc, char** argv) {
     ServerRunResult run;
     for (int rep = 0; rep < kReps; ++rep) {
       Server server(*app.program, server_config);
-      double t0 = Now();
+      double t0 = bench::Now();
       run = server.Run(GenerateWorkload(wl));
-      record_times.push_back(Now() - t0);
+      record_times.push_back(bench::Now() - t0);
     }
 
     EpochSlices slices = SliceRun(run.trace, run.advice, kEpochSize);
     std::vector<uint8_t> packed_trace, packed_advice;
     for (int rep = 0; rep < kReps; ++rep) {
-      double t0 = Now();
+      double t0 = bench::Now();
       packed_trace = EncodeTraceSegments(slices, kAll);
       packed_advice = EncodeAdviceSegments(slices, kAll);
-      encode_times.push_back(Now() - t0);
+      encode_times.push_back(bench::Now() - t0);
     }
     const std::vector<uint8_t> raw_trace = EncodeTraceSegments(slices);
     const std::vector<uint8_t> raw_advice = EncodeAdviceSegments(slices);
@@ -185,20 +164,20 @@ int Main(int argc, char** argv) {
     const std::vector<uint8_t> lanes_dict_advice = EncodeAdviceSegments(slices, kLanesDict);
 
     for (int rep = 0; rep < kReps; ++rep) {
-      double t0 = Now();
+      double t0 = bench::Now();
       if (!DecodeStreams(packed_trace, packed_advice)) {
         std::fprintf(stderr, "BUG: [%s] compressed stream failed to decode\n", spec.name);
         return 1;
       }
-      decode_times.push_back(Now() - t0);
+      decode_times.push_back(bench::Now() - t0);
     }
 
     VerifierConfig cfg{IsolationLevel::kSerializable, 1};
     StreamAuditResult raw_audit, packed_audit;
     for (int rep = 0; rep < kReps; ++rep) {
-      double t0 = Now();
+      double t0 = bench::Now();
       raw_audit = AuditSegments(app, raw_trace, raw_advice, cfg, kEpochSize);
-      audit_times.push_back(Now() - t0);
+      audit_times.push_back(bench::Now() - t0);
     }
     packed_audit = AuditSegments(app, packed_trace, packed_advice, cfg, kEpochSize);
     if (!raw_audit.audit.accepted) {
@@ -242,10 +221,10 @@ int Main(int argc, char** argv) {
       seg.imports.Serialize(&w);
       row.imports_bytes += w.size();
     }
-    row.record_seconds = MedianOf(record_times);
-    row.audit_seconds = MedianOf(audit_times);
-    row.encode_seconds = MedianOf(encode_times);
-    row.decode_seconds = MedianOf(decode_times);
+    row.record_seconds = bench::Median(record_times);
+    row.audit_seconds = bench::Median(audit_times);
+    row.encode_seconds = bench::Median(encode_times);
+    row.decode_seconds = bench::Median(decode_times);
     row.codec_overhead_pct = 100.0 * (row.encode_seconds + row.decode_seconds) /
                              (row.record_seconds + row.audit_seconds);
     rows.push_back(row);

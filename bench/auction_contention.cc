@@ -9,13 +9,12 @@
 // run must be accepted — this benchmark measures honest executions.
 //
 // Usage: auction_contention [output.json] [--quick]
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/apps/app.h"
 #include "src/audit/audit.h"
 #include "src/server/server.h"
@@ -35,16 +34,6 @@ struct Row {
   double audit_seconds = 0;
   bool accepted = false;
 };
-
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_auction_contention.json";
@@ -88,9 +77,9 @@ int Main(int argc, char** argv) {
       off_config.concurrency = kConcurrency;
       off_config.seed = 7;
       Server off_server(*off_app.program, off_config);
-      double t0 = Now();
+      double t0 = bench::Now();
       ServerRunResult off_run = off_server.Run(inputs);
-      off_times.push_back(Now() - t0);
+      off_times.push_back(bench::Now() - t0);
       (void)off_run;
 
       AppSpec app = MakeAuctionApp();
@@ -98,15 +87,15 @@ int Main(int argc, char** argv) {
       config.concurrency = kConcurrency;
       config.seed = 7;
       Server server(*app.program, config);
-      t0 = Now();
+      t0 = bench::Now();
       ServerRunResult run = server.Run(inputs);
-      on_times.push_back(Now() - t0);
+      on_times.push_back(bench::Now() - t0);
       row.conflicts = run.conflicts;
 
       VerifierConfig audit_config{IsolationLevel::kSerializable, 1};
-      t0 = Now();
+      t0 = bench::Now();
       AuditResult audit = AuditOnly(app, run.trace, run.advice, audit_config);
-      audit_times.push_back(Now() - t0);
+      audit_times.push_back(bench::Now() - t0);
       row.accepted = audit.accepted;
       if (!audit.accepted) {
         std::fprintf(stderr, "BUG: audit rejected the honest run at theta %.1f: %s\n", theta,
@@ -115,10 +104,10 @@ int Main(int argc, char** argv) {
       }
     }
     row.abort_rate = static_cast<double>(row.conflicts) / static_cast<double>(kRequests);
-    row.serve_off_seconds = MedianOf(off_times);
-    row.serve_karousos_seconds = MedianOf(on_times);
+    row.serve_off_seconds = bench::Median(off_times);
+    row.serve_karousos_seconds = bench::Median(on_times);
     row.record_overhead_ratio = row.serve_karousos_seconds / row.serve_off_seconds;
-    row.audit_seconds = MedianOf(audit_times);
+    row.audit_seconds = bench::Median(audit_times);
     rows.push_back(row);
     std::printf("%-6.1f %10zu %10.3f %10.4f %14.4f %9.2fx %10.4f\n", theta, row.conflicts,
                 row.abort_rate, row.serve_off_seconds, row.serve_karousos_seconds,

@@ -10,19 +10,14 @@
 // With --compare, each row additionally carries baseline_seconds and
 // speedup_vs_baseline, joined against the baseline file's (app, threads)
 // rows. tools/bench_diff.py performs the same join for any two BENCH files.
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/audit/audit.h"
-#include "src/common/json.h"
 #include "src/common/pool.h"
 #include "src/workload/workload.h"
 
@@ -42,52 +37,6 @@ struct Row {
   double baseline_seconds = 0;  // 0 = no baseline row matched.
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
-// Baseline rows are keyed by (app, threads); seconds is the total audit time.
-std::vector<Row> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "warning: cannot read baseline %s; skipping compare\n", path.c_str());
-    return {};
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  JsonParseError error;
-  std::optional<Value> doc = ParseJson(ss.str(), &error);
-  if (!doc || !doc->is_map()) {
-    std::fprintf(stderr, "warning: malformed baseline %s; skipping compare\n", path.c_str());
-    return {};
-  }
-  std::vector<Row> rows;
-  const Value& json_rows = doc->Field("rows");
-  if (!json_rows.is_list()) {
-    return rows;
-  }
-  for (const Value& r : json_rows.AsList()) {
-    Row row;
-    row.app = r.Field("app").StringOr("");
-    row.threads = static_cast<unsigned>(r.Field("threads").IntOr(0));
-    const Value& secs = r.Field("seconds");
-    row.seconds = secs.is_double() ? secs.AsDouble() : static_cast<double>(secs.IntOr(0));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 int Main(int argc, char** argv) {
   std::string out_path = "BENCH_audit_hotpath.json";
   std::string baseline_path;
@@ -101,9 +50,10 @@ int Main(int argc, char** argv) {
   const size_t kRequests = 600;
   const int kReps = 3;
   const std::vector<unsigned> sweep = {1, 4};
-  std::vector<Row> baseline;
+  // Baseline rows are keyed by (app, threads); seconds is the total audit time.
+  std::vector<Value> baseline;
   if (!baseline_path.empty()) {
-    baseline = LoadBaseline(baseline_path);
+    baseline = bench::LoadBaselineRows(baseline_path);
   }
 
   std::printf("=== Audit hot path: per-phase breakdown ===\n");
@@ -121,7 +71,7 @@ int Main(int argc, char** argv) {
     wl.connections = 15;
     std::vector<Value> inputs = GenerateWorkload(wl);
 
-    AppSpec app = MakeApp(name);
+    AppSpec app = MakeApp(name).value();
     ServerConfig config;
     config.concurrency = 15;
     config.seed = 7;
@@ -138,7 +88,7 @@ int Main(int argc, char** argv) {
       double median = 0;
       std::vector<AuditResult> reps;
       for (int rep = 0; rep < kReps; ++rep) {
-        AppSpec fresh = MakeApp(name);
+        AppSpec fresh = MakeApp(name).value();
         AuditResult audit = AuditOnly(fresh, run.trace, run.advice,
                                       VerifierConfig{IsolationLevel::kSerializable, threads});
         if (!audit.accepted) {
@@ -149,7 +99,7 @@ int Main(int argc, char** argv) {
         times.push_back(audit.profile.total_seconds);
         reps.push_back(std::move(audit));
       }
-      median = Median(times);
+      median = bench::Median(times);
       for (AuditResult& audit : reps) {
         double delta = std::abs(audit.profile.total_seconds - median);
         if (delta < best_delta) {
@@ -167,9 +117,10 @@ int Main(int argc, char** argv) {
       row.reexec_seconds = best.profile.reexec_seconds;
       row.postprocess_seconds = best.profile.postprocess_seconds;
       row.ops_per_second = best.profile.OpsPerSecond();
-      for (const Row& b : baseline) {
-        if (b.app == row.app && b.threads == row.threads) {
-          row.baseline_seconds = b.seconds;
+      for (const Value& b : baseline) {
+        if (b.Field("app").StringOr("") == row.app &&
+            b.Field("threads").IntOr(0) == static_cast<int64_t>(row.threads)) {
+          row.baseline_seconds = bench::NumberField(b, "seconds");
         }
       }
       rows.push_back(row);

@@ -10,12 +10,12 @@
 //
 // Usage: check_overhead [output.json] [--quick]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/analysis/check.h"
 #include "src/analysis/kseg_mutate.h"
 #include "src/analysis/shard_mutate.h"
@@ -34,11 +34,6 @@ struct Row {
   double audit_seconds = 0;
   bool accepted = false;
 };
-
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // The audited work is deterministic and CPU-bound, so the fastest rep is the
 // closest estimate of its true cost on a shared 1-core box.
@@ -108,14 +103,14 @@ int Main(int argc, char** argv) {
     CheckResult check;
     StreamAuditResult audit;
     for (int rep = 0; rep < kReps; ++rep) {
-      double t0 = Now();
+      double t0 = bench::Now();
       check = CheckRun(run.trace, run.advice, epoch_size);
-      check_times.push_back(Now() - t0);
+      check_times.push_back(bench::Now() - t0);
 
-      t0 = Now();
+      t0 = bench::Now();
       audit = AuditStreamed(app, run.trace, run.advice,
                             VerifierConfig{IsolationLevel::kSerializable, 1}, epoch_size);
-      audit_times.push_back(Now() - t0);
+      audit_times.push_back(bench::Now() - t0);
     }
     if (!check.ok) {
       std::fprintf(stderr, "BUG: honest run failed the model check: %s\n", check.reason.c_str());

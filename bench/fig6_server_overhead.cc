@@ -13,24 +13,13 @@
 // against the baseline file's (app, concurrency) rows. --quick restricts the
 // sweep to concurrency 15 with 3 reps for CI. tools/bench_diff.py diffs two
 // output files and gates on overhead regressions.
-//
-// This file must also compile against the pre-optimization tree (to produce
-// the --compare baseline from an older checkout), so every use of the
-// latency-measurement API added alongside this benchmark is guarded with
-// `if constexpr (requires ...)` inside a template.
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/apps/app.h"
-#include "src/common/json.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
 
@@ -58,53 +47,6 @@ struct BenchSpec {
   WorkloadKind kind;
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
-double PercentileMs(const std::vector<double>& sorted_seconds, double p) {
-  if (sorted_seconds.empty()) {
-    return 0;
-  }
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted_seconds.size() - 1));
-  return sorted_seconds[idx] * 1e3;
-}
-
-// Both guards are templates so the discarded branch is never instantiated —
-// the pre-optimization ServerConfig/ServerRunResult lack these members and
-// this benchmark must still build there for --compare baselines.
-template <typename Config>
-void EnableLatencyCapture(Config& config) {
-  if constexpr (requires { config.measure_request_latencies; }) {
-    config.measure_request_latencies = true;
-  }
-}
-
-template <typename Result>
-std::vector<double> TakeLatencies(Result& result, size_t warmup) {
-  if constexpr (requires { result.request_latencies; }) {
-    std::vector<double>& lat = result.request_latencies;
-    if (lat.size() <= warmup) {
-      return {};
-    }
-    return std::vector<double>(lat.begin() + static_cast<long>(warmup), lat.end());
-  } else {
-    (void)warmup;
-    return {};
-  }
-}
-
 struct ModeStats {
   double seconds = 0;  // Median post-warmup serve time across reps.
   double p50_ms = 0;   // Pooled post-warmup request latencies across reps.
@@ -125,60 +67,28 @@ ModeStats RunMode(const BenchSpec& spec, CollectMode mode, int concurrency, size
   std::vector<double> times;
   std::vector<double> latencies;
   for (int rep = 0; rep < reps; ++rep) {
-    AppSpec app = MakeApp(spec.app);
+    AppSpec app = MakeApp(spec.app).value();
     ServerConfig config;
     config.mode = mode;
     config.concurrency = concurrency;
     config.seed = 7;
     config.warmup_requests = warmup;
-    EnableLatencyCapture(config);
+    config.measure_request_latencies = true;
     Server server(*app.program, config);
     ServerRunResult run = server.Run(inputs);
     times.push_back(run.serve_seconds);
-    std::vector<double> rep_latencies = TakeLatencies(run, warmup);
-    latencies.insert(latencies.end(), rep_latencies.begin(), rep_latencies.end());
+    if (run.request_latencies.size() > warmup) {
+      latencies.insert(latencies.end(), run.request_latencies.begin() + static_cast<long>(warmup),
+                       run.request_latencies.end());
+    }
   }
 
   ModeStats stats;
-  stats.seconds = Median(times);
-  std::sort(latencies.begin(), latencies.end());
-  stats.p50_ms = PercentileMs(latencies, 0.50);
-  stats.p99_ms = PercentileMs(latencies, 0.99);
+  stats.seconds = bench::Median(times);
+  stats.p50_ms = bench::PercentileMs(latencies, 0.50);
+  stats.p99_ms = bench::PercentileMs(latencies, 0.99);
   stats.rps = stats.seconds > 0 ? static_cast<double>(requests - warmup) / stats.seconds : 0;
   return stats;
-}
-
-// Baseline rows are keyed by (app, concurrency); overhead_seconds is the
-// record-path cost being tracked across builds.
-std::vector<Row> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "warning: cannot read baseline %s; skipping compare\n", path.c_str());
-    return {};
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  JsonParseError error;
-  std::optional<Value> doc = ParseJson(ss.str(), &error);
-  if (!doc || !doc->is_map()) {
-    std::fprintf(stderr, "warning: malformed baseline %s; skipping compare\n", path.c_str());
-    return {};
-  }
-  std::vector<Row> rows;
-  const Value& json_rows = doc->Field("rows");
-  if (!json_rows.is_list()) {
-    return rows;
-  }
-  for (const Value& r : json_rows.AsList()) {
-    Row row;
-    row.app = r.Field("app").StringOr("");
-    row.concurrency = static_cast<int>(r.Field("concurrency").IntOr(0));
-    const Value& overhead = r.Field("overhead_seconds");
-    row.overhead_seconds =
-        overhead.is_double() ? overhead.AsDouble() : static_cast<double>(overhead.IntOr(0));
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 int Main(int argc, char** argv) {
@@ -205,9 +115,11 @@ int Main(int argc, char** argv) {
       {"wiki", WorkloadKind::kWikiMix},
   };
 
-  std::vector<Row> baseline;
+  // Baseline rows are keyed by (app, concurrency); overhead_seconds is the
+  // record-path cost being tracked across builds.
+  std::vector<Value> baseline;
   if (!baseline_path.empty()) {
-    baseline = LoadBaseline(baseline_path);
+    baseline = bench::LoadBaselineRows(baseline_path);
   }
 
   std::printf("=== Figure 6: advice-collection overhead at the server ===\n");
@@ -237,9 +149,10 @@ int Main(int argc, char** argv) {
       row.karousos_p99_ms = krs.p99_ms;
       row.off_rps = off.rps;
       row.karousos_rps = krs.rps;
-      for (const Row& b : baseline) {
-        if (b.app == row.app && b.concurrency == row.concurrency) {
-          row.baseline_overhead_seconds = b.overhead_seconds;
+      for (const Value& b : baseline) {
+        if (b.Field("app").StringOr("") == row.app &&
+            b.Field("concurrency").IntOr(0) == row.concurrency) {
+          row.baseline_overhead_seconds = bench::NumberField(b, "overhead_seconds");
         }
       }
       rows.push_back(row);

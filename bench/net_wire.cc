@@ -14,13 +14,12 @@
 // gates the throughput/latency numbers against the committed baseline.
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/audit/audit.h"
 #include "src/net/client.h"
 #include "src/net/wire_server.h"
@@ -46,27 +45,6 @@ struct Row {
   double wire_record_overhead = 0;  // wire_off_rps / wire_rps (1.0 = free).
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeMotdApp();
-}
-
-double MedianOf(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-double PercentileMs(std::vector<double> seconds, double pct) {
-  std::sort(seconds.begin(), seconds.end());
-  size_t idx = static_cast<size_t>(pct * static_cast<double>(seconds.size() - 1));
-  return seconds[idx] * 1000.0;
-}
-
 std::string UniqueSocketPath(const char* tag) {
   static int counter = 0;
   return "unix:/tmp/karousos_bench_" + std::to_string(getpid()) + "_" + tag + "_" +
@@ -87,7 +65,7 @@ struct OneRun {
 OneRun MeasureOnce(const char* name, const OpenLoopWorkload& workload, size_t workers,
                    size_t connections, size_t requests, CollectMode mode, size_t pipeline) {
   OneRun out;
-  AppSpec app = MakeApp(name);
+  AppSpec app = MakeApp(name).value();
   WireServerConfig wc;
   wc.listen = UniqueSocketPath(name);
   wc.workers = workers;
@@ -129,8 +107,8 @@ OneRun MeasureOnce(const char* name, const OpenLoopWorkload& workload, size_t wo
     }
   }
   out.rps = static_cast<double>(requests) / load.wall_seconds;
-  out.p50_ms = PercentileMs(load.latency_seconds, 0.50);
-  out.p99_ms = PercentileMs(load.latency_seconds, 0.99);
+  out.p50_ms = bench::PercentileMs(load.latency_seconds, 0.50);
+  out.p99_ms = bench::PercentileMs(load.latency_seconds, 0.99);
   out.serve_seconds = report.serve_seconds;
   out.ok = true;
   return out;
@@ -201,11 +179,11 @@ int Main(int argc, char** argv) {
       row.workers = workers;
       row.requests = kRequests;
       row.connections = kConnections;
-      row.wire_rps = MedianOf(rps);
-      row.wire_p50_ms = MedianOf(p50);
-      row.wire_p99_ms = MedianOf(p99);
-      row.serve_seconds = MedianOf(serve);
-      row.wire_off_rps = MedianOf(off_rps);
+      row.wire_rps = bench::Median(rps);
+      row.wire_p50_ms = bench::Median(p50);
+      row.wire_p99_ms = bench::Median(p99);
+      row.serve_seconds = bench::Median(serve);
+      row.wire_off_rps = bench::Median(off_rps);
       row.wire_record_overhead = row.wire_rps > 0 ? row.wire_off_rps / row.wire_rps : 0.0;
       rows.push_back(row);
       std::printf("%-8s %8zu %12.0f %10.3f %10.3f %12.4f %10.0f %8.2fx\n", row.app.c_str(),
@@ -247,8 +225,8 @@ int Main(int argc, char** argv) {
       }
       PipeRow row;
       row.pipeline = pipeline;
-      row.wire_rps = MedianOf(rps);
-      row.wire_p50_ms = MedianOf(p50);
+      row.wire_rps = bench::Median(rps);
+      row.wire_p50_ms = bench::Median(p50);
       pipe_rows.push_back(row);
     }
     std::printf("pipeline (motd, 4 workers): window 1 %.0f req/s, window 8 %.0f req/s "
@@ -266,7 +244,7 @@ int Main(int argc, char** argv) {
   size_t slow_peak = 0;
   uint64_t slow_read_disables = 0;
   {
-    AppSpec app = MakeApp("motd");
+    AppSpec app = MakeMotdApp();
     WireServerConfig wc;
     wc.listen = UniqueSocketPath("slow");
     wc.workers = 1;

@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,16 +28,15 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
+
 namespace {
 
 #ifndef KAROUSOS_CLI_DEFAULT
 #define KAROUSOS_CLI_DEFAULT "tools/karousos"
 #endif
 
-double Now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using karousos::bench::Now;
 
 struct ChildResult {
   int exit_code = -1;

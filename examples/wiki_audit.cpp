@@ -8,7 +8,6 @@
 #include <cstdlib>
 
 #include "src/audit/audit.h"
-#include "src/baseline/sequential.h"
 #include "src/workload/workload.h"
 
 using namespace karousos;
@@ -47,12 +46,6 @@ int main(int argc, char** argv) {
     if (!audit.accepted) {
       std::printf("  !! %s\n", audit.reason.c_str());
       return 1;
-    }
-    if (mode == CollectMode::kKarousos) {
-      SequentialReplayResult seq = SequentialReplay(verifier_app, run.trace);
-      std::printf("  sequential baseline: %zu requests, %zu response mismatches "
-                  "(expected under concurrency)\n",
-                  seq.requests, seq.mismatches);
     }
   }
   return 0;

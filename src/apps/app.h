@@ -9,7 +9,9 @@
 #define SRC_APPS_APP_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/kem/program.h"
@@ -94,6 +96,11 @@ void InstallAuctionApp(Program& program, std::string request_event,
 // each app keeps its own handler trees (and therefore its own re-execution
 // groups) while sharing one server, one store, and one advice stream.
 AppSpec MakeMixedApp();
+
+// The apps picked by name (`karousos --app`, tools, tests and benchmarks):
+// motd, stacks, wiki, auction and mixed. nullopt for any other name;
+// pingpong is for unit tests only and is not listed.
+std::optional<AppSpec> MakeApp(std::string_view name);
 
 }  // namespace karousos
 

@@ -84,7 +84,7 @@ class TxKvStore {
   // The binlog: write order of committed final modifications.
   const WriteOrder& binlog() const { return binlog_; }
 
-  // Committed-state inspection (tests and the sequential baseline).
+  // Committed-state inspection (tests).
   std::optional<Value> CommittedValue(const std::string& key) const;
   size_t open_transaction_count() const { return open_.size(); }
   size_t key_count() const { return rows_.size(); }

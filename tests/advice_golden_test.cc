@@ -43,19 +43,6 @@ constexpr FixtureSpec kFixtures[] = {
     {"auction90", "auction", WorkloadKind::kAuctionMix, 90, 12, 9},
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeWikiApp();
-}
-
 ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   WorkloadConfig wl;
   wl.app = spec.app;
@@ -65,7 +52,7 @@ ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   wl.connections = spec.concurrency;
   std::vector<Value> inputs = GenerateWorkload(wl);
 
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeApp(spec.app).value();
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;

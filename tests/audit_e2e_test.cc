@@ -9,16 +9,6 @@
 namespace karousos {
 namespace {
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
 struct MatrixParam {
   std::string app;
   WorkloadKind kind;
@@ -64,7 +54,7 @@ class CompletenessTest : public testing::TestWithParam<MatrixParam> {};
 
 TEST_P(CompletenessTest, HonestServerIsAccepted) {
   const MatrixParam& p = GetParam();
-  AppSpec app = MakeApp(p.app);
+  AppSpec app = MakeApp(p.app).value();
   WorkloadConfig wl;
   wl.app = p.app;
   wl.kind = p.kind;

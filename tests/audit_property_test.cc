@@ -17,16 +17,6 @@
 namespace karousos {
 namespace {
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeWikiApp();
-}
-
 struct RandomCase {
   std::string app;
   WorkloadKind kind = WorkloadKind::kMixed;
@@ -68,7 +58,7 @@ TEST(AuditPropertyTest, RandomHonestRunsAreAccepted) {
   Rng rng(20240422);
   for (int iter = 0; iter < 20; ++iter) {
     RandomCase c = DrawCase(rng);
-    AppSpec app = MakeApp(c.app);
+    AppSpec app = MakeApp(c.app).value();
     ServerRunResult run = Serve(c, app, 60);
     AuditResult audit =
         AuditOnly(app, run.trace, run.advice, IsolationLevel::kSerializable);
@@ -82,7 +72,7 @@ TEST(AuditPropertyTest, AnyResponseMutationIsRejected) {
   Rng rng(777);
   for (int iter = 0; iter < 12; ++iter) {
     RandomCase c = DrawCase(rng);
-    AppSpec app = MakeApp(c.app);
+    AppSpec app = MakeApp(c.app).value();
     ServerRunResult run = Serve(c, app, 40);
     // Pick a random response and mutate it in a random way.
     std::vector<size_t> response_indices;

@@ -41,19 +41,6 @@ constexpr FixtureSpec kFixtures[] = {
     {"auction90", "auction", WorkloadKind::kAuctionMix, 90, 12, 9},
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeWikiApp();
-}
-
 ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   WorkloadConfig wl;
   wl.app = spec.app;
@@ -63,7 +50,7 @@ ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   wl.connections = spec.concurrency;
   std::vector<Value> inputs = GenerateWorkload(wl);
 
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeApp(spec.app).value();
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
@@ -169,7 +156,7 @@ TEST_P(KsegCompressTest, ServerEmissionMatchesSlicerEncoding) {
   wl.connections = spec.concurrency;
   std::vector<Value> inputs = GenerateWorkload(wl);
 
-  AppSpec app = MakeApp(spec.app);
+  AppSpec app = MakeApp(spec.app).value();
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
@@ -213,7 +200,7 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
     wl.seed = 7;
     wl.connections = r.concurrency;
     std::vector<Value> inputs = GenerateWorkload(wl);
-    AppSpec app = MakeApp(r.app);
+    AppSpec app = MakeApp(r.app).value();
     ServerConfig config;
     config.concurrency = r.concurrency;
     config.seed = 7;

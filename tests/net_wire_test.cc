@@ -38,16 +38,6 @@ std::string UniqueSocketPath(const std::string& tag) {
          std::to_string(++counter) + ".sock";
 }
 
-AppSpec MakeTestApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  return MakeAuctionApp();
-}
-
 std::vector<Value> MakeInputs(const std::string& app, size_t requests, uint64_t seed) {
   WorkloadConfig wl;
   wl.app = app;
@@ -115,7 +105,7 @@ ServerConfig BaseServerConfig() {
 
 void RunBatchByteEquality(const std::string& app_name, size_t workers) {
   SCOPED_TRACE(app_name + " x " + std::to_string(workers) + " workers");
-  AppSpec app = MakeTestApp(app_name);
+  AppSpec app = MakeApp(app_name).value();
   const std::vector<Value> inputs = MakeInputs(app_name, 48, 11);
 
   WireServerConfig wc;
@@ -180,7 +170,7 @@ TEST(NetWireTest, BatchShardsMatchOracleAuction) {
 
 TEST(NetWireTest, LiveModeAuditsToOracleVerdict) {
   const size_t workers = 2;
-  AppSpec app = MakeTestApp("motd");
+  AppSpec app = MakeMotdApp();
   const std::vector<Value> inputs = MakeInputs("motd", 40, 13);
 
   WireServerConfig wc;
@@ -222,7 +212,7 @@ TEST(NetWireTest, LiveModeAuditsToOracleVerdict) {
 }
 
 TEST(NetWireTest, TamperedWireShardRejectsLikeTamperedOracle) {
-  AppSpec app = MakeTestApp("motd");
+  AppSpec app = MakeMotdApp();
   const std::vector<Value> inputs = MakeInputs("motd", 24, 17);
 
   WireServerConfig wc;
@@ -264,7 +254,7 @@ TEST(NetWireTest, TamperedWireShardRejectsLikeTamperedOracle) {
 }
 
 TEST(NetWireTest, SlowClientKeepsResidentBytesBounded) {
-  AppSpec app = MakeTestApp("motd");
+  AppSpec app = MakeMotdApp();
   const size_t kHighWatermark = 64 * 1024;
 
   WireServerConfig wc;
@@ -317,7 +307,7 @@ TEST(NetWireTest, SlowClientKeepsResidentBytesBounded) {
 }
 
 TEST(NetWireTest, GarbageBytesGetErrorFrameAndClose) {
-  AppSpec app = MakeTestApp("motd");
+  AppSpec app = MakeMotdApp();
   WireServerConfig wc;
   wc.listen = UniqueSocketPath("garbage");
   wc.workers = 1;

@@ -54,29 +54,13 @@ const Scenario kScenarios[] = {
     {"mixed_apps", "mixed", WorkloadKind::kMixedApps, 160, 10, 3},
 };
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "wiki") {
-    return MakeWikiApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeMixedApp();
-}
-
 struct ScenarioRun {
   AppSpec app;
   ServerRunResult server;
 };
 
 ScenarioRun Serve(const Scenario& s) {
-  ScenarioRun run{MakeApp(s.app), {}};
+  ScenarioRun run{MakeApp(s.app).value(), {}};
   WorkloadConfig wl;
   wl.app = s.app;
   wl.kind = s.kind;

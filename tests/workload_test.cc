@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 
-#include "src/baseline/sequential.h"
 #include "src/server/server.h"
 #include "src/apps/app.h"
 
@@ -273,42 +273,16 @@ TEST(WorkloadTest, MixedAppsEnvelopesComposeAllFourApps) {
   EXPECT_EQ(reqs, GenerateWorkload(config));
 }
 
-TEST(SequentialBaselineTest, MatchesSequentialServerExactly) {
-  AppSpec app = MakeStacksApp();
-  WorkloadConfig wl;
-  wl.app = "stacks";
-  wl.kind = WorkloadKind::kMixed;
-  wl.requests = 60;
-  ServerConfig config;
-  config.mode = CollectMode::kOff;
-  config.concurrency = 1;
-  Server server(*app.program, config);
-  ServerRunResult run = server.Run(GenerateWorkload(wl));
-  AppSpec fresh = MakeStacksApp();
-  SequentialReplayResult replay = SequentialReplay(fresh, run.trace);
-  EXPECT_EQ(replay.requests, 60u);
-  EXPECT_TRUE(replay.outputs_match());
-}
-
-TEST(SequentialBaselineTest, ConcurrentScheduleMayDiverge) {
-  // Under real concurrency the sequential baseline re-executes a different
-  // interleaving; outputs can differ (which is why the paper only uses its
-  // running time). This documents that behaviour rather than asserting it.
-  AppSpec app = MakeWikiApp();
-  WorkloadConfig wl;
-  wl.app = "wiki";
-  wl.kind = WorkloadKind::kWikiMix;
-  wl.requests = 80;
-  wl.connections = 8;
-  ServerConfig config;
-  config.mode = CollectMode::kOff;
-  config.concurrency = 8;
-  Server server(*app.program, config);
-  ServerRunResult run = server.Run(GenerateWorkload(wl));
-  AppSpec fresh = MakeWikiApp();
-  SequentialReplayResult replay = SequentialReplay(fresh, run.trace);
-  EXPECT_EQ(replay.requests, 80u);
-  // No assertion on mismatches: both zero and nonzero are legitimate.
+TEST(AppFactoryTest, EveryListedNameBuildsItsApp) {
+  for (const char* name : {"motd", "stacks", "wiki", "auction", "mixed"}) {
+    std::optional<AppSpec> app = MakeApp(name);
+    ASSERT_TRUE(app.has_value()) << name;
+    EXPECT_EQ(app->name, name);
+    EXPECT_NE(app->program, nullptr) << name;
+  }
+  EXPECT_FALSE(MakeApp("pingpong").has_value());
+  EXPECT_FALSE(MakeApp("").has_value());
+  EXPECT_FALSE(MakeApp("Motd").has_value());
 }
 
 }  // namespace

@@ -303,24 +303,13 @@ std::optional<Args> Parse(int argc, char** argv) {
   return args;
 }
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
+AppSpec AppOrExit(const std::string& name) {
+  std::optional<AppSpec> app = MakeApp(name);
+  if (!app) {
+    std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
+    std::exit(2);
   }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "wiki") {
-    return MakeWikiApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  if (name == "mixed") {
-    return MakeMixedApp();
-  }
-  std::fprintf(stderr, "unknown app '%s'\n", name.c_str());
-  std::exit(2);
+  return std::move(*app);
 }
 
 KsegCompression ParseCompression(const std::string& s) {
@@ -405,7 +394,7 @@ ServerRunResult RunServe(const Args& args, const AppSpec& app,
 // shutdown frame drains the server, then reports per-shard results and
 // optionally writes each shard's trace/advice for independent auditing.
 int CmdServeWire(const Args& args) {
-  AppSpec app = MakeApp(args.app);
+  AppSpec app = AppOrExit(args.app);
   WireServerConfig wc;
   wc.listen = args.listen;
   wc.workers = args.net_workers;
@@ -546,7 +535,7 @@ int CmdServe(const Args& args) {
     inputs = GenerateWorkload(MakeWorkloadConfig(args));
   }
 
-  AppSpec app = MakeApp(args.app);
+  AppSpec app = AppOrExit(args.app);
   ServerRunResult run = RunServe(args, app, inputs);
 
   std::printf("served %zu requests (%s, concurrency %d) in %.3fs\n", inputs.size(),
@@ -659,7 +648,7 @@ int CmdAudit(const Args& args) {
   if (auto code = ReadRunInput(args, &in)) {
     return *code;
   }
-  AppSpec app = MakeApp(args.app);
+  AppSpec app = AppOrExit(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
 
   AuditResult audit;
@@ -802,7 +791,7 @@ int CmdAuditShard(const Args& args) {
     std::printf("REJECTED: %s\n", loaded.reason.c_str());
     return 1;
   }
-  AppSpec app = MakeApp(args.app);
+  AppSpec app = AppOrExit(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
   ShardArtifact artifact = RunShardAudit(*app.program, loaded.file, config);
   if (!args.out_path.empty()) {
@@ -1157,7 +1146,7 @@ int CmdAnalyzeLint(const Args& args) {
 // §5 happens-before race detector over the access log. Exits 1 iff races.
 int CmdAnalyzeRaces(const Args& args) {
   std::vector<Value> inputs = GenerateWorkload(MakeWorkloadConfig(args));
-  AppSpec app = MakeApp(args.app);
+  AppSpec app = AppOrExit(args.app);
   ServerRunResult run = RunServe(args, app, inputs);
 
   std::vector<RaceFinding> findings = DetectUntrackedRaces(run.untracked_accesses);

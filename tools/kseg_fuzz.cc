@@ -99,15 +99,11 @@ struct FamilyStats {
   }
 };
 
-AppSpec MakeApp(const std::string& name) {
-  return name == "stacks" ? MakeStacksApp() : MakeAuctionApp();
-}
-
 FamilyStats RunFamily(const Family& family) {
   FamilyStats stats;
   stats.name = family.name;
 
-  AppSpec app = MakeApp(family.name);
+  AppSpec app = MakeApp(family.name).value();
   WorkloadConfig wl;
   wl.app = family.name;
   wl.kind = family.kind;

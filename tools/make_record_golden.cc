@@ -31,19 +31,6 @@ bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   return true;
 }
 
-AppSpec MakeApp(const std::string& name) {
-  if (name == "motd") {
-    return MakeMotdApp();
-  }
-  if (name == "stacks") {
-    return MakeStacksApp();
-  }
-  if (name == "auction") {
-    return MakeAuctionApp();
-  }
-  return MakeWikiApp();
-}
-
 // One fixture workload per app family; small enough to commit, concurrent
 // enough (connections > 1) that the advice contains R-concurrent log entries,
 // back-filled writes, nondeterminism records, and multi-epoch references.
@@ -79,7 +66,7 @@ int Main(int argc, char** argv) {
     wl.connections = spec.concurrency;
     std::vector<Value> inputs = GenerateWorkload(wl);
 
-    AppSpec app = MakeApp(spec.app);
+    AppSpec app = MakeApp(spec.app).value();
     ServerConfig config;
     config.concurrency = spec.concurrency;
     config.seed = 7;
