@@ -84,6 +84,7 @@ class ReplayCtx : public Ctx {
     }
     OpNum opnum = NextOp();
     RequireUnlogged(opnum);
+    const bool request_scoped = scope == VarScope::kRequest && !is_init_;
     for (RequestId rid : rids_) {
       VarId vid = ResolveVarId(name, scope, rid);
       const Verifier::VerifierVar* base = BaseVar(vid);
@@ -92,8 +93,8 @@ class ReplayCtx : public Ctx {
         Verifier::Reject("variable declared twice during re-execution");
       }
       local.declared = true;
-      gs_.claims.push_back(
-          {Verifier::GroupState::Claim::Kind::kDeclare, vid, OpRef{}, OpRef{}});
+      gs_.claims.push_back({Verifier::GroupState::Claim::Kind::kDeclare, vid, OpRef{}, OpRef{},
+                            request_scoped});
     }
   }
 
@@ -867,6 +868,7 @@ void Verifier::MergeGroup(GroupState& gs) {
           Reject("variable declared twice during re-execution");
         }
         var.declared = true;
+        var.request_scoped = claim.request_scoped;
         break;
       case GroupState::Claim::Kind::kInitializer:
         if (!var.initializer.IsNil()) {

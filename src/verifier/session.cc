@@ -12,7 +12,7 @@ namespace {
 
 // Bumped whenever the checkpoint payload layout changes; Restore refuses
 // other versions (a stale checkpoint must fail loudly, not misparse).
-constexpr uint64_t kCheckpointVersion = 4;
+constexpr uint64_t kCheckpointVersion = 5;
 
 void WriteNodeKey(const NodeKey& key, ByteWriter* w) {
   w->WriteFixed64(key.a);
@@ -45,6 +45,13 @@ uint64_t AuditSession::next_epoch() const { return v_.epochs_fed_; }
 uint64_t AuditSession::epoch_requests() const { return v_.epoch_requests_; }
 
 bool AuditSession::decided() const { return v_.decided_; }
+
+size_t AuditSession::carried_var_values() const {
+  return static_cast<size_t>(
+      std::count_if(v_.var_carry_.begin(), v_.var_carry_.end(), [](const auto& entry) {
+        return entry.second.kind == Verifier::VarCarry::Kind::kWrite;
+      }));
+}
 
 size_t AuditSession::peak_resident_advice_bytes() const {
   ByteWriter w;
@@ -87,8 +94,8 @@ void AuditSession::WriteCarries(ByteWriter* w) const {
   for (const auto& [key, carry] : v_.var_carry_) {
     w->WriteFixed64(key.first);
     SerializeOpRef(key.second, w);
-    w->WriteBool(carry.is_write);
-    if (carry.is_write) {
+    w->WriteByte(static_cast<uint8_t>(carry.kind));
+    if (carry.kind == Verifier::VarCarry::Kind::kWrite) {
       w->WriteValue(carry.value);
     }
   }
@@ -152,6 +159,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   for (const auto* var : SortedEntries(v_.vars_)) {
     w.WriteFixed64(var->first);
     w.WriteBool(var->second.declared);
+    w.WriteBool(var->second.request_scoped);
     SerializeOpRef(var->second.initializer, &w);
     w.WriteVarint(var->second.var_dict.size());
     for (const auto* dict : SortedEntries(var->second.var_dict)) {
@@ -316,10 +324,11 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
     }
   }
 
-  // vid (8), declared (1), the initializer and three empty counts.
-  c.Each(9 + kMinOpRefBytes + 3, [&] {
+  // vid (8), declared and scope (2), the initializer and three empty counts.
+  c.Each(10 + kMinOpRefBytes + 3, [&] {
     Verifier::VerifierVar& var = v.vars_[c.F64()];
     var.declared = c.Bool();
+    var.request_scoped = c.Bool();
     var.initializer = c.Op();
     c.Each(10, [&] {
       RequestId rid = c.V();
@@ -368,8 +377,9 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
   c.Each(8 + kMinOpRefBytes + 1, [&] {
     VarId vid = c.F64();
     Verifier::VarCarry& carry = v.var_carry_[{vid, c.Op()}];
-    carry.is_write = c.Bool();
-    if (carry.is_write) {
+    carry.kind = static_cast<Verifier::VarCarry::Kind>(
+        c.Enum(static_cast<uint8_t>(Verifier::VarCarry::Kind::kDeadWrite)));
+    if (carry.kind == Verifier::VarCarry::Kind::kWrite) {
       carry.value = c.Val();
     }
   });

@@ -11,7 +11,8 @@
 // Verifier::Audit — honest runs and single-fault adversarial runs alike.
 // What streaming buys is memory: per-epoch advice is dropped once its epoch
 // is re-executed, and only the compact carries (transaction shapes, PUT
-// payloads, var-log entry kinds plus write values) stay resident.
+// payloads, var-log entry kinds, and the values of writes to variables that
+// are not request-scoped) stay resident.
 #ifndef SRC_VERIFIER_SESSION_H_
 #define SRC_VERIFIER_SESSION_H_
 
@@ -66,6 +67,9 @@ class AuditSession {
   uint64_t epoch_requests() const;
   // True once a mid-stream rejection fixed the verdict.
   bool decided() const;
+  // Var-log carries that still hold a value: the writes to variables a later
+  // epoch can still name. Request-scoped writes carry their key and kind only.
+  size_t carried_var_values() const;
   // Serialized size of the carried state (transaction sizes, PUT carries,
   // var carries, in their checkpoint encoding), computed on demand. Carries
   // only grow, so after Finish this is their peak. A model, not a

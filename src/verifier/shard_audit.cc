@@ -20,6 +20,25 @@ namespace {
 
 constexpr uint8_t kShardArtifactFormatVersion = 4;
 
+// The value a shard's own slices log at a var-log write (the slices stay
+// resident for the whole shard audit). An accepted shard holds each
+// coordinate once (KAR-ADV-006, KAR-SEG-004), so the first hit is the entry
+// the carry mirrors.
+const Value& LoggedWriteValue(const EpochSlices& slices, const std::pair<VarId, OpRef>& key) {
+  static const Value kNil;
+  for (const EpochSegment& seg : slices.segments) {
+    auto log_it = seg.advice.var_logs.find(key.first);
+    if (log_it == seg.advice.var_logs.end()) {
+      continue;
+    }
+    auto entry_it = log_it->second.find(key.second);
+    if (entry_it != log_it->second.end()) {
+      return entry_it->second.value;
+    }
+  }
+  return kNil;
+}
+
 }  // namespace
 
 void ShardArtifact::Serialize(ByteWriter* out) const {
@@ -289,7 +308,8 @@ class ShardAudit {
       e.kind = static_cast<uint8_t>(real.is_write ? VarLogEntry::Kind::kWrite
                                                   : VarLogEntry::Kind::kRead);
       if (real.is_write) {
-        e.value = *real.value;
+        // A request-scoped write's carry holds no value.
+        e.value = real.value != nullptr ? *real.value : LoggedWriteValue(file.slices, key);
       }
     }
 

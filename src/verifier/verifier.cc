@@ -554,7 +554,8 @@ ResolvedVarEntry Verifier::CarriedVarEntry(const std::pair<VarId, OpRef>& key) c
     return {};
   }
   const VarCarry& carry = carry_it->second;
-  return {true, carry.is_write, carry.is_write ? &carry.value : nullptr};
+  return {true, carry.kind != VarCarry::Kind::kRead,
+          carry.kind == VarCarry::Kind::kWrite ? &carry.value : nullptr};
 }
 
 void Verifier::StreamBegin(uint64_t epoch_requests) {
@@ -729,7 +730,8 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   }
 
   // Fold the slice into the carries: transaction shapes + PUT payloads, and
-  // var-log entries (reads kind-only — nothing ever feeds from a read).
+  // var-log entries (reads kind-only — nothing ever feeds from a read — and
+  // so are writes to a request-scoped variable, whose lanes have all run).
   for (const auto& [txn, log] : segment.advice.tx_logs) {
     txn_size_carry_[txn] = static_cast<uint32_t>(log.size());
     for (uint32_t i = 1; i <= log.size(); ++i) {
@@ -740,9 +742,17 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
     }
   }
   for (const auto& [vid, log] : segment.advice.var_logs) {
+    auto var_it = vars_.find(vid);
+    const bool request_scoped = var_it != vars_.end() && var_it->second.request_scoped;
     for (const auto& [op, entry] : log) {
-      bool is_write = entry.kind == VarLogEntry::Kind::kWrite;
-      var_carry_[{vid, op}] = VarCarry{is_write, is_write ? entry.value : Value()};
+      VarCarry& carry = var_carry_[{vid, op}];
+      if (entry.kind != VarLogEntry::Kind::kWrite) {
+        carry = VarCarry{VarCarry::Kind::kRead, Value()};
+      } else if (request_scoped && !ImportContradicts(vid, op, entry.value)) {
+        carry = VarCarry{VarCarry::Kind::kDeadWrite, Value()};
+      } else {
+        carry = VarCarry{VarCarry::Kind::kWrite, entry.value};
+      }
     }
   }
 
@@ -781,6 +791,12 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
       var.var_dict.erase(key);
     }
   }
+}
+
+bool Verifier::ImportContradicts(VarId vid, const OpRef& op, const Value& value) const {
+  auto imp_it = pending_var_imports_.find({vid, op});
+  return imp_it != pending_var_imports_.end() &&
+         !VarImportMatches(imp_it->second, ResolvedVarEntry{true, true, &value});
 }
 
 void Verifier::StreamConfirmImports() {

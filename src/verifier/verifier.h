@@ -144,6 +144,9 @@ class Verifier {
     FlatMap<OpRef, OpRef> write_observer;
     OpRef initializer;  // First write in the reconstructed history (nil until set).
     bool declared = false;
+    // Declared by a non-init request with VarScope::kRequest: the VarId is
+    // salted with that request's rid, so only its lanes can ever name it.
+    bool request_scoped = false;
   };
 
   // All mutable state one re-execution group touches, captured as a delta
@@ -166,6 +169,7 @@ class Verifier {
       VarId vid = 0;
       OpRef prec;  // kChainLink only.
       OpRef cur;   // kInitializer / kChainLink.
+      bool request_scoped = false;  // kDeclare only.
     };
 
     // Local VerifierVar overlays: var_dict entries and read-observer pushes
@@ -246,10 +250,14 @@ class Verifier {
   };
   // Carried view of a var-log entry. Reads drop their value: no consumer ever
   // feeds from a read entry, and keeping read values resident would make the
-  // carry as large as the advice itself.
+  // carry as large as the advice itself. A write to a request-scoped variable
+  // drops its value too once its epoch ends (kDeadWrite): only that request's
+  // lanes can name the variable, and they have all re-executed. Every carry
+  // keeps its key, for the cross-epoch duplicate and prec-kind checks.
   struct VarCarry {
-    bool is_write = false;
-    Value value;
+    enum class Kind : uint8_t { kRead, kWrite, kDeadWrite };
+    Kind kind = Kind::kRead;
+    Value value;  // kWrite only.
   };
   // Resolve a transaction-log / var-log coordinate: current slice first (the
   // one-shot lookup, and the only step taken when !streaming_), then carried
@@ -281,6 +289,13 @@ class Verifier {
   void StreamIngestWindow(const std::vector<TraceEvent>& window);
   void StreamTimePrecedence(const std::vector<TraceEvent>& window);
   void StreamEndEpoch(const EpochSegment& segment);
+  // True when a pending import names the live write (vid, op) and alleges
+  // something else. StreamEndEpoch keeps such a write's value, so the
+  // Finish-time confirmation compares values on its own, not only through
+  // the pre-screen (which rejects the import when its epoch arrives). An
+  // import that matched needs only the carry's kind from then on; one
+  // registered after the drop does not point forward (KAR-SEG-008).
+  bool ImportContradicts(VarId vid, const OpRef& op, const Value& value) const;
   void StreamConfirmImports();
 
   // The canonical handler-matching order shared with the server: global

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -288,10 +289,105 @@ TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
     auto reloaded =
         AuditSession::Restore(*run.app.program, config, session->SaveCheckpoint(), &error);
     ASSERT_NE(reloaded, nullptr) << error;
+    // A write whose value was dropped must come back without one.
+    EXPECT_EQ(reloaded->carried_var_values(), session->carried_var_values())
+        << "epoch " << segment.epoch;
     session = std::move(reloaded);
   }
   AuditResult finished = session->Finish();
   ExpectSameOutcome(oneshot, finished, "checkpoint-every-epoch");
+}
+
+// --- Carry liveness -----------------------------------------------------------
+
+// Once its epoch ends, a write to a request-scoped variable carries its key
+// and kind only. stacks declares two globals in its init run; every other
+// variable it logs (the list accumulator among them) is request-scoped.
+TEST(EpochCarryTest, OnlyGlobalVariableWritesKeepTheirValues) {
+  HonestRun run = RunApp("stacks", 60);
+  std::set<VarId> globals;
+  for (const char* name : {"all_digests", "inflight"}) {
+    globals.insert(ResolveVarId(name, VarScope::kGlobal, 0));
+  }
+  size_t global_writes = 0;
+  size_t writes = 0;
+  for (const auto& [vid, log] : run.server.advice.var_logs) {
+    for (const auto& [op, entry] : log) {
+      if (entry.kind == VarLogEntry::Kind::kWrite) {
+        ++writes;
+        global_writes += globals.count(vid);
+      }
+    }
+  }
+  ASSERT_GT(global_writes, 0u);
+  ASSERT_GT(writes, global_writes);
+
+  const uint64_t kEpochSize = 7;
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
+  AuditSession session(*run.app.program, config, kEpochSize);
+  for (const EpochSegment& segment : slices.segments) {
+    ASSERT_TRUE(session.FeedEpoch(segment)) << "epoch " << segment.epoch;
+  }
+  EXPECT_EQ(session.carried_var_values(), global_writes);
+  AuditResult result = session.Finish();
+  EXPECT_TRUE(result.accepted) << result.reason;
+}
+
+// A forward import naming a later epoch's request-scoped write: the true
+// value is accepted and a wrong one rejected, as when every value stayed
+// resident, with or without a checkpoint round trip after every epoch.
+TEST(EpochCarryTest, ForwardImportOfRequestScopedWrite) {
+  HonestRun run = RunApp("stacks", 60);
+  const uint64_t kEpochSize = 7;
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
+  ASSERT_GE(slices.segments.size(), 3u);
+
+  // A list accumulator write in some epoch after the first.
+  const std::pair<const OpRef, VarLogEntry>* target = nullptr;
+  VarId target_vid = 0;
+  for (size_t e = 1; e < slices.segments.size() && target == nullptr; ++e) {
+    for (const auto& [vid, log] : slices.segments[e].advice.var_logs) {
+      for (const auto& entry : log) {
+        if (target == nullptr && entry.second.kind == VarLogEntry::Kind::kWrite &&
+            vid == ResolveVarId("list_acc", VarScope::kRequest, entry.first.rid)) {
+          target = &entry;
+          target_vid = vid;
+        }
+      }
+    }
+  }
+  ASSERT_NE(target, nullptr) << "no list accumulator write after the first epoch";
+
+  for (bool true_value : {true, false}) {
+    ContinuityImports::VarImport imp;
+    imp.vid = target_vid;
+    imp.op = target->first;
+    imp.present = true;
+    imp.kind = static_cast<uint8_t>(VarLogEntry::Kind::kWrite);
+    imp.value = true_value ? target->second.value : Value("forged");
+    EpochSlices forged = slices;
+    forged.segments[0].imports.var_entries.push_back(imp);
+
+    for (bool round_trip : {false, true}) {
+      std::string context = std::string(true_value ? "true" : "wrong") + " value" +
+                            (round_trip ? ", checkpoint every epoch" : "");
+      auto session = std::make_unique<AuditSession>(*run.app.program, config, kEpochSize);
+      for (const EpochSegment& segment : forged.segments) {
+        session->FeedEpoch(segment);
+        if (round_trip) {
+          std::string error;
+          session =
+              AuditSession::Restore(*run.app.program, config, session->SaveCheckpoint(), &error);
+          ASSERT_NE(session, nullptr) << context << ": " << error;
+        }
+      }
+      AuditResult result = session->Finish();
+      EXPECT_EQ(result.accepted, true_value) << context << ": " << result.reason;
+      EXPECT_EQ(result.rule, true_value ? "" : kKarSeg008) << context << ": " << result.reason;
+    }
+  }
 }
 
 // The payload of a checkpoint's single frame.
@@ -351,16 +447,16 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
   EXPECT_FALSE(error.empty());
 
   // A well-framed checkpoint of another format version (the leading payload
-  // varint; the current version is 4) must be refused, not misparsed.
+  // varint; the current version is 5) must be refused, not misparsed.
   std::vector<uint8_t> payload = CheckpointPayload(checkpoint);
-  ASSERT_EQ(payload[0], 4u);
-  for (uint8_t version : {3, 4, 5}) {
+  ASSERT_EQ(payload[0], 5u);
+  for (uint8_t version : {4, 5, 6}) {
     std::vector<uint8_t> other = payload;
     other[0] = version;
     error.clear();
     auto restored = AuditSession::Restore(*run.app.program, config, FrameCheckpoint(other), &error);
-    EXPECT_EQ(restored != nullptr, version == 4) << "version=" << int{version} << ": " << error;
-    if (version != 4) {
+    EXPECT_EQ(restored != nullptr, version == 5) << "version=" << int{version} << ": " << error;
+    if (version != 5) {
       EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
     }
   }

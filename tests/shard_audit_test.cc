@@ -361,6 +361,60 @@ TEST(ShardMergeAdversaryTest, MissingShardArtifact) {
   EXPECT_EQ(empty.rule, kKarSeg015) << empty.reason;
 }
 
+// A cross-shard import naming another shard's request-scoped write. The
+// owning shard's carry keeps that write's key and kind only, yet its export
+// still describes the logged value: the true value merges, a wrong one is a
+// cross-shard contradiction (KAR-SEG-014).
+TEST(ShardMergeAdversaryTest, ImportOfRequestScopedWrite) {
+  HonestRun run = RunApp("stacks", 60);
+  std::vector<ShardFile> shards =
+      ShardRun(run.server.trace, run.server.advice, 7, ShardSpec{2, ShardMode::kHash});
+  ASSERT_EQ(shards.size(), 2u);
+
+  // A list accumulator write, and the shard that owns it.
+  size_t owner = 0;
+  std::pair<VarId, OpRef> key;
+  const VarLogEntry* target = nullptr;
+  for (size_t s = 0; s < shards.size() && target == nullptr; ++s) {
+    for (const EpochSegment& seg : shards[s].slices.segments) {
+      for (const auto& [vid, log] : seg.advice.var_logs) {
+        for (const auto& [op, entry] : log) {
+          if (target == nullptr && entry.kind == VarLogEntry::Kind::kWrite &&
+              vid == ResolveVarId("list_acc", VarScope::kRequest, op.rid)) {
+            owner = s;
+            key = {vid, op};
+            target = &entry;
+          }
+        }
+      }
+    }
+  }
+  ASSERT_NE(target, nullptr) << "no list accumulator write";
+  auto& obligations = shards[owner].boundary.export_var_refs;
+  obligations.insert(std::lower_bound(obligations.begin(), obligations.end(), key), key);
+
+  for (bool true_value : {true, false}) {
+    ContinuityImports::VarImport imp;
+    imp.vid = key.first;
+    imp.op = key.second;
+    imp.present = true;
+    imp.kind = static_cast<uint8_t>(VarLogEntry::Kind::kWrite);
+    imp.value = true_value ? target->value : Value("forged");
+    std::vector<ShardFile> forged = shards;
+    forged[1 - owner].slices.segments[0].imports.var_entries.push_back(imp);
+
+    std::vector<ShardArtifact> artifacts;
+    for (const ShardFile& shard : forged) {
+      artifacts.push_back(RunShardAudit(*run.app.program, shard,
+                                        VerifierConfig{IsolationLevel::kSerializable, 1}));
+      EXPECT_TRUE(artifacts.back().accepted) << artifacts.back().reason;
+    }
+    AuditResult merged = MergeShardArtifacts(artifacts);
+    EXPECT_EQ(merged.accepted, true_value) << merged.reason;
+    EXPECT_EQ(merged.rule, true_value ? "" : kKarSeg014) << merged.reason;
+  }
+}
+
 TEST(ShardMergeAdversaryTest, WriteOrderTotalsMismatch) {
   HonestRun run = RunApp("stacks", 60);
   std::vector<ShardArtifact> artifacts = HonestArtifacts(run, 2, 50);
