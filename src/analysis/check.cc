@@ -9,10 +9,6 @@ namespace karousos {
 
 namespace {
 
-std::string FrameLoc(const char* stream, const SegmentRecord& rec) {
-  return std::string(stream) + "[offset " + std::to_string(rec.offset) + "]";
-}
-
 int Fail(const char* rule, std::string location, std::string message,
          std::vector<LintDiagnostic>* diags) {
   diags->push_back(
@@ -70,55 +66,12 @@ int PairedSegmentCursor::Next(EpochSegment* out, std::vector<LintDiagnostic>* di
                 diags);
   }
   frames_ += 2;
-  if (trace_rec.kind != SegmentKind::kTrace) {
-    return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                std::string("unexpected ") + SegmentKindName(trace_rec.kind) +
-                    " frame in the trace stream",
-                diags);
+  if (!DecodeEpochFrame(trace_rec, SegmentKind::kTrace, next_epoch_, "trace", out, diags) ||
+      !DecodeEpochFrame(advice_rec, SegmentKind::kAdvice, next_epoch_, "advice", out, diags)) {
+    return -1;
   }
-  if (advice_rec.kind != SegmentKind::kAdvice) {
-    return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                std::string("unexpected ") + SegmentKindName(advice_rec.kind) +
-                    " frame in the advice stream",
-                diags);
-  }
-  if (trace_rec.epoch != next_epoch_) {
-    return Fail(kKarSeg003, FrameLoc("trace", trace_rec), SequencingMessage(trace_rec.epoch),
-                diags);
-  }
-  if (advice_rec.epoch != next_epoch_) {
-    return Fail(kKarSeg003, FrameLoc("advice", advice_rec), SequencingMessage(advice_rec.epoch),
-                diags);
-  }
-  auto window = DecodeTraceSegmentPayload(trace_rec.payload, trace_rec.flags);
-  if (!window) {
-    return Fail(kKarSeg002, FrameLoc("trace", trace_rec),
-                "trace segment payload for epoch " + std::to_string(trace_rec.epoch) +
-                    " is malformed",
-                diags);
-  }
-  auto advice_payload = DecodeAdviceSegmentPayload(advice_rec.payload, advice_rec.flags);
-  if (!advice_payload) {
-    return Fail(kKarSeg002, FrameLoc("advice", advice_rec),
-                "advice segment payload for epoch " + std::to_string(advice_rec.epoch) +
-                    " is malformed",
-                diags);
-  }
-  out->epoch = next_epoch_;
-  out->window = std::move(*window);
-  out->advice = std::move(advice_payload->advice);
-  out->imports = std::move(advice_payload->imports);
   ++next_epoch_;
   return 1;
-}
-
-std::string PairedSegmentCursor::SequencingMessage(uint64_t got) const {
-  if (got < next_epoch_) {
-    return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
-           " (expected epoch " + std::to_string(next_epoch_) + ")";
-  }
-  return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
-         std::to_string(next_epoch_) + ")";
 }
 
 SegmentChecker::SegmentChecker(uint64_t epoch_requests) : epoch_requests_(epoch_requests) {

@@ -40,9 +40,10 @@ class EpochSource {
 
 // Walks a (trace, advice) container pair in lockstep, decoding one epoch per
 // Next call; only the current frame pair's payloads are resident. Owns the
-// file-layer rules: unreadable container (001), frame schema (002), epoch
-// sequencing (003), stream pairing (010). Both byte buffers must outlive the
-// cursor.
+// file-layer rules: unreadable container (001) and stream pairing (010) here,
+// frame schema (002) and epoch sequencing (003) through the one epoch-frame
+// step, DecodeEpochFrame (src/server/rollover.h). Both byte buffers must
+// outlive the cursor.
 class PairedSegmentCursor : public EpochSource {
  public:
   PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
@@ -54,8 +55,6 @@ class PairedSegmentCursor : public EpochSource {
   uint64_t frames() const { return frames_; }
 
  private:
-  std::string SequencingMessage(uint64_t got) const;
-
   std::unique_ptr<SegmentReader> trace_;
   std::unique_ptr<SegmentReader> advice_;
   std::string trace_open_error_;

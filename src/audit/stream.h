@@ -1,8 +1,8 @@
 // Epoch-streamed audit drivers: pull a stored run's epochs one at a time and
 // feed them through an AuditSession. This is the path `karousos audit` takes
 // for KSEG containers and for monolithic files given --epoch-size,
-// --checkpoint or --resume. The verdict matches the one-shot AuditOnly for
-// every epoch size.
+// --checkpoint or --resume. For honest runs and single-fault runs the verdict
+// matches the one-shot AuditOnly at every epoch size.
 //
 // Decode, feed, drop: a helper thread decodes epoch k+1 while the session
 // feeds epoch k, and every fed epoch goes back to that thread to be
@@ -63,8 +63,12 @@ StreamAuditResult RunStreamedAudit(AuditSession* session, EpochSource* source,
                                    const std::function<void(AuditSession&)>& after_epoch = nullptr);
 
 // Slices the run at epoch_requests (0 = one epoch holding everything) and
-// audits it epoch by epoch. Reaches the same verdict, reason, rule, and
-// diagnostics as AuditOnly over the unsliced inputs.
+// audits it epoch by epoch. On honest runs and single-fault adversarial runs
+// it reaches the same verdict, reason, rule, and diagnostics as AuditOnly over
+// the unsliced inputs. With several faults the first finding in stream order
+// stops the stream, so later findings can be missing: on
+// tests/fixtures/lint_bad the one-shot audit reports KAR-ADV-003 and
+// KAR-ADV-010, and the epoch-0 stream only KAR-ADV-003.
 StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Advice& advice,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked = nullptr);

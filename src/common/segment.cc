@@ -266,6 +266,47 @@ bool SegmentReader::Next(SegmentRecord* out) {
   return true;
 }
 
+bool ReadSingleFrame(
+    SegmentReader* reader, SegmentKind kind,
+    const std::function<std::optional<uint64_t>(const std::vector<uint8_t>&, std::string*)>&
+        decode,
+    std::string* error, bool* unreadable) {
+  const std::string name = SegmentKindName(kind);
+  *unreadable = false;
+  const auto unreadable_container = [&] {
+    *unreadable = true;
+    *error = "unreadable segment container: " + reader->error();
+    return false;
+  };
+  SegmentRecord rec;
+  if (!reader->Next(&rec)) {
+    if (!reader->ok()) return unreadable_container();
+    *error = "container holds no " + name + " frame";
+    return false;
+  }
+  if (rec.kind != kind) {
+    *error = "container must hold a " + name + " frame, found " + SegmentKindName(rec.kind);
+    return false;
+  }
+  if (rec.flags != 0) {
+    *error = name + " frame must be raw (flags 0)";
+    return false;
+  }
+  std::optional<uint64_t> epoch = decode(rec.payload, error);
+  if (!epoch) return false;
+  if (rec.epoch != *epoch) {
+    *error = name + " frame header's epoch " + std::to_string(rec.epoch) +
+             " disagrees with its payload's " + std::to_string(*epoch);
+    return false;
+  }
+  if (reader->Next(&rec)) {
+    *error = "container holds more than one frame";
+    return false;
+  }
+  if (!reader->ok()) return unreadable_container();
+  return true;
+}
+
 bool LooksLikeSegmentFile(const std::vector<uint8_t>& bytes) {
   return bytes.size() >= 4 && std::memcmp(bytes.data(), kSegmentMagic, 4) == 0;
 }

@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,6 +126,19 @@ class SegmentReader {
   uint8_t version_ = kSegmentFormatVersion;
   std::string error_;
 };
+
+// Reads a single-frame container (a checkpoint or a shard artifact): exactly
+// one raw (flags 0) frame of `kind`, whose payload `decode` accepts and whose
+// header epoch equals the epoch `decode` returns from the payload. `decode`
+// returns nullopt, with its own message in *error, on a payload it refuses.
+// On any failure returns false with *error set; *unreadable is then true
+// when the bytes are not a readable segment container at all, and false when
+// a readable container breaks these rules.
+bool ReadSingleFrame(
+    SegmentReader* reader, SegmentKind kind,
+    const std::function<std::optional<uint64_t>(const std::vector<uint8_t>&, std::string*)>&
+        decode,
+    std::string* error, bool* unreadable);
 
 // True iff the buffer starts with the segment container magic — used by the
 // CLI to sniff segmented vs monolithic input files.

@@ -25,9 +25,8 @@
 // number of connections the load opened, so the drain cannot outrun
 // connections still sitting in the accept backlog) or WireServer::Stop()
 // closes the listener and posts drain to every worker; each worker finishes
-// outstanding work, finalizes its shard (FinishRun, including epoch
-// rollover's MergeSlices when segments are configured), flushes client
-// writes, and exits its loop. Wait() joins everything and returns the
+// outstanding work, finalizes its shard (FinishRun), flushes client writes,
+// and exits its loop. Wait() joins everything and returns the
 // per-shard results plus edge counters.
 #ifndef SRC_NET_WIRE_SERVER_H_
 #define SRC_NET_WIRE_SERVER_H_

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "src/analysis/carry_lint.h"
 #include "src/server/kseg_codec.h"
 
 namespace karousos {
@@ -338,102 +339,107 @@ Advice MergeSlices(EpochSlices&& slices) {
   return out;
 }
 
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices) {
-  SegmentWriter writer;
-  // One scratch payload buffer across frames: Clear keeps the capacity, so
-  // only the largest epoch ever allocates.
-  ByteWriter payload;
+EpochFrameWriter::EpochFrameWriter(const KsegCompression& c)
+    : c_(c), writer_(c.any() ? kSegmentFormatVersionV2 : kSegmentFormatVersion) {}
+
+void EpochFrameWriter::AppendTrace(const EpochSegment& seg) {
+  payload_.Clear();
+  if (c_.lanes || c_.dict) {
+    EncodeCompactTracePayload(seg.window, c_, &payload_);
+  } else {
+    SerializeTraceEvents(seg.window, &payload_);
+  }
+  AppendPayload(SegmentKind::kTrace, seg.epoch);
+}
+
+void EpochFrameWriter::AppendAdvice(const EpochSegment& seg) {
+  payload_.Clear();
+  if (c_.lanes || c_.dict) {
+    EncodeCompactAdvicePayload(seg.advice, seg.imports, c_, &payload_);
+  } else {
+    seg.advice.Serialize(&payload_);
+    seg.imports.Serialize(&payload_);
+  }
+  AppendPayload(SegmentKind::kAdvice, seg.epoch);
+}
+
+// A per-frame block attempt that keeps whichever form is smaller, dropping
+// the block flag when it loses, so flags always describe the stored bytes.
+void EpochFrameWriter::AppendPayload(SegmentKind kind, uint64_t epoch) {
+  const uint8_t flags = static_cast<uint8_t>(c_.Flags() & ~kFrameFlagBlock);
+  if (c_.block) {
+    std::vector<uint8_t> blocked = BlockFrameEncode(payload_.bytes());
+    if (blocked.size() < payload_.size()) {
+      writer_.Append(kind, epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
+      return;
+    }
+  }
+  writer_.Append(kind, epoch, flags, payload_.bytes());
+}
+
+void EpochFrameWriter::AppendRaw(SegmentKind kind, uint64_t epoch,
+                                 const std::vector<uint8_t>& payload) {
+  writer_.Append(kind, epoch, payload);
+}
+
+std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c) {
+  EpochFrameWriter writer(c);
   for (const EpochSegment& seg : slices.segments) {
-    payload.Clear();
-    SerializeTraceEvents(seg.window, &payload);
-    writer.Append(SegmentKind::kTrace, seg.epoch, payload.bytes());
+    writer.AppendTrace(seg);
   }
   return writer.Take();
 }
 
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices) {
-  SegmentWriter writer;
-  ByteWriter payload;
+std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c) {
+  EpochFrameWriter writer(c);
   for (const EpochSegment& seg : slices.segments) {
-    payload.Clear();
-    seg.advice.Serialize(&payload);
-    seg.imports.Serialize(&payload);
-    writer.Append(SegmentKind::kAdvice, seg.epoch, payload.bytes());
+    writer.AppendAdvice(seg);
   }
   return writer.Take();
 }
 
 namespace {
 
-// Appends one frame under the storage-class stages: compact transcode when
-// lanes/dict are on, then a per-frame block attempt that keeps whichever form
-// is smaller (dropping the block flag when it loses, so flags always describe
-// the stored bytes).
-template <typename EncodeBody>
-void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, uint64_t epoch,
-                           const KsegCompression& c, ByteWriter* payload,
-                           EncodeBody&& encode_body) {
-  payload->Clear();
-  encode_body(payload);
-  uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
-  if (c.block) {
-    std::vector<uint8_t> blocked = BlockFrameEncode(payload->bytes());
-    if (blocked.size() < payload->size()) {
-      writer->Append(kind, epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
-      return;
-    }
-  }
-  writer->Append(kind, epoch, flags, payload->bytes());
+// The payload with the block stage undone: `payload` itself, or the decoded
+// block held in *storage. nullptr when the flags name an unknown bit or the
+// block does not decode.
+const std::vector<uint8_t>* Unblock(const std::vector<uint8_t>& payload, uint8_t flags,
+                                    std::vector<uint8_t>* storage) {
+  if ((flags & ~kFrameFlagsKnownMask) != 0) return nullptr;
+  if ((flags & kFrameFlagBlock) == 0) return &payload;
+  std::optional<std::vector<uint8_t>> decoded = BlockFrameDecode(payload);
+  if (!decoded) return nullptr;
+  *storage = std::move(*decoded);
+  return storage;
 }
 
 }  // namespace
 
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c) {
-  if (!c.any()) return EncodeTraceSegments(slices);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactTracePayload(seg.window, c, out);
-                            } else {
-                              SerializeTraceEvents(seg.window, out);
-                            }
-                          });
-  }
-  return writer.Take();
-}
-
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c) {
-  if (!c.any()) return EncodeAdviceSegments(slices);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  for (const EpochSegment& seg : slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactAdvicePayload(seg.advice, seg.imports, c, out);
-                            } else {
-                              seg.advice.Serialize(out);
-                              seg.imports.Serialize(out);
-                            }
-                          });
-  }
-  return writer.Take();
-}
-
 std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
+    const std::vector<uint8_t>& payload, uint8_t flags) {
+  std::vector<uint8_t> unblocked;
+  const std::vector<uint8_t>* body = Unblock(payload, flags, &unblocked);
+  if (body == nullptr) return std::nullopt;
+  const KsegCompression c = KsegCompression::FromFlags(flags);
+  if (c.lanes || c.dict) {
+    return DecodeCompactTracePayload(body->data(), body->size(), c);
+  }
+  ByteReader reader(*body);
   auto window = Trace::Deserialize(&reader);
   if (!window || !reader.AtEnd()) return std::nullopt;
   return std::move(window->events);
 }
 
 std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
+    const std::vector<uint8_t>& payload, uint8_t flags) {
+  std::vector<uint8_t> unblocked;
+  const std::vector<uint8_t>* body = Unblock(payload, flags, &unblocked);
+  if (body == nullptr) return std::nullopt;
+  const KsegCompression c = KsegCompression::FromFlags(flags);
+  if (c.lanes || c.dict) {
+    return DecodeCompactAdvicePayload(body->data(), body->size(), c);
+  }
+  ByteReader reader(*body);
   auto advice = Advice::Deserialize(&reader);
   if (!advice) return std::nullopt;
   auto imports = ContinuityImports::Deserialize(&reader);
@@ -444,40 +450,43 @@ std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
   return out;
 }
 
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags) {
-  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
-  if (flags == 0) return DecodeTraceSegmentPayload(payload);
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  const std::vector<uint8_t>* body = &payload;
-  std::optional<std::vector<uint8_t>> unblocked;
-  if (c.block) {
-    unblocked = BlockFrameDecode(payload);
-    if (!unblocked) return std::nullopt;
-    body = &*unblocked;
+bool DecodeEpochFrame(const SegmentRecord& rec, SegmentKind kind, uint64_t epoch,
+                      const char* stream, EpochSegment* out,
+                      std::vector<LintDiagnostic>* diags) {
+  const auto fail = [&](const char* rule, std::string message) {
+    diags->push_back(LintDiagnostic{rule, LintSeverity::kError,
+                                    std::string(stream) + "[offset " +
+                                        std::to_string(rec.offset) + "]",
+                                    std::move(message)});
+    return false;
+  };
+  if (rec.kind != kind) {
+    return fail(kKarSeg002, std::string("unexpected ") + SegmentKindName(rec.kind) +
+                                " frame where an epoch's " + SegmentKindName(kind) +
+                                " frame belongs");
   }
-  if (!c.lanes && !c.dict) {
-    return DecodeTraceSegmentPayload(*body);
+  if (rec.epoch != epoch) {
+    const std::string got = std::to_string(rec.epoch);
+    const std::string expected = " (expected epoch " + std::to_string(epoch) + ")";
+    return fail(kKarSeg003, rec.epoch < epoch
+                                ? "duplicate or out-of-order frame for epoch " + got + expected
+                                : "epoch gap: frame for epoch " + got + expected);
   }
-  return DecodeCompactTracePayload(body->data(), body->size(), c);
-}
-
-std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags) {
-  if ((flags & ~kFrameFlagsKnownMask) != 0) return std::nullopt;
-  if (flags == 0) return DecodeAdviceSegmentPayload(payload);
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  const std::vector<uint8_t>* body = &payload;
-  std::optional<std::vector<uint8_t>> unblocked;
-  if (c.block) {
-    unblocked = BlockFrameDecode(payload);
-    if (!unblocked) return std::nullopt;
-    body = &*unblocked;
+  const std::string malformed = std::string(SegmentKindName(kind)) +
+                                " segment payload for epoch " + std::to_string(epoch) +
+                                " is malformed";
+  if (kind == SegmentKind::kTrace) {
+    auto window = DecodeTraceSegmentPayload(rec.payload, rec.flags);
+    if (!window) return fail(kKarSeg002, malformed);
+    out->window = std::move(*window);
+  } else {
+    auto payload = DecodeAdviceSegmentPayload(rec.payload, rec.flags);
+    if (!payload) return fail(kKarSeg002, malformed);
+    out->advice = std::move(payload->advice);
+    out->imports = std::move(payload->imports);
   }
-  if (!c.lanes && !c.dict) {
-    return DecodeAdviceSegmentPayload(*body);
-  }
-  return DecodeCompactAdvicePayload(body->data(), body->size(), c);
+  out->epoch = epoch;
+  return true;
 }
 
 }  // namespace karousos

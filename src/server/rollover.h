@@ -1,9 +1,9 @@
-// Collector-side epoch rollover: slices one run's trace and advice into
-// epoch segments so the collector can ship them incrementally and the
-// verifier's AuditSession can consume them one epoch at a time.
+// Epoch rollover: slices one finished run's trace and advice into epoch
+// segments, which the KSEG frame layer below stores and the verifier's
+// AuditSession consumes one epoch at a time.
 //
 // Epoch assignment is by request id: rid r belongs to epoch (r-1)/N for
-// ServerConfig::epoch_requests == N. The three slicing axes:
+// epoch_requests == N. The three slicing axes:
 //   * trace   — chronological windows. Window e extends the event stream to
 //     the earliest point where every request of epochs <= e has both arrived
 //     and responded (concurrency lets later-epoch events appear inside
@@ -20,9 +20,9 @@
 //     immediately and confirms it against the real slice when that epoch
 //     arrives: a wrong continuity record can only cause rejection.
 //
-// The same slicer runs server-side (emitting segment files) and
-// verifier-side (re-slicing monolithic inputs for `audit --epoch-size N`),
-// so both paths produce byte-identical segments.
+// The same slicer runs on the collector's side (`karousos serve
+// --out-segments`, shard files) and on the verifier's (re-slicing monolithic
+// inputs for `audit --epoch-size N`), so both produce byte-identical segments.
 #ifndef SRC_SERVER_ROLLOVER_H_
 #define SRC_SERVER_ROLLOVER_H_
 
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/adya/checker.h"
+#include "src/analysis/diagnostic.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
 #include "src/server/advice.h"
@@ -141,8 +142,9 @@ struct EpochSlices {
 // it, exactly as the one-shot audit would).
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests);
 
-// Move-based slicer for the collector's own emission path: consumes the
-// advice instead of copying every log and value into the slices (continuity
+// Move-based slicer for callers done with the advice (the shard slicer, a
+// recorder that only stores segments): consumes the advice instead of
+// copying every log and value into the slices (continuity
 // imports are computed from the full advice before any content moves).
 // Produces slices byte-identical to SliceRun's for the same inputs.
 EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests);
@@ -153,37 +155,70 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
 // per-epoch maps in epoch order restores every component's key order.
 Advice MergeSlices(EpochSlices&& slices);
 
-// Segment-container encode/decode. Trace and advice travel as two segment
-// streams (one kTrace frame per epoch; one kAdvice frame per epoch whose
-// payload is the advice slice followed by the imports).
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices);
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices);
+// The KSEG frame layer: one writer and one reader for every epoch frame, in
+// the epoch containers below and in shard files (src/server/shard.h).
+//
+// Trace and advice travel as two segment streams: one kTrace frame per epoch,
+// and one kAdvice frame per epoch whose payload is the advice slice followed
+// by the imports. `c` names the storage-class codec stages applied per frame
+// and recorded in the v2 frame flags. With no stages the container is the
+// raw v1 one, byte-identical to the record-golden fixtures. The block stage is
+// dropped per frame when it does not shrink the payload, so a frame's flags
+// always name exactly the transforms its bytes carry.
+std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices,
+                                         const KsegCompression& c = {});
+std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices,
+                                          const KsegCompression& c = {});
 
-// Storage-class variants: apply the requested codec stages per frame and
-// record them in the v2 frame flags. With no stages requested these forward
-// to the raw (v1, byte-identical) encoders above. The block stage is dropped
-// per-frame when it does not shrink the payload, so a frame's flags always
-// name exactly the transforms its bytes carry.
-std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c);
-std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c);
+// Appends epoch frames under one codec choice. Every KSEG epoch-frame encoder
+// (the two above and EncodeShardFile) writes through this one appender.
+class EpochFrameWriter {
+ public:
+  explicit EpochFrameWriter(const KsegCompression& c);
 
-// Decodes one frame payload. Returns nullopt on malformed payloads (the
-// caller turns that into a clean rejection).
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(const std::vector<uint8_t>& payload);
+  void AppendTrace(const EpochSegment& seg);
+  void AppendAdvice(const EpochSegment& seg);
+  // A frame that stays raw under every codec choice (the shard boundary).
+  void AppendRaw(SegmentKind kind, uint64_t epoch, const std::vector<uint8_t>& payload);
+
+  std::vector<uint8_t> Take() { return writer_.Take(); }
+
+ private:
+  // Appends payload_ as one frame under the codec stages.
+  void AppendPayload(SegmentKind kind, uint64_t epoch);
+
+  KsegCompression c_;
+  SegmentWriter writer_;
+  // One scratch payload buffer across frames: Clear keeps the capacity, so
+  // only the largest frame ever allocates.
+  ByteWriter payload_;
+};
+
+// Decodes one frame payload, undoing the stages named in the frame's flags
+// byte (block first, then the grammar-aware lanes/dict transcoder); flags == 0
+// is the raw decode. Returns nullopt on malformed payloads and on unknown flag
+// bits (the segment reader already screens them, but the payload decoders
+// never trust their input); the caller turns that into a clean rejection.
+std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
+    const std::vector<uint8_t>& payload, uint8_t flags = 0);
 struct AdviceSegmentPayload {
   Advice advice;
   ContinuityImports imports;
 };
-std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(const std::vector<uint8_t>& payload);
-
-// Flag-aware variants: undo the stages named in the frame's flags byte
-// (block first, then the grammar-aware lanes/dict transcoder). flags == 0 is
-// exactly the raw decode. Unknown flag bits reject (the segment reader
-// already screens them, but the payload decoders never trust their input).
-std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags);
 std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
-    const std::vector<uint8_t>& payload, uint8_t flags);
+    const std::vector<uint8_t>& payload, uint8_t flags = 0);
+
+// The one epoch-frame step of every KSEG epoch reader: the paired trace and
+// advice containers (PairedSegmentCursor, src/analysis/check.h) and the shard
+// file (LoadShardFile). `rec` must be a `kind` frame (kTrace or kAdvice;
+// otherwise KAR-SEG-002) for epoch `epoch` (otherwise KAR-SEG-003), and its
+// payload must decode under its flags (otherwise KAR-SEG-002). On success
+// sets out->epoch and fills the window (kTrace) or the advice and imports
+// (kAdvice). On failure appends the one finding, located at
+// "<stream>[offset N]", to *diags and returns false.
+bool DecodeEpochFrame(const SegmentRecord& rec, SegmentKind kind, uint64_t epoch,
+                      const char* stream, EpochSegment* out,
+                      std::vector<LintDiagnostic>* diags);
 
 }  // namespace karousos
 

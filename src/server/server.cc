@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/apps/app_util.h"
-#include "src/server/rollover.h"
 
 namespace karousos {
 
@@ -705,15 +704,6 @@ ServerRunResult Server::FinishRun() {
   result.trace = std::move(trace_);
   result.advice = builder_.Finalize();
   result.var_log_entries = result.advice.var_log_entry_count();
-  if (config_.epoch_requests > 0) {
-    // Slicing takes the advice by move (no re-copy of logs or values) and
-    // the merge hands the identical monolithic advice back.
-    EpochSlices slices =
-        SliceRunOwned(result.trace, std::move(result.advice), config_.epoch_requests);
-    result.trace_segments = EncodeTraceSegments(slices, config_.segment_compression);
-    result.advice_segments = EncodeAdviceSegments(slices, config_.segment_compression);
-    result.advice = MergeSlices(std::move(slices));
-  }
   trace_ = Trace{};
   requests_.clear();
   in_flight_.clear();

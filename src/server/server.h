@@ -40,7 +40,6 @@
 #include "src/common/arena.h"
 #include "src/common/digest.h"
 #include "src/common/flat_map.h"
-#include "src/common/kcodec.h"
 #include "src/common/rng.h"
 #include "src/kem/label.h"
 #include "src/kem/program.h"
@@ -78,15 +77,6 @@ struct ServerConfig {
   // detector in src/analysis/race.h. Honest applications keep no mutable
   // untracked state, so the default-on recording costs nothing there.
   bool record_untracked_accesses = true;
-  // Epoch rollover (streaming audit): when nonzero, the collector slices the
-  // run into epochs of this many requests and emits the trace and advice as
-  // versioned segment streams (ServerRunResult::{trace,advice}_segments) in
-  // addition to the monolithic structures. 0 = rollover off.
-  uint64_t epoch_requests = 0;
-  // Storage-class codec stages for the emitted segment streams (lanes / dict
-  // / block, src/common/kcodec.h). Only meaningful with epoch_requests > 0.
-  // All-off emits the v1 raw container, byte-identical to before.
-  KsegCompression segment_compression;
   // Per-request latency capture (Figure 6 latency columns): when set, each
   // request's arrival-to-response-drain time is appended (in completion
   // order) to ServerRunResult::request_latencies.
@@ -113,11 +103,6 @@ struct ServerRunResult {
   // Every untracked-variable access, in observation order (empty when
   // record_untracked_accesses is off or the mode is uninstrumented).
   UntrackedAccessLog untracked_accesses;
-  // Epoch segment streams (empty unless ServerConfig::epoch_requests > 0):
-  // the trace and advice as KSEG containers, one frame per epoch, with
-  // continuity imports for cross-epoch references.
-  std::vector<uint8_t> trace_segments;
-  std::vector<uint8_t> advice_segments;
   // Per-request wall-clock latencies in seconds, completion order (empty
   // unless ServerConfig::measure_request_latencies). The first
   // warmup_requests entries belong to warmup.
@@ -167,7 +152,7 @@ class Server {
   // Returns false when no in-flight request has a pending event (idle).
   bool StepOne();
 
-  // Finalizes tags/write-order/advice (and epoch slicing when configured)
+  // Finalizes tags/write-order/advice
   // and returns the run result. Terminates the run started by BeginRun.
   ServerRunResult FinishRun();
 

@@ -389,73 +389,16 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
   return out;
 }
 
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard) {
-  SegmentWriter writer;
-  ByteWriter payload;
-  shard.boundary.Serialize(&payload);
-  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, payload.bytes());
-  for (const EpochSegment& seg : shard.slices.segments) {
-    payload.Clear();
-    SerializeTraceEvents(seg.window, &payload);
-    writer.Append(SegmentKind::kTrace, seg.epoch, payload.bytes());
-    payload.Clear();
-    seg.advice.Serialize(&payload);
-    seg.imports.Serialize(&payload);
-    writer.Append(SegmentKind::kAdvice, seg.epoch, payload.bytes());
-  }
-  return writer.Take();
-}
-
-namespace {
-
-// Per-frame storage-class encode, mirroring rollover.cc's: compact transcode
-// when lanes/dict are on, then a block attempt that keeps whichever form is
-// smaller (flags always describe the stored bytes).
-template <typename EncodeBody>
-void AppendCompressedFrame(SegmentWriter* writer, SegmentKind kind, uint64_t epoch,
-                           const KsegCompression& c, ByteWriter* payload,
-                           EncodeBody&& encode_body) {
-  payload->Clear();
-  encode_body(payload);
-  uint8_t flags = static_cast<uint8_t>(c.Flags() & ~kFrameFlagBlock);
-  if (c.block) {
-    std::vector<uint8_t> blocked = BlockFrameEncode(payload->bytes());
-    if (blocked.size() < payload->size()) {
-      writer->Append(kind, epoch, static_cast<uint8_t>(flags | kFrameFlagBlock), blocked);
-      return;
-    }
-  }
-  writer->Append(kind, epoch, flags, payload->bytes());
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c) {
-  if (!c.any()) return EncodeShardFile(shard);
-  SegmentWriter writer(kSegmentFormatVersionV2);
-  ByteWriter payload;
-  shard.boundary.Serialize(&payload);
+  EpochFrameWriter writer(c);
+  ByteWriter boundary;
+  shard.boundary.Serialize(&boundary);
   // The boundary frame stays raw: the merge reads manifests before anything
   // else and must not depend on payload codecs.
-  writer.Append(SegmentKind::kShardBoundary, shard.boundary.shard, /*flags=*/0, payload.bytes());
+  writer.AppendRaw(SegmentKind::kShardBoundary, shard.boundary.shard, boundary.bytes());
   for (const EpochSegment& seg : shard.slices.segments) {
-    AppendCompressedFrame(&writer, SegmentKind::kTrace, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactTracePayload(seg.window, c, out);
-                            } else {
-                              SerializeTraceEvents(seg.window, out);
-                            }
-                          });
-    AppendCompressedFrame(&writer, SegmentKind::kAdvice, seg.epoch, c, &payload,
-                          [&](ByteWriter* out) {
-                            if (c.lanes || c.dict) {
-                              EncodeCompactAdvicePayload(seg.advice, seg.imports, c, out);
-                            } else {
-                              seg.advice.Serialize(out);
-                              seg.imports.Serialize(out);
-                            }
-                          });
+    writer.AppendTrace(seg);
+    writer.AppendAdvice(seg);
   }
   return writer.Take();
 }
@@ -505,62 +448,29 @@ class ShardFileLoader {
     const ShardBoundary& b = out.file.boundary;
     out.file.slices.epoch_requests = b.epoch_requests;
 
-    // Epoch frame pairs.
-    uint64_t next_epoch = 0;
-    while (true) {
-      have = reader->Next(&rec);
-      if (!have) {
+    // Epoch frame pairs: every frame rule is the shared epoch-frame step's.
+    for (uint64_t epoch = 0;; ++epoch) {
+      EpochSegment seg;
+      if (!reader->Next(&rec)) {
         if (!reader->ok()) {
-          return fail(kKarSeg001, "shard",
-                      "unreadable segment container: " + reader->error());
+          return fail(kKarSeg001, "shard", "unreadable segment container: " + reader->error());
         }
         break;
       }
-      if (rec.kind != SegmentKind::kTrace) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    std::string("unexpected ") + SegmentKindName(rec.kind) +
-                        " frame where an epoch's trace frame belongs");
+      if (!DecodeEpochFrame(rec, SegmentKind::kTrace, epoch, "shard", &seg, &out.diagnostics)) {
+        return Rejected(&out);
       }
-      if (rec.epoch != next_epoch) {
-        return fail(kKarSeg003, FrameLoc(rec), SequencingMessage(rec.epoch, next_epoch));
-      }
-      auto window = DecodeTraceSegmentPayload(rec.payload, rec.flags);
-      if (!window) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    "trace segment payload for epoch " + std::to_string(rec.epoch) +
-                        " is malformed");
-      }
-      have = reader->Next(&rec);
-      if (!have) {
+      if (!reader->Next(&rec)) {
         if (!reader->ok()) {
-          return fail(kKarSeg001, "shard",
-                      "unreadable segment container: " + reader->error());
+          return fail(kKarSeg001, "shard", "unreadable segment container: " + reader->error());
         }
         return fail(kKarSeg011, "shard",
-                    "epoch " + std::to_string(next_epoch) +
-                        " has a trace frame but no advice frame");
+                    "epoch " + std::to_string(epoch) + " has a trace frame but no advice frame");
       }
-      if (rec.kind != SegmentKind::kAdvice) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    std::string("unexpected ") + SegmentKindName(rec.kind) +
-                        " frame where an epoch's advice frame belongs");
+      if (!DecodeEpochFrame(rec, SegmentKind::kAdvice, epoch, "shard", &seg, &out.diagnostics)) {
+        return Rejected(&out);
       }
-      if (rec.epoch != next_epoch) {
-        return fail(kKarSeg003, FrameLoc(rec), SequencingMessage(rec.epoch, next_epoch));
-      }
-      auto advice_payload = DecodeAdviceSegmentPayload(rec.payload, rec.flags);
-      if (!advice_payload) {
-        return fail(kKarSeg002, FrameLoc(rec),
-                    "advice segment payload for epoch " + std::to_string(rec.epoch) +
-                        " is malformed");
-      }
-      EpochSegment seg;
-      seg.epoch = next_epoch;
-      seg.window = std::move(*window);
-      seg.advice = std::move(advice_payload->advice);
-      seg.imports = std::move(advice_payload->imports);
       out.file.slices.segments.push_back(std::move(seg));
-      ++next_epoch;
     }
 
     if (!ValidateBoundary(&out)) return out;
@@ -573,22 +483,19 @@ class ShardFileLoader {
     return "shard[offset " + std::to_string(rec.offset) + "]";
   }
 
-  static std::string SequencingMessage(uint64_t got, uint64_t expected) {
-    if (got < expected) {
-      return "duplicate or out-of-order frame for epoch " + std::to_string(got) +
-             " (expected epoch " + std::to_string(expected) + ")";
-    }
-    return "epoch gap: frame for epoch " + std::to_string(got) + " (expected epoch " +
-           std::to_string(expected) + ")";
-  }
-
   static void Fail(ShardLoadResult* out, const char* rule, std::string location,
                    std::string message) {
-    LintDiagnostic d{rule, LintSeverity::kError, std::move(location), std::move(message)};
+    out->diagnostics.push_back(
+        LintDiagnostic{rule, LintSeverity::kError, std::move(location), std::move(message)});
+    Rejected(out);
+  }
+
+  // Turns the last finding into the result's verdict.
+  static ShardLoadResult& Rejected(ShardLoadResult* out) {
     out->ok = false;
-    out->rule = rule;
-    out->reason = "segment stream: " + d.Format();
-    out->diagnostics.push_back(std::move(d));
+    out->rule = out->diagnostics.back().rule;
+    out->reason = "segment stream: " + out->diagnostics.back().Format();
+    return *out;
   }
 
   // Boundary-vs-content validation (KAR-SEG-011). Every allegation in the

@@ -144,18 +144,18 @@ std::vector<ShardFile> ShardRun(const Trace& trace, const Advice& advice,
                                 uint64_t epoch_requests, const ShardSpec& spec);
 
 // Single-file container encode: one kShardBoundary frame (epoch field = shard
-// index), then per epoch a kTrace frame and a kAdvice frame. The storage-class
-// variant compresses the epoch frames exactly like the epoch-stream encoders;
-// the boundary frame always stays raw (the merge must read it before touching
-// any payload codec).
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard);
-std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c);
+// index), then per epoch a kTrace frame and a kAdvice frame, written by the
+// same EpochFrameWriter as the epoch-stream encoders (src/server/rollover.h)
+// under codec stages `c`. The boundary frame always stays raw (the merge must
+// read it before touching any payload codec).
+std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompression& c = {});
 
 // Decode + validate one shard file. `ok == false` carries the same
 // reason/rule/diagnostic shape the audit uses: container defects reject under
-// KAR-SEG-001/002/003, boundary defects (frame order, epoch count, position
-// monotonicity/bounds, digest or totals disagreeing with the decoded content)
-// under KAR-SEG-011.
+// KAR-SEG-001, epoch-frame defects under KAR-SEG-002/003 through the same
+// DecodeEpochFrame step the paired containers take, and boundary defects
+// (frame order, epoch count, position monotonicity/bounds, digest or totals
+// disagreeing with the decoded content) under KAR-SEG-011.
 struct ShardLoadResult {
   bool ok = false;
   std::string reason;  // Prefixed ("segment stream: ...") like the audit's.

@@ -243,35 +243,42 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
                                                     const VerifierConfig& config,
                                                     const std::vector<uint8_t>& bytes,
                                                     std::string* error) {
-  std::string container_error;
-  auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &container_error);
+  std::string message;
+  auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &message);
   if (reader == nullptr) {
-    *error = "checkpoint: " + container_error;
+    *error = "checkpoint: " + message;
     return nullptr;
   }
-  SegmentRecord record;
-  if (!reader->Next(&record)) {
-    *error = reader->ok() ? "checkpoint: container holds no frames"
-                          : "checkpoint: " + reader->error();
+  std::unique_ptr<AuditSession> session;
+  const auto decode = [&](const std::vector<uint8_t>& payload,
+                          std::string* payload_error) -> std::optional<uint64_t> {
+    session = FromCheckpointPayload(program, config, payload, payload_error);
+    if (session == nullptr) return std::nullopt;
+    return session->v_.epochs_fed_;
+  };
+  bool unreadable = false;
+  if (!ReadSingleFrame(reader.get(), SegmentKind::kCheckpoint, decode, &message, &unreadable)) {
+    *error = "checkpoint: " + message;
     return nullptr;
   }
-  if (record.kind != SegmentKind::kCheckpoint) {
-    *error = "checkpoint: unexpected frame kind";
-    return nullptr;
-  }
+  return session;
+}
 
-  ByteReader payload(record.payload);
+std::unique_ptr<AuditSession> AuditSession::FromCheckpointPayload(
+    const Program& program, const VerifierConfig& config, const std::vector<uint8_t>& bytes,
+    std::string* error) {
+  ByteReader payload(bytes);
   StateReader c(&payload);
   uint64_t version = c.V();
   if (!c.ok() || version != kCheckpointVersion) {
-    *error = "checkpoint: unsupported version " + std::to_string(version);
+    *error = "unsupported version " + std::to_string(version);
     return nullptr;
   }
   uint64_t epoch_requests = c.V();
   uint64_t epochs_fed = c.V();
   uint8_t isolation = c.B();
   if (c.ok() && isolation != static_cast<uint8_t>(config.isolation)) {
-    *error = "checkpoint: isolation level does not match the session config";
+    *error = "isolation level does not match the session config";
     return nullptr;
   }
 
@@ -408,7 +415,7 @@ std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
   v.carry_lint_.Deserialize(&c);
 
   if (!c.Done()) {
-    *error = "checkpoint: payload is malformed or truncated";
+    *error = "payload is malformed or truncated";
     return nullptr;
   }
   return session;

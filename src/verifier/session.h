@@ -53,8 +53,10 @@ class AuditSession {
 
   // Reconstructs a session from SaveCheckpoint bytes. The program and the
   // config must match the checkpointing session's (the isolation level is
-  // embedded and verified). Returns nullptr and sets *error on mismatch or
-  // malformed bytes.
+  // embedded and verified). The bytes must hold exactly one raw checkpoint
+  // frame whose header epoch equals the payload's epoch count (the shard
+  // artifact's container rule, ReadSingleFrame). Returns nullptr and sets
+  // *error on mismatch or malformed bytes.
   static std::unique_ptr<AuditSession> Restore(const Program& program,
                                                const VerifierConfig& config,
                                                const std::vector<uint8_t>& bytes,
@@ -81,6 +83,12 @@ class AuditSession {
  private:
   // The checkpoint's carry section.
   void WriteCarries(ByteWriter* w) const;
+  // Rebuilds a session from a checkpoint frame's payload. Returns nullptr and
+  // sets *error when the payload is refused.
+  static std::unique_ptr<AuditSession> FromCheckpointPayload(const Program& program,
+                                                             const VerifierConfig& config,
+                                                             const std::vector<uint8_t>& bytes,
+                                                             std::string* error);
 
   Verifier v_;
 };

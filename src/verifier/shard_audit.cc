@@ -752,36 +752,21 @@ ShardArtifactLoadResult LoadShardArtifact(std::unique_ptr<SegmentReader> reader,
   if (reader == nullptr) {
     return fail(kKarSeg001, "unreadable segment container: " + open_error);
   }
-  SegmentRecord rec;
-  if (!reader->Next(&rec)) {
-    if (!reader->ok()) {
-      return fail(kKarSeg001, "unreadable segment container: " + reader->error());
-    }
-    return fail(kKarSeg015, "artifact file has no shard-artifact frame");
-  }
-  if (rec.kind != SegmentKind::kShardArtifact) {
-    return fail(kKarSeg015, std::string("artifact file must hold a shard-artifact frame, found ") +
-                                SegmentKindName(rec.kind));
-  }
-  if (rec.flags != 0) {
-    return fail(kKarSeg015, "shard-artifact frame must be raw (flags 0)");
-  }
-  {
-    ByteReader in(rec.payload);
+  const auto decode = [&out](const std::vector<uint8_t>& payload,
+                             std::string* error) -> std::optional<uint64_t> {
+    ByteReader in(payload);
     auto artifact = ShardArtifact::Deserialize(&in);
     if (!artifact || !in.AtEnd()) {
-      return fail(kKarSeg015, "shard-artifact payload is malformed");
+      *error = "shard-artifact payload is malformed";
+      return std::nullopt;
     }
     out.artifact = std::move(*artifact);
-  }
-  if (rec.epoch != out.artifact.shard) {
-    return fail(kKarSeg015, "artifact frame's shard index disagrees with its payload");
-  }
-  if (reader->Next(&rec)) {
-    return fail(kKarSeg015, "artifact file holds more than one frame");
-  }
-  if (!reader->ok()) {
-    return fail(kKarSeg001, "unreadable segment container: " + reader->error());
+    return out.artifact.shard;
+  };
+  std::string error;
+  bool unreadable = false;
+  if (!ReadSingleFrame(reader.get(), SegmentKind::kShardArtifact, decode, &error, &unreadable)) {
+    return fail(unreadable ? kKarSeg001 : kKarSeg015, std::move(error));
   }
   out.ok = true;
   return out;

@@ -5,6 +5,7 @@
 // tools/make_record_golden).
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,7 +57,6 @@ ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
-  config.epoch_requests = spec.epoch_requests;
   Server server(*app.program, config);
   return server.Run(inputs);
 }
@@ -76,9 +76,11 @@ TEST_P(AdviceGoldenTest, LiveRunMatchesGoldenBytes) {
   run.trace.Serialize(&trace_bytes);
   EXPECT_EQ(trace_bytes.bytes(), ReadFixture(std::string(spec.name) + ".trace"));
 
-  EXPECT_EQ(run.advice_segments, ReadFixture(std::string(spec.name) + ".advice_segments"))
+  EpochSlices slices = SliceRunOwned(run.trace, std::move(run.advice), spec.epoch_requests);
+  EXPECT_EQ(EncodeAdviceSegments(slices),
+            ReadFixture(std::string(spec.name) + ".advice_segments"))
       << "epoch advice segments drifted (SliceRunOwned vs golden)";
-  EXPECT_EQ(run.trace_segments, ReadFixture(std::string(spec.name) + ".trace_segments"));
+  EXPECT_EQ(EncodeTraceSegments(slices), ReadFixture(std::string(spec.name) + ".trace_segments"));
 }
 
 TEST_P(AdviceGoldenTest, GoldenAdviceRoundTripsThroughDeserialize) {
@@ -107,17 +109,17 @@ TEST_P(AdviceGoldenTest, MeasureSizeMatchesSerializedLength) {
   EXPECT_GT(b.tx_logs, 0u);
 }
 
-// The verifier-side copying slicer and the collector's owned slicer must
-// stay byte-interchangeable: segments encoded from SliceRun(trace, advice)
-// equal the server-emitted streams, and MergeSlices restores the monolithic
-// advice exactly.
-TEST_P(AdviceGoldenTest, CopyingSlicerAndMergeMatchServerStreams) {
+// The copying slicer and the owned one must stay byte-interchangeable:
+// segments encoded from SliceRun(trace, advice) equal the golden streams, and
+// MergeSlices restores the monolithic advice exactly.
+TEST_P(AdviceGoldenTest, CopyingSlicerAndMergeMatchGoldenStreams) {
   const FixtureSpec& spec = GetParam();
   ServerRunResult run = RunFixtureWorkload(spec);
 
   EpochSlices slices = SliceRun(run.trace, run.advice, spec.epoch_requests);
-  EXPECT_EQ(EncodeTraceSegments(slices), run.trace_segments);
-  EXPECT_EQ(EncodeAdviceSegments(slices), run.advice_segments);
+  EXPECT_EQ(EncodeTraceSegments(slices), ReadFixture(std::string(spec.name) + ".trace_segments"));
+  EXPECT_EQ(EncodeAdviceSegments(slices),
+            ReadFixture(std::string(spec.name) + ".advice_segments"));
 
   Advice merged = MergeSlices(std::move(slices));
   ByteWriter merged_bytes;

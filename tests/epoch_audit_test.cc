@@ -402,10 +402,15 @@ std::vector<uint8_t> CheckpointPayload(const std::vector<uint8_t>& checkpoint) {
 }
 
 // A checkpoint frame around any payload, so a mutated payload reaches the
-// payload decoder instead of stopping at the container CRC.
+// payload decoder instead of stopping at the container CRC. The frame header
+// carries the epoch count the payload records (its third varint), as
+// SaveCheckpoint writes it.
 std::vector<uint8_t> FrameCheckpoint(const std::vector<uint8_t>& payload) {
+  ByteReader in(payload);
+  in.ReadVarint();  // Format version.
+  in.ReadVarint();  // Requests per epoch.
   SegmentWriter writer;
-  writer.Append(SegmentKind::kCheckpoint, 0, payload);
+  writer.Append(SegmentKind::kCheckpoint, in.ReadVarint().value_or(0), payload);
   return writer.Take();
 }
 
@@ -460,6 +465,21 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
       EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
     }
   }
+
+  // The container holds exactly one frame, whose header epoch is the
+  // payload's epoch count (2 here): a second frame appended, or a header
+  // naming another epoch, is refused.
+  SegmentWriter two_frames;
+  two_frames.Append(SegmentKind::kCheckpoint, 2, payload);
+  two_frames.Append(SegmentKind::kCheckpoint, 2, payload);
+  error.clear();
+  EXPECT_EQ(AuditSession::Restore(*run.app.program, config, two_frames.Take(), &error), nullptr);
+  EXPECT_NE(error.find("more than one frame"), std::string::npos) << error;
+  SegmentWriter other_epoch;
+  other_epoch.Append(SegmentKind::kCheckpoint, 77, payload);
+  error.clear();
+  EXPECT_EQ(AuditSession::Restore(*run.app.program, config, other_epoch.Take(), &error), nullptr);
+  EXPECT_NE(error.find("epoch 77 disagrees"), std::string::npos) << error;
 
   // Every proper prefix of the payload is refused by the payload decoder.
   for (size_t cut = 0; cut < payload.size(); ++cut) {

@@ -54,7 +54,6 @@ ServerRunResult RunFixtureWorkload(const FixtureSpec& spec) {
   ServerConfig config;
   config.concurrency = spec.concurrency;
   config.seed = 7;
-  config.epoch_requests = spec.epoch_requests;
   Server server(*app.program, config);
   return server.Run(inputs);
 }
@@ -142,32 +141,6 @@ TEST_P(KsegCompressTest, RawConfigIsByteIdenticalAndFullStackShrinks) {
   EXPECT_LT(lanes_dict, raw) << "lanes+dict must shrink the advice stream";
   EXPECT_LE(full, lanes_dict) << "the block stage never grows a stream (flag drops instead)";
   EXPECT_LT(full, raw / 2) << "full stack should at least halve advice bytes";
-}
-
-// The server-side emission path (ServerConfig::segment_compression) must
-// produce exactly what the verifier-side slicer + compressed encoder produce.
-TEST_P(KsegCompressTest, ServerEmissionMatchesSlicerEncoding) {
-  const FixtureSpec& spec = GetParam();
-  WorkloadConfig wl;
-  wl.app = spec.app;
-  wl.kind = spec.kind;
-  wl.requests = spec.requests;
-  wl.seed = 7;
-  wl.connections = spec.concurrency;
-  std::vector<Value> inputs = GenerateWorkload(wl);
-
-  AppSpec app = MakeApp(spec.app).value();
-  ServerConfig config;
-  config.concurrency = spec.concurrency;
-  config.seed = 7;
-  config.epoch_requests = spec.epoch_requests;
-  config.segment_compression = KsegCompression::All();
-  Server server(*app.program, config);
-  ServerRunResult run = server.Run(inputs);
-
-  EpochSlices slices = SliceRun(run.trace, run.advice, spec.epoch_requests);
-  EXPECT_EQ(run.trace_segments, EncodeTraceSegments(slices, KsegCompression::All()));
-  EXPECT_EQ(run.advice_segments, EncodeAdviceSegments(slices, KsegCompression::All()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, KsegCompressTest, ::testing::ValuesIn(kFixtures),

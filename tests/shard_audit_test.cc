@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/analysis/carry_lint.h"
+#include "src/analysis/check.h"
 #include "src/audit/audit.h"
 #include "src/common/segment.h"
 #include "src/common/serde.h"
@@ -612,6 +613,115 @@ TEST(ShardMergeAdversaryTest, TruncatedArtifactRefused) {
         LoadShardArtifactBytes(FrameArtifact(ClaimRemaining(Encode(empty), at), 0));
     EXPECT_FALSE(result.ok) << "count at " << at;
     EXPECT_EQ(result.rule, kKarSeg015) << result.reason;
+  }
+}
+
+// The paired containers and the shard file read their epoch frames through
+// one step (DecodeEpochFrame), so a frame defect reports the same rule in
+// both. Each defect is planted in epoch 1's trace frame and, separately, in
+// its advice frame, of a container pair and of the K=1 shard file cut from the
+// same run.
+struct Frame {
+  SegmentKind kind = SegmentKind::kTrace;
+  uint8_t flags = 0;
+  uint64_t epoch = 0;
+  std::vector<uint8_t> payload;
+};
+
+std::vector<Frame> ReadFrames(const std::vector<uint8_t>& bytes) {
+  std::string error;
+  auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
+  EXPECT_NE(reader, nullptr) << error;
+  std::vector<Frame> frames;
+  SegmentRecord rec;
+  while (reader != nullptr && reader->Next(&rec)) {
+    frames.push_back(Frame{rec.kind, rec.flags, rec.epoch, rec.payload});
+  }
+  return frames;
+}
+
+// Writes `frames` as a v2 container, so a frame may carry any flag bits.
+// `truncate_after` >= 0 drops every later frame and cuts the container's last
+// byte, which lies inside frame `truncate_after`.
+std::vector<uint8_t> WriteFrames(const std::vector<Frame>& frames, int truncate_after = -1) {
+  SegmentWriter writer(kSegmentFormatVersionV2);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    writer.Append(frames[i].kind, frames[i].epoch, frames[i].flags, frames[i].payload);
+    if (static_cast<int>(i) == truncate_after) {
+      std::vector<uint8_t> bytes = writer.Take();
+      bytes.pop_back();
+      return bytes;
+    }
+  }
+  return writer.Take();
+}
+
+// The finding a container pair stops at (an empty rule when it reads clean).
+LintDiagnostic PairedFinding(const std::vector<uint8_t>& trace,
+                             const std::vector<uint8_t>& advice) {
+  PairedSegmentCursor cursor(trace, advice);
+  EpochSegment segment;
+  std::vector<LintDiagnostic> diags;
+  while (cursor.Next(&segment, &diags) > 0) {
+  }
+  return diags.empty() ? LintDiagnostic{} : diags.back();
+}
+
+TEST(FrameDefectAgreementTest, PairedContainersAndShardFileReportTheSameRule) {
+  HonestRun run = RunApp("stacks", 24);
+  std::vector<ShardFile> shards =
+      ShardRun(run.server.trace, run.server.advice, 6, ShardSpec{1, ShardMode::kHash});
+  ASSERT_EQ(shards.size(), 1u);
+  const EpochSlices& slices = shards[0].slices;
+  ASSERT_GE(slices.segments.size(), 3u);
+  const std::vector<Frame> trace = ReadFrames(EncodeTraceSegments(slices));
+  const std::vector<Frame> advice = ReadFrames(EncodeAdviceSegments(slices));
+  const std::vector<Frame> file = ReadFrames(EncodeShardFile(shards[0]));
+  ASSERT_EQ(file.size(), 1 + 2 * slices.segments.size());
+  ASSERT_EQ(PairedFinding(WriteFrames(trace), WriteFrames(advice)).rule, "");
+  ASSERT_TRUE(LoadShardBytes(WriteFrames(file)).ok);
+
+  struct Defect {
+    const char* name;
+    const char* rule;
+    void (*plant)(Frame*);  // nullptr: truncate the container inside the frame.
+  };
+  const Defect defects[] = {
+      {"wrong frame kind", kKarSeg002, [](Frame* f) { f->kind = SegmentKind::kCheckpoint; }},
+      {"duplicate epoch", kKarSeg003, [](Frame* f) { f->epoch = 0; }},
+      {"epoch gap", kKarSeg003, [](Frame* f) { f->epoch = 2; }},
+      {"undecodable payload", kKarSeg002, [](Frame* f) { f->payload = {0xFF}; }},
+      {"unknown flag bit", kKarSeg001, [](Frame* f) { f->flags = 0x80; }},
+      {"truncated container", kKarSeg001, nullptr},
+  };
+  constexpr size_t kEpoch = 1;
+  for (const Defect& defect : defects) {
+    for (SegmentKind kind : {SegmentKind::kTrace, SegmentKind::kAdvice}) {
+      SCOPED_TRACE(std::string(defect.name) + " in the " + SegmentKindName(kind) + " frame");
+      const bool is_trace = kind == SegmentKind::kTrace;
+      std::vector<Frame> paired = is_trace ? trace : advice;
+      std::vector<Frame> shard_file = file;
+      const size_t file_index = 1 + 2 * kEpoch + (is_trace ? 0 : 1);
+      int paired_cut = -1;
+      int file_cut = -1;
+      if (defect.plant != nullptr) {
+        defect.plant(&paired[kEpoch]);
+        defect.plant(&shard_file[file_index]);
+      } else {
+        paired_cut = static_cast<int>(kEpoch);
+        file_cut = static_cast<int>(file_index);
+      }
+      const std::vector<uint8_t> planted = WriteFrames(paired, paired_cut);
+      const LintDiagnostic finding = is_trace ? PairedFinding(planted, WriteFrames(advice))
+                                              : PairedFinding(WriteFrames(trace), planted);
+      ShardLoadResult loaded = LoadShardBytes(WriteFrames(shard_file, file_cut));
+      ASSERT_FALSE(loaded.ok);
+      EXPECT_EQ(finding.rule, defect.rule) << finding.Format();
+      EXPECT_EQ(loaded.rule, finding.rule) << loaded.reason;
+      // Each finding names the container it was read from.
+      EXPECT_EQ(finding.location.rfind(SegmentKindName(kind), 0), 0u) << finding.Format();
+      EXPECT_EQ(loaded.diagnostics.back().location.rfind("shard", 0), 0u) << loaded.reason;
+    }
   }
 }
 

@@ -47,7 +47,7 @@ int Usage() {
                "                  [--requests N] [--concurrency C] [--seed S] [--mode karousos|orochi]\n"
                "                  [--isolation ser|rc|ru] [--inputs FILE]\n"
                "                  --out-trace FILE --out-advice FILE\n"
-               "                  [--out-segments DIR --epoch-size N] [--compress STAGES]\n"
+               "                  [--out-segments DIR --epoch-size N] [--compress none|all]\n"
                "      --workload: request mix — reads (90/10), writes (10/90), or mixed\n"
                "      (50/50; wiki/auction/mixed apps use their native mixes)\n"
                "      --requests/--concurrency/--seed: workload size, in-flight window,\n"
@@ -57,9 +57,9 @@ int Usage() {
                "      --inputs: serve a JSON-lines request stream instead of --workload\n"
                "      --out-segments: also (or instead) write the epoch-segmented KSEG\n"
                "      containers DIR/trace.kseg and DIR/advice.kseg\n"
-               "      --compress: storage-class codec stages for the KSEG containers —\n"
-               "      'all' or a comma list of lanes,dict,block (emits format v2 frames;\n"
-               "      'none' = raw v1, the default)\n"
+               "      --compress: codec for the KSEG containers — 'all' (the lanes,\n"
+               "      dict and block stages; emits format v2 frames) or 'none' (raw v1,\n"
+               "      the default)\n"
                "  karousos serve  --app <...> --listen <unix:/path|host:port>\n"
                "                  [--net-workers N] [--net-batch] [--out-shards DIR]\n"
                "                  [--concurrency C] [--seed S] [--mode ...] [--isolation ...]\n"
@@ -104,7 +104,7 @@ int Usage() {
                "      --resume: restore the carry state from FILE and continue from the\n"
                "      first unaudited epoch\n"
                "  karousos shard  --trace FILE --advice FILE --shards K --out-dir DIR\n"
-               "                  [--epoch-size N] [--shard-mode hash|range] [--compress STAGES]\n"
+               "                  [--epoch-size N] [--shard-mode hash|range] [--compress none|all]\n"
                "      partition one run into K self-contained shard files DIR/shard<i>.kseg\n"
                "      (group-atomic by request hash, or contiguous rid ranges); each shard\n"
                "      carries the replicated trace, its advice slice, and a cross-shard\n"
@@ -169,7 +169,7 @@ struct Args {
   std::string resume_path;
   std::string segments_dir;
   std::string out_segments_dir;
-  std::string compress;  // "", "none", "all", or comma list of lanes,dict,block.
+  std::string compress;  // "", "none" or "all".
   size_t requests = 200;
   int concurrency = 8;
   uint64_t seed = 1;
@@ -312,35 +312,18 @@ AppSpec AppOrExit(const std::string& name) {
   return std::move(*app);
 }
 
+// `--compress` takes none (raw v1, the default) or all: partial stage sets
+// do not pay on the stored advice (BENCH_advice_size.json), so they stay
+// library-only.
 KsegCompression ParseCompression(const std::string& s) {
-  KsegCompression c;
   if (s.empty() || s == "none") {
-    return c;
+    return KsegCompression{};
   }
   if (s == "all") {
     return KsegCompression::All();
   }
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    std::string stage = s.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (stage == "lanes") {
-      c.lanes = true;
-    } else if (stage == "dict") {
-      c.dict = true;
-    } else if (stage == "block") {
-      c.block = true;
-    } else {
-      std::fprintf(stderr, "unknown --compress stage '%s' (want all, none, or a comma list "
-                           "of lanes,dict,block)\n", stage.c_str());
-      std::exit(2);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return c;
+  std::fprintf(stderr, "unknown --compress value '%s' (want none or all)\n", s.c_str());
+  std::exit(2);
 }
 
 IsolationLevel ParseIsolation(const std::string& s) {
@@ -755,8 +738,7 @@ int CmdShard(const Args& args) {
   std::error_code ec;
   std::filesystem::create_directories(args.out_dir, ec);
   for (const ShardFile& shard : shards) {
-    std::vector<uint8_t> bytes =
-        comp.any() ? EncodeShardFile(shard, comp) : EncodeShardFile(shard);
+    std::vector<uint8_t> bytes = EncodeShardFile(shard, comp);
     const std::string path =
         args.out_dir + "/shard" + std::to_string(shard.boundary.shard) + ".kseg";
     if (!WriteFile(path, bytes)) {

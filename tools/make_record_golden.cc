@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/app.h"
@@ -70,7 +71,6 @@ int Main(int argc, char** argv) {
     ServerConfig config;
     config.concurrency = spec.concurrency;
     config.seed = 7;
-    config.epoch_requests = spec.epoch_requests;
     Server server(*app.program, config);
     ServerRunResult run = server.Run(inputs);
 
@@ -80,11 +80,12 @@ int Main(int argc, char** argv) {
     run.advice.Serialize(&advice_bytes);
     ByteWriter trace_bytes;
     run.trace.Serialize(&trace_bytes);
+    EpochSlices slices = SliceRunOwned(run.trace, std::move(run.advice), spec.epoch_requests);
     const std::string base = dir + "/" + spec.name;
     if (!WriteFile(base + ".advice", advice_bytes.bytes()) ||
         !WriteFile(base + ".trace", trace_bytes.bytes()) ||
-        !WriteFile(base + ".advice_segments", run.advice_segments) ||
-        !WriteFile(base + ".trace_segments", run.trace_segments)) {
+        !WriteFile(base + ".advice_segments", EncodeAdviceSegments(slices)) ||
+        !WriteFile(base + ".trace_segments", EncodeTraceSegments(slices))) {
       return 1;
     }
   }
