@@ -1,5 +1,6 @@
 #include "src/common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -10,6 +11,22 @@
 namespace karousos {
 
 namespace {
+
+// Builds a map from an object's fields in text order; a repeated key keeps
+// its last value. One sort keeps a wide object O(n log n), where inserting
+// each field into the sorted entry array would be quadratic.
+ValueMap MapFromFields(std::vector<ValueMap::value_type> fields) {
+  std::stable_sort(fields.begin(), fields.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  ValueMap map;
+  map.reserve(fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i + 1 == fields.size() || fields[i + 1].first != fields[i].first) {
+      map.AppendInOrder(std::move(fields[i].first), std::move(fields[i].second));
+    }
+  }
+  return map;
+}
 
 class Parser {
  public:
@@ -299,11 +316,11 @@ class Parser {
     if (!CheckDepth(depth) || !Consume('{')) {
       return std::nullopt;
     }
-    ValueMap fields;
+    std::vector<ValueMap::value_type> fields;
     SkipWhitespace();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      return Value(std::move(fields));
+      return Value(ValueMap{});
     }
     while (true) {
       SkipWhitespace();
@@ -319,7 +336,7 @@ class Parser {
       if (!value) {
         return std::nullopt;
       }
-      fields[key->AsString()] = std::move(*value);
+      fields.emplace_back(std::string(key->AsString()), std::move(*value));
       SkipWhitespace();
       if (pos_ < text_.size() && text_[pos_] == ',') {
         ++pos_;
@@ -328,7 +345,7 @@ class Parser {
       if (!Consume('}')) {
         return std::nullopt;
       }
-      return Value(std::move(fields));
+      return Value(MapFromFields(std::move(fields)));
     }
   }
 

@@ -248,11 +248,11 @@ std::optional<Value> ByteReader::ReadValueAt(size_t depth) {
       return Value(d);
     }
     case Value::Kind::kString: {
-      auto s = ReadString();
+      auto s = ReadStringView();
       if (!s) {
         return std::nullopt;
       }
-      return Value(std::move(*s));
+      return Value(*s);
     }
     case Value::Kind::kList: {
       auto n = ReadVarint();
@@ -278,16 +278,18 @@ std::optional<Value> ByteReader::ReadValueAt(size_t depth) {
         return std::nullopt;
       }
       ValueMap m;
+      m.reserve(static_cast<size_t>(*n));
       for (uint64_t i = 0; i < *n; ++i) {
         auto key = ReadString();
         if (!key) {
           return std::nullopt;
         }
         auto item = ReadValueAt(depth + 1);
-        if (!item) {
+        // The encoding writes keys in increasing order: a duplicate or an
+        // out-of-order key is not a canonical encoding.
+        if (!item || !m.AppendInOrder(std::move(*key), std::move(*item))) {
           return std::nullopt;
         }
-        m.emplace(std::move(*key), std::move(*item));
       }
       return Value(std::move(m));
     }

@@ -1,5 +1,6 @@
 #include "src/multivalue/multivalue.h"
 
+#include <map>
 #include <sstream>
 
 namespace karousos {

@@ -40,7 +40,7 @@ class CompactEncoder {
       body_.WriteVarint(v);
     }
   }
-  void Str(const std::string& s) {
+  void Str(std::string_view s) {
     if (c_.dict) {
       body_.WriteVarint(strs_.Ref(s));
     } else {
@@ -153,15 +153,24 @@ class CompactDecoder {
     uint64_t prev = anchor;
     return ReadDelta(&in_, &prev);
   }
-  std::optional<std::string> Str() {
+  // The view aliases the frame body or the string dictionary, both of
+  // which outlive the decoder's use of it.
+  std::optional<std::string_view> StrView() {
     if (!c_.dict) {
-      return in_.ReadString();
+      return in_.ReadStringView();
     }
     auto ref = in_.ReadVarint();
     if (!ref || *ref >= strs_.size()) {
       return std::nullopt;
     }
     return strs_[static_cast<size_t>(*ref)];
+  }
+  std::optional<std::string> Str() {
+    auto s = StrView();
+    if (!s) {
+      return std::nullopt;
+    }
+    return std::string(*s);
   }
   std::optional<uint64_t> Varint() { return in_.ReadVarint(); }
   std::optional<uint8_t> Byte() { return in_.ReadByte(); }
@@ -204,11 +213,11 @@ class CompactDecoder {
         return Value(d);
       }
       case Value::Kind::kString: {
-        auto s = Str();
+        auto s = StrView();
         if (!s) {
           return std::nullopt;
         }
-        return Value(std::move(*s));
+        return Value(*s);
       }
       case Value::Kind::kList: {
         auto n = in_.ReadVarint();
@@ -232,16 +241,17 @@ class CompactDecoder {
           return std::nullopt;
         }
         ValueMap m;
+        m.reserve(static_cast<size_t>(*n));
         for (uint64_t i = 0; i < *n; ++i) {
           auto key = Str();
           if (!key) {
             return std::nullopt;
           }
           auto item = Val(depth + 1);
-          if (!item) {
+          // Keys are written in increasing order, as in ByteReader::ReadValue.
+          if (!item || !m.AppendInOrder(std::move(*key), std::move(*item))) {
             return std::nullopt;
           }
-          m.emplace(std::move(*key), std::move(*item));
         }
         return Value(std::move(m));
       }

@@ -282,7 +282,7 @@ class ServerCtx : public Ctx {
     OpNum opnum = NextOp();
     ++result_->state_ops;
     TxId tid = TidOf(tx);
-    std::string key_str = key.CollapsedValue().AsString();
+    std::string key_str(key.CollapsedValue().AsString());
     KvGetResult got = server_.store_.Get(rid_, tid, key_str);
     if (got.status == TxStatus::kConflict) {
       ++result_->conflicts;
@@ -315,7 +315,7 @@ class ServerCtx : public Ctx {
     OpNum opnum = NextOp();
     ++result_->state_ops;
     TxId tid = TidOf(tx);
-    std::string key_str = key.CollapsedValue().AsString();
+    std::string key_str(key.CollapsedValue().AsString());
     // The PUT's index within the transaction log identifies it as a version;
     // it must be computed before appending (1-based position).
     TxnKey txn{rid_, tid};

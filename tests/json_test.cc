@@ -32,6 +32,11 @@ TEST(JsonTest, Containers) {
             MakeMap({{"nested", MakeMap({{"deep", MakeList({MakeMap({{"x", 1}})})}})}}));
 }
 
+TEST(JsonTest, RepeatedKeyKeepsItsLastValue) {
+  EXPECT_EQ(*ParseJson(R"({"b": 1, "a": 2, "b": 3, "c": 4, "b": 5})"),
+            MakeMap({{"a", 2}, {"b", 5}, {"c", 4}}));
+}
+
 TEST(JsonTest, Whitespace) {
   EXPECT_EQ(*ParseJson("  [ 1 ,\n\t2 ]  "), MakeList({1, 2}));
 }

@@ -377,6 +377,45 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
   }
 }
 
+// The dictionary transcoder refers to map keys by dictionary index; like
+// ByteReader::ReadValue it refuses a map whose keys do not strictly increase.
+TEST(KsegCompressCorruptionTest, DictStageRejectsNonCanonicalMapKeys) {
+  const Value first(int64_t{0x1111111111});
+  const Value second(int64_t{0x2222222222});
+  const Value map = MakeMap({{"a", first}, {"b", second}});
+  Advice advice;
+  advice.var_logs[7][OpRef{1, 2, 3}] = VarLogEntry{VarLogEntry::Kind::kWrite, map, OpRef{}};
+  KsegCompression dict_only;
+  dict_only.dict = true;
+  ByteWriter encoded;
+  EncodeCompactAdvicePayload(advice, ContinuityImports{}, dict_only, &encoded);
+  const std::vector<uint8_t>& bytes = encoded.bytes();
+  // Each value follows its one-byte key reference.
+  auto key_ref_at = [&bytes](const Value& v) {
+    ByteWriter needle;
+    needle.WriteValue(v);
+    auto at = std::search(bytes.begin(), bytes.end(), needle.bytes().begin(),
+                          needle.bytes().end());
+    EXPECT_NE(at, bytes.end());
+    return static_cast<size_t>(at - bytes.begin()) - 1;
+  };
+  const size_t a_ref = key_ref_at(first);
+  const size_t b_ref = key_ref_at(second);
+  ASSERT_NE(bytes[a_ref], bytes[b_ref]);
+
+  auto decoded = DecodeCompactAdvicePayload(bytes.data(), bytes.size(), dict_only);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->advice.var_logs.at(7).at(OpRef{1, 2, 3}).value, map);
+
+  std::vector<uint8_t> duplicate = bytes;
+  duplicate[b_ref] = bytes[a_ref];
+  EXPECT_FALSE(DecodeCompactAdvicePayload(duplicate.data(), duplicate.size(), dict_only));
+
+  std::vector<uint8_t> swapped = bytes;
+  std::swap(swapped[a_ref], swapped[b_ref]);
+  EXPECT_FALSE(DecodeCompactAdvicePayload(swapped.data(), swapped.size(), dict_only));
+}
+
 // The transcoder's count headers are bounded by their entries' minimum
 // encoded size (one byte a field): a trace or advice body whose count claims
 // remaining() entries is rejected up front under every stage set.

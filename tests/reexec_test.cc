@@ -188,5 +188,68 @@ TEST(ReexecTest, GroupingIdenticalRequestsMaximizesDedup) {
   EXPECT_EQ(result.audit.stats.handler_lanes, 60u);
 }
 
+// Re-execution reads of a logged variable copy the dictating write's value
+// into each lane. Copies share the write's node, so lanes that one write
+// dictates hold one map, however large it is.
+std::vector<MultiValue>* g_observed_reads = nullptr;
+
+AppSpec MakeSharedMapApp() {
+  auto program = std::make_shared<Program>();
+  program->DefineFunction("shared_map", [](Ctx& ctx) {
+    MultiValue in = ctx.Input();
+    MultiValue map = ctx.ReadVar("days", VarScope::kGlobal);
+    if (ctx.Branch(MvEq(MvField(in, "op"), MultiValue("set")))) {
+      ctx.WriteVar("days", VarScope::kGlobal,
+                   MvMapSet(map, MvField(in, "day"), MvField(in, "msg")));
+      ctx.Respond(MultiValue(true));
+      return;
+    }
+    if (!map.collapsed() && g_observed_reads != nullptr) {
+      g_observed_reads->push_back(map);
+    }
+    ctx.Respond(MvMapGet(map, MvField(in, "day")));
+  });
+  program->SetInit([](Ctx& ctx) {
+    ctx.DeclareVar("days", VarScope::kGlobal);
+    ctx.WriteVar("days", VarScope::kGlobal, MultiValue(Value(ValueMap{})));
+    ctx.RegisterHandler(kRequestEventName, "shared_map");
+  });
+  return AppSpec{"shared_map", std::move(program)};
+}
+
+TEST(ReexecTest, LanesDictatedByOneWriteShareItsNode) {
+  AppSpec app = MakeSharedMapApp();
+  std::vector<Value> inputs;
+  for (int round = 0; round < 3; ++round) {
+    inputs.push_back(MakeMap({{"op", "set"},
+                              {"day", "d" + std::to_string(round)},
+                              {"msg", std::string(100, static_cast<char>('a' + round))}}));
+    for (int i = 0; i < 4; ++i) {
+      inputs.push_back(MakeMap({{"op", "get"}, {"day", "d0"}}));
+    }
+  }
+  ServerConfig config;
+  config.concurrency = 1;
+  std::vector<MultiValue> observed;
+  g_observed_reads = &observed;
+  AuditPipelineResult result = RunAndAudit(app, inputs, config);
+  g_observed_reads = nullptr;
+  ASSERT_TRUE(result.audit.accepted) << result.audit.reason;
+  // The twelve gets form one group reading three different writes.
+  ASSERT_EQ(observed.size(), 1u);
+  const MultiValue& lanes = observed[0];
+  ASSERT_EQ(lanes.lane_count_or_one(), 12u);
+  size_t shared_pairs = 0;
+  for (size_t i = 0; i < 12; ++i) {
+    for (size_t j = i + 1; j < 12; ++j) {
+      if (lanes.Lane(i) == lanes.Lane(j)) {
+        EXPECT_EQ(&lanes.Lane(i).AsMap(), &lanes.Lane(j).AsMap()) << i << "," << j;
+        ++shared_pairs;
+      }
+    }
+  }
+  EXPECT_EQ(shared_pairs, 3u * 6u);  // Three writes, four lanes each.
+}
+
 }  // namespace
 }  // namespace karousos

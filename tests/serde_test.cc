@@ -167,6 +167,45 @@ TEST(SerdeTest, MalformedValueKindFails) {
   EXPECT_FALSE(r.ReadValue().has_value());
 }
 
+// A map entry by hand: key, then an int value.
+void WriteIntEntry(ByteWriter* w, std::string_view key, int64_t v) {
+  w->WriteString(key);
+  w->WriteByte(static_cast<uint8_t>(Value::Kind::kInt));
+  w->WriteVarint(static_cast<uint64_t>(v) << 1);  // Zigzag of a non-negative int.
+}
+
+std::vector<uint8_t> TwoEntryMap(std::string_view k1, std::string_view k2) {
+  ByteWriter w;
+  w.WriteByte(static_cast<uint8_t>(Value::Kind::kMap));
+  w.WriteVarint(2);
+  WriteIntEntry(&w, k1, 1);
+  WriteIntEntry(&w, k2, 2);
+  return w.Take();
+}
+
+// The encoding writes map keys in increasing order, so a decoder that
+// accepted a duplicate or an unsorted key would accept two encodings of one
+// value (the duplicate {k:1, k:2} used to decode to {k:1}).
+TEST(SerdeTest, MapKeysMustBeStrictlyIncreasing) {
+  const std::vector<uint8_t> honest = TwoEntryMap("j", "k");
+  ByteReader r(honest);
+  auto decoded = r.ReadValue();
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, MakeMap({{"j", 1}, {"k", 2}}));
+  ByteWriter again;
+  again.WriteValue(*decoded);
+  EXPECT_EQ(again.bytes(), honest);
+
+  const std::vector<uint8_t> duplicate = TwoEntryMap("k", "k");
+  ASSERT_EQ(duplicate.size(), 10u);
+  ByteReader dup(duplicate);
+  EXPECT_FALSE(dup.ReadValue().has_value());
+
+  const std::vector<uint8_t> unsorted = TwoEntryMap("k", "j");
+  ByteReader out_of_order(unsorted);
+  EXPECT_FALSE(out_of_order.ReadValue().has_value());
+}
+
 TEST(SerdeTest, ValueNestingIsCappedAtMaxDepth) {
   // 50,000 levels is a 100,001-byte payload; uncapped, the recursive decoder
   // overflows the stack on it.

@@ -53,7 +53,7 @@ TEST(WorkloadTest, WikiMixRatiosApproximate) {
   int comments = 0;
   int renders = 0;
   for (const Value& r : reqs) {
-    std::string op = r.Field("op").AsString();
+    std::string op(r.Field("op").AsString());
     creates += op == "create_page";
     comments += op == "create_comment";
     renders += op == "render";
@@ -75,7 +75,7 @@ TEST(WorkloadTest, StacksSubmitsAreMostlyRepeats) {
   for (const Value& r : reqs) {
     if (r.Field("op") == Value("submit")) {
       ++submits;
-      unique.insert(r.Field("dump").AsString());
+      unique.insert(std::string(r.Field("dump").AsString()));
     }
   }
   ASSERT_GT(submits, 800);
@@ -103,7 +103,7 @@ TEST(WorkloadTest, AuctionMixRatiosAndShape) {
   int verifies = 0;
   int lists = 0;
   for (const Value& r : reqs) {
-    std::string op = r.Field("op").AsString();
+    std::string op(r.Field("op").AsString());
     bids += op == "bid";
     queries += op == "query";
     verifies += op == "verify";
@@ -259,7 +259,7 @@ TEST(WorkloadTest, MixedAppsEnvelopesComposeAllFourApps) {
   ASSERT_EQ(reqs.size(), 800u);
   std::map<std::string, int> per_app;
   for (const Value& r : reqs) {
-    std::string app = r.Field("app").AsString();
+    std::string app(r.Field("app").AsString());
     ASSERT_TRUE(r.Field("req").is_map()) << r.ToString();
     ++per_app[app];
   }
