@@ -2,7 +2,11 @@
 // wiki, 600 requests each), then audits the same (trace, advice) pair at
 // threads ∈ {1, 4}, reporting the per-phase breakdown the built-in profiler
 // (src/common/prof.h) collects — Preprocess / ReExec / Postprocess seconds —
-// plus deduplicated ops/sec. The threads=1 rows are the serial hot-path
+// plus deduplicated ops/sec. It times the one audit path: AuditOnly feeds
+// each run through the epoch stream as one epoch of kDefaultEpochRequests,
+// so `seconds` includes the stream's end-of-epoch fold and Finish, and
+// Preprocess covers every Figure 14 check wherever it runs (the static
+// rules and isolation at Finish too). The threads=1 rows are the serial hot-path
 // numbers the PR-over-PR speedup tracking keys on.
 //
 // Usage: audit_hotpath [output.json] [--compare baseline.json]

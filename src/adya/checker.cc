@@ -272,15 +272,9 @@ void AddAntiDependencyEdges(const std::map<std::string, std::vector<TxOpRef>>& p
 
 }  // namespace
 
-IsolationCheckResult CheckIsolation(IsolationLevel level, const TransactionLogs& logs,
+IsolationCheckResult CheckIsolation(IsolationLevel level, const TxOpResolverFn& resolve,
                                     const WriteOrder& write_order,
                                     const HistoryAnalysis& analysis) {
-  return CheckIsolationIndexed(level, MakeLogResolver(logs), write_order, analysis);
-}
-
-IsolationCheckResult CheckIsolationIndexed(IsolationLevel level, const TxOpResolverFn& resolve,
-                                           const WriteOrder& write_order,
-                                           const HistoryAnalysis& analysis) {
   IsolationCheckResult result;
   if (!analysis.ok) {
     result.ok = false;
@@ -324,7 +318,7 @@ IsolationCheckResult CheckIsolationIndexed(IsolationLevel level, const TxOpResol
 IsolationCheckResult CheckHistory(IsolationLevel level, const TransactionLogs& logs,
                                   const WriteOrder& write_order) {
   HistoryAnalysis analysis = AnalyzeLogs(logs);
-  return CheckIsolation(level, logs, write_order, analysis);
+  return CheckIsolation(level, MakeLogResolver(logs), write_order, analysis);
 }
 
 }  // namespace karousos

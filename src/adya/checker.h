@@ -27,12 +27,12 @@
 
 namespace karousos {
 
-// What lives at an alleged transaction-log coordinate. The epoch-streaming
-// audit resolves references against (current slice -> carried state ->
-// continuity imports), while the one-shot path resolves against the full
-// logs; both views collapse to this struct, so every consumer (log analysis,
-// write-order extraction, the lint, re-execution's GET feed) is agnostic to
-// where the answer came from.
+// What lives at an alleged transaction-log coordinate. The audit resolves
+// references against (current slice -> carried state -> continuity imports),
+// the whole-run lint against complete logs, the shard merge against the
+// shards' summaries; every view collapses to this struct, so every consumer
+// (log analysis, write-order extraction, the lint, re-execution's GET feed)
+// is agnostic to where the answer came from.
 struct ResolvedTxOp {
   bool txn_present = false;  // The referenced transaction exists.
   bool op_present = false;   // ... and the index is within its log.
@@ -47,8 +47,7 @@ struct ResolvedTxOp {
 
 using TxOpResolverFn = std::function<ResolvedTxOp(const TxOpRef&)>;
 
-// What `logs` hold at `ref`, and a resolver over a complete set of logs (the
-// one-shot view).
+// What `logs` hold at `ref`, and a resolver over a complete set of logs.
 ResolvedTxOp ResolveInLogs(const TransactionLogs& logs, const TxOpRef& ref);
 TxOpResolverFn MakeLogResolver(const TransactionLogs& logs);
 
@@ -107,16 +106,11 @@ struct IsolationCheckResult {
 // claimed level, and checks the dependency graph for cycles. Also enforces
 // the G1a/G1b condition that committed transactions only read final writes of
 // committed transactions (read-committed and serializable levels).
-IsolationCheckResult CheckIsolation(IsolationLevel level, const TransactionLogs& logs,
+// Write-order entries resolve through `resolve`: the audit's carried PUT
+// state, since the audit does not hold the logs at Finish time.
+IsolationCheckResult CheckIsolation(IsolationLevel level, const TxOpResolverFn& resolve,
                                     const WriteOrder& write_order,
                                     const HistoryAnalysis& analysis);
-
-// Resolver-backed form for the streaming audit: identical checks, but
-// write-order entries resolve through `resolve` (carried PUT state) instead
-// of the full logs, which the session no longer holds at Finish time.
-IsolationCheckResult CheckIsolationIndexed(IsolationLevel level, const TxOpResolverFn& resolve,
-                                           const WriteOrder& write_order,
-                                           const HistoryAnalysis& analysis);
 
 // Convenience wrapper: analyze then check.
 IsolationCheckResult CheckHistory(IsolationLevel level, const TransactionLogs& logs,

@@ -60,10 +60,10 @@ void CarryLint::CheckEpoch(const EpochSegment& segment, const std::set<RequestId
   {
     const Advice& advice = segment.advice;
     auto place = [&](RequestId rid, auto&& loc) {
-      if (trace_rids.count(rid) == 0) {
+      uint64_t owner = EpochOfRid(rid, epoch_requests_);
+      if (owner == epochs_ || trace_rids.count(rid) == 0) {
         return;
       }
-      uint64_t owner = EpochOfRid(rid, epoch_requests_);
       if (owner < epochs_) {
         Emit(kKarSeg007, loc(),
              "advice content for request " + std::to_string(rid) + " (epoch " +
@@ -105,6 +105,54 @@ void CarryLint::CheckEpoch(const EpochSegment& segment, const std::set<RequestId
   CheckImports(segment, trace_rids, out);  // 008
 }
 
+std::optional<uint64_t> CarryLint::FirstClaim(const OpRef& op) {
+  std::optional<uint64_t> first;
+  auto it = misplaced_claims_.find(op);
+  if (it != misplaced_claims_.end()) {
+    first = it->second;
+  }
+  // Its own epoch's claim, if that epoch is over and came first.
+  const uint64_t owner = EpochOfRid(op.rid, epoch_requests_);
+  auto own = own_claims_.find(owner);
+  if (owner < epochs_ && own != own_claims_.end() && (!first || owner < *first)) {
+    std::vector<OpRef>& ops = own->second.ops;
+    if (!own->second.sorted) {
+      std::sort(ops.begin(), ops.end());
+      own->second.sorted = true;
+    }
+    if (std::binary_search(ops.begin(), ops.end(), op)) {
+      first = owner;
+    }
+  }
+  return first;
+}
+
+std::vector<std::pair<OpRef, uint64_t>> CarryLint::ClaimsByOp() const {
+  std::vector<std::pair<OpRef, uint64_t>> claims(misplaced_claims_.begin(),
+                                                 misplaced_claims_.end());
+  for (const auto& [epoch, own] : own_claims_) {
+    for (const OpRef& op : own.ops) {
+      claims.emplace_back(op, epoch);
+    }
+  }
+  std::sort(claims.begin(), claims.end());
+  claims.erase(std::unique(claims.begin(), claims.end(),
+                           [](const auto& a, const auto& b) { return a.first == b.first; }),
+               claims.end());
+  return claims;
+}
+
+std::vector<std::pair<std::pair<VarId, OpRef>, CarryLint::PrecEdge>> CarryLint::PrecEdgesByKey()
+    const {
+  auto edges = prec_edges_;
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const auto& a, const auto& b) { return a.first == b.first; }),
+              edges.end());
+  return edges;
+}
+
 bool CarryLint::ForeignTarget(RequestId rid, const std::set<RequestId>& trace_rids) const {
   // The init pseudo-request is replicated into every shard, and rids outside
   // the trace have no owning shard a local audit could defer to — both stay
@@ -117,15 +165,14 @@ bool CarryLint::ForeignTarget(RequestId rid, const std::set<RequestId>& trace_ri
 // KAR-SEG-004: an operation executes in exactly one epoch, so coordinates
 // already claimed by a completed epoch's log entry cannot recur. The slice's
 // own duplicates are KAR-ADV-006's finding; only the cross-epoch probe lives
-// here (claimed_ops_ holds strictly earlier epochs until EndEpoch folds).
+// here (the claim records hold strictly earlier epochs until EndEpoch folds).
 void CarryLint::CheckDuplicateClaims(const EpochSegment& segment,
                                      std::vector<LintDiagnostic>* out) {
   auto claim = [&](const OpRef& op, auto&& loc) {
-    auto it = claimed_ops_.find(op);
-    if (it != claimed_ops_.end()) {
+    if (std::optional<uint64_t> first = FirstClaim(op)) {
       Emit(kKarSeg004, loc(),
            "operation " + op.ToString() + " was already claimed by a log entry in epoch " +
-               std::to_string(it->second),
+               std::to_string(*first),
            out);
     }
   };
@@ -256,14 +303,25 @@ void CarryLint::CheckImports(const EpochSegment& segment, const std::set<Request
 
 void CarryLint::EndEpoch(const EpochSegment& segment) {
   const Advice& advice = segment.advice;
+  std::vector<OpRef>& own = own_claims_[epochs_].ops;
+  own.reserve(own.size() + advice.handler_log_entry_count() + advice.var_log_entry_count());
+  auto claim = [&](const OpRef& op) {
+    if (EpochOfRid(op.rid, epoch_requests_) == epochs_) {
+      own.push_back(op);
+    } else {
+      misplaced_claims_.emplace(op, epochs_);
+    }
+  };
+  opcount_epochs_.reserve(opcount_epochs_.size() + advice.opcounts.size());
+  write_order_epochs_.reserve(write_order_epochs_.size() + advice.write_order.size());
   for (const auto& [rid, log] : advice.handler_logs) {
     for (const HandlerLogEntry& e : log) {
-      claimed_ops_.emplace(OpRef{rid, e.hid, e.opnum}, epochs_);
+      claim(OpRef{rid, e.hid, e.opnum});
     }
   }
   for (const auto& [txn, log] : advice.tx_logs) {
     for (const TxOperation& op : log) {
-      claimed_ops_.emplace(OpRef{txn.rid, op.hid, op.opnum}, epochs_);
+      claim(OpRef{txn.rid, op.hid, op.opnum});
     }
     if (standalone_) {
       txn_sizes_[txn] = static_cast<uint32_t>(log.size());
@@ -276,9 +334,9 @@ void CarryLint::EndEpoch(const EpochSegment& segment) {
   }
   for (const auto& [vid, log] : advice.var_logs) {
     for (const auto& [op, entry] : log) {
-      claimed_ops_.emplace(op, epochs_);
+      claim(op);
       if (!entry.prec.IsNil() && entry.prec != op) {
-        prec_edges_.emplace(std::make_pair(vid, op), PrecEdge{entry.prec, epochs_});
+        prec_edges_.emplace_back(std::make_pair(vid, op), PrecEdge{entry.prec, epochs_});
       }
       if (standalone_) {
         var_kinds_[{vid, op}] = entry.kind == VarLogEntry::Kind::kWrite;
@@ -317,7 +375,7 @@ void CarryLint::Finish(std::vector<LintDiagnostic>* out) {
 
 // KAR-SEG-007, forward half: content ahead of its epoch is legal only as the
 // final slice's clamped tail (rids beyond the last trace epoch land there, so
-// the not-in-trace rule reports them as the one-shot audit would).
+// the not-in-trace rule reports them as a one-epoch audit would).
 void CarryLint::FinishEarlyContent(std::vector<LintDiagnostic>* out) {
   uint64_t last = epochs_ == 0 ? 0 : epochs_ - 1;
   for (const EarlyContent& e : early_content_) {
@@ -356,15 +414,25 @@ void CarryLint::FinishImports(std::vector<LintDiagnostic>* out) {
 // KAR-SEG-009: each var-log entry names at most one predecessor, so the prec
 // relation is a functional graph per variable — one forward walk with path
 // marking finds every cycle in linear time. Cycles confined to a single epoch
-// are left to the dynamic chain checks (a one-shot audit could never fire a
+// are left to the dynamic chain checks (a one-epoch audit could never fire a
 // KAR-SEG rule); only cycles spanning epochs report here.
 void CarryLint::FinishPrecChains(std::vector<LintDiagnostic>* out) {
+  if (epochs_ < 2) {
+    return;  // Every edge comes from one epoch, so no cycle spans two.
+  }
+  FlatMap<std::pair<VarId, OpRef>, PrecEdge> edges;
+  edges.reserve(prec_edges_.size());
+  for (const auto& [key, edge] : prec_edges_) {
+    edges.emplace(key, edge);
+  }
   FlatMap<std::pair<VarId, OpRef>, uint8_t> color;  // 0 new, 1 on path, 2 done.
-  for (const auto& [start, start_edge] : prec_edges_) {
+  color.reserve(2 * edges.size());
+  std::vector<std::pair<VarId, OpRef>> path;
+  for (const auto& [start, start_edge] : edges) {
     if (color[start] != 0) {
       continue;
     }
-    std::vector<std::pair<VarId, OpRef>> path;
+    path.clear();
     std::pair<VarId, OpRef> cur = start;
     while (true) {
       uint8_t& c = color[cur];
@@ -380,7 +448,7 @@ void CarryLint::FinishPrecChains(std::vector<LintDiagnostic>* out) {
         std::set<uint64_t> epochs_in_cycle;
         std::ostringstream cycle;
         for (size_t i = first; i < path.size(); ++i) {
-          const PrecEdge& edge = prec_edges_.find(path[i])->second;
+          const PrecEdge& edge = edges.find(path[i])->second;
           epochs_in_cycle.insert(edge.epoch);
           cycle << " " << path[i].second.ToString() << "@e" << edge.epoch;
         }
@@ -394,8 +462,8 @@ void CarryLint::FinishPrecChains(std::vector<LintDiagnostic>* out) {
       }
       c = 1;
       path.push_back(cur);
-      auto edge_it = prec_edges_.find(cur);
-      if (edge_it == prec_edges_.end()) {
+      auto edge_it = edges.find(cur);
+      if (edge_it == edges.end()) {
         break;
       }
       cur = {cur.first, edge_it->second.prec};
@@ -446,10 +514,11 @@ void CarryLint::Serialize(ByteWriter* out) const {
   out->WriteVarint(epoch_requests_);
   out->WriteBool(standalone_);
   out->WriteVarint(epochs_);
-  out->WriteVarint(claimed_ops_.size());
-  for (const auto* e : SortedEntries(claimed_ops_)) {
-    SerializeOpRef(e->first, out);
-    out->WriteVarint(e->second);
+  const auto claims = ClaimsByOp();
+  out->WriteVarint(claims.size());
+  for (const auto& [op, epoch] : claims) {
+    SerializeOpRef(op, out);
+    out->WriteVarint(epoch);
   }
   out->WriteVarint(opcount_epochs_.size());
   for (const auto* e : SortedEntries(opcount_epochs_)) {
@@ -462,12 +531,13 @@ void CarryLint::Serialize(ByteWriter* out) const {
     SerializeTxOpRef(e->first, out);
     out->WriteVarint(e->second);
   }
-  out->WriteVarint(prec_edges_.size());
-  for (const auto* e : SortedEntries(prec_edges_)) {
-    out->WriteFixed64(e->first.first);
-    SerializeOpRef(e->first.second, out);
-    SerializeOpRef(e->second.prec, out);
-    out->WriteVarint(e->second.epoch);
+  const auto edges = PrecEdgesByKey();
+  out->WriteVarint(edges.size());
+  for (const auto& [key, edge] : edges) {
+    out->WriteFixed64(key.first);
+    SerializeOpRef(key.second, out);
+    SerializeOpRef(edge.prec, out);
+    out->WriteVarint(edge.epoch);
   }
   out->WriteVarint(early_content_.size());
   for (const EarlyContent& e : early_content_) {
@@ -519,7 +589,12 @@ void CarryLint::Deserialize(StateReader* in) {
   // one-byte epoch, count, bool or empty string.
   in->Each(kMinOpRefBytes + 1, [&] {
     OpRef op = in->Op();
-    claimed_ops_.emplace(op, in->V());
+    uint64_t epoch = in->V();
+    if (epoch < epochs_ && epoch == EpochOfRid(op.rid, epoch_requests_)) {
+      own_claims_[epoch].ops.push_back(op);
+    } else {
+      misplaced_claims_.emplace(op, epoch);
+    }
   });
   in->Each(10, [&] {
     RequestId rid = in->V();
@@ -534,7 +609,7 @@ void CarryLint::Deserialize(StateReader* in) {
     VarId vid = in->F64();
     OpRef op = in->Op();
     OpRef prec = in->Op();
-    prec_edges_.emplace(std::make_pair(vid, op), PrecEdge{prec, in->V()});
+    prec_edges_.emplace_back(std::make_pair(vid, op), PrecEdge{prec, in->V()});
   });
   in->Each(3, [&] {
     uint64_t seen = in->V();

@@ -8,7 +8,9 @@
 // mirror of the AuditSession's CarryState that costs no re-execution and whose
 // pass runs both inside the session (the fast-reject pre-screen before
 // Preprocess/ReExec) and standalone (`karousos check`), emitting identical
-// diagnostics wherever both run.
+// diagnostics wherever both run. Findings accumulate in stream order: the
+// first error is the verdict and stops re-execution, and when it came in the
+// stream's last epoch, Finish still runs and adds its findings.
 //
 // Rule catalogue (stable IDs; KAR-SEG-001..003 and 010 are container-layer and
 // fire in the stream loader, 004..009 fire here):
@@ -26,8 +28,8 @@
 //
 // Every KAR-SEG advice rule fires only on genuinely cross-epoch phenomena: a
 // single-epoch stream (epoch_requests == 0) can never trip 004..009, which is
-// what keeps the streamed verdict bit-identical to the one-shot audit on
-// honest slicings. The session's pre-screen is always on, and it is not a
+// what keeps the verdict bit-identical across epoch sizes on honest
+// slicings. The session's pre-screen is always on, and it is not a
 // redundant fast path: KAR-SEG-007 and KAR-SEG-008 findings are enforced only
 // here; a stream that breaks only them passes every dynamic check.
 #ifndef SRC_ANALYSIS_CARRY_LINT_H_
@@ -35,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -155,6 +158,12 @@ class CarryLint {
   // True when a shard filter is set and `rid` is an in-trace request owned by
   // another shard (imports targeting it are confirmed at merge, not here).
   bool ForeignTarget(RequestId rid, const std::set<RequestId>& trace_rids) const;
+  // The first epoch before the current one whose log entry claimed `op`.
+  std::optional<uint64_t> FirstClaim(const OpRef& op);
+  // Every claim once, with its first epoch, in ascending op order.
+  std::vector<std::pair<OpRef, uint64_t>> ClaimsByOp() const;
+  // The first prec edge of each key, in ascending key order.
+  std::vector<std::pair<std::pair<VarId, OpRef>, PrecEdge>> PrecEdgesByKey() const;
   void FinishEarlyContent(std::vector<LintDiagnostic>* out);
   void FinishImports(std::vector<LintDiagnostic>* out);
   void FinishPrecChains(std::vector<LintDiagnostic>* out);
@@ -167,10 +176,23 @@ class CarryLint {
 
   // Cross-epoch bookkeeping (both modes). Values are the first epoch that
   // owned the key; probes against the current epoch detect recurrence.
-  FlatMap<OpRef, uint64_t> claimed_ops_;
+  //
+  // Claimed operations (KAR-SEG-004). A claim in its request's own epoch
+  // goes into that epoch's list, unhashed: it can recur only as a claim in
+  // another epoch, so the list is sorted and searched only when one comes.
+  // Every other claim is a misplaced one, kept with the first epoch that
+  // made it.
+  struct OwnClaims {
+    std::vector<OpRef> ops;
+    bool sorted = false;
+  };
+  FlatMap<uint64_t, OwnClaims> own_claims_;  // By epoch.
+  FlatMap<OpRef, uint64_t> misplaced_claims_;
   FlatMap<std::pair<RequestId, HandlerId>, uint64_t> opcount_epochs_;
   FlatMap<TxOpRef, uint64_t> write_order_epochs_;
-  FlatMap<std::pair<VarId, OpRef>, PrecEdge> prec_edges_;
+  // Var-log prec edges in fold order (the first edge of a key wins). Only
+  // FinishPrecChains reads them, and only for a stream of two or more epochs.
+  std::vector<std::pair<std::pair<VarId, OpRef>, PrecEdge>> prec_edges_;
   std::vector<EarlyContent> early_content_;
   // node-keyed maps stay std::map: resolvers hand out pointers into them and
   // the checkpoint wants their sorted order anyway.

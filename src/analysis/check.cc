@@ -122,24 +122,23 @@ bool SegmentChecker::CheckEpoch(const EpochSegment& segment) {
     result_.diagnostics.push_back(std::move(d));
   }
   // Mirror the session's throw points: an ADV error stops before the SEG
-  // pass, and a failing epoch is never folded into the carries.
+  // pass. A failing epoch is folded into the carries too: if it was the
+  // last one, Finish runs the finish-time rules over it.
   NoteVerdict();
   if (result_.ok) {
     carry_.CheckEpoch(segment, trace_rids_, &result_.diagnostics);
     NoteVerdict();
   }
-  if (result_.ok) {
-    carry_.EndEpoch(segment);
-  }
+  carry_.EndEpoch(segment);
   ++epochs_fed_;
   result_.epochs = epochs_fed_;
   return result_.ok;
 }
 
-CheckResult SegmentChecker::Finish() {
-  if (result_.ok) {
+CheckResult SegmentChecker::Finish(bool fed_all) {
+  if (result_.ok || fed_all) {
     carry_.Finish(&result_.diagnostics);
-    NoteVerdict();
+    NoteVerdict();  // Keeps the first finding's verdict.
   }
   result_.epochs = epochs_fed_;
   return std::move(result_);
@@ -153,13 +152,21 @@ CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
   std::vector<LintDiagnostic> file_diags;
   EpochSegment segment;
   bool container_error = false;
+  bool cut_short = false;
   while (true) {
     int r = cursor.Next(&segment, &file_diags);
     if (r < 0) {
       container_error = true;
       break;
     }
-    if (r == 0 || !checker.CheckEpoch(segment)) {
+    if (r == 0) {
+      break;
+    }
+    if (!checker.CheckEpoch(segment)) {
+      // One more pull says whether that was the last epoch; what it finds,
+      // a broken frame included, is never reported.
+      std::vector<LintDiagnostic> unreported;
+      cut_short = cursor.Next(&segment, &unreported) != 0;
       break;
     }
   }
@@ -176,7 +183,7 @@ CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
     result.rule = first.rule;
     result.reason = RejectReason(first);
   } else {
-    result = checker.Finish();
+    result = checker.Finish(/*fed_all=*/!cut_short);
   }
   result.frames = cursor.frames();
   return result;
@@ -190,12 +197,14 @@ CheckResult SegmentChecker::Abandon() {
 CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {
   EpochSlices slices = SliceRun(trace, advice, epoch_requests);
   SegmentChecker checker(slices.epoch_requests);
-  for (const EpochSegment& segment : slices.segments) {
-    if (!checker.CheckEpoch(segment)) {
+  bool fed_all = true;
+  for (size_t i = 0; i < slices.segments.size(); ++i) {
+    if (!checker.CheckEpoch(slices.segments[i])) {
+      fed_all = i + 1 == slices.segments.size();
       break;
     }
   }
-  return checker.Finish();
+  return checker.Finish(fed_all);
 }
 
 SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,

@@ -70,7 +70,8 @@ std::string RejectReason(const LintDiagnostic& d);
 
 // Outcome of a standalone model check. `reason`/`rule` describe the first
 // error (the verdict the session's RejectError would carry); `diagnostics`
-// holds every finding up to and including the epoch that produced it.
+// holds every finding up to and including the epoch that produced it, plus
+// the finish-time findings when that epoch was the last.
 struct CheckResult {
   bool ok = true;
   std::string reason;
@@ -87,7 +88,11 @@ class SegmentChecker {
   explicit SegmentChecker(uint64_t epoch_requests);
 
   bool CheckEpoch(const EpochSegment& segment);
-  CheckResult Finish();
+  // Runs the finish-time rules and returns the result. After a finding they
+  // run only with `fed_all` (the stream ended and no epoch was left unfed):
+  // they then add diagnostics, and the verdict stays the first finding's,
+  // as in AuditSession::Finish.
+  CheckResult Finish(bool fed_all = false);
   // Result so far without the finish-time rules — for callers whose container
   // walk failed (a truncated stream has no meaningful end-of-stream state).
   CheckResult Abandon();

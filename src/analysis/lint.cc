@@ -55,10 +55,10 @@ bool HasLintErrors(const std::vector<LintDiagnostic>& diagnostics) {
 namespace {
 
 // Shared state for one lint run: the trace's request-id set and the advice
-// under scrutiny, plus the output sink. One-shot runs own their request-id
-// set and resolve every reference inside the advice itself; epoch runs
-// (LintAdviceEpoch) borrow the session's accumulated id sets and fall back to
-// the session's resolvers for references that leave the slice.
+// under scrutiny, plus the output sink. Whole-run lints (LintAdvice) own their
+// request-id set and resolve every reference inside the advice itself; epoch
+// runs (LintAdviceEpoch) borrow the session's accumulated id sets and fall
+// back to the session's resolvers for references that leave the slice.
 class Linter {
  public:
   Linter(const Trace& trace, const Advice& advice, std::vector<LintDiagnostic>* out)
@@ -110,8 +110,8 @@ class Linter {
   bool InTrace(RequestId rid) const { return trace_rids_->count(rid) > 0; }
 
   // Resolves a transaction-log coordinate: the advice under scrutiny first
-  // (the whole advice one-shot, the slice in epoch mode), then the epoch
-  // hook. One-shot behavior is exactly the old direct map lookup.
+  // (the whole advice in a whole-run lint, the slice in epoch mode), then the
+  // epoch hook.
   ResolvedTxOp LookupTxOp(const TxOpRef& ref) const {
     auto log_it = advice_.tx_logs.find(TxnKey{ref.rid, ref.tid});
     if (log_it != advice_.tx_logs.end()) {
@@ -504,7 +504,7 @@ class Linter {
 
   const Advice& advice_;
   std::vector<LintDiagnostic>& out_;
-  // One-shot runs build own_rids_ from the trace and point both universes at
+  // Whole-run lints build own_rids_ from the trace and point both universes at
   // it; epoch runs borrow the session's sets (all requests streamed so far vs
   // this epoch's requests).
   std::set<RequestId> own_rids_;

@@ -1,5 +1,7 @@
 #include "src/audit/audit.h"
 
+#include "src/audit/stream.h"
+
 namespace karousos {
 
 AuditPipelineResult RunAndAudit(const AppSpec& app, const std::vector<Value>& inputs,
@@ -15,11 +17,7 @@ AuditPipelineResult RunAndAudit(const AppSpec& app, const std::vector<Value>& in
 
 AuditResult AuditOnly(const AppSpec& app, const Trace& trace, const Advice& advice,
                       const VerifierConfig& config, const UntrackedAccessLog* untracked) {
-  Verifier verifier(*app.program, config);
-  if (untracked != nullptr) {
-    verifier.set_untracked_accesses(untracked);
-  }
-  return verifier.Audit(trace, advice);
+  return AuditStreamed(app, trace, advice, config, kDefaultEpochRequests, untracked).audit;
 }
 
 AuditResult AuditOnly(const AppSpec& app, const Trace& trace, const Advice& advice,

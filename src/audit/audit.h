@@ -1,7 +1,9 @@
 // One-call audit pipeline: run an application at the (instrumented) server,
 // collect trace + advice, and verify. This is the API the examples, tests,
 // and benches drive; it mirrors the deployment story of §2.1 — collector in
-// front of the server, verifier at the principal.
+// front of the server, verifier at the principal. Both calls are thin
+// wrappers over the one audit path, the epoch stream (src/audit/stream.h):
+// the run is sliced at kDefaultEpochRequests and fed epoch by epoch.
 #ifndef SRC_AUDIT_AUDIT_H_
 #define SRC_AUDIT_AUDIT_H_
 
@@ -28,8 +30,9 @@ struct AuditPipelineResult {
 AuditPipelineResult RunAndAudit(const AppSpec& app, const std::vector<Value>& inputs,
                                 const ServerConfig& config, unsigned audit_threads = 1);
 
-// Audit only (server output already in hand). Pass the server's
-// untracked-access log to additionally run the §5 race detector.
+// Audit only (server output already in hand): AuditStreamed at
+// kDefaultEpochRequests. Pass the server's untracked-access log to
+// additionally run the §5 race detector.
 AuditResult AuditOnly(const AppSpec& app, const Trace& trace, const Advice& advice,
                       const VerifierConfig& config, const UntrackedAccessLog* untracked = nullptr);
 

@@ -1,8 +1,7 @@
-// Epoch-streamed audit drivers: pull a stored run's epochs one at a time and
-// feed them through an AuditSession. This is the path `karousos audit` takes
-// for KSEG containers and for monolithic files given --epoch-size,
-// --checkpoint or --resume. For honest runs and single-fault runs the verdict
-// matches the one-shot AuditOnly at every epoch size.
+// The audit driver: pull a stored run's epochs one at a time and feed them
+// through an AuditSession. Every audit takes this path — KSEG containers,
+// monolithic files (sliced at kDefaultEpochRequests unless an epoch size is
+// given), and the in-memory AuditOnly/RunAndAudit (src/audit/audit.h).
 //
 // Decode, feed, drop: a helper thread decodes epoch k+1 while the session
 // feeds epoch k, and every fed epoch goes back to that thread to be
@@ -55,20 +54,22 @@ class SliceSource : public EpochSource {
 //
 // The first finding in stream order wins. Pulling stops once the session is
 // decided, so after a rejection at epoch j nothing past epoch j+1 is decoded
-// and a broken frame there is never reported. A source that breaks first
-// rejects with its file-layer finding, the reason/rule `karousos check`
-// reports. Only the calling thread touches `session` and `after_epoch`; an
-// exception thrown by the source is rethrown here.
+// and a broken frame there is never reported. If epoch j was the source's
+// last, Finish still adds the finish-time static findings (the result then
+// carries every static finding, with the first one's verdict and rule);
+// otherwise they are skipped, since they would judge epochs never fed. A
+// source that breaks first rejects with its file-layer finding, the
+// reason/rule `karousos check` reports. Only the calling thread touches
+// `session` and `after_epoch`; an exception thrown by the source before a
+// decision is rethrown here.
 StreamAuditResult RunStreamedAudit(AuditSession* session, EpochSource* source,
                                    const std::function<void(AuditSession&)>& after_epoch = nullptr);
 
 // Slices the run at epoch_requests (0 = one epoch holding everything) and
 // audits it epoch by epoch. On honest runs and single-fault adversarial runs
-// it reaches the same verdict, reason, rule, and diagnostics as AuditOnly over
-// the unsliced inputs. With several faults the first finding in stream order
-// stops the stream, so later findings can be missing: on
-// tests/fixtures/lint_bad the one-shot audit reports KAR-ADV-003 and
-// KAR-ADV-010, and the epoch-0 stream only KAR-ADV-003.
+// the verdict, reason, rule, and diagnostics do not depend on the epoch size.
+// With several faults the first finding in stream order stops re-execution,
+// and epochs after the one it is in are not looked at.
 StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Advice& advice,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked = nullptr);

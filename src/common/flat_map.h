@@ -212,34 +212,40 @@ class FlatMap {
     if (meta_.empty() || size_ + 1 > meta_.size() - meta_.size() / 8) {
       Rehash(meta_.size() == 0 ? kMinCapacity : meta_.size() * 2);
     }
-    PlaceNew(Entry(key, std::move(value)));
+    size_t slot = PlaceNew(Entry(key, std::move(value)));
     ++size_;
-    // Re-probe for the final slot: inserts are rare next to lookups, and the
-    // displacement walk above may have moved the entry past its first rest.
-    return {FindSlot(key), true};
+    return {slot, true};
   }
 
-  // Robin-hood placement of a key known to be absent from the table.
-  void PlaceNew(Entry entry) {
+  // Robin-hood placement of a key known to be absent from the table. Returns
+  // the slot the key comes to rest in: the first one it takes, since the
+  // displacement walk after that moves only the entries it pushed out.
+  size_t PlaceNew(Entry entry) {
+    const size_t none = meta_.size();
     size_t mask = meta_.size() - 1;
     size_t idx = Hash{}(entry.first) & mask;
     uint16_t dist = 1;
+    size_t rest = none;
     while (true) {
       if (meta_[idx] == 0) {
         slots_[idx] = std::move(entry);
         meta_[idx] = dist;
-        return;
+        return rest == none ? idx : rest;
       }
       if (meta_[idx] < dist) {
         std::swap(slots_[idx], entry);
         std::swap(meta_[idx], dist);
+        if (rest == none) {
+          rest = idx;
+        }
       }
       idx = (idx + 1) & mask;
       ++dist;
       if (dist >= kMaxProbe) {
         // Unreachable with a mixing hash; grow rather than overflow meta.
+        Key key = rest == none ? entry.first : slots_[rest].first;
         Rehash(meta_.size() * 2, &entry);
-        return;
+        return FindSlot(key);
       }
     }
   }

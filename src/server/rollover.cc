@@ -79,7 +79,8 @@ std::optional<ContinuityImports> ContinuityImports::Deserialize(ByteReader* in) 
 
 // Looks up what the full advice alleges at a cross-epoch transaction-log
 // coordinate. Mirrors defects faithfully (absent txn, out-of-range index,
-// wrong op type) so sliced validation rejects exactly where one-shot does.
+// wrong op type) so validation rejects at every epoch size where one epoch
+// does.
 ContinuityImports::TxOpImport DescribeTxOp(const Advice& advice, const TxOpRef& ref) {
   ContinuityImports::TxOpImport imp;
   imp.ref = ref;
@@ -185,8 +186,8 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
   // Chronological cuts: window e ends at the earliest index past the last
   // event of every completed request of epochs <= e. A request missing its
   // arrival or response never completes, so its epoch's cut collapses to the
-  // end of the trace (the streaming balance check then rejects at Finish,
-  // exactly as the one-shot balance check would up front).
+  // end of the trace (the balance check then rejects at Finish, with the
+  // reason a one-epoch audit gives).
   std::vector<size_t> completion(epochs, 0);  // One-past-last event index.
   std::vector<bool> incomplete(epochs, false);
   for (const auto& [rid, s] : seen) {

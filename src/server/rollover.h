@@ -21,8 +21,8 @@
 //     arrives: a wrong continuity record can only cause rejection.
 //
 // The same slicer runs on the collector's side (`karousos serve
-// --out-segments`, shard files) and on the verifier's (re-slicing monolithic
-// inputs for `audit --epoch-size N`), so both produce byte-identical segments.
+// --out-segments`, shard files) and on the verifier's (slicing monolithic
+// inputs for `audit`), so both produce byte-identical segments.
 #ifndef SRC_SERVER_ROLLOVER_H_
 #define SRC_SERVER_ROLLOVER_H_
 
@@ -42,10 +42,20 @@ namespace karousos {
 // Epoch of a request id (init/reserved rid 0 maps to epoch 0).
 uint64_t EpochOfRid(RequestId rid, uint64_t epoch_requests);
 
+// The epoch size a run stored in one piece (a monolithic trace and advice
+// pair) is audited at when the caller names none: AuditOnly, RunAndAudit,
+// and `karousos audit`/`check`/`analyze` without --epoch-size. Chosen by
+// measurement: on monolithic motd@20000, epochs of 1000 and of 2000 audit
+// equally fast, faster than one epoch or epochs of 500 (EXPERIMENTS.md, "One
+// audit path: measured"), and the smaller keeps less resident. It must stay
+// above the 600-request runs of figure_shapes_test, which count per-audit
+// work as one epoch.
+inline constexpr uint64_t kDefaultEpochRequests = 1000;
+
 // What the collector alleges lives at out-of-epoch coordinates that this
 // epoch's slice references. Allegations mirror whatever the full advice
-// holds — including its defects — so that epoch-sliced validation reaches
-// the same verdict as one-shot validation.
+// holds — including its defects — so that validation reaches the same
+// verdict at every epoch size.
 struct ContinuityImports {
   // Each import has one encoding, the KSEG raw frame's, wherever it travels
   // (epoch frames, shard files, the checkpoint, the pre-screen state and the
@@ -90,8 +100,8 @@ struct ContinuityImports {
 
 // Looks up what the full advice alleges at an out-of-slice transaction-log /
 // var-log coordinate. Allegations mirror defects faithfully (absent txn,
-// out-of-range index, missing entry) so sliced validation reaches the same
-// verdict as one-shot validation. Shared by the epoch slicer below and the
+// out-of-range index, missing entry) so validation reaches the same verdict
+// at every epoch size. Shared by the epoch slicer below and the
 // shard slicer (src/server/shard.h).
 ContinuityImports::TxOpImport DescribeTxOp(const Advice& advice, const TxOpRef& ref);
 ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, const OpRef& op);
@@ -139,7 +149,7 @@ struct EpochSlices {
 // Slices a complete run. epoch_requests == 0 means one epoch holding
 // everything. Advice content whose rid falls beyond the last trace epoch is
 // clamped into the final slice (where the lint's not-in-trace rule reports
-// it, exactly as the one-shot audit would).
+// it, exactly as a one-epoch audit would).
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests);
 
 // Move-based slicer for callers done with the advice (the shard slicer, a

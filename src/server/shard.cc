@@ -56,7 +56,7 @@ std::map<RequestId, uint32_t> AssignShards(const Trace& trace, const Advice& adv
   // Assignment covers every rid the run mentions: trace arrivals plus every
   // advice owner coordinate (mutated advice may name rids outside the trace;
   // they still need a deterministic owner so exactly one shard's lint
-  // reports them, as the one-shot lint would once).
+  // reports them, as the unsharded lint would once).
   std::set<RequestId> universe;
   for (const TraceEvent& ev : trace.events) universe.insert(ev.rid);
   for (const auto& [rid, tag] : advice.tags) universe.insert(rid);

@@ -1,43 +1,6 @@
 #include "src/trace/trace.h"
 
-#include <unordered_map>
-
 namespace karousos {
-
-bool Trace::IsBalanced(std::string* reason) const {
-  std::unordered_map<RequestId, int> state;  // 0 unseen, 1 requested, 2 responded.
-  for (const TraceEvent& ev : events) {
-    int& s = state[ev.rid];
-    if (ev.kind == TraceEvent::Kind::kRequest) {
-      if (s != 0) {
-        *reason = "duplicate request id " + std::to_string(ev.rid);
-        return false;
-      }
-      s = 1;
-    } else {
-      if (s != 1) {
-        *reason = "response for request " + std::to_string(ev.rid) +
-                  (s == 0 ? " before its request" : " delivered twice");
-        return false;
-      }
-      s = 2;
-    }
-  }
-  // Report the smallest unresponded rid: the message must not depend on hash
-  // order, because the streaming audit reproduces it at Finish and its verdict
-  // has to be bit-identical to the one-shot check here.
-  std::optional<RequestId> missing;
-  for (const auto& [rid, s] : state) {
-    if (s != 2 && (!missing || rid < *missing)) {
-      missing = rid;
-    }
-  }
-  if (missing) {
-    *reason = "request " + std::to_string(*missing) + " has no response";
-    return false;
-  }
-  return true;
-}
 
 std::vector<RequestId> Trace::RequestIds() const {
   std::vector<RequestId> rids;

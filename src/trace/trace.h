@@ -26,10 +26,6 @@ struct TraceEvent {
 struct Trace {
   std::vector<TraceEvent> events;
 
-  // True iff every request has exactly one response and vice versa, and each
-  // response follows its request ("Check Tr is balanced", Figure 14).
-  bool IsBalanced(std::string* reason) const;
-
   // All request ids in arrival order.
   std::vector<RequestId> RequestIds() const;
 

@@ -728,13 +728,12 @@ void Verifier::RunInitialization() {
 void Verifier::ReExec() {
   // Group requests by their (alleged) tag; groups merge in order of their
   // earliest request id, which is deterministic but otherwise arbitrary
-  // (Lemma 1: all well-formed orders are equivalent). The streaming audit
-  // re-executes one epoch's requests at a time — its groups partition the
-  // epoch, not the whole trace (tags never span epochs; a tag that tried
-  // would leave its handler un-run and reject below).
-  const std::set<RequestId>& reexec_rids = streaming_ ? epoch_rids_ : trace_rids_;
+  // (Lemma 1: all well-formed orders are equivalent). The audit re-executes
+  // one epoch's requests at a time — its groups partition the epoch, not the
+  // whole trace (tags never span epochs; a tag that tried would leave its
+  // handler un-run and reject below).
   std::map<uint64_t, std::vector<RequestId>> by_tag;
-  for (RequestId rid : reexec_rids) {
+  for (RequestId rid : epoch_rids_) {
     auto it = advice_->tags.find(rid);
     if (it == advice_->tags.end()) {
       Reject("no re-execution tag for request " + std::to_string(rid));
@@ -785,7 +784,7 @@ void Verifier::ReExec() {
       Reject("advice mentions a handler that re-execution never ran");
     }
   }
-  for (RequestId rid : reexec_rids) {
+  for (RequestId rid : epoch_rids_) {
     if (responded_.count(rid) == 0) {
       Reject("request " + std::to_string(rid) + " produced no response during re-execution");
     }

@@ -74,7 +74,7 @@ bool AuditSession::FeedEpoch(const EpochSegment& segment) {
   return !v_.decided_;
 }
 
-AuditResult AuditSession::Finish() { return v_.StreamFinish(); }
+AuditResult AuditSession::Finish(bool fed_all) { return v_.StreamFinish(fed_all); }
 
 void AuditSession::WriteCarries(ByteWriter* w) const {
   w->WriteVarint(v_.txn_size_carry_.size());
@@ -154,15 +154,30 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   // Tracked variables, every flat key set in sorted order so the checkpoint
   // is canonical. Each read-observer vector's *internal* order is preserved
   // as stored (it is append-order from the deterministic merge, and
-  // edge-insertion order at Finish depends on it).
+  // edge-insertion order at Finish depends on it). Between epochs only the
+  // init request's var_dict entries are live: the rest are the finished
+  // epoch's, which the next epoch prunes first, so they count as pruned.
+  size_t var_dict_entries_pruned = v_.var_dict_entries_pruned_;
   w.WriteVarint(v_.vars_.size());
   for (const auto* var : SortedEntries(v_.vars_)) {
     w.WriteFixed64(var->first);
     w.WriteBool(var->second.declared);
     w.WriteBool(var->second.request_scoped);
     SerializeOpRef(var->second.initializer, &w);
-    w.WriteVarint(var->second.var_dict.size());
-    for (const auto* dict : SortedEntries(var->second.var_dict)) {
+    const auto dicts = SortedEntries(var->second.var_dict);
+    size_t live = 0;
+    for (const auto* dict : dicts) {
+      if (dict->first.first == kInitRequestId) {
+        ++live;
+      } else {
+        var_dict_entries_pruned += dict->second.size();
+      }
+    }
+    w.WriteVarint(live);
+    for (const auto* dict : dicts) {
+      if (dict->first.first != kInitRequestId) {
+        continue;
+      }
       w.WriteVarint(dict->first.first);
       w.WriteFixed64(dict->first.second);
       w.WriteVarint(dict->second.size());
@@ -229,7 +244,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteVarint(v_.stats_.ops_executed);
   w.WriteVarint(v_.stats_.isolation_dg_nodes);
   w.WriteVarint(v_.stats_.isolation_dg_edges);
-  w.WriteVarint(v_.var_dict_entries_pruned_);
+  w.WriteVarint(var_dict_entries_pruned);
 
   // The fast-reject pre-screen's cross-epoch state.
   v_.carry_lint_.Serialize(&w);

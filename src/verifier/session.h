@@ -1,16 +1,16 @@
-// Resumable epoch-streaming audit: AuditSession consumes one EpochSegment at
-// a time (trace window + advice slice + continuity imports, as produced by
-// SliceRun or a collector's segment stream) and assembles the verdict at
-// Finish. Between epochs the session's entire cross-epoch state — the carry
-// state — serializes to a single checkpoint frame, so an interrupted audit
-// resumes from the last completed epoch instead of restarting.
+// The audit session: the one audit path. AuditSession consumes one
+// EpochSegment at a time (trace window + advice slice + continuity imports,
+// as produced by SliceRun or a collector's segment stream) and assembles the
+// verdict at Finish. Between epochs the session's entire cross-epoch state —
+// the carry state — serializes to a single checkpoint frame, so an
+// interrupted audit resumes from the last completed epoch instead of
+// restarting.
 //
-// Contract with the one-shot Audit(): for the same complete (trace, advice)
-// pair, feeding the slices of any epoch size (including one epoch holding
-// everything) reaches the same verdict, reason, rule, and diagnostics as
-// Verifier::Audit — honest runs and single-fault adversarial runs alike.
-// What streaming buys is memory: per-epoch advice is dropped once its epoch
-// is re-executed, and only the compact carries (transaction shapes, PUT
+// For the same complete (trace, advice) pair, feeding the slices of any
+// epoch size (including one epoch holding everything) reaches the same
+// verdict, reason, rule, and diagnostics — honest runs and single-fault
+// adversarial runs alike. Per-epoch advice is dropped once its epoch is
+// re-executed, and only the compact carries (transaction shapes, PUT
 // payloads, var-log entry kinds, and the values of writes to variables that
 // are not request-scoped) stay resident.
 #ifndef SRC_VERIFIER_SESSION_H_
@@ -44,8 +44,13 @@ class AuditSession {
 
   // Runs the global end-of-stream checks (write-order lint, continuity
   // import confirmation, isolation, internal-state edges, graph acyclicity)
-  // and assembles the verdict. Call exactly once, after the last epoch.
-  AuditResult Finish();
+  // and assembles the verdict. Call exactly once, after the last epoch fed.
+  // After a mid-stream rejection the verdict stays that rejection, and the
+  // finish-time static rules run only if `fed_all` says the source ended
+  // and none of its epochs was left unfed: they add their findings to the
+  // result. By default they are skipped, since they would judge epochs never
+  // fed. Without a rejection `fed_all` changes nothing.
+  AuditResult Finish(bool fed_all = false);
 
   // Serializes the full carry state as one kCheckpoint segment frame. Valid
   // between epochs (i.e. after any FeedEpoch call and before Finish).

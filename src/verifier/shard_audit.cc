@@ -240,7 +240,7 @@ class ShardAudit {
     for (const EpochSegment& seg : file.slices.segments) {
       v.StreamEpoch(seg);
     }
-    AuditResult r = v.StreamFinish();
+    AuditResult r = v.StreamFinish(v.epochs_fed_ == file.slices.segments.size());
 
     a.accepted = r.accepted;
     a.reason = r.reason;
@@ -656,7 +656,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
     puts.insert(a->put_summaries.begin(), a->put_summaries.end());
   }
   // Epochs ascend rid ranges and transactions sort by (rid, tid, index), so a
-  // plain sort restores the global reader order the one-shot analysis built.
+  // plain sort restores the global reader order the unsharded analysis built.
   for (auto& [write, readers] : analysis.read_map) {
     std::sort(readers.begin(), readers.end());
   }
@@ -681,7 +681,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
     return r;
   };
   IsolationCheckResult iso =
-      CheckIsolationIndexed(head.isolation, resolve, stitched, analysis);
+      CheckIsolation(head.isolation, resolve, stitched, analysis);
   result.stats.isolation_dg_nodes = iso.dg_nodes;
   result.stats.isolation_dg_edges = iso.dg_edges;
   if (!iso.ok) {

@@ -21,7 +21,7 @@
 //
 // Verdict contract (mirroring the epoch axis): for an honest run, the merged
 // (accepted, reason, rule, diagnostics) quadruple is bit-identical to the
-// one-shot Verifier::Audit at every shard count; tampering with a shard's
+// unsharded audit (AuditSession) at every shard count; tampering with a shard's
 // content rejects in that shard's audit under the unsharded rule; tampering
 // that only the cross-shard view can see (a merge-only adversary) rejects at
 // merge under KAR-SEG-012..015 or the corresponding dynamic reason.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/analysis/check.h"
 #include "src/analysis/lint.h"
 #include "src/analysis/race.h"
 
@@ -13,6 +14,16 @@ namespace {
 // Auxiliary node marker for the time-precedence epoch chain (never collides
 // with request ids, which are assigned from 1 upward).
 constexpr uint64_t kEpochMarker = ~uint64_t{0};
+
+// Throws the first error-severity finding at or after `from` as the
+// rejection, with the reason `karousos check` gives for it.
+void ThrowFirstError(const std::vector<LintDiagnostic>& diagnostics, size_t from) {
+  for (size_t i = from; i < diagnostics.size(); ++i) {
+    if (diagnostics[i].severity == LintSeverity::kError) {
+      throw RejectError(diagnostics[i].rule, RejectReason(diagnostics[i]));
+    }
+  }
+}
 
 std::string DescribeNode(const NodeKey& key) {
   std::ostringstream out;
@@ -41,102 +52,6 @@ void AuditStats::Merge(const AuditStats& other) {
   var_dict_entries += other.var_dict_entries;
   isolation_dg_nodes += other.isolation_dg_nodes;
   isolation_dg_edges += other.isolation_dg_edges;
-}
-
-AuditResult Verifier::Audit(const Trace& trace, const Advice& advice) {
-  trace_ = &trace;
-  advice_ = &advice;
-  AuditResult result;
-  PhaseTimer total_timer(&profile_.total_seconds);
-  try {
-    {
-      PhaseTimer t(&profile_.preprocess_seconds);
-      Preprocess();
-    }
-    {
-      PhaseTimer t(&profile_.reexec_seconds);
-      ReExec();
-    }
-    {
-      PhaseTimer t(&profile_.postprocess_seconds);
-      Postprocess();
-    }
-    result.accepted = true;
-  } catch (const RejectError& e) {
-    result.reason = e.reason;
-    result.rule = e.rule;
-  } catch (const std::exception& e) {
-    // Malformed advice must never crash the verifier: any fault surfacing
-    // from re-executed application code counts as server misbehavior.
-    result.reason = std::string("re-execution fault: ") + e.what();
-  }
-  result.diagnostics = std::move(diagnostics_);
-  diagnostics_.clear();
-  stats_.graph_nodes = graph_.node_count();
-  stats_.graph_edges = graph_.edge_count();
-  for (const auto& [vid, var] : vars_) {
-    for (const auto& [key, writes] : var.var_dict) {
-      stats_.var_dict_entries += writes.size();
-    }
-  }
-  result.stats = stats_;
-  total_timer.Stop();
-  profile_.ops_executed = stats_.ops_executed;
-  result.profile = profile_;
-  return result;
-}
-
-void Verifier::Preprocess() {
-  std::string reason;
-  if (!trace_->IsBalanced(&reason)) {
-    Reject("trace is not balanced: " + reason);
-  }
-  for (RequestId rid : trace_->RequestIds()) {
-    if (rid == kInitRequestId) {
-      Reject("trace contains the reserved init request id");
-    }
-    trace_rids_.insert(rid);
-  }
-  for (const TraceEvent& ev : trace_->events) {
-    if (ev.kind == TraceEvent::Kind::kRequest) {
-      request_inputs_[ev.rid] = ev.payload;
-    } else {
-      responses_[ev.rid] = ev.payload;
-    }
-  }
-  RunAnalysisPasses();
-  BuildAdviceIndices();
-  RunInitialization();  // Implemented with ReplayCtx in reexec.cc.
-  AddTimePrecedenceEdges();
-  AddProgramEdges();
-  AddBoundaryEdges();
-  AddHandlerRelatedEdges();
-  AddExternalStateEdges();
-  IsolationLevelVerification();
-}
-
-void Verifier::RunAnalysisPasses() {
-  // Structural advice lint (src/analysis/lint.h). All findings are kept for
-  // the result; the first error becomes the structured rejection so callers
-  // see the rule ID without grepping the reason text.
-  for (LintDiagnostic& d : LintAdvice(*trace_, *advice_)) {
-    diagnostics_.push_back(std::move(d));
-  }
-  // Happens-before race scan over untracked accesses, when the caller
-  // supplied the server-side log. Races are Completeness hazards (the
-  // developer must annotate the variable), not proof of misbehavior: they are
-  // reported as warnings, never rejected on.
-  if (untracked_accesses_ != nullptr) {
-    for (LintDiagnostic& d :
-         RaceFindingsToDiagnostics(DetectUntrackedRaces(*untracked_accesses_))) {
-      diagnostics_.push_back(std::move(d));
-    }
-  }
-  for (const LintDiagnostic& d : diagnostics_) {
-    if (d.severity == LintSeverity::kError) {
-      throw RejectError(d.rule, "advice lint: " + d.Format());
-    }
-  }
 }
 
 void Verifier::BuildAdviceIndices() {
@@ -194,39 +109,6 @@ void Verifier::BuildAdviceIndices() {
   op_map_.reserve(handler_ops + tx_ops);
 }
 
-void Verifier::AddTimePrecedenceEdges() {
-  // Encodes exactly the response-before-request constraints of the trace with
-  // O(n) edges: responses feed an auxiliary epoch chain, and each request
-  // arrival hangs off the most recent epoch. Epoch nodes have no incoming
-  // edges from requests, so no spurious response-response or request-request
-  // ordering is introduced (that would break Completeness).
-  uint64_t epoch_count = 0;
-  bool have_epoch = false;
-  NodeKey current_epoch{};
-  std::vector<RequestId> pending_responses;
-  for (const TraceEvent& ev : trace_->events) {
-    if (ev.kind == TraceEvent::Kind::kResponse) {
-      pending_responses.push_back(ev.rid);
-      continue;
-    }
-    if (!pending_responses.empty()) {
-      NodeKey next{kEpochMarker, ++epoch_count, 0};
-      if (have_epoch) {
-        graph_.AddEdge(current_epoch, next);
-      }
-      for (RequestId resp_rid : pending_responses) {
-        graph_.AddEdge(NodeKey::ForResponseDelivery(resp_rid), next);
-      }
-      pending_responses.clear();
-      current_epoch = next;
-      have_epoch = true;
-    }
-    if (have_epoch) {
-      graph_.AddEdge(current_epoch, NodeKey::ForRequestArrival(ev.rid));
-    }
-  }
-}
-
 void Verifier::AddProgramEdges() {
   for (const auto& [key, count] : advice_->opcounts) {
     const auto& [rid, hid] = key;
@@ -271,7 +153,7 @@ void Verifier::AddBoundaryEdges() {
       Reject("responseEmittedBy entry for request not in trace");
     }
   }
-  for (RequestId rid : streaming_ ? epoch_rids_ : trace_rids_) {
+  for (RequestId rid : epoch_rids_) {
     auto it = resp_idx_.find(rid);
     if (it == resp_idx_.end()) {
       Reject("responseEmittedBy missing for request " + std::to_string(rid));
@@ -370,15 +252,12 @@ void Verifier::AddHandlerRelatedEdges() {
 }
 
 void Verifier::AddExternalStateEdges() {
-  if (streaming_) {
-    // Incremental analysis: epoch slices arrive in epoch order, which visits
-    // transactions in the same global sorted order AnalyzeLogs would, so the
-    // accumulated history_ — and the first rejection — are identical.
-    AnalyzeLogsInto(advice_->tx_logs, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-                    &history_);
-  } else {
-    history_ = AnalyzeLogs(advice_->tx_logs);
-  }
+  // Incremental analysis: epoch slices arrive in epoch order, which visits
+  // transactions in the same global sorted order AnalyzeLogs would over the
+  // whole run, so the accumulated history_ and its first rejection do not
+  // depend on the epoch size.
+  AnalyzeLogsInto(advice_->tx_logs, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
+                  &history_);
   if (!history_.ok) {
     Reject(history_.reason);
   }
@@ -398,25 +277,15 @@ void Verifier::AddExternalStateEdges() {
       if (op.type == TxOpType::kGet && op.get_found) {
         // Write-read edge from the dictating PUT to this GET (§4.4; footnote
         // 3 explains why no WW/RW edges are added for external state).
-        // AnalyzeLogs/AnalyzeLogsInto already validated the reference; in the
-        // streaming audit the dictating PUT may live in another epoch, in
-        // which case the edge endpoint is interned now and unified with the
-        // real operation node when (or because) its epoch contributes it.
+        // AnalyzeLogsInto already validated the reference. The dictating PUT
+        // may live in another epoch, in which case the edge endpoint is
+        // interned now and unified with the real operation node when (or
+        // because) its epoch contributes it.
         ResolvedTxOp writer = ResolveTxOp(op.get_from);
         graph_.AddEdge(NodeKey::ForOp(OpRef{op.get_from.rid, writer.hid, writer.opnum}),
                        NodeKey::ForOp(cur));
       }
     }
-  }
-}
-
-void Verifier::IsolationLevelVerification() {
-  IsolationCheckResult result =
-      CheckIsolation(config_.isolation, advice_->tx_logs, advice_->write_order, history_);
-  stats_.isolation_dg_nodes = result.dg_nodes;
-  stats_.isolation_dg_edges = result.dg_edges;
-  if (!result.ok) {
-    Reject("isolation verification failed: " + result.reason);
   }
 }
 
@@ -442,36 +311,49 @@ void Verifier::AddInternalStateEdges() {
     vids.push_back(vid);
   }
   std::sort(vids.begin(), vids.end());
+  // Each endpoint is interned once per step, in the order the edges first
+  // name it, so node ids and edge order match one AddEdge(key, key) per edge.
+  constexpr DirectedGraph::NodeId kUnset = -1;
+  std::vector<DirectedGraph::NodeId> reader_ids;
   for (VarId vid : vids) {
     const VerifierVar& var = vars_.find(vid)->second;
     OpRef cur = var.initializer;
+    DirectedGraph::NodeId cur_id = kUnset;
     FlatSet<OpRef> visited;
     while (!cur.IsNil()) {
       if (!visited.insert(cur).second) {
         Reject("variable write chain is cyclic");
       }
+      reader_ids.clear();
       auto readers = var.read_observers.find(cur);
       if (readers != var.read_observers.end()) {
         for (const OpRef& r : readers->second) {
-          graph_.AddEdge(NodeKey::ForOp(cur), NodeKey::ForOp(r));  // WR
+          if (cur_id == kUnset) {
+            cur_id = graph_.AddNode(NodeKey::ForOp(cur));
+          }
+          reader_ids.push_back(graph_.AddNode(NodeKey::ForOp(r)));
+          graph_.AddEdge(cur_id, reader_ids.back());  // WR
         }
       }
       auto next = var.write_observer.find(cur);
       if (next == var.write_observer.end()) {
         break;
       }
-      if (readers != var.read_observers.end()) {
-        for (const OpRef& r : readers->second) {
-          graph_.AddEdge(NodeKey::ForOp(r), NodeKey::ForOp(next->second));  // RW
-        }
+      if (cur_id == kUnset) {
+        cur_id = graph_.AddNode(NodeKey::ForOp(cur));
       }
-      graph_.AddEdge(NodeKey::ForOp(cur), NodeKey::ForOp(next->second));  // WW
+      const DirectedGraph::NodeId next_id = graph_.AddNode(NodeKey::ForOp(next->second));
+      for (DirectedGraph::NodeId r : reader_ids) {
+        graph_.AddEdge(r, next_id);  // RW
+      }
+      graph_.AddEdge(cur_id, next_id);  // WW
       cur = next->second;
+      cur_id = next_id;
     }
   }
 }
 
-// --- Epoch-streaming implementation (driven by AuditSession) ----------------
+// --- Epoch streaming (driven by AuditSession) --------------------------------
 
 ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
   auto it = tx_log_idx_.find(TxnKey{ref.rid, ref.tid});
@@ -489,9 +371,6 @@ ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
       out.opnum = op.opnum;
     }
     return out;
-  }
-  if (!streaming_) {
-    return ResolvedTxOp{};
   }
   ResolvedTxOp carried = CarriedTxOp(ref);
   if (carried.txn_present) {
@@ -512,9 +391,6 @@ ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
       const VarLogEntry& entry = *entry_it->second;
       return {true, entry.kind == VarLogEntry::Kind::kWrite, &entry.value};
     }
-  }
-  if (!streaming_) {
-    return {};
   }
   ResolvedVarEntry carried = CarriedVarEntry({vid, op});
   if (carried.present) {
@@ -559,18 +435,17 @@ ResolvedVarEntry Verifier::CarriedVarEntry(const std::pair<VarId, OpRef>& key) c
 }
 
 void Verifier::StreamBegin(uint64_t epoch_requests) {
-  streaming_ = true;
   epoch_requests_ = epoch_requests;
   carry_lint_.Begin(epoch_requests, /*standalone=*/false);
   carry_lint_.SetShardFilter(shard_rids_);  // Begin resets the lint's state.
 }
 
 void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
-  // Balance transitions first, then the reserved-id check and input/response
-  // capture — the same fault order as the one-shot Preprocess (IsBalanced
-  // runs before the rid-0 scan), with the same reason strings.
+  // Balance transitions first ("Check Tr is balanced", Figure 14), then the
+  // reserved-id check and input/response capture. Request ids are handed out
+  // in arrival order, so a request's insert lands at the end hint.
   for (const TraceEvent& ev : window) {
-    uint8_t& s = balance_[ev.rid];
+    uint8_t& s = balance_.try_emplace(balance_.end(), ev.rid, 0)->second;
     if (ev.kind == TraceEvent::Kind::kRequest) {
       if (s != 0) {
         Reject("trace is not balanced: duplicate request id " + std::to_string(ev.rid));
@@ -589,8 +464,8 @@ void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
       if (ev.rid == kInitRequestId) {
         Reject("trace contains the reserved init request id");
       }
-      trace_rids_.insert(ev.rid);
-      request_inputs_[ev.rid] = ev.payload;
+      trace_rids_.insert(trace_rids_.end(), ev.rid);
+      request_inputs_.insert_or_assign(request_inputs_.end(), ev.rid, ev.payload);
     } else {
       responses_[ev.rid] = ev.payload;
     }
@@ -598,9 +473,13 @@ void Verifier::StreamIngestWindow(const std::vector<TraceEvent>& window) {
 }
 
 void Verifier::StreamTimePrecedence(const std::vector<TraceEvent>& window) {
-  // AddTimePrecedenceEdges over a window, with the chain state persisted
-  // across windows: concatenating every window replays the full trace event
-  // stream, so the streamed edge set is identical to the one-shot pass.
+  // Encodes exactly the response-before-request constraints of the trace with
+  // O(n) edges: responses feed an auxiliary epoch chain, and each request
+  // arrival hangs off the most recent epoch. Epoch nodes have no incoming
+  // edges from requests, so no spurious response-response or request-request
+  // ordering is introduced (that would break Completeness). The chain state
+  // persists across windows, so the edge set does not depend on the epoch
+  // size.
   for (const TraceEvent& ev : window) {
     if (ev.kind == TraceEvent::Kind::kResponse) {
       tp_pending_responses_.push_back(ev.rid);
@@ -624,11 +503,39 @@ void Verifier::StreamTimePrecedence(const std::vector<TraceEvent>& window) {
   }
 }
 
+void Verifier::CheckEpochStatically(const EpochSegment& segment) {
+  // Slice-local lint; the global write-order rules run once at Finish.
+  LintEpochContext lint_ctx;
+  lint_ctx.trace_rids = &trace_rids_;
+  lint_ctx.epoch_rids = &epoch_rids_;
+  lint_ctx.var_prec = [this](VarId vid, const OpRef& op) {
+    ResolvedVarEntry entry = ResolveVarEntry(vid, op);
+    return VarPrecLookup{entry.present, entry.is_write};
+  };
+  lint_ctx.tx_op = [this](const TxOpRef& ref) { return ResolveTxOp(ref); };
+  size_t first_new = diagnostics_.size();
+  for (LintDiagnostic& d : LintAdviceEpoch(segment.advice, lint_ctx)) {
+    diagnostics_.push_back(std::move(d));
+  }
+  ThrowFirstError(diagnostics_, first_new);
+  // Fast-reject pre-screen: the cross-epoch static rules, before any of this
+  // epoch's graph building or re-execution. It does not judge a slice the
+  // lint already rejected, so the findings do not depend on the epoch size.
+  first_new = diagnostics_.size();
+  carry_lint_.CheckEpoch(segment, trace_rids_, &diagnostics_);
+  ThrowFirstError(diagnostics_, first_new);
+}
+
 void Verifier::StreamEpoch(const EpochSegment& segment) {
   if (decided_) {
     return;  // Drain: the verdict is already determined.
   }
   PhaseTimer total_timer(&profile_.total_seconds);
+  PruneVarDicts();
+  // The alleged global write order, concatenated whatever this epoch's fate:
+  // the finish-time write-order lint reads all of it.
+  stream_write_order_.insert(stream_write_order_.end(), segment.advice.write_order.begin(),
+                             segment.advice.write_order.end());
   try {
     {
       PhaseTimer t(&profile_.preprocess_seconds);
@@ -642,7 +549,8 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
       // Epoch completeness: every request of this epoch must have both
       // arrived and responded by the end of its window — the collector's
       // rollover guarantees that, so a gap is misbehavior. The reason matches
-      // the one-shot balance check, keeping single-fault verdicts aligned.
+      // the Finish-time balance check, so the verdict does not depend on
+      // which epoch the gap falls in.
       for (RequestId rid : epoch_rids_) {
         auto bal = balance_.find(rid);
         if (bal == balance_.end() || bal->second != 2) {
@@ -666,33 +574,7 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
         pending_var_imports_.emplace(std::make_pair(imp.vid, imp.op), imp);
       }
       carry_lint_.RegisterImports(segment);
-      // Slice-local lint; the global write-order rules run once at Finish.
-      LintEpochContext lint_ctx;
-      lint_ctx.trace_rids = &trace_rids_;
-      lint_ctx.epoch_rids = &epoch_rids_;
-      lint_ctx.var_prec = [this](VarId vid, const OpRef& op) {
-        ResolvedVarEntry entry = ResolveVarEntry(vid, op);
-        return VarPrecLookup{entry.present, entry.is_write};
-      };
-      lint_ctx.tx_op = [this](const TxOpRef& ref) { return ResolveTxOp(ref); };
-      size_t first_new = diagnostics_.size();
-      for (LintDiagnostic& d : LintAdviceEpoch(segment.advice, lint_ctx)) {
-        diagnostics_.push_back(std::move(d));
-      }
-      for (size_t i = first_new; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
-        }
-      }
-      // Fast-reject pre-screen: the cross-epoch static rules, before any of
-      // this epoch's graph building or re-execution.
-      size_t first_seg = diagnostics_.size();
-      carry_lint_.CheckEpoch(segment, trace_rids_, &diagnostics_);
-      for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-        }
-      }
+      CheckEpochStatically(segment);
       BuildAdviceIndices();
       if (!init_done_) {
         RunInitialization();
@@ -703,8 +585,6 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
       AddBoundaryEdges();
       AddHandlerRelatedEdges();
       AddExternalStateEdges();
-      stream_write_order_.insert(stream_write_order_.end(), segment.advice.write_order.begin(),
-                                 segment.advice.write_order.end());
     }
     {
       PhaseTimer t(&profile_.reexec_seconds);
@@ -716,6 +596,8 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
     decided_rule_ = e.rule;
     decided_epoch_ = epochs_fed_;
   } catch (const std::exception& e) {
+    // Malformed advice must never crash the verifier: any fault surfacing
+    // from re-executed application code counts as server misbehavior.
     decided_ = true;
     decided_reason_ = std::string("re-execution fault: ") + e.what();
     decided_epoch_ = epochs_fed_;
@@ -725,9 +607,9 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
 }
 
 void Verifier::StreamEndEpoch(const EpochSegment& segment) {
-  if (!decided_) {
-    carry_lint_.EndEpoch(segment);
-  }
+  // Folded even when this epoch decided the audit: if it was the last one,
+  // the finish-time static rules still read it.
+  carry_lint_.EndEpoch(segment);
 
   // Fold the slice into the carries: transaction shapes + PUT payloads, and
   // var-log entries (reads kind-only — nothing ever feeds from a read — and
@@ -744,8 +626,9 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   for (const auto& [vid, log] : segment.advice.var_logs) {
     auto var_it = vars_.find(vid);
     const bool request_scoped = var_it != vars_.end() && var_it->second.request_scoped;
+    // Keys arrive in ascending order, so each insert lands at the end hint.
     for (const auto& [op, entry] : log) {
-      VarCarry& carry = var_carry_[{vid, op}];
+      VarCarry& carry = var_carry_.try_emplace(var_carry_.end(), std::make_pair(vid, op))->second;
       if (entry.kind != VarLogEntry::Kind::kWrite) {
         carry = VarCarry{VarCarry::Kind::kRead, Value()};
       } else if (request_scoped && !ImportContradicts(vid, op, entry.value)) {
@@ -756,9 +639,10 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
     }
   }
 
-  // Drop everything scoped to the finished epoch. The graph, vars_ (minus
-  // pruned var_dict payloads), history_, balance, carried indices, and the
-  // accumulated write order are all that survive.
+  // Drop everything scoped to the finished epoch. The graph, vars_, history_,
+  // balance, carried indices, and the accumulated write order are all that
+  // survive; the next epoch prunes the var_dict payloads first
+  // (PruneVarDicts), so the last epoch's go with the verifier.
   advice_ = nullptr;
   op_map_.clear();
   activated_handlers_.clear();
@@ -777,19 +661,22 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
     request_inputs_.erase(rid);
     responses_.erase(rid);
   }
-  // var_dict payloads for this epoch's requests are dead weight: later
-  // epochs' dictionary climbs only visit their own requests plus init.
+}
+
+void Verifier::PruneVarDicts() {
   for (auto& [vid, var] : vars_) {
-    std::vector<std::pair<RequestId, HandlerId>> doomed;
-    for (const auto& [key, writes] : var.var_dict) {
-      if (key.first != kInitRequestId) {
+    if (var.var_dict.empty()) {
+      continue;
+    }
+    decltype(var.var_dict) kept;
+    for (auto& [key, writes] : var.var_dict) {
+      if (key.first == kInitRequestId) {
+        kept.emplace(key, std::move(writes));
+      } else {
         var_dict_entries_pruned_ += writes.size();
-        doomed.push_back(key);
       }
     }
-    for (const auto& key : doomed) {
-      var.var_dict.erase(key);
-    }
+    var.var_dict = std::move(kept);
   }
 }
 
@@ -822,64 +709,75 @@ void Verifier::StreamConfirmImports() {
   }
 }
 
-AuditResult Verifier::StreamFinish() {
+void Verifier::FinishStatically() {
+  size_t first_new = diagnostics_.size();
+  LintWriteOrder(stream_write_order_, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
+                 &diagnostics_);
+  ThrowFirstError(diagnostics_, first_new);
+  // Finish-time pre-screen rules (early content, residual imports, prec
+  // acyclicity), in the same slot the standalone checker runs them.
+  first_new = diagnostics_.size();
+  carry_lint_.Finish(&diagnostics_);
+  ThrowFirstError(diagnostics_, first_new);
+}
+
+AuditResult Verifier::StreamFinish(bool fed_all) {
   AuditResult result;
   PhaseTimer total_timer(&profile_.total_seconds);
   if (decided_) {
     result.reason = decided_reason_;
     result.rule = decided_rule_;
+    if (fed_all) {
+      // The rest of the static findings; the verdict stays the first one.
+      PhaseTimer t(&profile_.preprocess_seconds);
+      try {
+        FinishStatically();
+      } catch (const RejectError&) {
+      }
+    }
   } else {
     try {
-      PhaseTimer t(&profile_.postprocess_seconds);
-      // The stream must have covered every epoch the trace mentions; a rid
-      // beyond the last fed epoch would otherwise silently skip re-execution.
-      for (RequestId rid : trace_rids_) {
-        if (EpochOfRid(rid, epoch_requests_) >= epochs_fed_) {
-          Reject("trace contains requests beyond the final advice epoch");
+      {
+        // Figure 14's global half: trace coverage and balance, the static
+        // rules over the whole stream, import confirmation and isolation.
+        PhaseTimer t(&profile_.preprocess_seconds);
+        // The stream must have covered every epoch the trace mentions; a rid
+        // beyond the last fed epoch would otherwise silently skip
+        // re-execution.
+        for (RequestId rid : trace_rids_) {
+          if (EpochOfRid(rid, epoch_requests_) >= epochs_fed_) {
+            Reject("trace contains requests beyond the final advice epoch");
+          }
+        }
+        // Residual imbalance: responses the stream never delivered. balance_
+        // is sorted, so the smallest rid reports.
+        for (const auto& [rid, state] : balance_) {
+          if (state != 2) {
+            Reject("trace is not balanced: request " + std::to_string(rid) + " has no response");
+          }
+        }
+        FinishStatically();
+        StreamConfirmImports();
+        // Isolation is a property of the global transaction order; under a
+        // shard scope the local write order and history are one shard's
+        // projection, so the check runs once at audit-merge over the stitched
+        // order and merged history instead (same checker, same inputs as the
+        // unsharded audit — see src/verifier/shard_audit.cc).
+        if (shard_rids_ == nullptr) {
+          IsolationCheckResult iso = CheckIsolation(
+              config_.isolation, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
+              stream_write_order_, history_);
+          stats_.isolation_dg_nodes = iso.dg_nodes;
+          stats_.isolation_dg_edges = iso.dg_edges;
+          if (!iso.ok) {
+            Reject("isolation verification failed: " + iso.reason);
+          }
         }
       }
-      // Residual imbalance: responses the stream never delivered. balance_ is
-      // sorted, so the smallest rid reports — same as the one-shot check.
-      for (const auto& [rid, state] : balance_) {
-        if (state != 2) {
-          Reject("trace is not balanced: request " + std::to_string(rid) + " has no response");
-        }
+      {
+        PhaseTimer t(&profile_.postprocess_seconds);
+        Postprocess();
       }
-      // Global write-order lint over the concatenated order (rules 009/010).
-      size_t first_new = diagnostics_.size();
-      LintWriteOrder(stream_write_order_,
-                     [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, &diagnostics_);
-      for (size_t i = first_new; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "advice lint: " + diagnostics_[i].Format());
-        }
-      }
-      // Finish-time static rules (early content, residual imports, prec
-      // acyclicity), in the same slot the standalone checker runs them.
-      size_t first_seg = diagnostics_.size();
-      carry_lint_.Finish(&diagnostics_);
-      for (size_t i = first_seg; i < diagnostics_.size(); ++i) {
-        if (diagnostics_[i].severity == LintSeverity::kError) {
-          throw RejectError(diagnostics_[i].rule, "model check: " + diagnostics_[i].Format());
-        }
-      }
-      StreamConfirmImports();
-      // Isolation is a property of the global transaction order; under a
-      // shard scope the local write order and history are one shard's
-      // projection, so the check runs once at audit-merge over the stitched
-      // order and merged history instead (same checker, same inputs as the
-      // unsharded audit — see src/verifier/shard_audit.cc).
-      if (shard_rids_ == nullptr) {
-        IsolationCheckResult iso = CheckIsolationIndexed(
-            config_.isolation, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-            stream_write_order_, history_);
-        stats_.isolation_dg_nodes = iso.dg_nodes;
-        stats_.isolation_dg_edges = iso.dg_edges;
-        if (!iso.ok) {
-          Reject("isolation verification failed: " + iso.reason);
-        }
-      }
-      Postprocess();
       result.accepted = true;
     } catch (const RejectError& e) {
       result.reason = e.reason;
@@ -888,8 +786,9 @@ AuditResult Verifier::StreamFinish() {
       result.reason = std::string("re-execution fault: ") + e.what();
     }
   }
-  // Race findings sit after every lint diagnostic, matching their position in
-  // the one-shot result (RunAnalysisPasses appends them last).
+  // Race findings are warnings (Completeness hazards: the developer must
+  // annotate the variable), never rejected on; they sit after every lint
+  // diagnostic.
   if (untracked_accesses_ != nullptr) {
     for (LintDiagnostic& d :
          RaceFindingsToDiagnostics(DetectUntrackedRaces(*untracked_accesses_))) {

@@ -1,7 +1,10 @@
-// The Karousos verifier: Audit = Preprocess -> ReExec -> Postprocess
-// (Figures 14-21). The verifier holds the golden-master Program, receives the
-// trusted trace and the untrusted advice, and accepts iff the trace could
-// have been produced by some schedule of the program on those requests.
+// The Karousos verifier: Preprocess -> ReExec -> Postprocess (Figures 14-21),
+// run one epoch at a time. The verifier holds the golden-master Program,
+// receives the trusted trace and the untrusted advice as a stream of epoch
+// segments (driven by AuditSession, src/verifier/session.h), and accepts iff
+// the trace could have been produced by some schedule of the program on those
+// requests. A run that is not stored in epochs is audited as epochs of
+// kDefaultEpochRequests (src/server/rollover.h).
 //
 // The same verifier audits both Karousos and Orochi-JS advice: grouping is
 // driven by the (untrusted) tags in the advice, and every difference between
@@ -81,7 +84,8 @@ struct AuditResult {
   AuditProfile profile;
 };
 
-// Thrown by internal checks on server misbehavior; caught by Audit().
+// Thrown by internal checks on server misbehavior; caught by StreamEpoch and
+// StreamFinish.
 struct RejectError {
   explicit RejectError(std::string r) : reason(std::move(r)) {}
   RejectError(std::string rule_id, std::string r)
@@ -102,12 +106,9 @@ class Verifier {
   Verifier(const Program& program, const VerifierConfig& config)
       : program_(program), config_(config) {}
 
-  // One-shot: audits a single (trace, advice) pair.
-  AuditResult Audit(const Trace& trace, const Advice& advice);
-
   // Optional: supply the server-side untracked-access log so that the
-  // preprocess stage can run the §5 happens-before race detector and attach
-  // its findings to the audit result as warnings. (The accesses are not part
+  // audit can run the §5 happens-before race detector and attach its
+  // findings to the audit result as warnings. (The accesses are not part
   // of the advice — untracked variables are unlogged by design — so this is
   // only available when the auditor also operated the collector pipeline.)
   void set_untracked_accesses(const UntrackedAccessLog* log) { untracked_accesses_ = log; }
@@ -196,22 +197,20 @@ class Verifier {
     std::string rule;
   };
 
-  // --- Preprocess (Figure 14) -------------------------------------------
-  void Preprocess();
+  // --- Preprocess (Figure 14), per epoch -----------------------------------
   // Builds the hashed advice indices below and pre-sizes the execution graph
   // from the advice cardinalities. Must run before anything consults the
   // idx_ members (the graph passes and all of ReExec).
   void BuildAdviceIndices();
-  // Analysis-layer preprocess: structural advice lint (rejecting on the
-  // first error, with its rule ID) plus the untracked-access race scan.
-  void RunAnalysisPasses();
+  // The epoch's static findings: slice-local advice lint, then (on a clean
+  // slice) the cross-epoch pre-screen. Every finding is kept; the first
+  // error is thrown as the rejection, with its rule ID.
+  void CheckEpochStatically(const EpochSegment& segment);
   void RunInitialization();
-  void AddTimePrecedenceEdges();
   void AddProgramEdges();
   void AddBoundaryEdges();
   void AddHandlerRelatedEdges();
   void AddExternalStateEdges();
-  void IsolationLevelVerification();
   void CheckOpIsValid(RequestId rid, HandlerId hid, OpNum opnum);
 
   // --- ReExec (Figures 18-19) --------------------------------------------
@@ -229,16 +228,14 @@ class Verifier {
   void Postprocess();
   void AddInternalStateEdges();
 
-  // --- Epoch-streaming support (driven by AuditSession) --------------------
+  // --- Epoch streaming (driven by AuditSession) ----------------------------
   //
-  // The streaming audit feeds one EpochSegment at a time. Each epoch runs the
+  // The audit feeds one EpochSegment at a time. Each epoch runs the
   // slice-local preprocess passes and re-executes the epoch's groups, then
   // StreamEndEpoch folds the slice into compact carried state and drops the
   // per-epoch structures. Globally-scoped checks (write-order lint, isolation,
   // internal-state edges, the graph cycle check, import confirmation) run once
-  // at StreamFinish, which assembles the verdict. The one-shot Audit() path is
-  // untouched: streaming_ is false there and every ResolveTxOp/ResolveVarEntry
-  // call collapses to the original direct index lookup.
+  // at StreamFinish, which assembles the verdict.
 
   // Carried view of a completed epoch's PUT (everything any later consumer —
   // GET feed, WR edge, write-order lint, isolation extraction — can ask for).
@@ -259,9 +256,8 @@ class Verifier {
     Kind kind = Kind::kRead;
     Value value;  // kWrite only.
   };
-  // Resolve a transaction-log / var-log coordinate: current slice first (the
-  // one-shot lookup, and the only step taken when !streaming_), then carried
-  // state from completed epochs, then forward continuity imports.
+  // Resolve a transaction-log / var-log coordinate: current slice first, then
+  // carried state from completed epochs, then forward continuity imports.
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
   // The carried-state step alone: what completed epochs left at a coordinate.
@@ -285,10 +281,24 @@ class Verifier {
 
   void StreamBegin(uint64_t epoch_requests);
   void StreamEpoch(const EpochSegment& segment);
-  AuditResult StreamFinish();
+  // Assembles the verdict. `fed_all` says the source ended and every epoch it
+  // held was fed. After a mid-stream rejection the verdict stays that
+  // rejection; with `fed_all` the finish-time static rules still run, so the
+  // result carries every static finding. Without it they are skipped: they
+  // would judge epochs that were never fed.
+  AuditResult StreamFinish(bool fed_all);
+  // The finish-time static rules: the global write-order lint (KAR-ADV-009/
+  // 010), then the pre-screen's finish rules (KAR-SEG-007..009). Throws the
+  // first error.
+  void FinishStatically();
   void StreamIngestWindow(const std::vector<TraceEvent>& window);
   void StreamTimePrecedence(const std::vector<TraceEvent>& window);
   void StreamEndEpoch(const EpochSegment& segment);
+  // Drops the var_dict payloads of finished epochs' requests: dead weight,
+  // since later epochs' dictionary climbs visit only their own requests and
+  // init. Runs as each epoch starts; the checkpoint counts those payloads as
+  // pruned already.
+  void PruneVarDicts();
   // True when a pending import names the live write (vid, op) and alleges
   // something else. StreamEndEpoch keeps such a write's value, so the
   // Finish-time confirmation compares values on its own, not only through
@@ -310,8 +320,7 @@ class Verifier {
   const Program& program_;
   VerifierConfig config_;
 
-  const Trace* trace_ = nullptr;
-  const Advice* advice_ = nullptr;
+  const Advice* advice_ = nullptr;  // The slice of the epoch being fed.
   const UntrackedAccessLog* untracked_accesses_ = nullptr;
   std::vector<LintDiagnostic> diagnostics_;
 
@@ -364,10 +373,9 @@ class Verifier {
   AuditStats stats_;
   AuditProfile profile_;
 
-  // --- Streaming state (untouched on the one-shot path) --------------------
+  // --- Cross-epoch state ----------------------------------------------------
   // All cross-epoch containers are std::map/std::set: their sorted iteration
   // order is the checkpoint wire format, which must be canonical.
-  bool streaming_ = false;
   bool init_done_ = false;
   uint64_t epoch_requests_ = 0;
   uint64_t epochs_fed_ = 0;
@@ -405,7 +413,7 @@ class Verifier {
   // KAR-SEG-008 findings are enforced only here.
   CarryLint carry_lint_;
   // var_dict entries dropped by per-epoch pruning, so the final
-  // stats.var_dict_entries matches the one-shot count.
+  // stats.var_dict_entries counts every entry re-execution produced.
   size_t var_dict_entries_pruned_ = 0;
 };
 

@@ -129,6 +129,39 @@ TEST_P(AdviceGoldenTest, CopyingSlicerAndMergeMatchGoldenStreams) {
   EXPECT_EQ(merged_bytes.bytes(), original_bytes.bytes());
 }
 
+// A run that fits in one epoch is sliced whole: its slice is the advice
+// itself and the whole trace, with nothing to import. A variable log with no
+// entries is dropped, as the per-entry slicer of a multi-epoch run drops it.
+TEST_P(AdviceGoldenTest, OneEpochSliceIsTheWholeRun) {
+  const FixtureSpec& spec = GetParam();
+  ServerRunResult run = RunFixtureWorkload(spec);
+  ByteWriter original;
+  run.advice.Serialize(&original);
+  Advice with_empty_log = run.advice;
+  VarId empty_vid = 1;
+  while (with_empty_log.var_logs.count(empty_vid) != 0) {
+    ++empty_vid;
+  }
+  with_empty_log.var_logs[empty_vid];
+
+  for (uint64_t epoch_requests : {uint64_t{0}, kDefaultEpochRequests}) {
+    EpochSlices slices = SliceRun(run.trace, with_empty_log, epoch_requests);
+    ASSERT_EQ(slices.segments.size(), 1u) << epoch_requests;
+    const EpochSegment& only = slices.segments[0];
+    ByteWriter sliced;
+    only.advice.Serialize(&sliced);
+    EXPECT_EQ(sliced.bytes(), original.bytes()) << epoch_requests;
+    EXPECT_EQ(only.window.size(), run.trace.events.size());
+    EXPECT_TRUE(only.imports.tx_ops.empty());
+    EXPECT_TRUE(only.imports.var_entries.empty());
+  }
+  EpochSlices multi = SliceRun(run.trace, with_empty_log, spec.epoch_requests);
+  ASSERT_GT(multi.segments.size(), 1u);
+  ByteWriter merged;
+  MergeSlices(std::move(multi)).Serialize(&merged);
+  EXPECT_EQ(merged.bytes(), original.bytes());
+}
+
 INSTANTIATE_TEST_SUITE_P(RecordGolden, AdviceGoldenTest, ::testing::ValuesIn(kFixtures),
                          [](const ::testing::TestParamInfo<FixtureSpec>& param) {
                            return std::string(param.param.name);

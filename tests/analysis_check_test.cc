@@ -115,9 +115,25 @@ TEST(SegmentCheckTest, CleanStreamChecksCleanAtEveryEpochSize) {
 
 // --- Fast reject mid-stream -------------------------------------------------
 
+// True when a finish-time pre-screen rule reported: content seen early,
+// imports never confirmed, prec cycles across epochs. Those judge the whole
+// stream, epochs never fed included.
+bool HasFinishTimeFinding(const std::vector<LintDiagnostic>& diagnostics) {
+  for (const LintDiagnostic& d : diagnostics) {
+    for (const char* finish_only :
+         {"appeared early in epoch", "beyond the final epoch", "cyclic across epochs"}) {
+      if (d.message.find(finish_only) != std::string::npos) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 // A cross-epoch defect planted into epoch 2 must fix the verdict the moment
 // epoch 2 is fed — the pre-screen decides before that epoch re-executes, and
-// later epochs are never consumed.
+// later epochs are never consumed. Finishing there judges only what was fed:
+// the honest forward imports into later epochs are no finding.
 TEST(SegmentCheckTest, FastRejectDecidesAtThePoisonedEpoch) {
   HonestRun run = RunStacks();
   EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 7);
@@ -134,6 +150,7 @@ TEST(SegmentCheckTest, FastRejectDecidesAtThePoisonedEpoch) {
   AuditResult result = session.Finish();
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.rule, kKarSeg005) << result.reason;
+  EXPECT_FALSE(HasFinishTimeFinding(result.diagnostics));
 
   // The standalone checker agrees, rule for rule.
   SegmentChecker checker(7);
@@ -143,6 +160,7 @@ TEST(SegmentCheckTest, FastRejectDecidesAtThePoisonedEpoch) {
   CheckResult check = checker.Finish();
   EXPECT_FALSE(check.ok);
   EXPECT_EQ(check.rule, kKarSeg005);
+  EXPECT_FALSE(HasFinishTimeFinding(check.diagnostics));
 }
 
 // --- Checkpoint round trip --------------------------------------------------

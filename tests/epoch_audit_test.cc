@@ -1,9 +1,10 @@
 // Epoch-streaming equivalence: for the same complete (trace, advice) pair,
-// the streamed AuditSession must reach the one-shot verifier's verdict,
-// reason, rule, and diagnostics at every epoch size and thread count —
-// honest and adversarial runs alike. Plus the resume story: a checkpoint
-// saved mid-stream restores into a session that finishes with the identical
-// verdict, and malformed or mismatched checkpoints are refused.
+// the audit must reach the same verdict, reason, rule, and diagnostics at
+// every epoch size and thread count — honest and adversarial runs alike. The
+// oracle is AuditOnly: the serial stream at kDefaultEpochRequests, one epoch
+// for these runs. Plus the resume story: a checkpoint saved mid-stream
+// restores into a session that finishes with the identical verdict, and
+// malformed or mismatched checkpoints are refused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,10 +62,10 @@ void ExpectSameOutcome(const AuditResult& expected, const AuditResult& actual,
   }
 }
 
-// The equivalence sweep: one-shot oracle vs epoch sizes {1, 7, 50, 0=∞} at
-// threads {1, 4}.
-void ExpectStreamMatchesOneShot(const HonestRun& run) {
-  AuditResult oneshot =
+// The equivalence sweep: the default-epoch oracle vs epoch sizes
+// {1, 7, 50, 0=∞} at threads {1, 4}.
+void ExpectSameAtEveryEpochSize(const HonestRun& run) {
+  AuditResult oracle =
       AuditOnly(run.app, run.server.trace, run.server.advice,
                 VerifierConfig{IsolationLevel::kSerializable, 1},
                 &run.server.untracked_accesses);
@@ -74,21 +75,21 @@ void ExpectStreamMatchesOneShot(const HonestRun& run) {
           run.app, run.server.trace, run.server.advice,
           VerifierConfig{IsolationLevel::kSerializable, threads}, epoch_size,
           &run.server.untracked_accesses);
-      ExpectSameOutcome(oneshot, streamed.audit,
+      ExpectSameOutcome(oracle, streamed.audit,
                         "epoch_size=" + std::to_string(epoch_size) +
                             " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(EpochEquivalenceTest, HonestMotd) { ExpectStreamMatchesOneShot(RunApp("motd", 60)); }
+TEST(EpochEquivalenceTest, HonestMotd) { ExpectSameAtEveryEpochSize(RunApp("motd", 60)); }
 
-TEST(EpochEquivalenceTest, HonestStacks) { ExpectStreamMatchesOneShot(RunApp("stacks", 60)); }
+TEST(EpochEquivalenceTest, HonestStacks) { ExpectSameAtEveryEpochSize(RunApp("stacks", 60)); }
 
-TEST(EpochEquivalenceTest, HonestWiki) { ExpectStreamMatchesOneShot(RunApp("wiki", 60)); }
+TEST(EpochEquivalenceTest, HonestWiki) { ExpectSameAtEveryEpochSize(RunApp("wiki", 60)); }
 
-// --- Adversarial equivalence: every mutation the one-shot verifier rejects --
-// --- must reject identically when streamed. --------------------------------
+// --- Adversarial equivalence: every mutation the oracle rejects must -------
+// --- reject identically at every epoch size. -------------------------------
 
 TEST(EpochEquivalenceTest, ForgedResponse) {
   HonestRun run = RunApp("motd", 40);
@@ -98,7 +99,7 @@ TEST(EpochEquivalenceTest, ForgedResponse) {
       break;
     }
   }
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, ForgedResponseInLateEpoch) {
@@ -110,7 +111,7 @@ TEST(EpochEquivalenceTest, ForgedResponseInLateEpoch) {
       break;
     }
   }
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, TamperedVarLogWriteValue) {
@@ -129,7 +130,7 @@ TEST(EpochEquivalenceTest, TamperedVarLogWriteValue) {
     }
   }
   ASSERT_TRUE(mutated);
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, GhostVarLogEntry) {
@@ -140,7 +141,7 @@ TEST(EpochEquivalenceTest, GhostVarLogEntry) {
   ghost.value = Value("ghost");
   ghost.prec = kNilOp;
   run.server.advice.var_logs[vid].emplace(OpRef{1, 0x1234, 77}, ghost);
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, DroppedHandlerLogEntry) {
@@ -154,28 +155,28 @@ TEST(EpochEquivalenceTest, DroppedHandlerLogEntry) {
     }
   }
   ASSERT_TRUE(mutated);
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, InflatedOpcount) {
   HonestRun run = RunApp("motd", 40);
   ASSERT_FALSE(run.server.advice.opcounts.empty());
   run.server.advice.opcounts.begin()->second += 1;
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, MissingResponseEmittedBy) {
   HonestRun run = RunApp("motd", 40);
   ASSERT_FALSE(run.server.advice.response_emitted_by.empty());
   run.server.advice.response_emitted_by.erase(run.server.advice.response_emitted_by.begin());
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, SwappedWriteOrder) {
   HonestRun run = RunApp("stacks", 60);
   ASSERT_GE(run.server.advice.write_order.size(), 2u);
   std::swap(run.server.advice.write_order.front(), run.server.advice.write_order.back());
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 TEST(EpochEquivalenceTest, GetClaimedNotFound) {
@@ -197,18 +198,18 @@ TEST(EpochEquivalenceTest, GetClaimedNotFound) {
   if (!mutated) {
     GTEST_SKIP() << "no found GET in this schedule";
   }
-  // This mutation diverts control flow, so the one-shot verifier catches it
+  // This mutation diverts control flow, so the one-epoch oracle catches it
   // as intra-group divergence — a check whose firing depends on the
   // re-execution group's composition. Epoch slicing legitimately changes
   // that composition (a group cannot span epochs), so at epoch size 1 the
   // mutated request re-executes alone and the same fault surfaces at the
   // next check instead. The soundness contract is rejection at every size;
   // reason identity is asserted where grouping is preserved.
-  AuditResult oneshot =
+  AuditResult oracle =
       AuditOnly(run.app, run.server.trace, run.server.advice,
                 VerifierConfig{IsolationLevel::kSerializable, 1},
                 &run.server.untracked_accesses);
-  ASSERT_FALSE(oneshot.accepted);
+  ASSERT_FALSE(oracle.accepted);
   for (uint64_t epoch_size : {uint64_t{1}, uint64_t{7}, uint64_t{50}, uint64_t{0}}) {
     for (unsigned threads : {1u, 4u}) {
       StreamAuditResult streamed = AuditStreamed(
@@ -219,7 +220,7 @@ TEST(EpochEquivalenceTest, GetClaimedNotFound) {
                             " threads=" + std::to_string(threads);
       EXPECT_FALSE(streamed.audit.accepted) << context;
       if (epoch_size != 1) {
-        ExpectSameOutcome(oneshot, streamed.audit, context);
+        ExpectSameOutcome(oracle, streamed.audit, context);
       }
     }
   }
@@ -234,16 +235,16 @@ TEST(EpochEquivalenceTest, UnbalancedTraceMissingResponse) {
       break;
     }
   }
-  ExpectStreamMatchesOneShot(run);
+  ExpectSameAtEveryEpochSize(run);
 }
 
 // --- Checkpoint / resume ---------------------------------------------------
 
 TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
   HonestRun run = RunApp("stacks", 60);
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
-  ASSERT_TRUE(oneshot.accepted) << oneshot.reason;
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
+  ASSERT_TRUE(oracle.accepted) << oracle.reason;
 
   const uint64_t kEpochSize = 7;
   VerifierConfig config{IsolationLevel::kSerializable, 1};
@@ -268,7 +269,7 @@ TEST(EpochCheckpointTest, ResumeFromMidStreamReachesTheSameVerdict) {
   SliceSource source(std::move(slices));
   StreamAuditResult finished = RunStreamedAudit(resumed.get(), &source);
   EXPECT_EQ(finished.epochs, total);
-  ExpectSameOutcome(oneshot, finished.audit, "resumed");
+  ExpectSameOutcome(oracle, finished.audit, "resumed");
 }
 
 TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
@@ -276,8 +277,8 @@ TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
   // Any carry field missing from the checkpoint shows up here as a verdict
   // or diagnostics divergence.
   HonestRun run = RunApp("stacks", 60);
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
 
   const uint64_t kEpochSize = 7;
   VerifierConfig config{IsolationLevel::kSerializable, 1};
@@ -295,7 +296,7 @@ TEST(EpochCheckpointTest, CheckpointAfterEveryEpochStillMatches) {
     session = std::move(reloaded);
   }
   AuditResult finished = session->Finish();
-  ExpectSameOutcome(oneshot, finished, "checkpoint-every-epoch");
+  ExpectSameOutcome(oracle, finished, "checkpoint-every-epoch");
 }
 
 // --- Carry liveness -----------------------------------------------------------
@@ -786,6 +787,93 @@ TEST(EpochStreamOrderTest, ResumeFileChecksTheCoveredEpochs) {
   EXPECT_FALSE(result.audit.accepted);
   EXPECT_EQ(result.audit.rule, kKarSeg001) << result.audit.reason;
   EXPECT_EQ(resumed->next_epoch(), 2u);
+}
+
+// --- Static findings -------------------------------------------------------
+
+// Two planted static defects: a request's tag erased (KAR-ADV-014, found by
+// the epoch's lint) and the first write-order entry repeated at the end
+// (KAR-ADV-010, found by the write-order lint at Finish).
+void PlantTagAndWriteOrderDefects(Advice* advice, RequestId tagless) {
+  ASSERT_EQ(advice->tags.erase(tagless), 1u);
+  ASSERT_FALSE(advice->write_order.empty());
+  advice->write_order.push_back(advice->write_order.front());
+}
+
+bool HasRule(const std::vector<LintDiagnostic>& diagnostics, const std::string& rule) {
+  return std::any_of(diagnostics.begin(), diagnostics.end(),
+                     [&rule](const LintDiagnostic& d) { return d.rule == rule; });
+}
+
+// A one-epoch stream decided by its lint still ends: the finish-time rules
+// run, so the result reports both findings under the first one's rule, and
+// the standalone check reports the same.
+TEST(EpochStaticFindingsTest, OneEpochStreamReportsEveryStaticFinding) {
+  HonestRun run = RunApp("stacks", 60);
+  ASSERT_FALSE(run.server.advice.tags.empty());
+  PlantTagAndWriteOrderDefects(&run.server.advice, run.server.advice.tags.begin()->first);
+  for (uint64_t epoch_size : {uint64_t{0}, kDefaultEpochRequests}) {
+    const std::string context = "epoch_size=" + std::to_string(epoch_size);
+    StreamAuditResult audited =
+        AuditStreamed(run.app, run.server.trace, run.server.advice,
+                      VerifierConfig{IsolationLevel::kSerializable, 1}, epoch_size);
+    EXPECT_EQ(audited.epochs, 1u) << context;
+    EXPECT_FALSE(audited.audit.accepted) << context;
+    EXPECT_EQ(audited.audit.rule, "KAR-ADV-014") << context << ": " << audited.audit.reason;
+    EXPECT_TRUE(HasRule(audited.audit.diagnostics, "KAR-ADV-014")) << context;
+    EXPECT_TRUE(HasRule(audited.audit.diagnostics, "KAR-ADV-010")) << context;
+
+    CheckResult check = CheckRun(run.server.trace, run.server.advice, epoch_size);
+    EXPECT_EQ(check.rule, audited.audit.rule) << context;
+    EXPECT_EQ(check.reason, audited.audit.reason) << context;
+    ASSERT_EQ(check.diagnostics.size(), audited.audit.diagnostics.size()) << context;
+    for (size_t i = 0; i < check.diagnostics.size(); ++i) {
+      EXPECT_EQ(check.diagnostics[i].Format(), audited.audit.diagnostics[i].Format()) << context;
+    }
+  }
+  // The AuditOnly wrapper is the default-epoch stream.
+  AuditResult wrapped = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                  IsolationLevel::kSerializable);
+  EXPECT_EQ(wrapped.rule, "KAR-ADV-014") << wrapped.reason;
+  EXPECT_TRUE(HasRule(wrapped.diagnostics, "KAR-ADV-010"));
+}
+
+// A stream decided at epoch 2 of 6 is cut short: the later epochs are never
+// fed, so no finding about them appears — not a later epoch's lint finding,
+// and not the finish-time write-order rule.
+TEST(EpochStaticFindingsTest, StreamCutShortReportsNothingPastTheDecidingEpoch) {
+  const uint64_t kEpochSize = 7;
+  HonestRun run = RunApp("stacks", 6 * kEpochSize);
+  EpochSlices honest = SliceRun(run.server.trace, run.server.advice, kEpochSize);
+  ASSERT_EQ(honest.segments.size(), 6u);
+  const RequestId decided_rid = honest.segments[2].advice.tags.begin()->first;
+  const RequestId later_rid = honest.segments[4].advice.tags.begin()->first;
+
+  // The reference: only the epoch-2 defect planted.
+  Advice only_first = run.server.advice;
+  ASSERT_EQ(only_first.tags.erase(decided_rid), 1u);
+  const VerifierConfig config{IsolationLevel::kSerializable, 1};
+  StreamAuditResult reference =
+      AuditStreamed(run.app, run.server.trace, only_first, config, kEpochSize);
+  ASSERT_EQ(reference.audit.rule, "KAR-ADV-014") << reference.audit.reason;
+
+  PlantTagAndWriteOrderDefects(&run.server.advice, decided_rid);
+  ASSERT_EQ(run.server.advice.tags.erase(later_rid), 1u);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
+  const std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices);
+  const std::vector<uint8_t> advice_bytes = EncodeAdviceSegments(slices);
+  StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, kEpochSize);
+  EXPECT_EQ(audited.epochs, 3u);
+  ExpectSameOutcome(reference.audit, audited.audit, "decided at epoch 2");
+  EXPECT_FALSE(HasRule(audited.audit.diagnostics, "KAR-ADV-010"));
+  const std::string later = "r" + std::to_string(later_rid) + "]";
+  for (const LintDiagnostic& d : audited.audit.diagnostics) {
+    EXPECT_EQ(d.location.find(later), std::string::npos) << d.Format();
+  }
+  CheckResult check = CheckSegmentStreams(trace_bytes, advice_bytes, kEpochSize);
+  EXPECT_EQ(check.rule, audited.audit.rule);
+  EXPECT_EQ(check.diagnostics.size(), audited.audit.diagnostics.size());
+  EXPECT_FALSE(HasRule(check.diagnostics, "KAR-ADV-010"));
 }
 
 }  // namespace

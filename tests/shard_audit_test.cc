@@ -1,6 +1,6 @@
 // Shard-axis equivalence: for the same complete (trace, advice) pair, the
 // sharded pipeline — ShardRun → per-shard RunShardAudit → MergeShardArtifacts
-// — must reach the one-shot verifier's verdict, reason, rule, and diagnostics
+// — must reach the unsharded audit's verdict, reason, rule, and diagnostics
 // at every shard count, epoch size, and thread count, with both the shard
 // files and the verdict artifacts round-tripped through their containers.
 // Adversarial coverage splits by where the fault is visible: content
@@ -107,16 +107,17 @@ std::vector<ShardArtifact> HonestArtifacts(const HonestRun& run, uint32_t k,
   return artifacts;
 }
 
-// The equivalence sweep: one-shot oracle vs shard counts {1, 2, 4, 8} at
-// epoch sizes {1, 50, 0=∞} and threads {1, 4}.
-void ExpectShardMatchesOneShot(const HonestRun& run) {
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
+// The equivalence sweep: the unsharded oracle (AuditOnly, the serial stream at
+// kDefaultEpochRequests) vs shard counts {1, 2, 4, 8} at epoch sizes
+// {1, 50, 0=∞} and threads {1, 4}.
+void ExpectShardMatchesOracle(const HonestRun& run) {
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
   for (uint32_t k : {1u, 2u, 4u, 8u}) {
     for (uint64_t epoch_size : {uint64_t{1}, uint64_t{50}, uint64_t{0}}) {
       for (unsigned threads : {1u, 4u}) {
         AuditResult merged = ShardedVerdict(run, k, epoch_size, threads);
-        ExpectSameOutcome(oneshot, merged,
+        ExpectSameOutcome(oracle, merged,
                           "K=" + std::to_string(k) +
                               " epoch_size=" + std::to_string(epoch_size) +
                               " threads=" + std::to_string(threads));
@@ -125,17 +126,17 @@ void ExpectShardMatchesOneShot(const HonestRun& run) {
   }
 }
 
-TEST(ShardEquivalenceTest, HonestMotd) { ExpectShardMatchesOneShot(RunApp("motd", 60)); }
+TEST(ShardEquivalenceTest, HonestMotd) { ExpectShardMatchesOracle(RunApp("motd", 60)); }
 
-TEST(ShardEquivalenceTest, HonestStacks) { ExpectShardMatchesOneShot(RunApp("stacks", 60)); }
+TEST(ShardEquivalenceTest, HonestStacks) { ExpectShardMatchesOracle(RunApp("stacks", 60)); }
 
-TEST(ShardEquivalenceTest, HonestWiki) { ExpectShardMatchesOneShot(RunApp("wiki", 60)); }
+TEST(ShardEquivalenceTest, HonestWiki) { ExpectShardMatchesOracle(RunApp("wiki", 60)); }
 
 TEST(ShardEquivalenceTest, HonestRangeMode) {
   HonestRun run = RunApp("stacks", 60);
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
-  ExpectSameOutcome(oneshot, ShardedVerdict(run, 4, 50, 1, ShardMode::kRange), "range K=4");
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
+  ExpectSameOutcome(oracle, ShardedVerdict(run, 4, 50, 1, ShardMode::kRange), "range K=4");
 }
 
 TEST(ShardEquivalenceTest, MergeIsArtifactOrderIndependent) {
@@ -167,16 +168,16 @@ TEST(ShardEquivalenceTest, ShardAuditIsDeterministic) {
 // --- the unsharded rejection out of the merge. -----------------------------
 
 void ExpectShardRejectsLikeOracle(const HonestRun& run, bool require_same_reason = true) {
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
-  ASSERT_FALSE(oneshot.accepted);
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
+  ASSERT_FALSE(oracle.accepted);
   for (uint32_t k : {2u, 4u}) {
     AuditResult merged = ShardedVerdict(run, k, 50, 1);
     std::string context = "K=" + std::to_string(k);
     EXPECT_FALSE(merged.accepted) << context;
-    EXPECT_EQ(oneshot.rule, merged.rule) << context << ": " << merged.reason;
+    EXPECT_EQ(oracle.rule, merged.rule) << context << ": " << merged.reason;
     if (require_same_reason) {
-      EXPECT_EQ(oneshot.reason, merged.reason) << context;
+      EXPECT_EQ(oracle.reason, merged.reason) << context;
     }
   }
 }
@@ -256,7 +257,7 @@ TEST(ShardAdversarialTest, SwappedWriteOrder) {
   std::swap(run.server.advice.write_order.front(), run.server.advice.write_order.back());
   // A swap perturbs two entries that may land in different shards, so the
   // first-rejecting shard can describe the other end of the swap than the
-  // one-shot scan reaches first: rule identity is the contract here.
+  // unsharded scan reaches first: rule identity is the contract here.
   ExpectShardRejectsLikeOracle(run, /*require_same_reason=*/false);
 }
 
@@ -283,9 +284,9 @@ TEST(ShardAdversarialTest, GetClaimedNotFound) {
   // re-execution group's composition (see epoch_audit_test). Sharding is
   // group-atomic, but the shard's scan order over groups differs from the
   // global one, so only rejection itself is the contract.
-  AuditResult oneshot = AuditOnly(run.app, run.server.trace, run.server.advice,
-                                  VerifierConfig{IsolationLevel::kSerializable, 1});
-  ASSERT_FALSE(oneshot.accepted);
+  AuditResult oracle = AuditOnly(run.app, run.server.trace, run.server.advice,
+                                 VerifierConfig{IsolationLevel::kSerializable, 1});
+  ASSERT_FALSE(oracle.accepted);
   for (uint32_t k : {2u, 4u}) {
     AuditResult merged = ShardedVerdict(run, k, 50, 1);
     EXPECT_FALSE(merged.accepted) << "K=" << k;

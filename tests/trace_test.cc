@@ -16,43 +16,6 @@ Trace MakeBalanced() {
   return trace;
 }
 
-TEST(TraceTest, BalancedTracePasses) {
-  std::string reason;
-  EXPECT_TRUE(MakeBalanced().IsBalanced(&reason)) << reason;
-}
-
-TEST(TraceTest, ResponseBeforeRequestFails) {
-  Trace trace;
-  trace.events = {
-      {TraceEvent::Kind::kResponse, 1, Value()},
-      {TraceEvent::Kind::kRequest, 1, Value()},
-  };
-  std::string reason;
-  EXPECT_FALSE(trace.IsBalanced(&reason));
-}
-
-TEST(TraceTest, MissingResponseFails) {
-  Trace trace = MakeBalanced();
-  trace.events.pop_back();
-  std::string reason;
-  EXPECT_FALSE(trace.IsBalanced(&reason));
-  EXPECT_NE(reason.find("no response"), std::string::npos);
-}
-
-TEST(TraceTest, DuplicateRequestFails) {
-  Trace trace = MakeBalanced();
-  trace.events.push_back({TraceEvent::Kind::kRequest, 1, Value()});
-  std::string reason;
-  EXPECT_FALSE(trace.IsBalanced(&reason));
-}
-
-TEST(TraceTest, DuplicateResponseFails) {
-  Trace trace = MakeBalanced();
-  trace.events.push_back({TraceEvent::Kind::kResponse, 1, Value()});
-  std::string reason;
-  EXPECT_FALSE(trace.IsBalanced(&reason));
-}
-
 TEST(TraceTest, Lookups) {
   Trace trace = MakeBalanced();
   EXPECT_EQ(trace.request_count(), 2u);

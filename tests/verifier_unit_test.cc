@@ -2,6 +2,8 @@
 // exercised with a surgically malformed piece of advice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/apps/app_util.h"
 #include "src/audit/audit.h"
 #include "src/kem/varid.h"
@@ -178,6 +180,39 @@ TEST(VerifierUnitTest, ResponseBeforeRequestInTraceRejected) {
   AuditResult audit = Audit(run);
   EXPECT_FALSE(audit.accepted);
   EXPECT_NE(audit.reason.find("balanced"), std::string::npos) << audit.reason;
+}
+
+// "Check Tr is balanced" (Figure 14): a missing, duplicated or repeated
+// event rejects before any re-execution.
+TEST(VerifierUnitTest, UnbalancedTracesRejected) {
+  struct Case {
+    const char* name;
+    TraceEvent::Kind kind;  // Kind of the event dropped or repeated.
+    bool drop;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"missing response", TraceEvent::Kind::kResponse, true, "has no response"},
+      {"duplicate request", TraceEvent::Kind::kRequest, false, "duplicate request id"},
+      {"duplicate response", TraceEvent::Kind::kResponse, false, "delivered twice"},
+  };
+  for (const Case& c : cases) {
+    ChainRun run = RunChain();
+    auto& events = run.server.trace.events;
+    auto it = std::find_if(events.rbegin(), events.rend(),
+                           [&c](const TraceEvent& ev) { return ev.kind == c.kind; });
+    ASSERT_NE(it, events.rend()) << c.name;
+    if (c.drop) {
+      events.erase(std::next(it).base());
+    } else {
+      events.push_back(*it);
+    }
+    AuditResult audit = Audit(run);
+    EXPECT_FALSE(audit.accepted) << c.name;
+    EXPECT_EQ(audit.reason.rfind("trace is not balanced: ", 0), 0u) << c.name << ": "
+                                                                    << audit.reason;
+    EXPECT_NE(audit.reason.find(c.reason), std::string::npos) << c.name << ": " << audit.reason;
+  }
 }
 
 TEST(VerifierUnitTest, TimePrecedenceOrderingIsEnforcedNotInvented) {

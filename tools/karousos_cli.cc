@@ -12,13 +12,18 @@
 // the advice composition; `analyze` runs the analysis layer alone — the
 // structural advice linter over (trace, advice) files, or (with --races) the
 // §5 happens-before race detector over a fresh in-process serve.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include <algorithm>
@@ -91,15 +96,14 @@ int Usage() {
                "                  [--epoch-size N] [--checkpoint FILE] [--resume FILE]\n"
                "      --segments: audit DIR/trace.kseg + DIR/advice.kseg (KSEG containers\n"
                "      are also auto-detected on --trace/--advice; --epoch-size required)\n"
-               "      KSEG containers and monolithic files given --epoch-size,\n"
-               "      --checkpoint or --resume take the streamed audit, which runs the\n"
-               "      static KAR-SEG pre-screen before each epoch's re-execution; the\n"
-               "      pre-screen alone enforces KAR-SEG-007 and KAR-SEG-008\n"
+               "      every audit streams its input epoch by epoch and runs the static\n"
+               "      KAR-SEG pre-screen before each epoch's re-execution; the pre-screen\n"
+               "      alone enforces KAR-SEG-007 and KAR-SEG-008\n"
                "      --threads: audit-group parallelism (1 = serial, 0 = all hardware\n"
                "      threads); the verdict is identical for every value\n"
                "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess)\n"
-               "      --epoch-size: stream the audit in epochs of N requests (0 = one\n"
-               "      epoch); same verdict as the one-shot audit\n"
+               "      --epoch-size: read a monolithic pair as epochs of N requests (0 = one\n"
+               "      epoch; default %llu); the verdict is the same at every size\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"
                "      --resume: restore the carry state from FILE and continue from the\n"
                "      first unaudited epoch\n"
@@ -126,13 +130,15 @@ int Usage() {
                "                  [--epoch-size N]\n"
                "      streaming static model check (KAR-ADV + KAR-SEG rules), no\n"
                "      re-execution: KSEG containers need --epoch-size; monolithic files\n"
-               "      are sliced at --epoch-size (default 0 = one epoch); exit 1 on reject\n"
+               "      are sliced at --epoch-size (default %llu); exit 1 on reject\n"
                "  karousos analyze --trace FILE --advice FILE [--epoch-size N]\n"
                "      lint the advice against the trace; segment containers run the\n"
                "      streaming model check instead; exit 1 on findings\n"
                "  karousos analyze --races --app <motd|stacks|wiki|auction|mixed> [--workload ...]\n"
                "                  [--requests N] [--concurrency C] [--seed S]\n"
-               "      serve in-process and race-check untracked accesses; exit 1 on findings\n");
+               "      serve in-process and race-check untracked accesses; exit 1 on findings\n",
+               static_cast<unsigned long long>(kDefaultEpochRequests),
+               static_cast<unsigned long long>(kDefaultEpochRequests));
   return 2;
 }
 
@@ -197,6 +203,26 @@ struct Args {
   std::vector<std::string> artifact_paths;
 };
 
+// A numeric flag's value: the whole string must parse as a T (no sign on an
+// unsigned field, no trailing text, no exponent on an integer), fit its
+// range and be at least `min`; a double must be finite. Anything else exits 2.
+template <typename T>
+T ParseNumber(const std::string& flag, const std::string& text,
+              T min = std::numeric_limits<T>::lowest()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc() && ptr == end && value >= min;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(), text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 std::optional<Args> Parse(int argc, char** argv) {
   if (argc < 2) {
     return std::nullopt;
@@ -247,15 +273,15 @@ std::optional<Args> Parse(int argc, char** argv) {
     } else if (flag == "--inputs") {
       args.inputs_path = value;
     } else if (flag == "--requests") {
-      args.requests = static_cast<size_t>(std::stoul(value));
+      args.requests = ParseNumber<size_t>(flag, value);
     } else if (flag == "--concurrency") {
-      args.concurrency = std::stoi(value);
+      args.concurrency = ParseNumber<int>(flag, value, 1);
     } else if (flag == "--seed") {
-      args.seed = std::stoull(value);
+      args.seed = ParseNumber<uint64_t>(flag, value);
     } else if (flag == "--threads") {
-      args.threads = static_cast<unsigned>(std::stoul(value));
+      args.threads = ParseNumber<unsigned>(flag, value);
     } else if (flag == "--epoch-size") {
-      args.epoch_size = std::stoull(value);
+      args.epoch_size = ParseNumber<uint64_t>(flag, value);
       args.epoch_size_set = true;
     } else if (flag == "--checkpoint") {
       args.checkpoint_path = value;
@@ -274,17 +300,17 @@ std::optional<Args> Parse(int argc, char** argv) {
     } else if (flag == "--out-shards") {
       args.out_shards_dir = value;
     } else if (flag == "--net-workers") {
-      args.net_workers = static_cast<size_t>(std::stoul(value));
+      args.net_workers = ParseNumber<size_t>(flag, value, 1);
     } else if (flag == "--connections") {
-      args.connections = static_cast<size_t>(std::stoul(value));
+      args.connections = ParseNumber<size_t>(flag, value, 1);
     } else if (flag == "--arrival") {
       args.arrival = value;
     } else if (flag == "--rate") {
-      args.rate = std::stod(value);
+      args.rate = ParseNumber<double>(flag, value, std::numeric_limits<double>::min());
     } else if (flag == "--pipeline") {
-      args.pipeline = static_cast<size_t>(std::stoul(value));
+      args.pipeline = ParseNumber<size_t>(flag, value);
     } else if (flag == "--shards") {
-      args.shards = static_cast<uint32_t>(std::stoul(value));
+      args.shards = ParseNumber<uint32_t>(flag, value);
     } else if (flag == "--shard-mode") {
       args.shard_mode = value;
     } else if (flag == "--out-dir") {
@@ -573,9 +599,11 @@ int CmdServe(const Args& args) {
 // The (trace, advice) pair `audit`, `check` and `analyze` read: KSEG
 // containers (--segments DIR, or detected on --trace/--advice; --epoch-size
 // required), kept as bytes for the container front ends, or monolithic files,
-// decoded.
+// decoded and read as epochs of --epoch-size (kDefaultEpochRequests if not
+// given).
 struct RunInput {
   bool segmented = false;
+  uint64_t epoch_requests = 0;
   std::vector<uint8_t> trace_bytes;
   std::vector<uint8_t> advice_bytes;
   std::optional<Trace> trace;
@@ -605,10 +633,12 @@ std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
       return 2;
     }
     in->segmented = true;
+    in->epoch_requests = args.epoch_size;
     in->trace_bytes = std::move(*trace_bytes);
     in->advice_bytes = std::move(*advice_bytes);
     return std::nullopt;
   }
+  in->epoch_requests = args.epoch_size_set ? args.epoch_size : kDefaultEpochRequests;
   ByteReader trace_reader(*trace_bytes);
   in->trace = Trace::Deserialize(&trace_reader);
   if (!in->trace) {
@@ -624,8 +654,8 @@ std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
   return std::nullopt;
 }
 
-// `karousos audit`: the one-shot audit for a monolithic pair, otherwise the
-// one streamed loop over either stored form, with checkpoint and resume.
+// `karousos audit`: the one streamed loop over either stored form, with
+// checkpoint and resume.
 int CmdAudit(const Args& args) {
   RunInput in;
   if (auto code = ReadRunInput(args, &in)) {
@@ -634,58 +664,52 @@ int CmdAudit(const Args& args) {
   AppSpec app = AppOrExit(args.app);
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
 
-  AuditResult audit;
-  if (in.segmented || args.epoch_size_set || !args.resume_path.empty() ||
-      !args.checkpoint_path.empty()) {
-    std::unique_ptr<AuditSession> session;
-    if (!args.resume_path.empty()) {
-      auto checkpoint = ReadFile(args.resume_path);
-      if (!checkpoint) {
-        std::fprintf(stderr, "failed to read %s\n", args.resume_path.c_str());
-        return 1;
-      }
-      std::string error;
-      session = AuditSession::Restore(*app.program, config, *checkpoint, &error);
-      if (session == nullptr) {
-        std::printf("REJECTED: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("resumed from %s at epoch %llu\n", args.resume_path.c_str(),
-                  static_cast<unsigned long long>(session->next_epoch()));
-    } else {
-      session = std::make_unique<AuditSession>(*app.program, config, args.epoch_size);
-    }
-    // A resumed audit decodes at the checkpoint's epoch size, or epoch
-    // indices would not line up with the audited prefix. A monolithic run is
-    // sliced by moving its advice, and the trace goes once it is sliced.
-    std::unique_ptr<EpochSource> source;
-    if (in.segmented) {
-      source = std::make_unique<PairedSegmentCursor>(in.trace_bytes, in.advice_bytes);
-    } else {
-      source = std::make_unique<SliceSource>(
-          SliceRunOwned(*in.trace, std::move(*in.advice), session->epoch_requests()));
-      in.trace.reset();
-      in.advice.reset();
-    }
-    bool checkpoint_failed = false;
-    StreamAuditResult streamed =
-        RunStreamedAudit(session.get(), source.get(), [&](AuditSession& s) {
-          if (!args.checkpoint_path.empty() &&
-              !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
-            checkpoint_failed = true;
-          }
-        });
-    if (checkpoint_failed) {
-      std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
+  std::unique_ptr<AuditSession> session;
+  if (!args.resume_path.empty()) {
+    auto checkpoint = ReadFile(args.resume_path);
+    if (!checkpoint) {
+      std::fprintf(stderr, "failed to read %s\n", args.resume_path.c_str());
       return 1;
     }
-    std::printf("streamed %llu epochs (epoch size %llu)\n",
-                static_cast<unsigned long long>(streamed.epochs),
-                static_cast<unsigned long long>(session->epoch_requests()));
-    audit = std::move(streamed.audit);
+    std::string error;
+    session = AuditSession::Restore(*app.program, config, *checkpoint, &error);
+    if (session == nullptr) {
+      std::printf("REJECTED: %s\n", error.c_str());
+      return 1;
+    }
+    std::printf("resumed from %s at epoch %llu\n", args.resume_path.c_str(),
+                static_cast<unsigned long long>(session->next_epoch()));
   } else {
-    audit = AuditOnly(app, *in.trace, *in.advice, config);
+    session = std::make_unique<AuditSession>(*app.program, config, in.epoch_requests);
   }
+  // A resumed audit decodes at the checkpoint's epoch size, or epoch indices
+  // would not line up with the audited prefix. A monolithic run is sliced by
+  // moving its advice, and the trace goes once it is sliced.
+  std::unique_ptr<EpochSource> source;
+  if (in.segmented) {
+    source = std::make_unique<PairedSegmentCursor>(in.trace_bytes, in.advice_bytes);
+  } else {
+    source = std::make_unique<SliceSource>(
+        SliceRunOwned(*in.trace, std::move(*in.advice), session->epoch_requests()));
+    in.trace.reset();
+    in.advice.reset();
+  }
+  bool checkpoint_failed = false;
+  StreamAuditResult streamed =
+      RunStreamedAudit(session.get(), source.get(), [&](AuditSession& s) {
+        if (!args.checkpoint_path.empty() &&
+            !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
+          checkpoint_failed = true;
+        }
+      });
+  if (checkpoint_failed) {
+    std::fprintf(stderr, "failed to write %s\n", args.checkpoint_path.c_str());
+    return 1;
+  }
+  std::printf("streamed %llu epochs (epoch size %llu)\n",
+              static_cast<unsigned long long>(streamed.epochs),
+              static_cast<unsigned long long>(session->epoch_requests()));
+  const AuditResult& audit = streamed.audit;
   if (args.profile) {
     std::printf("%s\n", AuditProfileToJson(audit.profile).c_str());
   }
@@ -1067,12 +1091,12 @@ int CmdInspect(const Args& args) {
 
 // The streaming static model check: file-layer walk (KSEG only) + per-epoch
 // KAR-ADV lint + cross-epoch KAR-SEG rules, no re-execution. Monolithic
-// files are sliced at `epoch_requests` first (0 = one epoch). Shared by
-// `check` and by `analyze` when it is handed segment containers.
-int RunCheck(const RunInput& in, uint64_t epoch_requests) {
+// files are sliced at the input's epoch size first. Shared by `check` and by
+// `analyze` when it is handed segment containers.
+int RunCheck(const RunInput& in) {
   CheckResult result =
-      in.segmented ? CheckSegmentStreams(in.trace_bytes, in.advice_bytes, epoch_requests)
-                   : CheckRun(*in.trace, *in.advice, epoch_requests);
+      in.segmented ? CheckSegmentStreams(in.trace_bytes, in.advice_bytes, in.epoch_requests)
+                   : CheckRun(*in.trace, *in.advice, in.epoch_requests);
   for (const LintDiagnostic& d : result.diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
@@ -1090,18 +1114,17 @@ int RunCheck(const RunInput& in, uint64_t epoch_requests) {
 
 // `karousos check`: the static half of the audit, standalone. Accepts the
 // segmented production artifact (--segments DIR or KSEG --trace/--advice) or
-// a monolithic pair, which it slices at --epoch-size first.
+// a monolithic pair, which it slices first, as `audit` does.
 int CmdCheck(const Args& args) {
   RunInput in;
   if (auto code = ReadRunInput(args, &in)) {
     return *code;
   }
-  return RunCheck(in, args.epoch_size);
+  return RunCheck(in);
 }
 
-// Runs the structural advice linter over (trace, advice) files — the same
-// pass Verifier::Audit runs as its preprocess stage, standalone and without
-// re-execution. Prints every diagnostic; exits 1 iff there are findings.
+// Runs the structural advice linter over (trace, advice) files — the
+// audit's static checks over the whole run at once, without re-execution. Prints every diagnostic; exits 1 iff there are findings.
 // Segment containers divert to the streaming model check.
 int CmdAnalyzeLint(const Args& args) {
   RunInput in;
@@ -1109,7 +1132,7 @@ int CmdAnalyzeLint(const Args& args) {
     return *code;
   }
   if (in.segmented) {
-    return RunCheck(in, args.epoch_size);
+    return RunCheck(in);
   }
   std::vector<LintDiagnostic> diagnostics = LintAdvice(*in.trace, *in.advice);
   for (const LintDiagnostic& d : diagnostics) {

@@ -3,9 +3,11 @@
 # --checkpoint must write its file, --resume must restore it and reach the
 # uninterrupted verdict, a forged trace must be rejected on the same streamed
 # path, and a truncated last frame must be rejected only after the epochs
-# before it were fed. Also checks that `serve --inputs` refuses a request nested
-# past the decoder's depth cap with a JSON error instead of crashing or
-# recording a trace the audit cannot read.
+# before it were fed. A monolithic pair without --epoch-size must stream at
+# the default epoch size with that size's verdict, and a numeric flag whose
+# value does not parse whole and in range must exit 2. Also checks that
+# `serve --inputs` refuses a request nested past the decoder's depth cap with
+# a JSON error instead of crashing or recording a trace the audit cannot read.
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -86,6 +88,49 @@ printf '%s\n' "$out" | grep -qx "resumed from $dir/ckpt_trunc at epoch $((epochs
 resumed="$(printf '%s\n' "$out" | grep '^ACCEPTED: ')"
 [ "$resumed" = "$accepted" ] ||
   fail "verdict '$resumed' resumed past the truncated frame differs from '$accepted'"
+
+# A monolithic pair audited without --epoch-size streams at the default epoch
+# size, with the verdict of that size given explicitly.
+out="$("$bin" audit --app stacks --trace "$dir/trace.bin" --advice "$dir/advice.bin")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -eq 0 ] || fail "monolithic audit exited $status on an honest run"
+default_size="$(printf '%s\n' "$out" |
+  sed -n 's/^streamed [0-9][0-9]* epochs (epoch size \([0-9][0-9]*\))$/\1/p')"
+[ -n "$default_size" ] || fail "monolithic audit printed no 'streamed N epochs (epoch size K)' line"
+default_verdict="$(printf '%s\n' "$out" | grep '^ACCEPTED: ')" ||
+  fail "monolithic audit printed no ACCEPTED line"
+explicit="$("$bin" audit --app stacks --trace "$dir/trace.bin" --advice "$dir/advice.bin" \
+    --epoch-size "$default_size" | grep '^ACCEPTED: ')"
+[ "$explicit" = "$default_verdict" ] ||
+  fail "--epoch-size $default_size verdict '$explicit' differs from the default '$default_verdict'"
+
+# Numeric flags parse strictly: the whole value, in range, or exit 2.
+expect_bad_value() {
+  flag="$1"
+  shift
+  err="$("$bin" "$@" 2>&1 >/dev/null)"
+  status=$?
+  [ "$status" -eq 2 ] || fail "'$*' exited $status, want 2"
+  printf '%s\n' "$err" | grep -q "bad value for $flag" ||
+    fail "'$*' printed no 'bad value for $flag': $err"
+}
+expect_bad_value --epoch-size audit --app stacks --trace "$dir/trace.bin" \
+    --advice "$dir/advice.bin" --epoch-size abc
+expect_bad_value --epoch-size audit --app stacks --trace "$dir/trace.bin" \
+    --advice "$dir/advice.bin" --epoch-size -1
+expect_bad_value --threads audit --app stacks --trace "$dir/trace.bin" \
+    --advice "$dir/advice.bin" --threads 4294967296
+for value in 12x 1e3 "" " 7"; do
+  expect_bad_value --requests serve --app motd --requests "$value" \
+      --out-trace "$dir/bad_trace.bin" --out-advice "$dir/bad_advice.bin"
+done
+expect_bad_value --concurrency serve --app motd --concurrency 0 \
+    --out-trace "$dir/bad_trace.bin" --out-advice "$dir/bad_advice.bin"
+expect_bad_value --connections load --connect "unix:$dir/none.sock" --connections 0
+expect_bad_value --rate load --connect "unix:$dir/none.sock" --rate nan
+expect_bad_value --rate load --connect "unix:$dir/none.sock" --rate 0
+[ ! -e "$dir/bad_trace.bin" ] || fail "serve with a bad --requests wrote a trace"
 
 # Over-deep JSON requests: exit 1 with a JSON error, no signal, no trace.
 for depth in 1000 100000; do
