@@ -528,7 +528,170 @@ void BuildCodecMutations(const char* stream, const std::vector<uint8_t>& honest_
   }
 }
 
+// --- Patch family: var-log patches no honest encoder writes ----------------
+
+// The frame the hostile log goes into is a raw one, so the payload decoder
+// (not the framing) must refuse it: KAR-SEG-002 at that frame.
+void BuildPatchMutations(const Trace& trace, const Advice& advice, uint64_t epoch_requests,
+                         std::vector<KsegMutation>* out) {
+  const EpochSlices honest = SliceRun(trace, advice, epoch_requests);
+  if (honest.segments.empty()) {
+    return;
+  }
+  const std::vector<uint8_t> trace_bytes = EncodeTraceSegments(honest);
+  const size_t target = honest.segments.size() / 2;
+  const Advice& slice = honest.segments[target].advice;
+  ByteWriter payload;
+  slice.Serialize(&payload);
+  honest.segments[target].imports.Serialize(&payload);
+  VarId vid = 0x7061746368;  // A variable the run does not have.
+  while (advice.var_logs.count(vid) != 0) {
+    ++vid;
+  }
+  auto emit = [&](const char* what, const RawVarLog& log) {
+    EpochFrameWriter writer{KsegCompression{}};
+    for (size_t i = 0; i < honest.segments.size(); ++i) {
+      if (i == target) {
+        writer.AppendRaw(SegmentKind::kAdvice, honest.segments[i].epoch,
+                         log.SplicedInto(slice, payload.bytes()));
+      } else {
+        writer.AppendAdvice(honest.segments[i]);
+      }
+    }
+    out->push_back(KsegMutation{std::string("patch:") + what, trace_bytes, writer.Take()});
+  };
+  for (const auto& [what, log] : MalformedPatchLogs(vid)) {
+    emit(what.c_str(), log);
+  }
+  // A well-formed patch over a forged value decodes; the audit must catch
+  // the forgery.
+  for (const auto& [id, log] : advice.var_logs) {
+    const std::vector<const Value*> bases = PatchBases(log);
+    size_t i = 0;
+    for (const auto& [op, entry] : log) {
+      const Value* base = bases[i++];
+      if (base == nullptr || !entry.value.is_map() ||
+          DiffVarWrite(entry.value, *base).form != VarWriteForm::kMapPatch) {
+        continue;
+      }
+      Advice forged = advice;
+      ValueMap value = entry.value.AsMap();
+      value["forged"] = Value(true);
+      forged.var_logs[id][op].value = Value(std::move(value));
+      out->push_back(EncodeRun("patch:forged-set", trace, forged, epoch_requests));
+      return;
+    }
+  }
+}
+
 }  // namespace
+
+std::vector<std::pair<std::string, RawVarLog>> MalformedPatchLogs(VarId vid) {
+  const OpRef a{1, 0xa, 1};
+  const OpRef b{1, 0xa, 2};
+  const OpRef c{1, 0xa, 3};
+  const Value map = MakeMap({{"k", Value(1)}, {"m", Value(2)}});
+  const Value list = MakeList({Value(1), Value(2)});
+  const auto log = [vid] { return RawVarLog(vid); };
+  std::vector<std::pair<std::string, RawVarLog>> logs = {
+      {"missing-prec", log().Full(a, map, kNilOp).MapPatch(b, {{"k", Value(3)}}, {}, c)},
+      {"read-prec", log().Full(a, map, kNilOp).Read(b, a).MapPatch(c, {{"k", Value(3)}}, {}, b)},
+      {"cycle", log().MapPatch(a, {{"k", Value(3)}}, {}, b).MapPatch(b, {}, {"k"}, a)},
+      {"self-prec", log().Append(a, {Value(3)}, a)},
+      {"map-patch-over-list", log().Full(a, list, kNilOp).MapPatch(b, {{"k", Value(3)}}, {}, a)},
+      {"append-over-map", log().Full(a, map, kNilOp).Append(b, {Value(3)}, a)},
+      {"append-over-scalar", log().Full(a, Value(7), kNilOp).Append(b, {Value(3)}, a)},
+      {"erase-absent", log().Full(a, map, kNilOp).MapPatch(b, {}, {"z"}, a)},
+      {"erase-absent-first", log().Full(a, map, kNilOp).MapPatch(b, {}, {"a"}, a)},
+      {"set-order",
+       log().Full(a, map, kNilOp).MapPatch(b, {{"m", Value(5)}, {"k", Value(3)}}, {}, a)},
+      {"set-twice",
+       log().Full(a, map, kNilOp).MapPatch(b, {{"k", Value(5)}, {"k", Value(3)}}, {}, a)},
+      {"erase-order", log().Full(a, map, kNilOp).MapPatch(b, {}, {"m", "k"}, a)},
+      {"set-and-erase", log().Full(a, map, kNilOp).MapPatch(b, {{"k", Value(3)}}, {"k"}, a)},
+      {"set-identical", log().Full(a, map, kNilOp).MapPatch(b, {{"k", Value(1)}}, {}, a)},
+  };
+  // Each append copies the whole list: quadratic copies from linear input.
+  RawVarLog chain = log();
+  chain.Full(a, list, kNilOp);
+  for (OpNum i = 2; i <= 4000; ++i) {
+    chain.Append(OpRef{1, 0xa, i}, {Value(static_cast<int64_t>(i))}, OpRef{1, 0xa, i - 1});
+  }
+  logs.emplace_back("copy-budget", std::move(chain));
+  return logs;
+}
+
+RawVarLog& RawVarLog::Read(const OpRef& op, const OpRef& prec) {
+  Entry(op, static_cast<uint8_t>(VarLogEntry::Kind::kRead));
+  SerializeOpRef(prec, &entries_);
+  return *this;
+}
+
+RawVarLog& RawVarLog::Full(const OpRef& op, const Value& value, const OpRef& prec) {
+  Entry(op, static_cast<uint8_t>(VarWriteForm::kFull));
+  entries_.WriteValue(value);
+  SerializeOpRef(prec, &entries_);
+  return *this;
+}
+
+RawVarLog& RawVarLog::MapPatch(const OpRef& op,
+                               const std::vector<std::pair<std::string, Value>>& sets,
+                               const std::vector<std::string>& erases, const OpRef& prec) {
+  Entry(op, static_cast<uint8_t>(VarWriteForm::kMapPatch));
+  entries_.WriteVarint(sets.size());
+  for (const auto& [key, value] : sets) {
+    entries_.WriteString(key);
+    entries_.WriteValue(value);
+  }
+  entries_.WriteVarint(erases.size());
+  for (const std::string& key : erases) {
+    entries_.WriteString(key);
+  }
+  SerializeOpRef(prec, &entries_);
+  return *this;
+}
+
+RawVarLog& RawVarLog::Append(const OpRef& op, const std::vector<Value>& items,
+                             const OpRef& prec) {
+  Entry(op, static_cast<uint8_t>(VarWriteForm::kListAppend));
+  entries_.WriteVarint(items.size());
+  for (const Value& item : items) {
+    entries_.WriteValue(item);
+  }
+  SerializeOpRef(prec, &entries_);
+  return *this;
+}
+
+void RawVarLog::Entry(const OpRef& op, uint8_t kind) {
+  ++count_;
+  SerializeOpRef(op, &entries_);
+  entries_.WriteByte(kind);
+}
+
+std::vector<uint8_t> RawVarLog::AdviceBytes() const {
+  Advice empty;
+  ByteWriter payload;
+  empty.Serialize(&payload);
+  return SplicedInto(empty, payload.bytes());
+}
+
+std::vector<uint8_t> RawVarLog::SplicedInto(const Advice& advice,
+                                            const std::vector<uint8_t>& payload) const {
+  const Advice::SizeBreakdown b = advice.MeasureSize();
+  const size_t section = b.tags + b.handler_logs;
+  ByteWriter old_count;
+  old_count.WriteVarint(advice.var_logs.size());
+  ByteWriter out;
+  out.WriteBytes(payload.data(), section);
+  out.WriteVarint(advice.var_logs.size() + 1);
+  // The advice's own logs, then this one.
+  out.WriteBytes(payload.data() + section + old_count.size(), b.var_logs - old_count.size());
+  out.WriteFixed64(vid_);
+  out.WriteVarint(count_);
+  out.WriteBytes(entries_.bytes().data(), entries_.size());
+  out.WriteBytes(payload.data() + section + b.var_logs, payload.size() - section - b.var_logs);
+  return out.Take();
+}
 
 std::vector<KsegMutation> BuildMutationCorpus(const Trace& trace, const Advice& advice,
                                               uint64_t epoch_requests) {
@@ -545,6 +708,7 @@ std::vector<KsegMutation> BuildMutationCorpus(const Trace& trace, const Advice& 
   std::vector<uint8_t> packed_advice = EncodeAdviceSegments(honest, all);
   BuildCodecMutations("trace", packed_trace, packed_advice, /*mutate_trace=*/true, &corpus);
   BuildCodecMutations("advice", packed_advice, packed_trace, /*mutate_trace=*/false, &corpus);
+  BuildPatchMutations(trace, advice, epoch_requests, &corpus);
   return corpus;
 }
 

@@ -17,6 +17,11 @@
 //     stage, stored-payload truncation with the length and CRC fixed up, and
 //     declared-decoded-size tampering on blocked frames. The container framing
 //     stays honest, so only the codec layer can reject these.
+//   * patch — var-log patches no honest encoder writes, spliced into one raw
+//     advice frame as an extra var log: every refusal of VarPatchResolver
+//     (missing, read or cyclic prec, base of the wrong kind, absent or
+//     misordered keys, a chain that copies past the budget), plus one
+//     well-formed patch whose value is forged, which only the audit catches.
 //
 // Every mutation is semantic: an audit must reject it (statically or
 // dynamically), and neither the checker nor the audit may crash on it.
@@ -25,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/server/advice.h"
@@ -37,6 +43,38 @@ struct KsegMutation {
   std::vector<uint8_t> trace_bytes;
   std::vector<uint8_t> advice_bytes;
 };
+
+// One var log written entry by entry in the raw advice grammar, each write
+// stored exactly as given: how the patch family (and the decoder's tests)
+// build patches that no honest encoder writes.
+class RawVarLog {
+ public:
+  explicit RawVarLog(VarId vid) : vid_(vid) {}
+
+  RawVarLog& Read(const OpRef& op, const OpRef& prec);
+  RawVarLog& Full(const OpRef& op, const Value& value, const OpRef& prec);
+  RawVarLog& MapPatch(const OpRef& op, const std::vector<std::pair<std::string, Value>>& sets,
+                      const std::vector<std::string>& erases, const OpRef& prec);
+  RawVarLog& Append(const OpRef& op, const std::vector<Value>& items, const OpRef& prec);
+
+  // An advice payload holding only this var log.
+  std::vector<uint8_t> AdviceBytes() const;
+  // `payload` starts with the raw encoding of `advice`; returns it with this
+  // log added after the advice's own var logs.
+  std::vector<uint8_t> SplicedInto(const Advice& advice, const std::vector<uint8_t>& payload) const;
+
+ private:
+  void Entry(const OpRef& op, uint8_t kind);
+
+  VarId vid_;
+  size_t count_ = 0;
+  ByteWriter entries_;
+};
+
+// One hand-written var log of variable `vid` per refusal of
+// VarPatchResolver, each named: the patch family splices every one into a
+// frame, and the decoder's tests decode each on its own.
+std::vector<std::pair<std::string, RawVarLog>> MalformedPatchLogs(VarId vid);
 
 // Builds the full corpus for one honest run. Deterministic: same inputs,
 // same mutations in the same order. Mutations that do not apply to this run

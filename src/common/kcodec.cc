@@ -1,6 +1,7 @@
 #include "src/common/kcodec.h"
 
 #include <cstring>
+#include <memory>
 
 namespace karousos {
 
@@ -13,6 +14,11 @@ constexpr size_t kMaxOffset = 65535;
 // tables, repeated keys) without quadratic blowup on pathological input.
 constexpr size_t kHashBits = 15;
 constexpr int kMaxChainDepth = 32;
+// A match longer than twice this hashes only this many positions at each
+// end: a later repeat of the run is found through them, and hashing every
+// position of the long repeats in advice payloads was most of the encoder's
+// time.
+constexpr size_t kMatchEdge = 16;
 // A stored byte can contribute at most a 255-run extension byte's worth of
 // output, so decoded_size has a hard structural ceiling relative to the
 // stored size; anything above it is forged.
@@ -25,6 +31,26 @@ uint32_t Load32(const uint8_t* p) {
 }
 
 uint32_t HashOf(uint32_t v) { return (v * 2654435761u) >> (32 - kHashBits); }
+
+// The length of the common prefix of p and q, at most max_len, compared a
+// word at a time.
+size_t MatchLength(const uint8_t* p, const uint8_t* q, size_t max_len) {
+  size_t len = 0;
+  while (len + sizeof(uint64_t) <= max_len) {
+    uint64_t a;
+    uint64_t b;
+    std::memcpy(&a, p + len, sizeof(a));
+    std::memcpy(&b, q + len, sizeof(b));
+    if (a != b) {
+      return len + static_cast<size_t>(__builtin_ctzll(a ^ b) / 8);
+    }
+    len += sizeof(uint64_t);
+  }
+  while (len < max_len && p[len] == q[len]) {
+    ++len;
+  }
+  return len;
+}
 
 // One sequence: literals then (unless final) a back-reference.
 void EmitSequence(const uint8_t* literals, size_t literal_len, size_t match_len, size_t offset,
@@ -63,7 +89,9 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
     return;
   }
   std::vector<int64_t> head(size_t{1} << kHashBits, -1);
-  std::vector<int64_t> chain(size, -1);
+  // chain[i] is written when position i is hashed, before any walk can
+  // reach it, so it starts uninitialized.
+  std::unique_ptr<int64_t[]> chain(new int64_t[size]);
   size_t anchor = 0;
   size_t i = 0;
   while (i + kMinMatch <= size) {
@@ -72,15 +100,15 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
     size_t best_len = 0;
     size_t best_offset = 0;
     int depth = 0;
+    const uint8_t* q = data + i;
+    const size_t max_len = size - i;
     while (cand >= 0 && depth < kMaxChainDepth &&
-           i - static_cast<size_t>(cand) <= kMaxOffset) {
+           i - static_cast<size_t>(cand) <= kMaxOffset && best_len < max_len) {
       const uint8_t* p = data + cand;
-      const uint8_t* q = data + i;
-      const size_t max_len = size - i;
-      size_t len = 0;
-      while (len < max_len && p[len] == q[len]) {
-        ++len;
-      }
+      // A candidate that differs at best_len cannot be longer: skip the
+      // compare. Neither this nor stopping at max_len changes the match.
+      const size_t len =
+          best_len != 0 && p[best_len] != q[best_len] ? 0 : MatchLength(p, q, max_len);
       if (len >= kMinMatch && len > best_len) {
         best_len = len;
         best_offset = i - static_cast<size_t>(cand);
@@ -91,10 +119,17 @@ void BlockCompress(const uint8_t* data, size_t size, std::vector<uint8_t>* out) 
     if (best_len >= kMinMatch) {
       EmitSequence(data + anchor, i - anchor, best_len, best_offset, out);
       const size_t end = i + best_len;
-      for (; i < end && i + kMinMatch <= size; ++i) {
-        const uint32_t hh = HashOf(Load32(data + i));
-        chain[i] = head[hh];
-        head[hh] = static_cast<int64_t>(i);
+      const size_t skip_from = best_len > 2 * kMatchEdge ? i + kMatchEdge : end;
+      for (size_t pos = i; pos < end && pos + kMinMatch <= size; ++pos) {
+        if (pos == skip_from) {
+          pos = end - kMatchEdge;
+          if (pos + kMinMatch > size) {
+            break;
+          }
+        }
+        const uint32_t hh = HashOf(Load32(data + pos));
+        chain[pos] = head[hh];
+        head[hh] = static_cast<int64_t>(pos);
       }
       i = end;
       anchor = end;
@@ -170,11 +205,16 @@ std::optional<std::vector<uint8_t>> BlockDecompress(const uint8_t* data, size_t 
     if (out.size() + match_len > decoded_size) {
       return std::nullopt;
     }
-    // Byte-by-byte so overlapping matches (offset < match_len) replicate,
-    // exactly as the encoder's greedy matcher assumes.
-    size_t from = out.size() - offset;
-    for (size_t k = 0; k < match_len; ++k) {
-      out.push_back(out[from + k]);
+    // Byte-by-byte when the match overlaps itself (offset < match_len), so
+    // it replicates exactly as the encoder's greedy matcher assumes.
+    const size_t from = out.size() - offset;
+    if (offset >= match_len) {
+      out.resize(out.size() + match_len);
+      std::memcpy(out.data() + from + offset, out.data() + from, match_len);
+    } else {
+      for (size_t k = 0; k < match_len; ++k) {
+        out.push_back(out[from + k]);
+      }
     }
   }
   if (!terminated || out.size() != decoded_size) {
@@ -221,20 +261,20 @@ std::optional<std::vector<uint64_t>> ReadU64Dict(ByteReader* in) {
   return dict;
 }
 
-std::optional<std::vector<std::string>> ReadStringDict(ByteReader* in) {
+std::optional<std::vector<std::string_view>> ReadStringDict(ByteReader* in) {
   auto count = in->ReadVarint();
   // A string is at least its length byte.
   if (!count || !in->CanHold(*count, 1)) {
     return std::nullopt;
   }
-  std::vector<std::string> dict;
+  std::vector<std::string_view> dict;
   dict.reserve(static_cast<size_t>(*count));
   for (uint64_t i = 0; i < *count; ++i) {
-    auto s = in->ReadString();
+    auto s = in->ReadStringView();
     if (!s) {
       return std::nullopt;
     }
-    dict.push_back(std::move(*s));
+    dict.push_back(*s);
   }
   return dict;
 }

@@ -26,6 +26,7 @@
 #define SRC_COMMON_KCODEC_H_
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -122,8 +123,9 @@ class U64DictBuilder {
 
 class StringDictBuilder {
  public:
+  // A lookup copies nothing; a new string is copied once, into order_.
   uint64_t Ref(std::string_view s) {
-    auto it = index_.find(std::string(s));
+    auto it = index_.find(s);
     if (it != index_.end()) {
       return it->second;
     }
@@ -141,15 +143,17 @@ class StringDictBuilder {
   size_t size() const { return order_.size(); }
 
  private:
-  std::unordered_map<std::string, uint64_t> index_;
-  std::vector<std::string> order_;
+  // The keys view the strings in order_, which a deque never moves.
+  std::unordered_map<std::string_view, uint64_t> index_;
+  std::deque<std::string> order_;
 };
 
 // Dictionary tables, decode side. Both guard the declared count against the
 // bytes actually remaining, so a truncated dictionary (or a forged huge
 // count) rejects before any allocation is sized from attacker input.
 std::optional<std::vector<uint64_t>> ReadU64Dict(ByteReader* in);
-std::optional<std::vector<std::string>> ReadStringDict(ByteReader* in);
+// The string views alias the reader's buffer, which must outlive them.
+std::optional<std::vector<std::string_view>> ReadStringDict(ByteReader* in);
 
 // --- LZ4-style block codec ---------------------------------------------------
 

@@ -75,6 +75,8 @@ class ByteReader {
   std::optional<std::string_view> ReadStringView();
   // Rejects lists/maps nested deeper than kMaxValueDepth.
   std::optional<Value> ReadValue() { return ReadValueAt(0); }
+  // `depth` counts the lists/maps already open around the value.
+  std::optional<Value> ReadValueAt(size_t depth);
   std::optional<bool> ReadBool();
 
   bool AtEnd() const { return pos_ == size_; }
@@ -87,9 +89,6 @@ class ByteReader {
   }
 
  private:
-  // `depth` counts the lists/maps already open around the value.
-  std::optional<Value> ReadValueAt(size_t depth);
-
   const uint8_t* buf_;
   size_t size_;
   size_t pos_ = 0;

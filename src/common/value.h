@@ -123,6 +123,15 @@ class Value {
   // Human-readable JSON-ish rendering, for diagnostics and trace dumps.
   std::string ToString() const;
 
+  // True when `a` and `b` share one node or hold identical inline bytes: an
+  // O(1) check that never looks inside a node. Identical values encode to
+  // the same bytes, so the var-log diff (src/server/advice.h) leaves them
+  // out of a patch; equal values built apart are not identical. A NaN is
+  // identical to a copy of itself.
+  static bool Identical(const Value& a, const Value& b) {
+    return std::memcmp(a.bytes_, b.bytes_, sizeof(a.bytes_)) == 0;
+  }
+
   friend bool operator==(const Value& a, const Value& b);
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   // Total order across kinds (kind index first), used for deterministic

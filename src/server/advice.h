@@ -57,6 +57,15 @@ struct NondetRecord {
   Value value;  // kValue only.
 };
 
+// The logged writes of an encoded unit, split by how they are stored: in
+// full or as a patch (the delta var-logs below).
+struct StoredWrites {
+  size_t full = 0;
+  size_t full_bytes = 0;  // Kind byte and value.
+  size_t patches = 0;
+  size_t patch_bytes = 0;  // Kind byte and patch.
+};
+
 struct Advice {
   std::map<RequestId, uint64_t> tags;
   std::map<RequestId, std::vector<HandlerLogEntry>> handler_logs;
@@ -68,7 +77,9 @@ struct Advice {
   std::map<OpRef, NondetRecord> nondet;
 
   void Serialize(ByteWriter* out) const;
-  static std::optional<Advice> Deserialize(ByteReader* in);
+  // `stored`, when given, receives the split of the logged writes into
+  // full values and patches as the bytes hold them.
+  static std::optional<Advice> Deserialize(ByteReader* in, StoredWrites* stored = nullptr);
 
   // Encoded size, total and per component (Figure 8 and its breakdowns).
   struct SizeBreakdown {
@@ -85,6 +96,196 @@ struct Advice {
   // Counters used by the logging ablation.
   size_t var_log_entry_count() const;
   size_t handler_log_entry_count() const;
+};
+
+// --- Delta var-logs ----------------------------------------------------------
+// A var-log entry's kind byte on the wire: 0 a read, 1 a write stored in
+// full, 2 a write stored as a map patch over the value its `prec` write
+// logged, 3 a write stored as a list append over it. A patch resolves inside
+// the unit it is stored in (one advice file, one KSEG frame), so a decoded
+// VarLogEntry always holds the full value and the verifier never sees a
+// patch. Every encoder plans with PatchBases and VarPatchPlanner and writes
+// with WriteStoredWrite; every decoder reads with ReadStoredWrite and
+// resolves with VarPatchResolver.
+enum class VarWriteForm : uint8_t { kFull = 1, kMapPatch = 2, kListAppend = 3 };
+
+// The bytes resolving one unit's patches may copy, per byte of the unit.
+// Each materialized value copies its base's entry array, so a chain of
+// appends copies the square of its input: the budget keeps a short hostile
+// unit from expanding into memory it never paid for. The planner holds
+// honest units to the same budget, so no honest unit is refused; DESIGN.md
+// records the honest ratios and the headroom.
+inline constexpr size_t kPatchCopyBytesPerInputByte = 64;
+
+// How `value` is stored over `base`, the value its prec write logged. The
+// diff compares children by Value::Identical only: a map patch sets the keys
+// whose value is not identical to the base's and erases the base's keys that
+// are gone; a list append adds the items past an identical prefix. A patch
+// is kept only when it has strictly fewer entries than `value` has.
+struct VarWriteDiff {
+  VarWriteForm form = VarWriteForm::kFull;
+  std::vector<const ValueMap::value_type*> sets;  // kMapPatch, increasing keys.
+  std::vector<const std::string*> erases;          // kMapPatch, increasing keys.
+  size_t appended_from = 0;                        // kListAppend: first new item.
+};
+VarWriteDiff DiffVarWrite(const Value& value, const Value& base);
+
+// For each entry of `log`, in log order: the value a write may be stored as
+// a patch over, or nullptr for a full write (and for every read). A write
+// gets its prec's value when the prec is a write of the same log and the
+// write is on no cycle of prec links, so every chain of patches ends at a
+// full write. The pointers alias `log`.
+std::vector<const Value*> PatchBases(const VarLog& log);
+
+// Plans the writes of one unit, in the order they are written.
+class VarPatchPlanner {
+ public:
+  // The stored form of `value` over `base` (from PatchBases; nullptr means
+  // full) in a unit that holds `unit_bytes` so far. A patch whose resolution
+  // would take the unit's copies past its budget at `unit_bytes` is stored
+  // in full instead, and a unit only grows, so its decoder never refuses it.
+  VarWriteDiff Plan(const Value& value, const Value* base, size_t unit_bytes);
+
+ private:
+  size_t copied_ = 0;
+};
+
+// Writes a logged write's kind byte and stored form: `value` in full, or
+// the patch `diff` describes. `out` offers Byte(uint8_t), Varint(uint64_t),
+// Str(string_view) and Val(const Value&).
+template <typename Sink>
+void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, Sink* out) {
+  out->Byte(static_cast<uint8_t>(diff.form));
+  switch (diff.form) {
+    case VarWriteForm::kFull:
+      out->Val(value);
+      return;
+    case VarWriteForm::kMapPatch:
+      out->Varint(diff.sets.size());
+      for (const ValueMap::value_type* set : diff.sets) {
+        out->Str(set->first);
+        out->Val(set->second);
+      }
+      out->Varint(diff.erases.size());
+      for (const std::string* key : diff.erases) {
+        out->Str(*key);
+      }
+      return;
+    case VarWriteForm::kListAppend: {
+      const ValueList& items = value.AsList();
+      out->Varint(items.size() - diff.appended_from);
+      for (size_t i = diff.appended_from; i < items.size(); ++i) {
+        out->Val(items[i]);
+      }
+      return;
+    }
+  }
+}
+
+// The same in the raw grammar.
+void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, ByteWriter* out);
+
+// A patch as read, before it is resolved against its base.
+struct VarPatch {
+  VarWriteForm form = VarWriteForm::kMapPatch;
+  ValueMap sets;                    // kMapPatch.
+  std::vector<std::string> erases;  // kMapPatch.
+  ValueList appended;               // kListAppend.
+};
+
+// Reads the patch of a write whose kind byte was `form` (kMapPatch or
+// kListAppend). `in` offers Varint(), Str(), Val(depth) and
+// CanHold(count, min_bytes). Keys must come in strictly increasing order.
+template <typename Source>
+bool ReadVarPatch(VarWriteForm form, Source* in, VarPatch* patch) {
+  patch->form = form;
+  auto n = in->Varint();
+  // A set is a key and a value; an erase or an appended item, one field.
+  if (!n || !in->CanHold(*n, form == VarWriteForm::kMapPatch ? 2 : 1)) {
+    return false;
+  }
+  if (form == VarWriteForm::kListAppend) {
+    patch->appended.reserve(static_cast<size_t>(*n));
+    for (uint64_t i = 0; i < *n; ++i) {
+      auto item = in->Val(1);
+      if (!item) {
+        return false;
+      }
+      patch->appended.push_back(std::move(*item));
+    }
+    return true;
+  }
+  patch->sets.reserve(static_cast<size_t>(*n));
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto key = in->Str();
+    auto value = key ? in->Val(1) : std::nullopt;
+    if (!value || !patch->sets.AppendInOrder(std::move(*key), std::move(*value))) {
+      return false;
+    }
+  }
+  auto n_erases = in->Varint();
+  if (!n_erases || !in->CanHold(*n_erases, 1)) {
+    return false;
+  }
+  patch->erases.reserve(static_cast<size_t>(*n_erases));
+  for (uint64_t i = 0; i < *n_erases; ++i) {
+    auto key = in->Str();
+    if (!key || (!patch->erases.empty() && !(patch->erases.back() < *key))) {
+      return false;
+    }
+    patch->erases.push_back(std::move(*key));
+  }
+  return true;
+}
+
+// Reads the rest of a var-log entry whose kind byte was `kind`: nothing for
+// a read, the value of a full write, or the patch of a patched one (whose
+// value stays empty until VarPatchResolver fills it). False when malformed.
+template <typename Source>
+bool ReadStoredWrite(uint8_t kind, Source* in, VarLogEntry* entry, VarPatch* patch) {
+  if (kind > static_cast<uint8_t>(VarWriteForm::kListAppend)) {
+    return false;
+  }
+  entry->kind = kind == 0 ? VarLogEntry::Kind::kRead : VarLogEntry::Kind::kWrite;
+  if (kind == 0) {
+    return true;
+  }
+  const auto form = static_cast<VarWriteForm>(kind);
+  if (form != VarWriteForm::kFull) {
+    return ReadVarPatch(form, in, patch);
+  }
+  auto value = in->Val(0);
+  if (value) {
+    entry->value = std::move(*value);
+  }
+  return value.has_value();
+}
+
+// Materializes the patches of one unit's var logs. The decoder Adds each
+// patched entry as it inserts it (its value still empty), and Resolves the
+// log once all its entries are in. Resolving walks prec chains from a
+// worklist, so it follows a prec that sorts after its entry and never
+// recurses; a materialized value shares the base's unchanged children.
+class VarPatchResolver {
+ public:
+  // `input_bytes`: the size of the unit, which bounds the bytes that
+  // resolving may copy (kPatchCopyBytesPerInputByte).
+  explicit VarPatchResolver(size_t input_bytes);
+
+  void Add(VarLog::iterator entry, VarPatch patch);
+  // False, leaving `log` partly resolved, when a patch's prec is missing or
+  // a read, closes a cycle, has a base of the wrong kind, erases an absent
+  // key, sets a key to an identical value, sets and erases one key, or the
+  // copies (the entry array and map keys of each value built) pass the
+  // budget.
+  bool Resolve(VarLog* log);
+
+ private:
+  bool Apply(VarPatch* patch, const Value& base, Value* out);
+
+  std::vector<std::pair<VarLog::iterator, VarPatch>> pending_;
+  size_t budget_;
+  size_t copied_ = 0;
 };
 
 }  // namespace karousos

@@ -49,6 +49,8 @@ class CompactEncoder {
   }
   void Varint(uint64_t v) { body_.WriteVarint(v); }
   void Byte(uint8_t b) { body_.WriteByte(b); }
+  // The body written so far: a lower bound on the frame payload's size.
+  size_t BodyBytes() const { return body_.size(); }
   void Bool(bool b) { body_.WriteBool(b); }
 
   // Value with dictionary-interned strings and map keys (plain serde
@@ -153,8 +155,8 @@ class CompactDecoder {
     uint64_t prev = anchor;
     return ReadDelta(&in_, &prev);
   }
-  // The view aliases the frame body or the string dictionary, both of
-  // which outlive the decoder's use of it.
+  // The view aliases the frame body, which outlives the decoder's use of
+  // it.
   std::optional<std::string_view> StrView() {
     if (!c_.dict) {
       return in_.ReadStringView();
@@ -180,7 +182,7 @@ class CompactDecoder {
   // past kMaxValueDepth is malformed, exactly as in ByteReader::ReadValue.
   std::optional<Value> Val(size_t depth = 0) {
     if (!c_.dict) {
-      return in_.ReadValue();
+      return in_.ReadValueAt(depth);
     }
     auto kind_byte = in_.ReadByte();
     if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
@@ -269,7 +271,7 @@ class CompactDecoder {
   ByteReader in_;
   KsegCompression c_;
   std::vector<uint64_t> ids_;
-  std::vector<std::string> strs_;
+  std::vector<std::string_view> strs_;  // Views into the frame body.
 };
 
 // --- Advice body, component by component ------------------------------------
@@ -277,6 +279,7 @@ class CompactDecoder {
 // src/server/advice.cc exactly; only the field codecs differ.
 
 void EncodeAdviceBody(const Advice& a, CompactEncoder* e) {
+  VarPatchPlanner planner;
   e->Varint(a.tags.size());
   uint64_t prev_rid = 0;
   for (const auto& [rid, tag] : a.tags) {
@@ -307,14 +310,18 @@ void EncodeAdviceBody(const Advice& a, CompactEncoder* e) {
     e->Varint(log.size());
     uint64_t prev_op_rid = 0;
     uint64_t prev_op_opnum = 0;
+    const std::vector<const Value*> bases = PatchBases(log);
+    size_t i = 0;
     for (const auto& [op, entry] : log) {
       e->Lane(op.rid, &prev_op_rid);
       e->Id(op.hid);
       e->Lane(op.opnum, &prev_op_opnum);
-      e->Byte(static_cast<uint8_t>(entry.kind));
       if (entry.kind == VarLogEntry::Kind::kWrite) {
-        e->Val(entry.value);
+        WriteStoredWrite(planner.Plan(entry.value, bases[i], e->BodyBytes()), entry.value, e);
+      } else {
+        e->Byte(static_cast<uint8_t>(entry.kind));
       }
+      ++i;
       // The dictating/overwritten op clusters near the entry's own request.
       e->RelRid(entry.prec.rid, op.rid);
       e->Id(entry.prec.hid);
@@ -385,8 +392,11 @@ void EncodeAdviceBody(const Advice& a, CompactEncoder* e) {
   }
 }
 
-std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
+// `unit_bytes`: the frame payload's size, which bounds what resolving its
+// patches may copy.
+std::optional<Advice> DecodeAdviceBody(CompactDecoder* d, size_t unit_bytes) {
   Advice a;
+  VarPatchResolver resolver(unit_bytes);
 
   auto n_tags = d->Varint();
   if (!n_tags) {
@@ -464,19 +474,13 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
       auto op_hid = d->Id();
       auto op_opnum = d->Lane(&prev_op_opnum);
       auto kind = d->Byte();
-      if (!op_rid || !op_hid || !op_opnum || *op_opnum > kOpNumInf || !kind || *kind > 1) {
+      VarLogEntry entry;
+      VarPatch patch;
+      if (!op_rid || !op_hid || !op_opnum || *op_opnum > kOpNumInf || !kind ||
+          !ReadStoredWrite(*kind, d, &entry, &patch)) {
         return std::nullopt;
       }
       OpRef op{*op_rid, *op_hid, static_cast<OpNum>(*op_opnum)};
-      VarLogEntry entry;
-      entry.kind = static_cast<VarLogEntry::Kind>(*kind);
-      if (entry.kind == VarLogEntry::Kind::kWrite) {
-        auto value = d->Val();
-        if (!value) {
-          return std::nullopt;
-        }
-        entry.value = std::move(*value);
-      }
       auto prec_rid = d->RelRid(op.rid);
       auto prec_hid = d->Id();
       auto prec_opnum = d->Varint();
@@ -484,7 +488,14 @@ std::optional<Advice> DecodeAdviceBody(CompactDecoder* d) {
         return std::nullopt;
       }
       entry.prec = OpRef{*prec_rid, *prec_hid, static_cast<OpNum>(*prec_opnum)};
-      log.emplace_hint(log.end(), op, std::move(entry));
+      const size_t had = log.size();
+      auto it = log.emplace_hint(log.end(), op, std::move(entry));
+      if (*kind > static_cast<uint8_t>(VarWriteForm::kFull) && log.size() != had) {
+        resolver.Add(it, std::move(patch));
+      }
+    }
+    if (!resolver.Resolve(&log)) {
+      return std::nullopt;
     }
     a.var_logs[*vid] = std::move(log);
   }
@@ -776,7 +787,7 @@ std::optional<AdviceSegmentPayload> DecodeCompactAdvicePayload(const uint8_t* da
   if (!d.Init()) {
     return std::nullopt;
   }
-  auto advice = DecodeAdviceBody(&d);
+  auto advice = DecodeAdviceBody(&d, size);
   if (!advice) {
     return std::nullopt;
   }

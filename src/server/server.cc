@@ -165,7 +165,9 @@ class ServerCtx : public Ctx {
                        ? kNilOp
                        : var.last_write;
       SerializeOpRef(cur, &server_.advice_spool_);
-      server_.advice_spool_.WriteValue(entry.value);
+      // The prec, when logged, wrote var.value: spool the patch over it.
+      WriteStoredWrite(entry.prec.IsNil() ? VarWriteDiff{} : DiffVarWrite(entry.value, var.value),
+                       entry.value, &server_.advice_spool_);
       server_.builder_.AddVarEntry(vid, cur, std::move(entry));
     }
     var.value = value.CollapsedValue();

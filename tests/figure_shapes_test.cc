@@ -7,6 +7,7 @@
 
 #include "src/audit/audit.h"
 #include "src/workload/workload.h"
+#include "tests/full_value_advice.h"
 
 namespace karousos {
 namespace {
@@ -97,11 +98,19 @@ TEST(FigureShapesTest, StacksKarousosGroupsCoarserUnderConcurrency) {
 }
 
 TEST(FigureShapesTest, StacksWriteHeavyAdviceGrowsWithConcurrency) {
-  // Figure 12, stacks at 90% writes: advice grows with concurrency.
+  // Figure 12, stacks at 90% writes: advice grows with concurrency, on the
+  // paper's accounting, where each logged write carries its value in full.
+  // The growth came from the logged values: at C=60 the `inflight` map
+  // holds more digests. Stored as patches, those values no longer grow, so
+  // the stored advice is asserted smaller than the full-value measure.
   ServerRunResult c1 = Serve("stacks", WorkloadKind::kWriteHeavy, CollectMode::kKarousos, 1, 600);
   ServerRunResult c60 =
       Serve("stacks", WorkloadKind::kWriteHeavy, CollectMode::kKarousos, 60, 600);
-  EXPECT_LT(AdviceBytes(c1), AdviceBytes(c60));
+  const size_t full_c1 = FullValueAdviceBytes(c1.advice).size();
+  const size_t full_c60 = FullValueAdviceBytes(c60.advice).size();
+  EXPECT_LT(full_c1, full_c60);
+  EXPECT_LT(AdviceBytes(c1), full_c1);
+  EXPECT_LT(AdviceBytes(c60), full_c60);
 }
 
 TEST(FigureShapesTest, WikiKarousosAdviceSmallerAndGrowsWithConcurrency) {

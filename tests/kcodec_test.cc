@@ -91,7 +91,7 @@ TEST(DictTest, StringDictInternsInFirstUseOrder) {
   ByteReader in(out.bytes());
   auto table = ReadStringDict(&in);
   ASSERT_TRUE(table.has_value());
-  EXPECT_EQ(*table, (std::vector<std::string>{"bid", "item:4"}));
+  EXPECT_EQ(*table, (std::vector<std::string_view>{"bid", "item:4"}));
 }
 
 TEST(DictTest, TruncatedAndOversizedDictsReject) {

@@ -1068,7 +1068,8 @@ int CmdInspect(const Args& args) {
     return 0;
   }
   ByteReader reader(*bytes);
-  auto advice = Advice::Deserialize(&reader);
+  StoredWrites stored;
+  auto advice = Advice::Deserialize(&reader, &stored);
   if (!advice) {
     std::printf("malformed advice file\n");
     return 1;
@@ -1080,6 +1081,8 @@ int CmdInspect(const Args& args) {
               advice->handler_log_entry_count());
   std::printf("  variable logs:  %8zu B (%zu entries in %zu variables)\n", size.var_logs,
               advice->var_log_entry_count(), advice->var_logs.size());
+  std::printf("    writes:       %zu full (%zu B), %zu patches (%zu B)\n", stored.full,
+              stored.full_bytes, stored.patches, stored.patch_bytes);
   std::printf("  tx logs:        %8zu B (%zu transactions)\n", size.tx_logs,
               advice->tx_logs.size());
   std::printf("  write order:    %8zu B (%zu writes)\n", size.write_order,

@@ -6,8 +6,10 @@
 // Corpus: src/analysis/kseg_mutate.h over one honest run per seed family —
 // the nine adversarial seeds from tests/epoch_audit_test.cc, cross-epoch
 // slice defects, byte-level frame damage against every frame of both streams,
-// and codec damage (flag tampering, fixed-up truncation, declared-size lies)
-// against the storage-class compressed encoding of the same run. Two workload
+// codec damage (flag tampering, fixed-up truncation, declared-size lies)
+// against the storage-class compressed encoding of the same run, and patch
+// damage (one malformed var-log patch per resolver refusal spliced into a
+// raw frame, plus a forged value behind a well-formed patch). Two workload
 // families:
 //
 //   * stacks  — the original handler-tree/KV workload;

@@ -7,7 +7,9 @@
 # the default epoch size with that size's verdict, and a numeric flag whose
 # value does not parse whole and in range must exit 2. Also checks that
 # `serve --inputs` refuses a request nested past the decoder's depth cap with
-# a JSON error instead of crashing or recording a trace the audit cannot read.
+# a JSON error instead of crashing or recording a trace the audit cannot read,
+# and that `inspect --advice` counts the patches a motd run stores (and none
+# in the pre-patch lint fixture).
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -104,6 +106,23 @@ explicit="$("$bin" audit --app stacks --trace "$dir/trace.bin" --advice "$dir/ad
     --epoch-size "$default_size" | grep '^ACCEPTED: ')"
 [ "$explicit" = "$default_verdict" ] ||
   fail "--epoch-size $default_size verdict '$explicit' differs from the default '$default_verdict'"
+
+# `inspect --advice` splits the logged writes into full values and patches:
+# motd logs its whole day map on every set, so its run stores patches; the
+# checked-in lint fixture predates patches and holds full values only.
+patches_of() {
+  "$bin" inspect --advice "$1" |
+    sed -n 's/^    writes: *[0-9][0-9]* full ([0-9][0-9]* B), \([0-9][0-9]*\) patches.*/\1/p'
+}
+"$bin" serve --app motd --requests 120 --concurrency 6 \
+    --out-trace "$dir/motd_trace.bin" --out-advice "$dir/motd_advice.bin" >/dev/null ||
+  fail "serve --app motd exited $?"
+patches="$(patches_of "$dir/motd_advice.bin")"
+[ -n "$patches" ] || fail "inspect --advice printed no writes line for motd"
+[ "$patches" -gt 0 ] || fail "motd advice stores no patches"
+fixture="$(dirname "$0")/../tests/fixtures/lint_bad.advice"
+patches="$(patches_of "$fixture")"
+[ "$patches" = 0 ] || fail "lint_bad.advice reports '$patches' patches, want 0"
 
 # Numeric flags parse strictly: the whole value, in range, or exit 2.
 expect_bad_value() {
