@@ -25,10 +25,9 @@ std::string VarImportLoc(VarId vid, const OpRef& op) {
 
 }  // namespace
 
-void CarryLint::Begin(uint64_t epoch_requests, bool standalone) {
+void CarryLint::Begin(uint64_t epoch_requests) {
   *this = CarryLint();
   epoch_requests_ = epoch_requests;
-  standalone_ = standalone;
 }
 
 void CarryLint::Emit(const char* rule, std::string location, std::string message,
@@ -38,9 +37,9 @@ void CarryLint::Emit(const char* rule, std::string location, std::string message
 }
 
 void CarryLint::RegisterImports(const EpochSegment& segment) {
-  // Mirror of the session's registration: every allegation is recorded
-  // (first one wins on a duplicate coordinate), direction checked later in
-  // CheckImports so the per-epoch diagnostics keep catalogue order.
+  // Every allegation is recorded (first one wins on a duplicate coordinate),
+  // direction checked later in CheckImports so the per-epoch diagnostics keep
+  // catalogue order.
   for (const auto& imp : segment.imports.tx_ops) {
     pending_tx_imports_.emplace(imp.ref, PendingTxImport{imp, epochs_});
   }
@@ -237,7 +236,8 @@ void CarryLint::CheckWriteOrderRecurrence(const EpochSegment& segment,
 // KAR-SEG-008, per-epoch half: direction of this epoch's allegations, and
 // confirmation of earlier allegations whose target epoch just arrived, by the
 // one import-confirmation predicate (rollover.h) with the live slice as the
-// real content.
+// real content. This is the only confirmer on the epoch axis: it runs before
+// the slice is folded, while every value the import may name is in hand.
 void CarryLint::CheckImports(const EpochSegment& segment, const std::set<RequestId>& trace_rids,
                              std::vector<LintDiagnostic>* out) {
   for (const auto& imp : segment.imports.tx_ops) {
@@ -314,21 +314,19 @@ void CarryLint::EndEpoch(const EpochSegment& segment) {
   };
   opcount_epochs_.reserve(opcount_epochs_.size() + advice.opcounts.size());
   write_order_epochs_.reserve(write_order_epochs_.size() + advice.write_order.size());
+  txn_sizes_.reserve(txn_sizes_.size() + advice.tx_logs.size());
   for (const auto& [rid, log] : advice.handler_logs) {
     for (const HandlerLogEntry& e : log) {
       claim(OpRef{rid, e.hid, e.opnum});
     }
   }
   for (const auto& [txn, log] : advice.tx_logs) {
-    for (const TxOperation& op : log) {
+    txn_sizes_[txn] = static_cast<uint32_t>(log.size());
+    for (uint32_t i = 1; i <= log.size(); ++i) {
+      const TxOperation& op = log[i - 1];
       claim(OpRef{txn.rid, op.hid, op.opnum});
-    }
-    if (standalone_) {
-      txn_sizes_[txn] = static_cast<uint32_t>(log.size());
-      for (uint32_t i = 1; i <= log.size(); ++i) {
-        if (log[i - 1].type == TxOpType::kPut) {
-          put_keys_[TxOpRef{txn.rid, txn.tid, i}] = log[i - 1].key;
-        }
+      if (op.type == TxOpType::kPut) {
+        put_shapes_[TxOpRef{txn.rid, txn.tid, i}] = PutShape{op.key, op.hid, op.opnum};
       }
     }
   }
@@ -338,9 +336,8 @@ void CarryLint::EndEpoch(const EpochSegment& segment) {
       if (!entry.prec.IsNil() && entry.prec != op) {
         prec_edges_.emplace_back(std::make_pair(vid, op), PrecEdge{entry.prec, epochs_});
       }
-      if (standalone_) {
-        var_kinds_[{vid, op}] = entry.kind == VarLogEntry::Kind::kWrite;
-      }
+      var_kinds_.insert_or_assign(var_kinds_.end(), std::make_pair(vid, op),
+                                  entry.kind == VarLogEntry::Kind::kWrite);
     }
   }
   for (const auto& [key, count] : advice.opcounts) {
@@ -349,23 +346,18 @@ void CarryLint::EndEpoch(const EpochSegment& segment) {
   for (const TxOpRef& w : advice.write_order) {
     write_order_epochs_.emplace(w, epochs_);
   }
-  if (standalone_) {
-    order_.insert(order_.end(), advice.write_order.begin(), advice.write_order.end());
-  }
+  order_.insert(order_.end(), advice.write_order.begin(), advice.write_order.end());
   ++epochs_;
 }
 
 void CarryLint::Finish(std::vector<LintDiagnostic>* out) {
-  if (standalone_) {
-    // The accumulated write-order lint holds the same position it has in the
-    // session's StreamFinish: before any KAR-SEG finish rule (whose pass is
-    // skipped if the order lint errors, as the session's throw would skip it).
-    size_t first_new = out->size();
-    LintWriteOrder(order_, [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, out);
-    for (size_t i = first_new; i < out->size(); ++i) {
-      if ((*out)[i].severity == LintSeverity::kError) {
-        return;
-      }
+  // The accumulated write-order lint comes before any KAR-SEG finish rule,
+  // whose pass is skipped if the order lint errors.
+  size_t first_new = out->size();
+  LintWriteOrder(order_, [this](const TxOpRef& ref) { return ResolveTxOp(ref); }, out);
+  for (size_t i = first_new; i < out->size(); ++i) {
+    if ((*out)[i].severity == LintSeverity::kError) {
+      return;
     }
   }
   FinishEarlyContent(out);  // 007, forward half
@@ -481,10 +473,12 @@ ResolvedTxOp CarryLint::ResolveTxOp(const TxOpRef& ref) const {
     out.txn_present = true;
     if (ref.index >= 1 && ref.index <= size_it->second) {
       out.op_present = true;
-      auto put_it = put_keys_.find(ref);
-      if (put_it != put_keys_.end()) {
+      auto put_it = put_shapes_.find(ref);
+      if (put_it != put_shapes_.end()) {
         out.is_put = true;
-        out.key = put_it->second;
+        out.key = put_it->second.key;
+        out.hid = put_it->second.hid;
+        out.opnum = put_it->second.opnum;
       }
     }
     return out;
@@ -496,23 +490,21 @@ ResolvedTxOp CarryLint::ResolveTxOp(const TxOpRef& ref) const {
   return ResolvedTxOp{};
 }
 
-VarPrecLookup CarryLint::ResolveVarPrec(VarId vid, const OpRef& op) const {
+ResolvedVarEntry CarryLint::ResolveVarEntry(VarId vid, const OpRef& op) const {
   auto kind_it = var_kinds_.find({vid, op});
   if (kind_it != var_kinds_.end()) {
-    return VarPrecLookup{true, kind_it->second};
+    return {true, kind_it->second, nullptr};
   }
   auto imp_it = pending_var_imports_.find({vid, op});
   if (imp_it != pending_var_imports_.end() && imp_it->second.imp.present) {
-    return VarPrecLookup{
-        true, static_cast<VarLogEntry::Kind>(imp_it->second.imp.kind) == VarLogEntry::Kind::kWrite};
+    return ResolveImport(imp_it->second.imp);
   }
-  return VarPrecLookup{};
+  return {};
 }
 
 // Every map is written in ascending key order, so the encoding is canonical.
 void CarryLint::Serialize(ByteWriter* out) const {
   out->WriteVarint(epoch_requests_);
-  out->WriteBool(standalone_);
   out->WriteVarint(epochs_);
   const auto claims = ClaimsByOp();
   out->WriteVarint(claims.size());
@@ -555,24 +547,23 @@ void CarryLint::Serialize(ByteWriter* out) const {
     pending.imp.Serialize(out);
     out->WriteVarint(pending.registered_epoch);
   }
-  if (!standalone_) {
-    return;  // The session's checkpoint never carries the resolution mirror.
-  }
   out->WriteVarint(txn_sizes_.size());
   for (const auto* e : SortedEntries(txn_sizes_)) {
     SerializeTxnKey(e->first, out);
     out->WriteVarint(e->second);
   }
-  out->WriteVarint(put_keys_.size());
-  for (const auto& [ref, key] : put_keys_) {
-    SerializeTxOpRef(ref, out);
-    out->WriteString(key);
+  out->WriteVarint(put_shapes_.size());
+  for (const auto* e : SortedEntries(put_shapes_)) {
+    SerializeTxOpRef(e->first, out);
+    out->WriteString(e->second.key);
+    out->WriteFixed64(e->second.hid);
+    out->WriteVarint(e->second.opnum);
   }
   out->WriteVarint(var_kinds_.size());
-  for (const auto* e : SortedEntries(var_kinds_)) {
-    out->WriteFixed64(e->first.first);
-    SerializeOpRef(e->first.second, out);
-    out->WriteBool(e->second);
+  for (const auto& [key, is_write] : var_kinds_) {
+    out->WriteFixed64(key.first);
+    SerializeOpRef(key.second, out);
+    out->WriteBool(is_write);
   }
   out->WriteVarint(order_.size());
   for (const TxOpRef& ref : order_) {
@@ -583,7 +574,6 @@ void CarryLint::Serialize(ByteWriter* out) const {
 void CarryLint::Deserialize(StateReader* in) {
   *this = CarryLint();
   epoch_requests_ = in->V();
-  standalone_ = in->Bool();
   epochs_ = in->V();
   // Each minimum below is the entry's smallest encoding: its key, then a
   // one-byte epoch, count, bool or empty string.
@@ -626,16 +616,17 @@ void CarryLint::Deserialize(StateReader* in) {
     auto key = std::make_pair(imp.vid, imp.op);
     pending_var_imports_.emplace(key, PendingVarImport{std::move(imp), in->V()});
   });
-  if (!standalone_) {
-    return;
-  }
   in->Each(kMinTxnKeyBytes + 1, [&] {
     TxnKey txn = in->Txn();
     txn_sizes_.emplace(txn, static_cast<uint32_t>(in->V()));
   });
-  in->Each(kMinTxOpRefBytes + 1, [&] {
+  // ref, an empty key, hid and opnum.
+  in->Each(kMinTxOpRefBytes + 10, [&] {
     TxOpRef ref = in->Tx();
-    put_keys_.emplace(ref, in->S());
+    PutShape& put = put_shapes_[ref];
+    put.key = in->S();
+    put.hid = in->F64();
+    put.opnum = static_cast<OpNum>(in->V());
   });
   in->Each(8 + kMinOpRefBytes + 1, [&] {
     VarId vid = in->F64();

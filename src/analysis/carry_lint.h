@@ -1,16 +1,21 @@
-// Cross-epoch static model checking over KSEG advice streams.
+// Cross-epoch static model checking over KSEG advice streams, and the one
+// ledger of the run's cross-epoch shape.
 //
 // The per-epoch linter (src/analysis/lint.h) validates one slice at a time;
 // everything that spans segment boundaries — claim uniqueness across epochs,
 // opcount stability, write-order totality over the concatenated chunks,
 // continuity-import closure, prec-chain acyclicity over the whole run — needs
-// state carried from every completed epoch. CarryLint is that state: a static
-// mirror of the AuditSession's CarryState that costs no re-execution and whose
-// pass runs both inside the session (the fast-reject pre-screen before
-// Preprocess/ReExec) and standalone (`karousos check`), emitting identical
-// diagnostics wherever both run. Findings accumulate in stream order: the
-// first error is the verdict and stops re-execution, and when it came in the
-// stream's last epoch, Finish still runs and adds its findings.
+// state carried from every completed epoch. CarryLint is that state. It also
+// owns the shape every later epoch and the finish-time checks resolve
+// through (transaction sizes, PUT shapes, var-entry kinds, the concatenated
+// write order) and the one pending-import ledger, which it confirms as each
+// target epoch arrives. The audit session keeps only the values re-execution
+// reads beside it (src/verifier/verifier.h). The same pass is the session's
+// fast-reject pre-screen, before Preprocess/ReExec, and `karousos check`,
+// which costs no re-execution; both emit identical diagnostics. Findings
+// accumulate in stream order: the first error is the verdict and stops
+// re-execution, and when it came in the stream's last epoch, Finish still
+// runs and adds its findings.
 //
 // Rule catalogue (stable IDs; KAR-SEG-001..003 and 010 are container-layer and
 // fire in the stream loader, 004..009 fire here):
@@ -71,24 +76,35 @@ inline constexpr const char* kKarSeg013 = "KAR-SEG-013";  // write-order stitch 
 inline constexpr const char* kKarSeg014 = "KAR-SEG-014";  // cross-shard state contradiction
 inline constexpr const char* kKarSeg015 = "KAR-SEG-015";  // artifact set inconsistent
 
-// Incremental cross-epoch checker. Drive it like the session drives its own
-// carries: RegisterImports + CheckEpoch as each epoch arrives (after the
-// slice-local KAR-ADV lint, so per-epoch diagnostics keep catalogue order),
-// EndEpoch to fold the slice in, Finish once the stream ends.
+// A carried PUT's shape: everything a resolution consumer reads of it but
+// its payload (the GET feed's, which the audit session keeps).
+struct PutShape {
+  std::string key;
+  HandlerId hid = 0;
+  OpNum opnum = 0;
+};
+
+// Incremental cross-epoch checker and ledger. RegisterImports + CheckEpoch as
+// each epoch arrives (after the slice-local KAR-ADV lint, so per-epoch
+// diagnostics keep catalogue order), EndEpoch to fold the slice in, Finish
+// once the stream ends.
 class CarryLint {
  public:
+  struct PendingTxImport {
+    ContinuityImports::TxOpImport imp;
+    uint64_t registered_epoch = 0;
+  };
+  struct PendingVarImport {
+    ContinuityImports::VarImport imp;
+    uint64_t registered_epoch = 0;
+  };
+
   CarryLint() = default;
 
-  // `standalone` additionally tracks the resolution carries (transaction
-  // shapes, PUT keys, var-entry kinds, the concatenated write order) that the
-  // standalone checker needs to mirror the session's reference resolution and
-  // finish-time write-order lint. The in-session instance leaves them off:
-  // the verifier already holds the real carries.
-  void Begin(uint64_t epoch_requests, bool standalone);
+  void Begin(uint64_t epoch_requests);
 
   // Registers this epoch's forward allegations. Runs before the slice lint so
-  // that (in standalone mode) the lint hooks can resolve through them —
-  // mirroring the session, which registers imports before LintAdviceEpoch.
+  // that the lint hooks can resolve through them.
   void RegisterImports(const EpochSegment& segment);
 
   // Shard-axis scope (src/server/shard.h): `owned` is the set of trace rids
@@ -106,22 +122,34 @@ class CarryLint {
   void CheckEpoch(const EpochSegment& segment, const std::set<RequestId>& trace_rids,
                   std::vector<LintDiagnostic>* out);
 
-  // Folds the slice into the carried claim/opcount/write-order/prec state.
+  // Folds the slice into the ledger and the claim/opcount/prec state.
   void EndEpoch(const EpochSegment& segment);
 
-  // Finish-time rules. In standalone mode the accumulated write-order lint
-  // (KAR-ADV-009/010) runs first — the same position it holds in the
-  // session's StreamFinish — then rule 007's early-content verdicts, 008's
-  // residual import closure, and 009's cross-epoch prec acyclicity.
+  // Finish-time rules: the accumulated write-order lint (KAR-ADV-009/010)
+  // first, then rule 007's early-content verdicts, 008's residual import
+  // closure, and 009's cross-epoch prec acyclicity. The KAR-SEG rules are
+  // skipped if the write-order lint errors.
   void Finish(std::vector<LintDiagnostic>* out);
 
-  // Standalone resolvers: the static mirror of Verifier::ResolveTxOp /
-  // ResolveVarEntry minus the live slice (the lint checks its own slice
-  // before falling back to these).
+  // What lives at a coordinate outside the live slice: the ledger first, then
+  // the pending imports. A ledger hit carries no payload (put_value and value
+  // stay null); callers that hold payloads fill them in. A confirmed import
+  // is erased, which changes no lookup: it matched the ledger's content.
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
-  VarPrecLookup ResolveVarPrec(VarId vid, const OpRef& op) const;
+  ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
 
   uint64_t epochs_folded() const { return epochs_; }
+  const FlatMap<TxnKey, uint32_t>& txn_sizes() const { return txn_sizes_; }
+  const FlatMap<TxOpRef, PutShape>& put_shapes() const { return put_shapes_; }
+  const WriteOrder& write_order() const { return order_; }
+  // Imports not confirmed yet: their target epoch has not arrived, or (under
+  // a shard filter) another shard owns it.
+  const std::map<TxOpRef, PendingTxImport>& pending_tx_imports() const {
+    return pending_tx_imports_;
+  }
+  const std::map<std::pair<VarId, OpRef>, PendingVarImport>& pending_var_imports() const {
+    return pending_var_imports_;
+  }
 
   // Checkpoint round-trip (canonical sorted encoding, the session checkpoint
   // discipline). Malformed or truncated input fails `in`.
@@ -137,14 +165,6 @@ class CarryLint {
     uint64_t seen_epoch = 0;   // Slice the content appeared in.
     uint64_t owner_epoch = 0;  // Epoch its rid belongs to (> seen_epoch).
     std::string location;
-  };
-  struct PendingTxImport {
-    ContinuityImports::TxOpImport imp;
-    uint64_t registered_epoch = 0;
-  };
-  struct PendingVarImport {
-    ContinuityImports::VarImport imp;
-    uint64_t registered_epoch = 0;
   };
 
   void Emit(const char* rule, std::string location, std::string message,
@@ -169,13 +189,12 @@ class CarryLint {
   void FinishPrecChains(std::vector<LintDiagnostic>* out);
 
   uint64_t epoch_requests_ = 0;
-  bool standalone_ = false;
   uint64_t epochs_ = 0;  // Epochs folded so far == index of the current epoch.
   // Not owned, not checkpointed: the shard audit re-installs it per process.
   const std::set<RequestId>* shard_filter_ = nullptr;
 
-  // Cross-epoch bookkeeping (both modes). Values are the first epoch that
-  // owned the key; probes against the current epoch detect recurrence.
+  // Cross-epoch bookkeeping. Values are the first epoch that owned the key;
+  // probes against the current epoch detect recurrence.
   //
   // Claimed operations (KAR-SEG-004). A claim in its request's own epoch
   // goes into that epoch's list, unhashed: it can recur only as a claim in
@@ -199,11 +218,14 @@ class CarryLint {
   std::map<TxOpRef, PendingTxImport> pending_tx_imports_;
   std::map<std::pair<VarId, OpRef>, PendingVarImport> pending_var_imports_;
 
-  // Standalone-only resolution carries.
+  // The resolution ledger: the last epoch to log a coordinate wins.
   FlatMap<TxnKey, uint32_t> txn_sizes_;
-  std::map<TxOpRef, std::string> put_keys_;
-  FlatMap<std::pair<VarId, OpRef>, bool> var_kinds_;  // true == write entry.
-  WriteOrder order_;
+  FlatMap<TxOpRef, PutShape> put_shapes_;
+  // Var-entry kinds (true == write entry). Ordered: a slice's entries arrive
+  // in key order, so most inserts land at the end hint, and on motd@20000 and
+  // stacks@1500 that folds faster than hashing each entry into a FlatMap.
+  std::map<std::pair<VarId, OpRef>, bool> var_kinds_;
+  WriteOrder order_;  // The alleged global order, chunks concatenated.
 };
 
 }  // namespace karousos

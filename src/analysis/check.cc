@@ -75,7 +75,7 @@ int PairedSegmentCursor::Next(EpochSegment* out, std::vector<LintDiagnostic>* di
 }
 
 SegmentChecker::SegmentChecker(uint64_t epoch_requests) : epoch_requests_(epoch_requests) {
-  carry_.Begin(epoch_requests, /*standalone=*/true);
+  carry_.Begin(epoch_requests);
 }
 
 void SegmentChecker::NoteVerdict() {
@@ -98,7 +98,7 @@ bool SegmentChecker::CheckEpoch(const EpochSegment& segment) {
   }
   // The static prefix of the session's StreamEpoch, in the same order: ingest
   // the window, derive this epoch's rid set, register the forward
-  // allegations, lint the slice (carry-backed resolution), then the
+  // allegations, lint the slice (ledger-backed resolution), then the
   // cross-epoch rules. Dynamic-only checks (trace balance, epoch
   // completeness) are deliberately absent — they are the audit's to make.
   for (const TraceEvent& ev : segment.window) {
@@ -116,13 +116,16 @@ bool SegmentChecker::CheckEpoch(const EpochSegment& segment) {
   LintEpochContext ctx;
   ctx.trace_rids = &trace_rids_;
   ctx.epoch_rids = &epoch_rids_;
-  ctx.var_prec = [this](VarId vid, const OpRef& op) { return carry_.ResolveVarPrec(vid, op); };
+  ctx.var_prec = [this](VarId vid, const OpRef& op) {
+    ResolvedVarEntry entry = carry_.ResolveVarEntry(vid, op);
+    return VarPrecLookup{entry.present, entry.is_write};
+  };
   ctx.tx_op = [this](const TxOpRef& ref) { return carry_.ResolveTxOp(ref); };
   for (LintDiagnostic& d : LintAdviceEpoch(segment.advice, ctx)) {
     result_.diagnostics.push_back(std::move(d));
   }
   // Mirror the session's throw points: an ADV error stops before the SEG
-  // pass. A failing epoch is folded into the carries too: if it was the
+  // pass. A failing epoch is folded into the ledger too: if it was the
   // last one, Finish runs the finish-time rules over it.
   NoteVerdict();
   if (result_.ok) {

@@ -1,14 +1,15 @@
-// Standalone streaming model check over KSEG segment streams — the static
-// half of the audit, runnable without a program, a store, or re-execution.
+// Streaming model check over KSEG segment streams — the static half of the
+// audit, runnable without a program, a store, or re-execution.
 //
 // Layering: SegmentChecker replays exactly the static prefix of the
 // AuditSession's per-epoch work (trace-window ingestion, the slice-local
-// KAR-ADV lint with carry-backed resolution, the KAR-SEG cross-epoch rules of
-// src/analysis/carry_lint.h), so any stream the checker rejects is rejected
-// by the full audit with the same first rule — and the session's fast-reject
-// pre-screen is this same pass, always on, so statically-rejectable advice
-// never reaches ReExec. KAR-SEG-007 and KAR-SEG-008 findings are enforced only
-// by this pass; a stream that breaks only them passes every dynamic check.
+// KAR-ADV lint resolving through the CarryLint ledger, the KAR-SEG
+// cross-epoch rules of src/analysis/carry_lint.h). The session holds the same
+// CarryLint, driven in the same order, as its fast-reject pre-screen and its
+// cross-epoch ledger, so any stream the checker rejects is rejected by the
+// full audit with the same first rule, and statically-rejectable advice never
+// reaches ReExec. KAR-SEG-007 and KAR-SEG-008 findings are enforced only by
+// this pass; a stream that breaks only them passes every dynamic check.
 // The container walk (PairedSegmentCursor) owns the file-layer rules
 // KAR-SEG-001..003 and 010; the checker and the streamed audit
 // (src/audit/stream.h) both pull their epochs from it.
@@ -68,7 +69,7 @@ class PairedSegmentCursor : public EpochSource {
 // file-layer rules only the container walk reports, "segment stream: ".
 std::string RejectReason(const LintDiagnostic& d);
 
-// Outcome of a standalone model check. `reason`/`rule` describe the first
+// Outcome of a model check. `reason`/`rule` describe the first
 // error (the verdict the session's RejectError would carry); `diagnostics`
 // holds every finding up to and including the epoch that produced it, plus
 // the finish-time findings when that epoch was the last.

@@ -532,7 +532,7 @@ std::vector<LintDiagnostic> LintAdviceEpoch(const Advice& slice, const LintEpoch
 void LintWriteOrder(const WriteOrder& write_order, const TxOpResolverFn& tx_op,
                     std::vector<LintDiagnostic>* out) {
   // The accumulated order references transactions from every epoch; the
-  // session's carries (via tx_op) are the only surviving view of them.
+  // cross-epoch ledger (via tx_op) is the only surviving view of them.
   static const Advice kEmptyAdvice;
   LintEpochContext ctx;
   ctx.tx_op = tx_op;

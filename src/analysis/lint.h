@@ -79,7 +79,8 @@ struct LintEpochContext {
 std::vector<LintDiagnostic> LintAdviceEpoch(const Advice& slice, const LintEpochContext& ctx);
 
 // Rules 009/010 over an assembled write order, resolving entries through
-// `tx_op` (the session's carries). Appends findings to `out`.
+// `tx_op` (the cross-epoch ledger's resolver, src/analysis/carry_lint.h).
+// Appends findings to `out`.
 void LintWriteOrder(const WriteOrder& write_order, const TxOpResolverFn& tx_op,
                     std::vector<LintDiagnostic>* out);
 

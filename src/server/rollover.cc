@@ -144,8 +144,7 @@ bool VarImportMatches(const ContinuityImports::VarImport& imp, const ResolvedVar
   if (real.present != imp.present) return false;
   if (!imp.present) return true;
   bool imp_is_write = static_cast<VarLogEntry::Kind>(imp.kind) == VarLogEntry::Kind::kWrite;
-  return real.is_write == imp_is_write &&
-         (!imp_is_write || real.value == nullptr || *real.value == imp.value);
+  return real.is_write == imp_is_write && (!imp_is_write || *real.value == imp.value);
 }
 
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {

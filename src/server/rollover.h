@@ -108,9 +108,10 @@ ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, c
 
 // What lives at a var-log coordinate: the slice's own entry, a carried one,
 // an import or the owning shard's export (the var-log ResolvedTxOp). `value`
-// is null for carried reads, which drop their value, and for a carried write
-// to a request-scoped variable, whose value the session dropped after
-// confirming every import that names it. It is set for every other write.
+// is null for carried reads, which drop their value, for a carried write to a
+// request-scoped variable, whose value the session drops once its epoch ends,
+// and for a hit in the value-free ledger alone (src/analysis/carry_lint.h).
+// It is set for every other write.
 struct ResolvedVarEntry {
   bool present = false;
   bool is_write = false;
@@ -125,10 +126,10 @@ ResolvedVarEntry ResolveImport(const ContinuityImports::VarImport& imp);
 // The one import-confirmation predicate per kind: does the allegation match
 // the real content at its coordinate? Only presence, PUT-ness (write-ness)
 // and the PUT (write) payload can influence any consumer, so that is what
-// they pin down. Every confirmer (the session at Finish, the pre-screen when
-// the target epoch arrives, the shard merge) calls these. A real write with
-// no value was confirmed on its value before the drop, so it matches on
-// kind alone.
+// they pin down. Both confirmers call these: the pre-screen when the target
+// epoch arrives, with the live slice as the real content (the only one on
+// the epoch axis, so every value an import names is still in hand), and the
+// shard merge, against the owning shard's export.
 bool TxImportMatches(const ContinuityImports::TxOpImport& imp, const ResolvedTxOp& real);
 bool VarImportMatches(const ContinuityImports::VarImport& imp, const ResolvedVarEntry& real);
 

@@ -119,7 +119,8 @@ struct ShardBoundary {
   // continuity imports reference. The shard audit describes its real content
   // at each (into the artifact's export tables) so the merge can confirm
   // every cross-shard allegation against the owning shard — the shard-axis
-  // counterpart of StreamConfirmImports' carry lookup. Dropping an obligation
+  // counterpart of the pre-screen's confirmation against the arriving slice
+  // (src/analysis/carry_lint.h). Dropping an obligation
   // only removes an export, which the merge reports as a missing confirmation
   // (KAR-SEG-014): tampering here can only cause rejection.
   std::vector<TxOpRef> export_tx_refs;                   // Sorted, unique.

@@ -1,6 +1,5 @@
 #include "src/verifier/session.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/segment.h"
@@ -12,7 +11,7 @@ namespace {
 
 // Bumped whenever the checkpoint payload layout changes; Restore refuses
 // other versions (a stale checkpoint must fail loudly, not misparse).
-constexpr uint64_t kCheckpointVersion = 5;
+constexpr uint64_t kCheckpointVersion = 6;
 
 void WriteNodeKey(const NodeKey& key, ByteWriter* w) {
   w->WriteFixed64(key.a);
@@ -46,16 +45,12 @@ uint64_t AuditSession::epoch_requests() const { return v_.epoch_requests_; }
 
 bool AuditSession::decided() const { return v_.decided_; }
 
-size_t AuditSession::carried_var_values() const {
-  return static_cast<size_t>(
-      std::count_if(v_.var_carry_.begin(), v_.var_carry_.end(), [](const auto& entry) {
-        return entry.second.kind == Verifier::VarCarry::Kind::kWrite;
-      }));
-}
+size_t AuditSession::carried_var_values() const { return v_.var_values_.size(); }
 
 size_t AuditSession::peak_resident_advice_bytes() const {
   ByteWriter w;
-  WriteCarries(&w);
+  WriteCarriedValues(&w);
+  v_.carry_lint_.Serialize(&w);
   return w.size();
 }
 
@@ -76,28 +71,17 @@ bool AuditSession::FeedEpoch(const EpochSegment& segment) {
 
 AuditResult AuditSession::Finish(bool fed_all) { return v_.StreamFinish(fed_all); }
 
-void AuditSession::WriteCarries(ByteWriter* w) const {
-  w->WriteVarint(v_.txn_size_carry_.size());
-  for (const auto& [txn, size] : v_.txn_size_carry_) {
-    SerializeTxnKey(txn, w);
-    w->WriteVarint(size);
+void AuditSession::WriteCarriedValues(ByteWriter* w) const {
+  w->WriteVarint(v_.put_values_.size());
+  for (const auto* put : SortedEntries(v_.put_values_)) {
+    SerializeTxOpRef(put->first, w);
+    w->WriteValue(put->second);
   }
-  w->WriteVarint(v_.put_carry_.size());
-  for (const auto& [ref, put] : v_.put_carry_) {
-    SerializeTxOpRef(ref, w);
-    w->WriteString(put.key);
-    w->WriteValue(put.value);
-    w->WriteFixed64(put.hid);
-    w->WriteVarint(put.opnum);
-  }
-  w->WriteVarint(v_.var_carry_.size());
-  for (const auto& [key, carry] : v_.var_carry_) {
-    w->WriteFixed64(key.first);
-    SerializeOpRef(key.second, w);
-    w->WriteByte(static_cast<uint8_t>(carry.kind));
-    if (carry.kind == Verifier::VarCarry::Kind::kWrite) {
-      w->WriteValue(carry.value);
-    }
+  w->WriteVarint(v_.var_values_.size());
+  for (const auto* write : SortedEntries(v_.var_values_)) {
+    w->WriteFixed64(write->first.first);
+    SerializeOpRef(write->first.second, w);
+    w->WriteValue(write->second);
   }
 }
 
@@ -216,21 +200,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteString(v_.history_.reason);
   v_.history_.SerializeSections(&w);
 
-  w.WriteVarint(v_.stream_write_order_.size());
-  for (const TxOpRef& ref : v_.stream_write_order_) {
-    SerializeTxOpRef(ref, &w);
-  }
-
-  // Carries and pending imports.
-  WriteCarries(&w);
-  w.WriteVarint(v_.pending_tx_imports_.size());
-  for (const auto& [ref, imp] : v_.pending_tx_imports_) {
-    imp.Serialize(&w);
-  }
-  w.WriteVarint(v_.pending_var_imports_.size());
-  for (const auto& [key, imp] : v_.pending_var_imports_) {
-    imp.Serialize(&w);
-  }
+  WriteCarriedValues(&w);
 
   w.WriteVarint(v_.diagnostics_.size());
   for (const LintDiagnostic& d : v_.diagnostics_) {
@@ -246,7 +216,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
   w.WriteVarint(v_.stats_.isolation_dg_edges);
   w.WriteVarint(var_dict_entries_pruned);
 
-  // The fast-reject pre-screen's cross-epoch state.
+  // The pre-screen's cross-epoch state: its rules' and the ledger's.
   v_.carry_lint_.Serialize(&w);
 
   SegmentWriter out;
@@ -382,38 +352,16 @@ std::unique_ptr<AuditSession> AuditSession::FromCheckpointPayload(
   v.history_.ok = c.Bool();
   v.history_.reason = c.S();
   v.history_.DeserializeSections(&c);
-  c.List(&v.stream_write_order_, kMinTxOpRefBytes, [&c] { return c.Tx(); });
 
-  c.Each(kMinTxnKeyBytes + 1, [&] {
-    TxnKey txn = c.Txn();
-    v.txn_size_carry_[txn] = static_cast<uint32_t>(c.V());
-  });
-  // ref, an empty key, a null value, hid and opnum.
-  c.Each(kMinTxOpRefBytes + 11, [&] {
-    Verifier::PutCarry& put = v.put_carry_[c.Tx()];
-    put.key = c.S();
-    put.value = c.Val();
-    put.hid = c.F64();
-    put.opnum = static_cast<OpNum>(c.V());
+  // A key and a null value.
+  c.Each(kMinTxOpRefBytes + 1, [&] {
+    TxOpRef ref = c.Tx();
+    v.put_values_[ref] = c.Val();
   });
   c.Each(8 + kMinOpRefBytes + 1, [&] {
     VarId vid = c.F64();
-    Verifier::VarCarry& carry = v.var_carry_[{vid, c.Op()}];
-    carry.kind = static_cast<Verifier::VarCarry::Kind>(
-        c.Enum(static_cast<uint8_t>(Verifier::VarCarry::Kind::kDeadWrite)));
-    if (carry.kind == Verifier::VarCarry::Kind::kWrite) {
-      carry.value = c.Val();
-    }
-  });
-  c.Each(ContinuityImports::TxOpImport::kMinBytes, [&] {
-    auto imp = ContinuityImports::TxOpImport::Deserialize(&c);
-    TxOpRef ref = imp.ref;
-    v.pending_tx_imports_[ref] = std::move(imp);
-  });
-  c.Each(ContinuityImports::VarImport::kMinBytes, [&] {
-    auto imp = ContinuityImports::VarImport::Deserialize(&c);
-    auto key = std::make_pair(imp.vid, imp.op);
-    v.pending_var_imports_[key] = std::move(imp);
+    OpRef op = c.Op();
+    v.var_values_[{vid, op}] = c.Val();
   });
   c.List(&v.diagnostics_, LintDiagnostic::kMinBytes,
          [&c] { return LintDiagnostic::Deserialize(&c); });
@@ -428,6 +376,17 @@ std::unique_ptr<AuditSession> AuditSession::FromCheckpointPayload(
   v.var_dict_entries_pruned_ = c.V();
 
   v.carry_lint_.Deserialize(&c);
+  // The resolver hands out a payload for each ledger PUT, so the two sets
+  // must be the same.
+  const auto& puts = v.carry_lint_.put_shapes();
+  if (puts.size() != v.put_values_.size()) {
+    c.Fail();
+  }
+  for (const auto& [ref, value] : v.put_values_) {
+    if (!puts.contains(ref)) {
+      c.Fail();
+    }
+  }
 
   if (!c.Done()) {
     *error = "payload is malformed or truncated";

@@ -10,9 +10,11 @@
 // epoch size (including one epoch holding everything) reaches the same
 // verdict, reason, rule, and diagnostics — honest runs and single-fault
 // adversarial runs alike. Per-epoch advice is dropped once its epoch is
-// re-executed, and only the compact carries (transaction shapes, PUT
-// payloads, var-log entry kinds, and the values of writes to variables that
-// are not request-scoped) stay resident.
+// re-executed. What stays resident is the pre-screen's ledger (transaction
+// sizes, PUT shapes, var-log entry kinds, the write order, the pending
+// imports; src/analysis/carry_lint.h) and the values re-execution reads
+// beside it: PUT payloads and the writes to variables that are not
+// request-scoped.
 #ifndef SRC_VERIFIER_SESSION_H_
 #define SRC_VERIFIER_SESSION_H_
 
@@ -42,9 +44,9 @@ class AuditSession {
   // and jump to Finish(), or keep draining; both are safe.
   bool FeedEpoch(const EpochSegment& segment);
 
-  // Runs the global end-of-stream checks (write-order lint, continuity
-  // import confirmation, isolation, internal-state edges, graph acyclicity)
-  // and assembles the verdict. Call exactly once, after the last epoch fed.
+  // Runs the global end-of-stream checks (write-order lint, the residual
+  // import closure and the other finish-time pre-screen rules, isolation,
+  // internal-state edges, graph acyclicity) and assembles the verdict. Call exactly once, after the last epoch fed.
   // After a mid-stream rejection the verdict stays that rejection, and the
   // finish-time static rules run only if `fed_all` says the source ended
   // and none of its epochs was left unfed: they add their findings to the
@@ -74,20 +76,20 @@ class AuditSession {
   uint64_t epoch_requests() const;
   // True once a mid-stream rejection fixed the verdict.
   bool decided() const;
-  // Var-log carries that still hold a value: the writes to variables a later
-  // epoch can still name. Request-scoped writes carry their key and kind only.
+  // Var-log writes that still hold a value: the writes to variables a later
+  // epoch can still name. Request-scoped writes keep their ledger kind only.
   size_t carried_var_values() const;
-  // Serialized size of the carried state (transaction sizes, PUT carries,
-  // var carries, in their checkpoint encoding), computed on demand. Carries
-  // only grow, so after Finish this is their peak. A model, not a
-  // measurement — real memory is the kernel's peak RSS. Kept only for the
-  // pipeline bench's ungated verifier.modelled_resident_bytes; the audit
-  // itself never calls it.
+  // Serialized size of the cross-epoch state (the carried values and the
+  // pre-screen's state with its ledger, in their checkpoint encoding),
+  // computed on demand. It almost only grows, so after Finish this is about
+  // its peak. A model, not a measurement — real memory is the kernel's peak
+  // RSS. Kept only for the pipeline bench's ungated
+  // verifier.modelled_resident_bytes; the audit itself never calls it.
   size_t peak_resident_advice_bytes() const;
 
  private:
-  // The checkpoint's carry section.
-  void WriteCarries(ByteWriter* w) const;
+  // The checkpoint's carried-values section.
+  void WriteCarriedValues(ByteWriter* w) const;
   // Rebuilds a session from a checkpoint frame's payload. Returns nullptr and
   // sets *error when the payload is refused.
   static std::unique_ptr<AuditSession> FromCheckpointPayload(const Program& program,

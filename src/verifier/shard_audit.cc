@@ -23,7 +23,7 @@ constexpr uint8_t kShardArtifactFormatVersion = 4;
 // The value a shard's own slices log at a var-log write (the slices stay
 // resident for the whole shard audit). An accepted shard holds each
 // coordinate once (KAR-ADV-006, KAR-SEG-004), so the first hit is the entry
-// the carry mirrors.
+// the ledger mirrors.
 const Value& LoggedWriteValue(const EpochSlices& slices, const std::pair<VarId, OpRef>& key) {
   static const Value kNil;
   for (const EpochSegment& seg : slices.segments) {
@@ -87,8 +87,8 @@ void ShardArtifact::Serialize(ByteWriter* out) const {
 
   history.SerializeSections(out);
 
-  out->WriteVarint(put_summaries.size());
-  for (const auto& [ref, put] : put_summaries) {
+  out->WriteVarint(put_shapes.size());
+  for (const auto& [ref, put] : put_shapes) {
     SerializeTxOpRef(ref, out);
     out->WriteString(put.key);
     out->WriteFixed64(put.hid);
@@ -166,7 +166,7 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
 
   // ref, an empty key, hid and opnum.
   r.Each(kMinTxOpRefBytes + 10, [&] {
-    PutSummary& put = a.put_summaries[r.Tx()];
+    PutShape& put = a.put_shapes[r.Tx()];
     put.key = r.S();
     put.hid = r.F64();
     put.opnum = static_cast<OpNum>(r.V());
@@ -261,29 +261,33 @@ class ShardAudit {
         a.tags[rid] = tag;
       }
     }
-    a.write_order = v.stream_write_order_;
+    const CarryLint& ledger = v.carry_lint_;
+    a.write_order = ledger.write_order();
     a.history = v.history_;
-    for (const auto& [ref, put] : v.put_carry_) {
-      a.put_summaries[ref] = ShardArtifact::PutSummary{put.key, put.hid, put.opnum};
-    }
-    a.txn_sizes = v.txn_size_carry_;
+    a.put_shapes.insert(ledger.put_shapes().begin(), ledger.put_shapes().end());
+    a.txn_sizes.insert(ledger.txn_sizes().begin(), ledger.txn_sizes().end());
 
-    // Unconfirmable (foreign-owned) continuity allegations, for the merge.
-    for (const auto& [ref, imp] : v.pending_tx_imports_) {
-      if (v.ForeignRid(ref.rid)) {
-        a.pending_tx_imports[ref] = imp;
+    // Unconfirmable continuity allegations, for the merge: those naming an
+    // in-trace request another shard owns.
+    auto foreign = [&](RequestId rid) {
+      return rid != kInitRequestId && owned.count(rid) == 0 && v.trace_rids_.count(rid) != 0;
+    };
+    for (const auto& [ref, pending] : ledger.pending_tx_imports()) {
+      if (foreign(ref.rid)) {
+        a.pending_tx_imports[ref] = pending.imp;
       }
     }
-    for (const auto& [key, imp] : v.pending_var_imports_) {
-      if (v.ForeignRid(key.second.rid)) {
-        a.pending_var_imports[key] = imp;
+    for (const auto& [key, pending] : ledger.pending_var_imports()) {
+      if (foreign(key.second.rid)) {
+        a.pending_var_imports[key] = pending.imp;
       }
     }
     // Descriptions of this shard's real content at its export obligations —
-    // what the importing shards' allegations must match (the carry lookup
-    // StreamConfirmImports confirms against).
+    // what the importing shards' allegations must match. The live slice is
+    // gone, and an accepted audit's pending imports at coordinates it owns
+    // allege absence only (KAR-SEG-008), so this resolves to the ledger.
     for (const TxOpRef& ref : b.export_tx_refs) {
-      ResolvedTxOp real = v.CarriedTxOp(ref);
+      ResolvedTxOp real = v.ResolveTxOp(ref);
       ContinuityImports::TxOpImport& e = a.tx_exports[ref];
       e.ref = ref;
       e.txn_present = real.txn_present;
@@ -300,7 +304,7 @@ class ShardAudit {
       }
     }
     for (const auto& key : b.export_var_refs) {
-      ResolvedVarEntry real = v.CarriedVarEntry(key);
+      ResolvedVarEntry real = v.ResolveVarEntry(key.first, key.second);
       ContinuityImports::VarImport& e = a.var_exports[key];
       e.vid = key.first;
       e.op = key.second;
@@ -308,7 +312,7 @@ class ShardAudit {
       e.kind = static_cast<uint8_t>(real.is_write ? VarLogEntry::Kind::kWrite
                                                   : VarLogEntry::Kind::kRead);
       if (real.is_write) {
-        // A request-scoped write's carry holds no value.
+        // A request-scoped write drops its value when its epoch ends.
         e.value = real.value != nullptr ? *real.value : LoggedWriteValue(file.slices, key);
       }
     }
@@ -567,7 +571,8 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
 
   // --- Cross-shard continuity confirmation (KAR-SEG-014): every allegation a
   // shard consumed about another shard's content must match what the owning
-  // shard's audit actually found there — StreamConfirmImports, one level up.
+  // shard's audit actually found there — the pre-screen's confirmation, one
+  // level up.
   for (const ShardArtifact* a : ordered) {
     std::string loc = "merge[shard " + std::to_string(a->shard) + "]";
     for (const auto& [ref, imp] : a->pending_tx_imports) {
@@ -643,7 +648,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
   // same checker, with the same inputs, the unsharded StreamFinish runs.
   HistoryAnalysis analysis;
   std::map<TxnKey, uint32_t> txn_sizes;
-  std::map<TxOpRef, ShardArtifact::PutSummary> puts;
+  std::map<TxOpRef, PutShape> puts;
   for (const ShardArtifact* a : ordered) {
     analysis.committed.insert(a->history.committed.begin(), a->history.committed.end());
     for (const auto& [write, readers] : a->history.read_map) {
@@ -653,7 +658,7 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
     analysis.last_modification.insert(a->history.last_modification.begin(),
                                       a->history.last_modification.end());
     txn_sizes.insert(a->txn_sizes.begin(), a->txn_sizes.end());
-    puts.insert(a->put_summaries.begin(), a->put_summaries.end());
+    puts.insert(a->put_shapes.begin(), a->put_shapes.end());
   }
   // Epochs ascend rid ranges and transactions sort by (rid, tid, index), so a
   // plain sort restores the global reader order the unsharded analysis built.

@@ -14,10 +14,10 @@
 //     confirmation, write-order stitching, write-chain stitching, and the
 //     isolation check over the alleged global transaction order — cannot be
 //     decided inside any one shard. Each shard audit exports the state those
-//     checks need (a few maps of references and summaries, not the advice)
-//     into its ShardArtifact, and MergeShardArtifacts re-runs them over the
-//     union, exactly like AuditSession::Finish runs the cross-epoch checks
-//     over the carries.
+//     checks need (references and the ledger's value-free shapes, not the
+//     advice) into its ShardArtifact, and MergeShardArtifacts re-runs them
+//     over the union, exactly like AuditSession::Finish runs the cross-epoch
+//     checks over the pre-screen's ledger (src/analysis/carry_lint.h).
 //
 // Verdict contract (mirroring the epoch axis): for an honest run, the merged
 // (accepted, reason, rule, diagnostics) quadruple is bit-identical to the
@@ -94,21 +94,18 @@ struct ShardArtifact {
   // three sections travel; ok and reason are the verdict's.
   HistoryAnalysis history;
 
-  // Value-free resolution carries for the merged isolation check. The
-  // checker never dereferences PUT values, so key/hid/opnum suffice.
-  struct PutSummary {
-    std::string key;
-    HandlerId hid = 0;
-    OpNum opnum = 0;
-  };
-  std::map<TxOpRef, PutSummary> put_summaries;
+  // The shard's ledger shapes (src/analysis/carry_lint.h) for the merged
+  // isolation check. The checker never dereferences PUT values, so the
+  // value-free shapes suffice.
+  std::map<TxOpRef, PutShape> put_shapes;
   std::map<TxnKey, uint32_t> txn_sizes;
 
   // Cross-shard continuity allegations this shard consumed but could not
   // confirm locally (targets owned by other shards), and the descriptions of
   // this shard's real content at its export obligations. The merge matches
   // every pending import against the owner's export — the shard-axis
-  // StreamConfirmImports (KAR-SEG-014 on contradiction).
+  // counterpart of the pre-screen's confirmation (KAR-SEG-014 on
+  // contradiction).
   std::map<TxOpRef, ContinuityImports::TxOpImport> pending_tx_imports;
   std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport> pending_var_imports;
   std::map<TxOpRef, ContinuityImports::TxOpImport> tx_exports;

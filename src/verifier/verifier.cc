@@ -372,15 +372,11 @@ ResolvedTxOp Verifier::ResolveTxOp(const TxOpRef& ref) const {
     }
     return out;
   }
-  ResolvedTxOp carried = CarriedTxOp(ref);
-  if (carried.txn_present) {
-    return carried;
+  ResolvedTxOp out = carry_lint_.ResolveTxOp(ref);
+  if (out.is_put && out.put_value == nullptr) {
+    out.put_value = &put_values_.find(ref)->second;  // Every ledger PUT has one.
   }
-  auto imp_it = pending_tx_imports_.find(ref);
-  if (imp_it != pending_tx_imports_.end()) {
-    return ResolveImport(imp_it->second);
-  }
-  return ResolvedTxOp{};
+  return out;
 }
 
 ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
@@ -392,51 +388,19 @@ ResolvedVarEntry Verifier::ResolveVarEntry(VarId vid, const OpRef& op) const {
       return {true, entry.kind == VarLogEntry::Kind::kWrite, &entry.value};
     }
   }
-  ResolvedVarEntry carried = CarriedVarEntry({vid, op});
-  if (carried.present) {
-    return carried;
-  }
-  auto imp_it = pending_var_imports_.find({vid, op});
-  if (imp_it != pending_var_imports_.end() && imp_it->second.present) {
-    return ResolveImport(imp_it->second);
-  }
-  return {};
-}
-
-ResolvedTxOp Verifier::CarriedTxOp(const TxOpRef& ref) const {
-  ResolvedTxOp out;
-  auto size_it = txn_size_carry_.find(TxnKey{ref.rid, ref.tid});
-  if (size_it == txn_size_carry_.end()) {
-    return out;
-  }
-  out.txn_present = true;
-  if (ref.index >= 1 && ref.index <= size_it->second) {
-    out.op_present = true;
-    auto put_it = put_carry_.find(ref);
-    if (put_it != put_carry_.end()) {
-      out.is_put = true;
-      out.key = put_it->second.key;
-      out.put_value = &put_it->second.value;
-      out.hid = put_it->second.hid;
-      out.opnum = put_it->second.opnum;
+  ResolvedVarEntry out = carry_lint_.ResolveVarEntry(vid, op);
+  if (out.is_write && out.value == nullptr) {
+    auto value_it = var_values_.find({vid, op});
+    if (value_it != var_values_.end()) {
+      out.value = &value_it->second;
     }
   }
   return out;
 }
 
-ResolvedVarEntry Verifier::CarriedVarEntry(const std::pair<VarId, OpRef>& key) const {
-  auto carry_it = var_carry_.find(key);
-  if (carry_it == var_carry_.end()) {
-    return {};
-  }
-  const VarCarry& carry = carry_it->second;
-  return {true, carry.kind != VarCarry::Kind::kRead,
-          carry.kind == VarCarry::Kind::kWrite ? &carry.value : nullptr};
-}
-
 void Verifier::StreamBegin(uint64_t epoch_requests) {
   epoch_requests_ = epoch_requests;
-  carry_lint_.Begin(epoch_requests, /*standalone=*/false);
+  carry_lint_.Begin(epoch_requests);
   carry_lint_.SetShardFilter(shard_rids_);  // Begin resets the lint's state.
 }
 
@@ -532,10 +496,6 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
   }
   PhaseTimer total_timer(&profile_.total_seconds);
   PruneVarDicts();
-  // The alleged global write order, concatenated whatever this epoch's fate:
-  // the finish-time write-order lint reads all of it.
-  stream_write_order_.insert(stream_write_order_.end(), segment.advice.write_order.begin(),
-                             segment.advice.write_order.end());
   try {
     {
       PhaseTimer t(&profile_.preprocess_seconds);
@@ -567,12 +527,6 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
         }
       }
       advice_ = &segment.advice;
-      for (const auto& imp : segment.imports.tx_ops) {
-        pending_tx_imports_.emplace(imp.ref, imp);
-      }
-      for (const auto& imp : segment.imports.var_entries) {
-        pending_var_imports_.emplace(std::make_pair(imp.vid, imp.op), imp);
-      }
       carry_lint_.RegisterImports(segment);
       CheckEpochStatically(segment);
       BuildAdviceIndices();
@@ -611,37 +565,32 @@ void Verifier::StreamEndEpoch(const EpochSegment& segment) {
   // the finish-time static rules still read it.
   carry_lint_.EndEpoch(segment);
 
-  // Fold the slice into the carries: transaction shapes + PUT payloads, and
-  // var-log entries (reads kind-only — nothing ever feeds from a read — and
-  // so are writes to a request-scoped variable, whose lanes have all run).
+  // The values beside the ledger's shapes: PUT payloads, and the writes to
+  // variables that are not request-scoped. The pre-screen confirmed every
+  // import naming this slice before the fold, so no dropped value is still
+  // owed to a confirmation.
   for (const auto& [txn, log] : segment.advice.tx_logs) {
-    txn_size_carry_[txn] = static_cast<uint32_t>(log.size());
     for (uint32_t i = 1; i <= log.size(); ++i) {
       const TxOperation& op = log[i - 1];
       if (op.type == TxOpType::kPut) {
-        put_carry_[TxOpRef{txn.rid, txn.tid, i}] = PutCarry{op.key, op.put_value, op.hid, op.opnum};
+        put_values_[TxOpRef{txn.rid, txn.tid, i}] = op.put_value;
       }
     }
   }
   for (const auto& [vid, log] : segment.advice.var_logs) {
     auto var_it = vars_.find(vid);
-    const bool request_scoped = var_it != vars_.end() && var_it->second.request_scoped;
-    // Keys arrive in ascending order, so each insert lands at the end hint.
+    if (var_it != vars_.end() && var_it->second.request_scoped) {
+      continue;
+    }
     for (const auto& [op, entry] : log) {
-      VarCarry& carry = var_carry_.try_emplace(var_carry_.end(), std::make_pair(vid, op))->second;
-      if (entry.kind != VarLogEntry::Kind::kWrite) {
-        carry = VarCarry{VarCarry::Kind::kRead, Value()};
-      } else if (request_scoped && !ImportContradicts(vid, op, entry.value)) {
-        carry = VarCarry{VarCarry::Kind::kDeadWrite, Value()};
-      } else {
-        carry = VarCarry{VarCarry::Kind::kWrite, entry.value};
+      if (entry.kind == VarLogEntry::Kind::kWrite) {
+        var_values_[{vid, op}] = entry.value;
       }
     }
   }
 
   // Drop everything scoped to the finished epoch. The graph, vars_, history_,
-  // balance, carried indices, and the accumulated write order are all that
-  // survive; the next epoch prunes the var_dict payloads first
+  // balance, the ledger and the carried values are all that survive; the next epoch prunes the var_dict payloads first
   // (PruneVarDicts), so the last epoch's go with the verifier.
   advice_ = nullptr;
   op_map_.clear();
@@ -680,43 +629,10 @@ void Verifier::PruneVarDicts() {
   }
 }
 
-bool Verifier::ImportContradicts(VarId vid, const OpRef& op, const Value& value) const {
-  auto imp_it = pending_var_imports_.find({vid, op});
-  return imp_it != pending_var_imports_.end() &&
-         !VarImportMatches(imp_it->second, ResolvedVarEntry{true, true, &value});
-}
-
-void Verifier::StreamConfirmImports() {
-  // Every forward allegation the stream consumed must match what the real
-  // slice carried once its epoch arrived. Wrong continuity data can only
-  // cause rejection (§2.1's advice property, applied to the slicer).
-  for (const auto& [ref, imp] : pending_tx_imports_) {
-    if (ForeignRid(ref.rid)) {
-      continue;  // Owned elsewhere: the merge confirms it against that shard.
-    }
-    if (!TxImportMatches(imp, CarriedTxOp(ref))) {
-      Reject("continuity import for " + ref.ToString() + " does not match the advice it mirrors");
-    }
-  }
-  for (const auto& [key, imp] : pending_var_imports_) {
-    if (ForeignRid(key.second.rid)) {
-      continue;
-    }
-    if (!VarImportMatches(imp, CarriedVarEntry(key))) {
-      Reject("continuity import for variable log entry " + key.second.ToString() +
-             " does not match the advice it mirrors");
-    }
-  }
-}
-
 void Verifier::FinishStatically() {
+  // The write-order lint resolves through the ledger alone: the live slice's
+  // indices are empty once the last epoch ended.
   size_t first_new = diagnostics_.size();
-  LintWriteOrder(stream_write_order_, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-                 &diagnostics_);
-  ThrowFirstError(diagnostics_, first_new);
-  // Finish-time pre-screen rules (early content, residual imports, prec
-  // acyclicity), in the same slot the standalone checker runs them.
-  first_new = diagnostics_.size();
   carry_lint_.Finish(&diagnostics_);
   ThrowFirstError(diagnostics_, first_new);
 }
@@ -739,7 +655,7 @@ AuditResult Verifier::StreamFinish(bool fed_all) {
     try {
       {
         // Figure 14's global half: trace coverage and balance, the static
-        // rules over the whole stream, import confirmation and isolation.
+        // rules over the whole stream, and isolation.
         PhaseTimer t(&profile_.preprocess_seconds);
         // The stream must have covered every epoch the trace mentions; a rid
         // beyond the last fed epoch would otherwise silently skip
@@ -757,7 +673,6 @@ AuditResult Verifier::StreamFinish(bool fed_all) {
           }
         }
         FinishStatically();
-        StreamConfirmImports();
         // Isolation is a property of the global transaction order; under a
         // shard scope the local write order and history are one shard's
         // projection, so the check runs once at audit-merge over the stitched
@@ -766,7 +681,7 @@ AuditResult Verifier::StreamFinish(bool fed_all) {
         if (shard_rids_ == nullptr) {
           IsolationCheckResult iso = CheckIsolation(
               config_.isolation, [this](const TxOpRef& ref) { return ResolveTxOp(ref); },
-              stream_write_order_, history_);
+              carry_lint_.write_order(), history_);
           stats_.isolation_dg_nodes = iso.dg_nodes;
           stats_.isolation_dg_edges = iso.dg_edges;
           if (!iso.ok) {

@@ -232,37 +232,16 @@ class Verifier {
   //
   // The audit feeds one EpochSegment at a time. Each epoch runs the
   // slice-local preprocess passes and re-executes the epoch's groups, then
-  // StreamEndEpoch folds the slice into compact carried state and drops the
-  // per-epoch structures. Globally-scoped checks (write-order lint, isolation,
-  // internal-state edges, the graph cycle check, import confirmation) run once
-  // at StreamFinish, which assembles the verdict.
+  // StreamEndEpoch folds the slice into the pre-screen's ledger and the
+  // carried values and drops the per-epoch structures. Globally-scoped checks
+  // (write-order lint, isolation, internal-state edges, the graph cycle
+  // check) run once at StreamFinish, which assembles the verdict.
 
-  // Carried view of a completed epoch's PUT (everything any later consumer —
-  // GET feed, WR edge, write-order lint, isolation extraction — can ask for).
-  struct PutCarry {
-    std::string key;
-    Value value;
-    HandlerId hid = 0;
-    OpNum opnum = 0;
-  };
-  // Carried view of a var-log entry. Reads drop their value: no consumer ever
-  // feeds from a read entry, and keeping read values resident would make the
-  // carry as large as the advice itself. A write to a request-scoped variable
-  // drops its value too once its epoch ends (kDeadWrite): only that request's
-  // lanes can name the variable, and they have all re-executed. Every carry
-  // keeps its key, for the cross-epoch duplicate and prec-kind checks.
-  struct VarCarry {
-    enum class Kind : uint8_t { kRead, kWrite, kDeadWrite };
-    Kind kind = Kind::kRead;
-    Value value;  // kWrite only.
-  };
   // Resolve a transaction-log / var-log coordinate: current slice first, then
-  // carried state from completed epochs, then forward continuity imports.
+  // the ledger of completed epochs (with the carried payload), then forward
+  // continuity imports.
   ResolvedTxOp ResolveTxOp(const TxOpRef& ref) const;
   ResolvedVarEntry ResolveVarEntry(VarId vid, const OpRef& op) const;
-  // The carried-state step alone: what completed epochs left at a coordinate.
-  ResolvedTxOp CarriedTxOp(const TxOpRef& ref) const;
-  ResolvedVarEntry CarriedVarEntry(const std::pair<VarId, OpRef>& key) const;
 
   // Shard-axis scope (src/verifier/shard_audit.h): restricts this audit to
   // the requests a shard owns. Must be set before StreamBegin. The trace-level
@@ -270,14 +249,8 @@ class Verifier {
   // replicated trace; only advice-facing work — re-execution, boundary edges,
   // response matching — narrows to the owned rids, and continuity imports
   // targeting foreign-owned requests are exported for the merge to confirm
-  // instead of being confirmed (impossibly) against local carries.
+  // instead of being confirmed (impossibly) against the local ledger.
   void SetShardScope(const std::set<RequestId>* owned) { shard_rids_ = owned; }
-  // True when a shard scope is set and `rid` is an in-trace request owned by
-  // another shard. Mirrors CarryLint::ForeignTarget.
-  bool ForeignRid(RequestId rid) const {
-    return shard_rids_ != nullptr && rid != kInitRequestId && shard_rids_->count(rid) == 0 &&
-           trace_rids_.count(rid) != 0;
-  }
 
   void StreamBegin(uint64_t epoch_requests);
   void StreamEpoch(const EpochSegment& segment);
@@ -287,9 +260,9 @@ class Verifier {
   // result carries every static finding. Without it they are skipped: they
   // would judge epochs that were never fed.
   AuditResult StreamFinish(bool fed_all);
-  // The finish-time static rules: the global write-order lint (KAR-ADV-009/
-  // 010), then the pre-screen's finish rules (KAR-SEG-007..009). Throws the
-  // first error.
+  // The finish-time static rules: the pre-screen's Finish, which lints the
+  // global write order (KAR-ADV-009/010) and then runs its finish rules
+  // (KAR-SEG-007..009). Throws the first error.
   void FinishStatically();
   void StreamIngestWindow(const std::vector<TraceEvent>& window);
   void StreamTimePrecedence(const std::vector<TraceEvent>& window);
@@ -299,14 +272,6 @@ class Verifier {
   // init. Runs as each epoch starts; the checkpoint counts those payloads as
   // pruned already.
   void PruneVarDicts();
-  // True when a pending import names the live write (vid, op) and alleges
-  // something else. StreamEndEpoch keeps such a write's value, so the
-  // Finish-time confirmation compares values on its own, not only through
-  // the pre-screen (which rejects the import when its epoch arrives). An
-  // import that matched needs only the carry's kind from then on; one
-  // registered after the drop does not point forward (KAR-SEG-008).
-  bool ImportContradicts(VarId vid, const OpRef& op, const Value& value) const;
-  void StreamConfirmImports();
 
   // The canonical handler-matching order shared with the server: global
   // handlers in registration order, then per-request registrations in
@@ -374,8 +339,8 @@ class Verifier {
   AuditProfile profile_;
 
   // --- Cross-epoch state ----------------------------------------------------
-  // All cross-epoch containers are std::map/std::set: their sorted iteration
-  // order is the checkpoint wire format, which must be canonical.
+  // The checkpoint writes every container in sorted key order, so its
+  // encoding is canonical.
   bool init_done_ = false;
   uint64_t epoch_requests_ = 0;
   uint64_t epochs_fed_ = 0;
@@ -396,21 +361,20 @@ class Verifier {
   bool tp_have_epoch_ = false;
   NodeKey tp_current_epoch_{};
   std::vector<RequestId> tp_pending_responses_;
-  // The alleged global write order, concatenated from per-epoch chunks.
-  WriteOrder stream_write_order_;
-  // Carried state from completed epochs (everything later epochs or the
-  // Finish-time global checks can reference).
-  std::map<TxnKey, uint32_t> txn_size_carry_;
-  std::map<TxOpRef, PutCarry> put_carry_;
-  std::map<std::pair<VarId, OpRef>, VarCarry> var_carry_;
-  // Forward continuity imports, trusted provisionally during the stream and
-  // confirmed against the carries at Finish.
-  std::map<TxOpRef, ContinuityImports::TxOpImport> pending_tx_imports_;
-  std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport> pending_var_imports_;
-  // The fast-reject pre-screen, always on in a streamed audit: cross-epoch
-  // static rules (src/analysis/carry_lint.h) run per epoch before
-  // re-execution, sharing the session checkpoint. KAR-SEG-007 and
-  // KAR-SEG-008 findings are enforced only here.
+  // The values re-execution reads from completed epochs: every carried PUT's
+  // payload (a GET's feed; exactly the ledger's PUTs) and the writes to
+  // variables that are not request-scoped. Reads carry no value, since no
+  // consumer feeds from one, and a write to a request-scoped variable drops
+  // its value once its epoch ends: only that request's lanes can name the
+  // variable, and they have all re-executed.
+  FlatMap<TxOpRef, Value> put_values_;
+  FlatMap<std::pair<VarId, OpRef>, Value> var_values_;
+  // The fast-reject pre-screen, always on: cross-epoch static rules
+  // (src/analysis/carry_lint.h) run per epoch before re-execution. It is also
+  // the ledger of the run's cross-epoch shape (transaction sizes, PUT shapes,
+  // var-entry kinds, the write order) and of the pending imports, which it
+  // alone confirms. KAR-SEG-007 and KAR-SEG-008 findings are enforced only
+  // here.
   CarryLint carry_lint_;
   // var_dict entries dropped by per-epoch pruning, so the final
   // stats.var_dict_entries counts every entry re-execution produced.

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "src/analysis/carry_lint.h"
+#include "src/analysis/check.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
 #include "src/common/graph.h"
@@ -335,9 +338,11 @@ TEST(EpochCarryTest, OnlyGlobalVariableWritesKeepTheirValues) {
   EXPECT_TRUE(result.accepted) << result.reason;
 }
 
-// A forward import naming a later epoch's request-scoped write: the true
-// value is accepted and a wrong one rejected, as when every value stayed
-// resident, with or without a checkpoint round trip after every epoch.
+// Forward imports naming a later epoch's request-scoped write, global-variable
+// write and transaction PUT: the true content is accepted, and a wrong value
+// is rejected with KAR-SEG-008 by the one confirmer, the pre-screen, when the
+// target's epoch arrives (not at Finish), with or without a checkpoint round
+// trip after every epoch. The streamed checker reports the same rule.
 TEST(EpochCarryTest, ForwardImportOfRequestScopedWrite) {
   HonestRun run = RunApp("stacks", 60);
   const uint64_t kEpochSize = 7;
@@ -345,48 +350,112 @@ TEST(EpochCarryTest, ForwardImportOfRequestScopedWrite) {
   EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
   ASSERT_GE(slices.segments.size(), 3u);
 
-  // A list accumulator write in some epoch after the first.
-  const std::pair<const OpRef, VarLogEntry>* target = nullptr;
-  VarId target_vid = 0;
-  for (size_t e = 1; e < slices.segments.size() && target == nullptr; ++e) {
-    for (const auto& [vid, log] : slices.segments[e].advice.var_logs) {
-      for (const auto& entry : log) {
-        if (target == nullptr && entry.second.kind == VarLogEntry::Kind::kWrite &&
-            vid == ResolveVarId("list_acc", VarScope::kRequest, entry.first.rid)) {
-          target = &entry;
-          target_vid = vid;
+  // Coordinates some slice already imports: a forged duplicate would lose to
+  // the first allegation.
+  std::set<std::pair<VarId, OpRef>> imported_vars;
+  std::set<TxOpRef> imported_tx;
+  for (const EpochSegment& segment : slices.segments) {
+    for (const auto& imp : segment.imports.var_entries) {
+      imported_vars.insert({imp.vid, imp.op});
+    }
+    for (const auto& imp : segment.imports.tx_ops) {
+      imported_tx.insert(imp.ref);
+    }
+  }
+  // The first fresh write to `vid_of(rid)` after the first epoch.
+  auto var_target = [&](auto vid_of) -> std::optional<ContinuityImports::VarImport> {
+    for (size_t e = 1; e < slices.segments.size(); ++e) {
+      for (const auto& [vid, log] : slices.segments[e].advice.var_logs) {
+        for (const auto& [op, entry] : log) {
+          if (entry.kind == VarLogEntry::Kind::kWrite && vid == vid_of(op.rid) &&
+              imported_vars.count({vid, op}) == 0) {
+            return DescribeVarEntry(run.server.advice, vid, op);
+          }
+        }
+      }
+    }
+    return std::nullopt;
+  };
+  auto scoped = var_target([](RequestId rid) {
+    return ResolveVarId("list_acc", VarScope::kRequest, rid);
+  });
+  auto global = var_target([](RequestId) {
+    return ResolveVarId("all_digests", VarScope::kGlobal, 0);
+  });
+  std::optional<ContinuityImports::TxOpImport> put;
+  for (size_t e = 1; e < slices.segments.size() && !put; ++e) {
+    for (const auto& [txn, log] : slices.segments[e].advice.tx_logs) {
+      for (uint32_t i = 1; i <= log.size() && !put; ++i) {
+        TxOpRef ref{txn.rid, txn.tid, i};
+        if (log[i - 1].type == TxOpType::kPut && imported_tx.count(ref) == 0) {
+          put = DescribeTxOp(run.server.advice, ref);
         }
       }
     }
   }
-  ASSERT_NE(target, nullptr) << "no list accumulator write after the first epoch";
+  ASSERT_TRUE(scoped) << "no list accumulator write after the first epoch";
+  ASSERT_TRUE(global) << "no global-variable write after the first epoch";
+  ASSERT_TRUE(put) << "no PUT after the first epoch";
 
-  for (bool true_value : {true, false}) {
-    ContinuityImports::VarImport imp;
-    imp.vid = target_vid;
-    imp.op = target->first;
-    imp.present = true;
-    imp.kind = static_cast<uint8_t>(VarLogEntry::Kind::kWrite);
-    imp.value = true_value ? target->second.value : Value("forged");
-    EpochSlices forged = slices;
-    forged.segments[0].imports.var_entries.push_back(imp);
-
-    for (bool round_trip : {false, true}) {
-      std::string context = std::string(true_value ? "true" : "wrong") + " value" +
-                            (round_trip ? ", checkpoint every epoch" : "");
-      auto session = std::make_unique<AuditSession>(*run.app.program, config, kEpochSize);
-      for (const EpochSegment& segment : forged.segments) {
-        session->FeedEpoch(segment);
-        if (round_trip) {
-          std::string error;
-          session =
-              AuditSession::Restore(*run.app.program, config, session->SaveCheckpoint(), &error);
-          ASSERT_NE(session, nullptr) << context << ": " << error;
-        }
+  struct Target {
+    std::string name;
+    RequestId rid;
+    std::function<void(bool, ContinuityImports*)> forge;
+  };
+  auto var_forge = [](ContinuityImports::VarImport imp) {
+    return [imp](bool true_value, ContinuityImports* imports) {
+      imports->var_entries.push_back(imp);
+      if (!true_value) {
+        imports->var_entries.back().value = Value("forged");
       }
-      AuditResult result = session->Finish();
-      EXPECT_EQ(result.accepted, true_value) << context << ": " << result.reason;
-      EXPECT_EQ(result.rule, true_value ? "" : kKarSeg008) << context << ": " << result.reason;
+    };
+  };
+  const std::vector<Target> targets = {
+      {"request-scoped write", scoped->op.rid, var_forge(*scoped)},
+      {"global write", global->op.rid, var_forge(*global)},
+      {"PUT", put->ref.rid,
+       [imp = *put](bool true_value, ContinuityImports* imports) {
+         imports->tx_ops.push_back(imp);
+         if (!true_value) {
+           imports->tx_ops.back().value = Value("forged");
+         }
+       }},
+  };
+
+  for (const Target& target : targets) {
+    const uint64_t target_epoch = EpochOfRid(target.rid, kEpochSize);
+    ASSERT_GE(target_epoch, 1u) << target.name;
+    for (bool true_value : {true, false}) {
+      EpochSlices forged = slices;
+      target.forge(true_value, &forged.segments[0].imports);
+
+      for (bool round_trip : {false, true}) {
+        std::string context = target.name + ", " + (true_value ? "true" : "wrong") + " value" +
+                              (round_trip ? ", checkpoint every epoch" : "");
+        auto session = std::make_unique<AuditSession>(*run.app.program, config, kEpochSize);
+        std::optional<uint64_t> rejected_at;
+        for (const EpochSegment& segment : forged.segments) {
+          if (!session->FeedEpoch(segment) && !rejected_at) {
+            rejected_at = segment.epoch;
+          }
+          if (round_trip) {
+            std::string error;
+            session =
+                AuditSession::Restore(*run.app.program, config, session->SaveCheckpoint(), &error);
+            ASSERT_NE(session, nullptr) << context << ": " << error;
+          }
+        }
+        EXPECT_EQ(rejected_at, true_value ? std::nullopt : std::optional<uint64_t>(target_epoch))
+            << context;
+        AuditResult result = session->Finish();
+        EXPECT_EQ(result.accepted, true_value) << context << ": " << result.reason;
+        EXPECT_EQ(result.rule, true_value ? "" : kKarSeg008) << context << ": " << result.reason;
+      }
+
+      CheckResult check = CheckSegmentStreams(EncodeTraceSegments(forged),
+                                              EncodeAdviceSegments(forged), kEpochSize);
+      EXPECT_EQ(check.ok, true_value) << target.name << ": " << check.reason;
+      EXPECT_EQ(check.rule, true_value ? "" : kKarSeg008) << target.name << ": " << check.reason;
     }
   }
 }
@@ -453,17 +522,18 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
   EXPECT_FALSE(error.empty());
 
   // A well-framed checkpoint of another format version (the leading payload
-  // varint; the current version is 5) must be refused, not misparsed.
+  // varint; the current version is 6) must be refused, not misparsed.
   std::vector<uint8_t> payload = CheckpointPayload(checkpoint);
-  ASSERT_EQ(payload[0], 5u);
-  for (uint8_t version : {4, 5, 6}) {
+  ASSERT_EQ(payload[0], 6u);
+  for (uint8_t version : {5, 6, 7}) {
     std::vector<uint8_t> other = payload;
     other[0] = version;
     error.clear();
     auto restored = AuditSession::Restore(*run.app.program, config, FrameCheckpoint(other), &error);
-    EXPECT_EQ(restored != nullptr, version == 5) << "version=" << int{version} << ": " << error;
-    if (version != 5) {
-      EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+    EXPECT_EQ(restored != nullptr, version == 6) << "version=" << int{version} << ": " << error;
+    if (version != 6) {
+      EXPECT_NE(error.find("unsupported version " + std::to_string(version)), std::string::npos)
+          << error;
     }
   }
 
@@ -503,11 +573,11 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
 
   // The pre-screen state closes the payload. A fresh session's state is
   // exactly a fresh CarryLint's, so its first count (the claimed
-  // operations) sits three bytes into that tail.
+  // operations) sits two bytes into that tail.
   AuditSession fresh(*run.app.program, config, 6);
   std::vector<uint8_t> fresh_payload = CheckpointPayload(fresh.SaveCheckpoint());
   CarryLint lint;
-  lint.Begin(6, /*standalone=*/false);
+  lint.Begin(6);
   ByteWriter lint_state;
   lint.Serialize(&lint_state);
   ASSERT_GE(fresh_payload.size(), lint_state.size());
@@ -520,7 +590,7 @@ TEST(EpochCheckpointTest, RestoreRefusesMalformedBytes) {
       << error;
   error.clear();
   EXPECT_EQ(AuditSession::Restore(*run.app.program, config,
-                                  FrameCheckpoint(ClaimRemaining(fresh_payload, lint_at + 3)),
+                                  FrameCheckpoint(ClaimRemaining(fresh_payload, lint_at + 2)),
                                   &error),
             nullptr);
   EXPECT_NE(error.find("malformed"), std::string::npos) << error;

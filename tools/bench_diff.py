@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_*.json files and report per-row regressions.
+"""Diff BENCH_*.json files against a baseline and report per-row regressions.
 
 Usage:
-  tools/bench_diff.py OLD.json NEW.json [--threshold PCT]
+  tools/bench_diff.py OLD.json NEW.json [NEW.json ...] [--threshold PCT]
 
-Both files must come from the same benchmark binary (matching "benchmark"
+All files must come from the same benchmark binary (matching "benchmark"
 fields). Rows are matched on their identity fields (every key except the
 measured ones); for each match the measured fields are compared and rows whose
 time grew by more than --threshold percent (default 5) are flagged as
-regressions. Exit status is 1 if any regression was found, so the script can
-gate CI.
+regressions. Given several NEW files (repeated runs of the same binary), each
+measured field is the median over the runs that have the row, so one noisy
+run of a sub-millisecond phase does not flag it. Exit status is 1 if any
+regression was found, so the script can gate CI.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 # Fields that carry measurements; everything else identifies the row.
@@ -154,7 +157,7 @@ def fmt_key(key):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", help="baseline BENCH_*.json")
-    parser.add_argument("new", help="candidate BENCH_*.json")
+    parser.add_argument("new", nargs="+", help="candidate BENCH_*.json, one per run")
     parser.add_argument(
         "--threshold",
         type=float,
@@ -164,17 +167,31 @@ def main():
     args = parser.parse_args()
 
     old = load(args.old)
-    new = load(args.new)
-    if old.get("benchmark") != new.get("benchmark"):
-        sys.exit(
-            f"error: benchmark mismatch: {old.get('benchmark')!r} vs {new.get('benchmark')!r}"
-        )
+    news = [load(path) for path in args.new]
+    for new in news:
+        if old.get("benchmark") != new.get("benchmark"):
+            sys.exit(
+                f"error: benchmark mismatch: {old.get('benchmark')!r} vs {new.get('benchmark')!r}"
+            )
 
     old_rows = {row_key(r): r for r in old.get("rows", [])}
-    new_rows = {row_key(r): r for r in new.get("rows", [])}
+    # Each row's measured fields become their median over the runs.
+    runs = {}
+    for new in news:
+        for r in new.get("rows", []):
+            runs.setdefault(row_key(r), []).append(r)
+    new_rows = {}
+    for key, rows in runs.items():
+        fields = {f for r in rows for f in r if f in MEASURE_FIELDS}
+        median = dict(rows[0])
+        for f in fields:
+            median[f] = statistics.median(r[f] for r in rows if f in r)
+        new_rows[key] = median
 
     regressions = []
-    print(f"benchmark: {new.get('benchmark')}")
+    print(f"benchmark: {news[0].get('benchmark')}")
+    if len(news) > 1:
+        print(f"  (each measured field is the median of {len(news)} runs)")
     for key, new_row in new_rows.items():
         old_row = old_rows.get(key)
         if old_row is None:

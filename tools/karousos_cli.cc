@@ -1074,8 +1074,11 @@ int CmdInspect(const Args& args) {
     std::printf("malformed advice file\n");
     return 1;
   }
+  // The total is the file's; the components are sizes of a re-encode, which
+  // may store writes as patches that the file holds as full values.
   Advice::SizeBreakdown size = advice->MeasureSize();
-  std::printf("advice: %zu B total\n", size.total);
+  std::printf("advice: %zu B total\n", bytes->size());
+  std::printf("  re-encoded by component (%zu B):\n", size.total);
   std::printf("  tags:           %8zu B (%zu requests)\n", size.tags, advice->tags.size());
   std::printf("  handler logs:   %8zu B (%zu entries)\n", size.handler_logs,
               advice->handler_log_entry_count());

@@ -9,7 +9,7 @@
 # `serve --inputs` refuses a request nested past the decoder's depth cap with
 # a JSON error instead of crashing or recording a trace the audit cannot read,
 # and that `inspect --advice` counts the patches a motd run stores (and none
-# in the pre-patch lint fixture).
+# in the pre-patch lint fixture) and totals the file's own bytes.
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -123,6 +123,10 @@ patches="$(patches_of "$dir/motd_advice.bin")"
 fixture="$(dirname "$0")/../tests/fixtures/lint_bad.advice"
 patches="$(patches_of "$fixture")"
 [ "$patches" = 0 ] || fail "lint_bad.advice reports '$patches' patches, want 0"
+# The total is the file's size, not that of a re-encode (which would store
+# some of the fixture's full values as patches).
+total="$("$bin" inspect --advice "$fixture" | sed -n 's/^advice: \([0-9][0-9]*\) B total$/\1/p')"
+[ "$total" = 13126 ] || fail "inspect --advice totals lint_bad.advice as '$total' B, want 13126"
 
 # Numeric flags parse strictly: the whole value, in range, or exit 2.
 expect_bad_value() {
