@@ -9,12 +9,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/common/json.h"
 
 namespace karousos::bench {
@@ -46,15 +45,14 @@ inline double PercentileMs(std::vector<double> seconds, double p) {
 // missing or malformed file warns and yields no rows, so the compare is
 // skipped rather than failing the run.
 inline std::vector<Value> LoadBaselineRows(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  std::optional<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  if (!bytes) {
     std::fprintf(stderr, "warning: cannot read baseline %s; skipping compare\n", path.c_str());
     return {};
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
   JsonParseError error;
-  std::optional<Value> doc = ParseJson(ss.str(), &error);
+  std::optional<Value> doc =
+      ParseJson(std::string(bytes->begin(), bytes->end()), &error);
   if (!doc || !doc->is_map()) {
     std::fprintf(stderr, "warning: malformed baseline %s; skipping compare\n", path.c_str());
     return {};

@@ -182,11 +182,13 @@ class FlatMap {
 
   // Index of the key's slot, or meta_.size() when absent.
   size_t FindSlot(const Key& key) const {
-    if (size_ == 0) {
-      return meta_.size();
-    }
+    return size_ == 0 ? meta_.size() : FindSlot(key, Hash{}(key));
+  }
+
+  // The same, given the key's hash: a non-empty table.
+  size_t FindSlot(const Key& key, size_t hash) const {
     size_t mask = meta_.size() - 1;
-    size_t idx = Hash{}(key) & mask;
+    size_t idx = hash & mask;
     uint16_t dist = 1;
     while (meta_[idx] != 0) {
       // Robin-hood invariant: a present key is never further from home than
@@ -203,27 +205,32 @@ class FlatMap {
     return meta_.size();
   }
 
-  // Finds or inserts; returns {slot, inserted}.
+  // Finds or inserts; returns {slot, inserted}. The key is hashed once: the
+  // hash finds it and, after any rehash, gives its home slot.
   std::pair<size_t, bool> InsertSlot(const Key& key, T value) {
-    size_t existing = FindSlot(key);
-    if (existing != meta_.size()) {
-      return {existing, false};
+    const size_t hash = Hash{}(key);
+    if (size_ != 0) {
+      size_t existing = FindSlot(key, hash);
+      if (existing != meta_.size()) {
+        return {existing, false};
+      }
     }
     if (meta_.empty() || size_ + 1 > meta_.size() - meta_.size() / 8) {
       Rehash(meta_.size() == 0 ? kMinCapacity : meta_.size() * 2);
     }
-    size_t slot = PlaceNew(Entry(key, std::move(value)));
+    size_t slot = PlaceNew(Entry(key, std::move(value)), hash);
     ++size_;
     return {slot, true};
   }
 
-  // Robin-hood placement of a key known to be absent from the table. Returns
-  // the slot the key comes to rest in: the first one it takes, since the
-  // displacement walk after that moves only the entries it pushed out.
-  size_t PlaceNew(Entry entry) {
+  // Robin-hood placement of a key known to be absent from the table, given
+  // its hash. Returns the slot the key comes to rest in: the first one it
+  // takes, since the displacement walk after that moves only the entries it
+  // pushed out.
+  size_t PlaceNew(Entry entry, size_t hash) {
     const size_t none = meta_.size();
     size_t mask = meta_.size() - 1;
-    size_t idx = Hash{}(entry.first) & mask;
+    size_t idx = hash & mask;
     uint16_t dist = 1;
     size_t rest = none;
     while (true) {
@@ -258,11 +265,14 @@ class FlatMap {
     meta_.assign(capacity, 0);
     for (size_t i = 0; i < old_meta.size(); ++i) {
       if (old_meta[i] != 0) {
-        PlaceNew(std::move(old_slots[i]));
+        // Hashed before the call: the argument's move may empty the key first.
+        const size_t hash = Hash{}(old_slots[i].first);
+        PlaceNew(std::move(old_slots[i]), hash);
       }
     }
     if (pending != nullptr) {
-      PlaceNew(std::move(*pending));
+      const size_t hash = Hash{}(pending->first);
+      PlaceNew(std::move(*pending), hash);
     }
   }
 

@@ -3,7 +3,6 @@
 // segment streams to the committed pre-rewrite fixtures
 // (tests/fixtures/record_golden/, regenerated only intentionally via
 // tools/make_record_golden).
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/app.h"
+#include "src/common/file_io.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -20,10 +20,9 @@ namespace {
 
 std::vector<uint8_t> ReadFixture(const std::string& name) {
   const std::string path = std::string(KAROUSOS_FIXTURE_DIR) + "/record_golden/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.has_value()) << "missing fixture " << path;
+  return bytes.value_or(std::vector<uint8_t>{});
 }
 
 struct FixtureSpec {

@@ -5,7 +5,6 @@
 // checkpoint round trip.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "src/analysis/check.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
+#include "src/common/file_io.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
@@ -25,10 +25,9 @@ constexpr uint64_t kFixtureEpochSize = 7;
 
 std::vector<uint8_t> ReadFixture(const std::string& name) {
   std::string path = std::string(KAROUSOS_FIXTURE_DIR) + "/seg/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.has_value()) << "missing fixture " << path;
+  return bytes.value_or(std::vector<uint8_t>{});
 }
 
 struct HonestRun {

@@ -7,13 +7,13 @@
 // order) — so each test is "honest run, break one field, lint".
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/lint.h"
 #include "src/apps/app_util.h"
 #include "src/audit/audit.h"
+#include "src/common/file_io.h"
 #include "src/workload/workload.h"
 
 namespace karousos {
@@ -238,10 +238,9 @@ TEST(AnalysisLintTest, LintIsDeterministic) {
 // planted corruptions; a full audit rejects with the first one, structured.
 TEST(AnalysisLintTest, CheckedInFixtureReportsBothPlantedRules) {
   auto read_file = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << "missing fixture " << path;
-    return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
+    auto bytes = ReadFileBytes(path);
+    EXPECT_TRUE(bytes.has_value()) << "missing fixture " << path;
+    return bytes.value_or(std::vector<uint8_t>{});
   };
   const std::string dir = KAROUSOS_FIXTURE_DIR;
   std::vector<uint8_t> trace_bytes = read_file(dir + "/lint_bad.trace");

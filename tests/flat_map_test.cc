@@ -102,6 +102,33 @@ TEST(FlatMapTest, ContentIndependentOfReserveHistory) {
   EXPECT_EQ(a, b);
 }
 
+// The default hasher, counting its calls.
+struct CountingHash {
+  static inline size_t calls = 0;
+  size_t operator()(uint64_t k) const {
+    ++calls;
+    return FlatHash<uint64_t>{}(k);
+  }
+};
+
+// An insert hashes its key once: the probe for a present key and the
+// placement of a new one share the hash. Only a growing rehash hashes again.
+TEST(FlatMapTest, InsertHashesNewKeyOnce) {
+  FlatMap<uint64_t, uint64_t, CountingHash> m;
+  m.reserve(1000);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    CountingHash::calls = 0;
+    EXPECT_TRUE(m.emplace(i * 7, i).second);
+    EXPECT_EQ(CountingHash::calls, 1u) << "insert of key " << i * 7;
+  }
+  CountingHash::calls = 0;
+  EXPECT_FALSE(m.emplace(7, 0).second);
+  m[14] = 2;
+  EXPECT_EQ(CountingHash::calls, 2u);
+  EXPECT_EQ(m.find(7)->second, 1u);
+  EXPECT_EQ(m.find(14)->second, 2u);
+}
+
 TEST(FlatSetTest, InsertContainsErase) {
   FlatSet<uint64_t> s;
   EXPECT_TRUE(s.insert(10).second);

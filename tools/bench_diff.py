@@ -3,6 +3,7 @@
 
 Usage:
   tools/bench_diff.py OLD.json NEW.json [NEW.json ...] [--threshold PCT]
+  tools/bench_diff.py --write-median OUT.json RUN.json [RUN.json ...]
 
 All files must come from the same benchmark binary (matching "benchmark"
 fields). Rows are matched on their identity fields (every key except the
@@ -12,6 +13,10 @@ regressions. Given several NEW files (repeated runs of the same binary), each
 measured field is the median over the runs that have the row, so one noisy
 run of a sub-millisecond phase does not flag it. Exit status is 1 if any
 regression was found, so the script can gate CI.
+
+With --write-median, every file given is a run, and OUT.json gets the same
+per-field medians in the benchmark's own layout: a baseline made that way
+carries no more noise than the NEW side it is compared with.
 """
 
 import argparse
@@ -154,10 +159,64 @@ def fmt_key(key):
     return ", ".join(f"{k}={v}" for k, v in key)
 
 
+def median_rows(docs):
+    """Each row's measured fields as their median over the runs that have the
+    row, keyed by row identity in first-seen order."""
+    runs = {}
+    for doc in docs:
+        for r in doc.get("rows", []):
+            runs.setdefault(row_key(r), []).append(r)
+    rows = {}
+    for key, group in runs.items():
+        fields = {f for r in group for f in r if f in MEASURE_FIELDS}
+        median = dict(group[0])
+        for f in fields:
+            median[f] = statistics.median(r[f] for r in group if f in r)
+        rows[key] = median
+    return rows
+
+
+def check_same_benchmark(docs):
+    for doc in docs[1:]:
+        if docs[0].get("benchmark") != doc.get("benchmark"):
+            sys.exit(
+                f"error: benchmark mismatch: {docs[0].get('benchmark')!r} vs "
+                f"{doc.get('benchmark')!r}"
+            )
+
+
+def write_median(out_path, docs):
+    """Writes the runs' median as one BENCH file: the first run's top-level
+    fields, then one row per line as the benchmarks print them."""
+    head = {k: v for k, v in docs[0].items() if k != "rows"}
+    lines = ["{"]
+    lines += [f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in head.items()]
+    rows = [json.dumps(r, separators=(", ", ": ")) for r in median_rows(docs).values()]
+    lines.append('  "rows": [')
+    lines.append(",\n".join(f"    {r}" for r in rows))
+    lines.append("  ]")
+    lines.append("}")
+    try:
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        sys.exit(f"error: cannot write {out_path}: {e}")
+    print(f"wrote the median of {len(docs)} runs to {out_path}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", help="baseline BENCH_*.json")
-    parser.add_argument("new", nargs="+", help="candidate BENCH_*.json, one per run")
+    parser.add_argument(
+        "files",
+        nargs="+",
+        help="OLD.json then NEW.json runs; with --write-median, the runs alone",
+    )
+    parser.add_argument(
+        "--write-median",
+        metavar="OUT",
+        help="write the per-field median of the given runs to OUT and exit",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -166,27 +225,19 @@ def main():
     )
     args = parser.parse_args()
 
-    old = load(args.old)
-    news = [load(path) for path in args.new]
-    for new in news:
-        if old.get("benchmark") != new.get("benchmark"):
-            sys.exit(
-                f"error: benchmark mismatch: {old.get('benchmark')!r} vs {new.get('benchmark')!r}"
-            )
+    if args.write_median:
+        docs = [load(path) for path in args.files]
+        check_same_benchmark(docs)
+        return write_median(args.write_median, docs)
+    if len(args.files) < 2:
+        parser.error("need OLD.json and at least one NEW.json")
+
+    old = load(args.files[0])
+    news = [load(path) for path in args.files[1:]]
+    check_same_benchmark([old] + news)
 
     old_rows = {row_key(r): r for r in old.get("rows", [])}
-    # Each row's measured fields become their median over the runs.
-    runs = {}
-    for new in news:
-        for r in new.get("rows", []):
-            runs.setdefault(row_key(r), []).append(r)
-    new_rows = {}
-    for key, rows in runs.items():
-        fields = {f for r in rows for f in r if f in MEASURE_FIELDS}
-        median = dict(rows[0])
-        for f in fields:
-            median[f] = statistics.median(r[f] for r in rows if f in r)
-        new_rows[key] = median
+    new_rows = median_rows(news)
 
     regressions = []
     print(f"benchmark: {news[0].get('benchmark')}")

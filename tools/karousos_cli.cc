@@ -33,6 +33,7 @@
 #include "src/analysis/race.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
+#include "src/common/file_io.h"
 #include "src/common/json.h"
 #include "src/common/segment.h"
 #include "src/net/wire_server.h"
@@ -140,25 +141,6 @@ int Usage() {
                static_cast<unsigned long long>(kDefaultEpochRequests),
                static_cast<unsigned long long>(kDefaultEpochRequests));
   return 2;
-}
-
-std::optional<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-}
-
-bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
 }
 
 struct Args {
@@ -446,8 +428,8 @@ int CmdServeWire(const Args& args) {
       ByteWriter advice_bytes;
       shard.run.advice.Serialize(&advice_bytes);
       const std::string base = args.out_shards_dir + "/shard" + std::to_string(shard.worker);
-      if (!WriteFile(base + ".trace", trace_bytes.bytes()) ||
-          !WriteFile(base + ".advice", advice_bytes.bytes())) {
+      if (!WriteFileBytes(base + ".trace", trace_bytes.bytes()) ||
+          !WriteFileBytes(base + ".advice", advice_bytes.bytes())) {
         std::fprintf(stderr, "failed to write %s.{trace,advice}\n", base.c_str());
         return 1;
       }
@@ -555,8 +537,8 @@ int CmdServe(const Args& args) {
     run.trace.Serialize(&trace_bytes);
     ByteWriter advice_bytes;
     run.advice.Serialize(&advice_bytes);
-    if (!WriteFile(args.trace_path, trace_bytes.bytes()) ||
-        !WriteFile(args.advice_path, advice_bytes.bytes())) {
+    if (!WriteFileBytes(args.trace_path, trace_bytes.bytes()) ||
+        !WriteFileBytes(args.advice_path, advice_bytes.bytes())) {
       std::fprintf(stderr, "failed to write outputs\n");
       return 1;
     }
@@ -575,7 +557,7 @@ int CmdServe(const Args& args) {
     std::string advice_out = args.out_segments_dir + "/advice.kseg";
     std::vector<uint8_t> trace_seg = EncodeTraceSegments(slices, comp);
     std::vector<uint8_t> advice_seg = EncodeAdviceSegments(slices, comp);
-    if (!WriteFile(trace_out, trace_seg) || !WriteFile(advice_out, advice_seg)) {
+    if (!WriteFileBytes(trace_out, trace_seg) || !WriteFileBytes(advice_out, advice_seg)) {
       std::fprintf(stderr, "failed to write segment containers in %s\n",
                    args.out_segments_dir.c_str());
       return 1;
@@ -621,8 +603,8 @@ std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
   if (trace_path.empty() || advice_path.empty()) {
     return Usage();
   }
-  auto trace_bytes = ReadFile(trace_path);
-  auto advice_bytes = ReadFile(advice_path);
+  auto trace_bytes = ReadFileBytes(trace_path);
+  auto advice_bytes = ReadFileBytes(advice_path);
   if (!trace_bytes || !advice_bytes) {
     std::fprintf(stderr, "failed to read inputs\n");
     return 1;
@@ -639,8 +621,11 @@ std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
     return std::nullopt;
   }
   in->epoch_requests = args.epoch_size_set ? args.epoch_size : kDefaultEpochRequests;
+  // The trace's bytes are freed before the advice decodes, so the advice
+  // decodes beside the decoded trace, not beside the raw trace as well.
   ByteReader trace_reader(*trace_bytes);
   in->trace = Trace::Deserialize(&trace_reader);
+  trace_bytes.reset();
   if (!in->trace) {
     std::printf("REJECTED: malformed trace file\n");
     return 1;
@@ -666,7 +651,7 @@ int CmdAudit(const Args& args) {
 
   std::unique_ptr<AuditSession> session;
   if (!args.resume_path.empty()) {
-    auto checkpoint = ReadFile(args.resume_path);
+    auto checkpoint = ReadFileBytes(args.resume_path);
     if (!checkpoint) {
       std::fprintf(stderr, "failed to read %s\n", args.resume_path.c_str());
       return 1;
@@ -698,7 +683,7 @@ int CmdAudit(const Args& args) {
   StreamAuditResult streamed =
       RunStreamedAudit(session.get(), source.get(), [&](AuditSession& s) {
         if (!args.checkpoint_path.empty() &&
-            !WriteFile(args.checkpoint_path, s.SaveCheckpoint())) {
+            !WriteFileBytes(args.checkpoint_path, s.SaveCheckpoint())) {
           checkpoint_failed = true;
         }
       });
@@ -738,14 +723,15 @@ int CmdShard(const Args& args) {
                  args.shard_mode.c_str());
     return 2;
   }
-  auto trace_bytes = ReadFile(args.trace_path);
-  auto advice_bytes = ReadFile(args.advice_path);
+  auto trace_bytes = ReadFileBytes(args.trace_path);
+  auto advice_bytes = ReadFileBytes(args.advice_path);
   if (!trace_bytes || !advice_bytes) {
     std::fprintf(stderr, "failed to read inputs\n");
     return 1;
   }
   ByteReader trace_reader(*trace_bytes);
   auto trace = Trace::Deserialize(&trace_reader);
+  trace_bytes.reset();
   if (!trace) {
     std::fprintf(stderr, "malformed trace file\n");
     return 1;
@@ -765,7 +751,7 @@ int CmdShard(const Args& args) {
     std::vector<uint8_t> bytes = EncodeShardFile(shard, comp);
     const std::string path =
         args.out_dir + "/shard" + std::to_string(shard.boundary.shard) + ".kseg";
-    if (!WriteFile(path, bytes)) {
+    if (!WriteFileBytes(path, bytes)) {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
       return 1;
     }
@@ -801,7 +787,7 @@ int CmdAuditShard(const Args& args) {
   VerifierConfig config{ParseIsolation(args.isolation), args.threads};
   ShardArtifact artifact = RunShardAudit(*app.program, loaded.file, config);
   if (!args.out_path.empty()) {
-    if (!WriteFile(args.out_path, EncodeShardArtifact(artifact))) {
+    if (!WriteFileBytes(args.out_path, EncodeShardArtifact(artifact))) {
       std::fprintf(stderr, "failed to write %s\n", args.out_path.c_str());
       return 1;
     }
@@ -869,7 +855,7 @@ int CmdTamper(const Args& args) {
   if (args.trace_path.empty() || args.out_path.empty()) {
     return Usage();
   }
-  auto bytes = ReadFile(args.trace_path);
+  auto bytes = ReadFileBytes(args.trace_path);
   if (!bytes) {
     std::fprintf(stderr, "failed to read trace\n");
     return 1;
@@ -890,7 +876,7 @@ int CmdTamper(const Args& args) {
   }
   ByteWriter writer;
   trace->Serialize(&writer);
-  if (!WriteFile(args.out_path, writer.bytes())) {
+  if (!WriteFileBytes(args.out_path, writer.bytes())) {
     std::fprintf(stderr, "failed to write output\n");
     return 1;
   }
@@ -1039,7 +1025,7 @@ int CmdInspect(const Args& args) {
     return Usage();
   }
   const std::string& path = have_advice ? args.advice_path : args.trace_path;
-  auto bytes = ReadFile(path);
+  auto bytes = ReadFileBytes(path);
   if (!bytes) {
     std::fprintf(stderr, "failed to read %s\n", path.c_str());
     return 1;

@@ -16,13 +16,13 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/analysis/check.h"
 #include "src/analysis/lint.h"
 #include "src/apps/app.h"
+#include "src/common/file_io.h"
 #include "src/common/segment.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
@@ -30,16 +30,6 @@
 
 namespace karousos {
 namespace {
-
-bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
-}
 
 // One byte-identical fixture pair per KAR-SEG rule. The defects are planted
 // against one honest segmented run (epoch size 7) and each stream is verified
@@ -250,8 +240,8 @@ int EmitSegmentFixtures(const Trace& trace, const Advice& advice, const std::str
     for (char& c : stem) {
       c = c == '-' ? '-' : static_cast<char>(std::tolower(c));
     }
-    if (!WriteFile(dir + "/" + stem + ".trace.kseg", f.trace_bytes) ||
-        !WriteFile(dir + "/" + stem + ".advice.kseg", f.advice_bytes)) {
+    if (!WriteFileBytes(dir + "/" + stem + ".trace.kseg", f.trace_bytes) ||
+        !WriteFileBytes(dir + "/" + stem + ".advice.kseg", f.advice_bytes)) {
       std::fprintf(stderr, "failed to write segment fixture for %s\n", f.rule.c_str());
       return 1;
     }
@@ -334,7 +324,7 @@ int Main(int argc, char** argv) {
   run.trace.Serialize(&trace_bytes);
   ByteWriter advice_bytes;
   run.advice.Serialize(&advice_bytes);
-  if (!WriteFile(argv[1], trace_bytes.bytes()) || !WriteFile(argv[2], advice_bytes.bytes())) {
+  if (!WriteFileBytes(argv[1], trace_bytes.bytes()) || !WriteFileBytes(argv[2], advice_bytes.bytes())) {
     std::fprintf(stderr, "failed to write fixture files\n");
     return 1;
   }

@@ -7,12 +7,12 @@
 //
 // Usage: make_record_golden <output-dir>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/apps/app.h"
+#include "src/common/file_io.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -21,10 +21,7 @@ namespace karousos {
 namespace {
 
 bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
+  if (!WriteFileBytes(path, bytes)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return false;
   }

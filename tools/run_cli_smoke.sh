@@ -8,8 +8,10 @@
 # value does not parse whole and in range must exit 2. Also checks that
 # `serve --inputs` refuses a request nested past the decoder's depth cap with
 # a JSON error instead of crashing or recording a trace the audit cannot read,
-# and that `inspect --advice` counts the patches a motd run stores (and none
-# in the pre-patch lint fixture) and totals the file's own bytes.
+# that `inspect --advice` counts the patches a motd run stores (and none in
+# the pre-patch lint fixture) and totals the file's own bytes, and which error
+# a broken monolithic pair reports: a read failure before any decode, then a
+# malformed trace before a malformed advice.
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -127,6 +129,48 @@ patches="$(patches_of "$fixture")"
 # some of the fixture's full values as patches).
 total="$("$bin" inspect --advice "$fixture" | sed -n 's/^advice: \([0-9][0-9]*\) B total$/\1/p')"
 [ "$total" = 13126 ] || fail "inspect --advice totals lint_bad.advice as '$total' B, want 13126"
+
+# Which error wins on a broken monolithic pair: both files are read before
+# either decodes, so an unreadable file (missing, or a directory) fails the
+# read with exit 1 and no verdict, even beside a truncated file; two readable
+# files are then decoded trace first.
+trace_size="$(wc -c <"$dir/trace.bin")"
+head -c "$((trace_size / 2))" "$dir/trace.bin" >"$dir/half_trace.bin" ||
+  fail "cannot truncate the trace"
+advice_size="$(wc -c <"$dir/advice.bin")"
+head -c "$((advice_size / 2))" "$dir/advice.bin" >"$dir/half_advice.bin" ||
+  fail "cannot truncate the advice"
+expect_read_failure() {
+  what="$1"
+  shift
+  out="$("$bin" audit --app stacks "$@" 2>"$dir/read_err")"
+  status=$?
+  [ "$status" -eq 1 ] || fail "audit of $what exited $status, want 1"
+  grep -q 'failed to read inputs' "$dir/read_err" ||
+    fail "audit of $what printed no 'failed to read inputs': $(cat "$dir/read_err")"
+  if printf '%s\n' "$out" | grep -q '^REJECTED'; then
+    fail "audit of $what printed a verdict: $out"
+  fi
+}
+expect_read_failure "a truncated trace and a missing advice" \
+    --trace "$dir/half_trace.bin" --advice "$dir/no_such_advice.bin"
+expect_read_failure "a directory as the trace" \
+    --trace "$dir" --advice "$dir/advice.bin"
+expect_rejected() {
+  what="$1"
+  line="$2"
+  shift 2
+  out="$("$bin" audit --app stacks "$@")"
+  status=$?
+  [ "$status" -eq 1 ] || fail "audit of $what exited $status, want 1"
+  printf '%s\n' "$out" | grep -qxF "$line" || fail "audit of $what printed no '$line': $out"
+}
+expect_rejected "a truncated trace" "REJECTED: malformed trace file" \
+    --trace "$dir/half_trace.bin" --advice "$dir/advice.bin"
+expect_rejected "a truncated trace and advice" "REJECTED: malformed trace file" \
+    --trace "$dir/half_trace.bin" --advice "$dir/half_advice.bin"
+expect_rejected "a truncated advice" "REJECTED: malformed advice file (server misbehavior)" \
+    --trace "$dir/trace.bin" --advice "$dir/half_advice.bin"
 
 # Numeric flags parse strictly: the whole value, in range, or exit 2.
 expect_bad_value() {
