@@ -45,7 +45,7 @@ inline double PercentileMs(std::vector<double> seconds, double p) {
 // missing or malformed file warns and yields no rows, so the compare is
 // skipped rather than failing the run.
 inline std::vector<Value> LoadBaselineRows(const std::string& path) {
-  std::optional<std::vector<uint8_t>> bytes = ReadFileBytes(path);
+  std::optional<FileBytes> bytes = ReadFileBytes(path);
   if (!bytes) {
     std::fprintf(stderr, "warning: cannot read baseline %s; skipping compare\n", path.c_str());
     return {};

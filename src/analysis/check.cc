@@ -26,8 +26,8 @@ std::string RejectReason(const LintDiagnostic& d) {
   return prefix + d.Format();
 }
 
-PairedSegmentCursor::PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
-                                         const std::vector<uint8_t>& advice_bytes) {
+PairedSegmentCursor::PairedSegmentCursor(std::span<const uint8_t> trace_bytes,
+                                         std::span<const uint8_t> advice_bytes) {
   trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
   advice_ =
       SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
@@ -147,8 +147,8 @@ CheckResult SegmentChecker::Finish(bool fed_all) {
   return std::move(result_);
 }
 
-CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
+CheckResult CheckSegmentStreams(std::span<const uint8_t> trace_bytes,
+                                std::span<const uint8_t> advice_bytes,
                                 uint64_t epoch_requests) {
   SegmentChecker checker(epoch_requests);
   PairedSegmentCursor cursor(trace_bytes, advice_bytes);
@@ -210,8 +210,8 @@ CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_re
   return checker.Finish(fed_all);
 }
 
-SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                     const std::vector<uint8_t>& advice_bytes,
+SegmentLoadResult LoadSegmentStreams(std::span<const uint8_t> trace_bytes,
+                                     std::span<const uint8_t> advice_bytes,
                                      uint64_t epoch_requests) {
   SegmentLoadResult out;
   out.slices.epoch_requests = epoch_requests;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,8 @@ class EpochSource {
 // outlive the cursor.
 class PairedSegmentCursor : public EpochSource {
  public:
-  PairedSegmentCursor(const std::vector<uint8_t>& trace_bytes,
-                      const std::vector<uint8_t>& advice_bytes);
+  PairedSegmentCursor(std::span<const uint8_t> trace_bytes,
+                      std::span<const uint8_t> advice_bytes);
 
   int Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) override;
 
@@ -112,8 +113,8 @@ class SegmentChecker {
 // Streaming check of a (trace, advice) container pair: walks both KSEG
 // streams in lockstep (file-layer rules 001..003/010), then runs the
 // SegmentChecker over each decoded epoch.
-CheckResult CheckSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
+CheckResult CheckSegmentStreams(std::span<const uint8_t> trace_bytes,
+                                std::span<const uint8_t> advice_bytes,
                                 uint64_t epoch_requests);
 
 // Slices a monolithic pair (the same SliceRun the session uses) and checks
@@ -133,8 +134,8 @@ struct SegmentLoadResult {
   std::vector<LintDiagnostic> diagnostics;
   EpochSlices slices;
 };
-SegmentLoadResult LoadSegmentStreams(const std::vector<uint8_t>& trace_bytes,
-                                     const std::vector<uint8_t>& advice_bytes,
+SegmentLoadResult LoadSegmentStreams(std::span<const uint8_t> trace_bytes,
+                                     std::span<const uint8_t> advice_bytes,
                                      uint64_t epoch_requests);
 
 }  // namespace karousos

@@ -215,8 +215,8 @@ StreamAuditResult AuditSource(const AppSpec& app, EpochSource* source, uint64_t 
 
 }  // namespace
 
-StreamAuditResult AuditSegments(const AppSpec& app, const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
+StreamAuditResult AuditSegments(const AppSpec& app, std::span<const uint8_t> trace_bytes,
+                                std::span<const uint8_t> advice_bytes,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked) {
   PairedSegmentCursor cursor(trace_bytes, advice_bytes);

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -78,8 +79,8 @@ StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Ad
 // pulling epochs from a PairedSegmentCursor (src/analysis/check.h). A corrupt
 // container rejects with the reason/rule `karousos check` reports unless an
 // earlier epoch already decided the audit.
-StreamAuditResult AuditSegments(const AppSpec& app, const std::vector<uint8_t>& trace_bytes,
-                                const std::vector<uint8_t>& advice_bytes,
+StreamAuditResult AuditSegments(const AppSpec& app, std::span<const uint8_t> trace_bytes,
+                                std::span<const uint8_t> advice_bytes,
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked = nullptr);
 

@@ -41,7 +41,7 @@ class Fd {
 
 }  // namespace
 
-std::optional<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+std::optional<FileBytes> ReadFileBytes(const std::string& path) {
   Fd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (fd.get() < 0) {
     return std::nullopt;
@@ -52,9 +52,8 @@ std::optional<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   }
   // One byte past a regular file's size, so the read that meets EOF has room
   // and the buffer never grows for a file that did not.
-  std::vector<uint8_t> buf(S_ISREG(st.st_mode) && st.st_size > 0
-                               ? static_cast<size_t>(st.st_size) + 1
-                               : kUnsizedChunk);
+  FileBytes buf(S_ISREG(st.st_mode) && st.st_size > 0 ? static_cast<size_t>(st.st_size) + 1
+                                                     : kUnsizedChunk);
   size_t got = 0;
   while (true) {
     if (got == buf.size()) {

@@ -1,18 +1,33 @@
-// Interned directed graph with iterative cycle detection.
+// Directed graph with iterative cycle detection, for the verifier's
+// execution graph G (§4.3) and the Adya dependency graph DG/DSG (§4.4).
 //
-// Used for the verifier's execution graph G (§4.3) and for the Adya
-// dependency graph DG/DSG (§4.4). Nodes are interned from 3-tuples of 64-bit
-// words, which covers both node spaces:
+// Node keys are 3-tuples of 64-bit words, which covers both node spaces:
 //   - G:  (rid, hid, opnum), with (rid, 0, 0) = request arrival and
 //         (rid, 0, kOpNumInf) = response delivery;
 //   - DG: (rid, tid, 0) per committed transaction.
+// Ids are handed out densely, in the order keys are first named, and every
+// key keeps its id for the graph's life.
+//
+// Two ways to name a node:
+//   - AddChain declares a handler's whole op chain (a, b, 0..count) plus
+//     (a, b, kOpNumInf) at once. It gets one contiguous id block, recorded
+//     as (a, b) -> {base, count}: no key is hashed or stored, and the
+//     chain's edges go in as id pairs. G's program chains are nearly all of
+//     its nodes.
+//   - AddNode interns any other ("hashed") key: request arrival, response
+//     delivery, time-precedence markers, an op outside its chain's range,
+//     and an op named before its chain is declared (a GET's writer that a
+//     later epoch contributes). A chain with such a forward-named key, or
+//     declared twice, is interned key by key, so every id is the one
+//     interning each key in order would give. A graph that declares no chain
+//     (DG, the write-order lint's graph) is a plain intern table.
+// KeyOf maps an id back to its key: a binary search over the chain bases,
+// then the block's arithmetic or the hashed key list.
 //
 // Edges accumulate in a flat edge list; adjacency is materialized lazily as a
 // CSR (offset + target arrays) the first time a traversal needs it, via a
-// stable counting sort. This replaces the per-node std::vector forest — one
-// allocation per node plus growth churn — with two bulk arrays, while keeping
-// each node's neighbor order identical to edge insertion order, so DFS
-// traversal order (and therefore cycle diagnostics) is unchanged.
+// stable counting sort, so each node's neighbor order is edge insertion order
+// and DFS traversal order (and therefore cycle diagnostics) follows it.
 #ifndef SRC_COMMON_GRAPH_H_
 #define SRC_COMMON_GRAPH_H_
 
@@ -53,10 +68,20 @@ class DirectedGraph {
   // Interns the key, creating the node if absent.
   NodeId AddNode(const NodeKey& key);
 
-  // Returns the node id if the key has been interned, nullopt otherwise.
+  // Returns the node id if the key has been named, nullopt otherwise.
   std::optional<NodeId> FindNode(const NodeKey& key) const;
 
   bool HasNode(const NodeKey& key) const { return FindNode(key).has_value(); }
+
+  // Names the chain (a, b, 0), (a, b, 1), ..., (a, b, count), (a, b,
+  // kOpNumInf) and adds an edge between each consecutive pair: the same ids
+  // and edges as AddNode on each key in order plus one AddEdge per pair.
+  // Requires count < kOpNumInf.
+  void AddChain(uint64_t a, uint64_t b, uint32_t count);
+
+  // AddChain without the edges, for replaying a saved graph whose edge list
+  // is stored apart. Returns the id of (a, b, 0).
+  NodeId AddChainNodes(uint64_t a, uint64_t b, uint32_t count);
 
   // Adds a directed edge, interning endpoints as needed. Self-loops are kept
   // (they are cycles and must be detected). Parallel edges are deduplicated
@@ -64,15 +89,16 @@ class DirectedGraph {
   void AddEdge(const NodeKey& from, const NodeKey& to);
   void AddEdge(NodeId from, NodeId to);
 
-  // Pre-size the intern table / edge list; callers that know the advice
-  // cardinalities (the verifier's Preprocess) avoid rehash and growth churn.
-  void ReserveNodes(size_t n);
+  // Pre-sizes the edge list for a replay that knows its edge count.
   void ReserveEdges(size_t m);
 
-  size_t node_count() const { return keys_.size(); }
+  size_t node_count() const { return node_count_; }
   size_t edge_count() const { return edges_.size(); }
+  // Nodes named through AddNode rather than a chain block: the ones that
+  // cost a hash-table entry and a stored key.
+  size_t hashed_node_count() const { return keys_.size(); }
 
-  const NodeKey& KeyOf(NodeId id) const { return keys_[static_cast<size_t>(id)]; }
+  NodeKey KeyOf(NodeId id) const;
 
   // Raw edge list in insertion order. Exposed for checkpoint serialization:
   // re-adding nodes in id order and edges in this order reconstructs a graph
@@ -88,11 +114,37 @@ class DirectedGraph {
   std::vector<NodeKey> FindCycle() const;
 
  private:
+  // One chain's id block: (a, b, i) is base + i for i <= count, and
+  // (a, b, kOpNumInf) is base + count + 1.
+  struct Chain {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    NodeId base = 0;
+    uint32_t count = 0;
+    uint32_t hashed_before = 0;  // keys_ entries named before the block.
+  };
+  // chain_of_ value for a prefix with a hashed key but no block.
+  static constexpr uint32_t kHashedPrefix = UINT32_MAX;
+
+  // The id of (chain.a, chain.b, opnum) inside the block, if it lies there.
+  static std::optional<NodeId> BlockId(const Chain& chain, uint64_t opnum);
+  // Gives a chain a fresh block; nullopt when a key with its prefix was
+  // named before (the chain is then interned key by key).
+  std::optional<NodeId> DeclareChain(uint64_t a, uint64_t b, uint32_t count);
+  NodeId InternChain(uint64_t a, uint64_t b, uint32_t count, bool link);
+  NodeId Intern(const NodeKey& key);
+
   // Rebuilds the CSR arrays if edges were added since the last build.
   void EnsureCsr() const;
 
+  size_t node_count_ = 0;
+  // Hashed nodes, keys_ in id order.
   FlatMap<NodeKey, NodeId, NodeKeyHash> intern_;
   std::vector<NodeKey> keys_;
+  // Chain blocks in id order, and each (a, b) prefix's index among them (or
+  // kHashedPrefix). chain_of_ stays empty until the first chain is declared.
+  std::vector<Chain> chains_;
+  FlatMap<std::pair<uint64_t, uint64_t>, uint32_t> chain_of_;
   std::vector<std::pair<NodeId, NodeId>> edges_;
 
   // Lazily-built CSR adjacency: neighbors of node v are

@@ -307,7 +307,7 @@ bool ReadSingleFrame(
   return true;
 }
 
-bool LooksLikeSegmentFile(const std::vector<uint8_t>& bytes) {
+bool LooksLikeSegmentFile(std::span<const uint8_t> bytes) {
   return bytes.size() >= 4 && std::memcmp(bytes.data(), kSegmentMagic, 4) == 0;
 }
 

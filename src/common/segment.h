@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,7 +143,7 @@ bool ReadSingleFrame(
 
 // True iff the buffer starts with the segment container magic — used by the
 // CLI to sniff segmented vs monolithic input files.
-bool LooksLikeSegmentFile(const std::vector<uint8_t>& bytes);
+bool LooksLikeSegmentFile(std::span<const uint8_t> bytes);
 
 }  // namespace karousos
 

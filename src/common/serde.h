@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,7 +60,7 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& buf) : buf_(buf.data()), size_(buf.size()) {}
+  explicit ByteReader(std::span<const uint8_t> buf) : buf_(buf.data()), size_(buf.size()) {}
   ByteReader(const uint8_t* data, size_t size) : buf_(data), size_(size) {}
 
   // Each reader returns nullopt on malformed input; the verifier treats a

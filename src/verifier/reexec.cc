@@ -755,9 +755,11 @@ void Verifier::ReExec() {
   size_t executed_count = groups.size();
   unsigned threads = WorkStealingPool::ResolveThreads(config_.threads);
   if (threads > 1 && groups.size() > 1) {
-    WorkStealingPool pool(static_cast<unsigned>(std::min<size_t>(threads, groups.size())));
-    pool.ParallelFor(groups.size(),
-                     [&](size_t i) { states[i] = ExecuteGroup(*groups[i]); });
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<WorkStealingPool>(threads);
+    }
+    pool_->ParallelFor(groups.size(),
+                       [&](size_t i) { states[i] = ExecuteGroup(*groups[i]); });
   } else {
     // Serial oracle path: same isolated execution and merge, no pool. A
     // locally rejected group ends the merge at or before its index, so later

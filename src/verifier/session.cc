@@ -47,6 +47,8 @@ bool AuditSession::decided() const { return v_.decided_; }
 
 size_t AuditSession::carried_var_values() const { return v_.var_values_.size(); }
 
+const DirectedGraph& AuditSession::graph() const { return v_.graph_; }
+
 size_t AuditSession::peak_resident_advice_bytes() const {
   ByteWriter w;
   WriteCarriedValues(&w);
@@ -226,7 +228,7 @@ std::vector<uint8_t> AuditSession::SaveCheckpoint() const {
 
 std::unique_ptr<AuditSession> AuditSession::Restore(const Program& program,
                                                     const VerifierConfig& config,
-                                                    const std::vector<uint8_t>& bytes,
+                                                    std::span<const uint8_t> bytes,
                                                     std::string* error) {
   std::string message;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &message);
@@ -295,12 +297,35 @@ std::unique_ptr<AuditSession> AuditSession::FromCheckpointPayload(
   c.List(&v.tp_pending_responses_, 1, [&c] { return c.V(); });
 
   // A replayed node key that repeats would shift every later id, so the
-  // edge bounds check below holds only for a duplicate-free key list.
-  size_t nodes = c.Count(24);
-  v.graph_.ReserveNodes(nodes);
-  for (size_t i = 0; i < nodes && c.ok(); ++i) {
-    if (static_cast<size_t>(v.graph_.AddNode(ReadNodeKey(&c))) != i) {
-      c.Fail();
+  // edge bounds check below holds only for a duplicate-free key list. A run
+  // (rid, hid, 0..n), (rid, hid, kOpNumInf) is a program chain and is
+  // replayed as one, so the restored graph keeps its id blocks.
+  std::vector<NodeKey> keys(c.Count(24));
+  for (size_t i = 0; i < keys.size() && c.ok(); ++i) {
+    keys[i] = ReadNodeKey(&c);
+  }
+  const size_t nodes = keys.size();
+  for (size_t i = 0; i < nodes && c.ok();) {
+    const NodeKey& head = keys[i];
+    size_t run = 0;  // Keys (head.a, head.b, 0..run-1) from i on.
+    if (head.b != kNoHandler) {
+      while (i + run < nodes && keys[i + run] == NodeKey{head.a, head.b, run}) {
+        ++run;
+      }
+    }
+    const size_t next = i + run + 1;
+    if (run > 0 && next <= nodes && keys[i + run] == NodeKey{head.a, head.b, kOpNumInf}) {
+      const auto count = static_cast<uint32_t>(run - 1);
+      if (static_cast<size_t>(v.graph_.AddChainNodes(head.a, head.b, count)) != i ||
+          v.graph_.node_count() != next) {
+        c.Fail();
+      }
+      i = next;
+    } else {
+      if (static_cast<size_t>(v.graph_.AddNode(head)) != i) {
+        c.Fail();
+      }
+      ++i;
     }
   }
   size_t edges = c.Count(2);

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,7 @@ class AuditSession {
   // *error on mismatch or malformed bytes.
   static std::unique_ptr<AuditSession> Restore(const Program& program,
                                                const VerifierConfig& config,
-                                               const std::vector<uint8_t>& bytes,
+                                               std::span<const uint8_t> bytes,
                                                std::string* error);
 
   // The epoch index the next FeedEpoch call must carry.
@@ -86,6 +87,8 @@ class AuditSession {
   // RSS. Kept only for the pipeline bench's ungated
   // verifier.modelled_resident_bytes; the audit itself never calls it.
   size_t peak_resident_advice_bytes() const;
+  // The execution graph built so far, for tests of its layout.
+  const DirectedGraph& graph() const;
 
  private:
   // The checkpoint's carried-values section.

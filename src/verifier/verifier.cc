@@ -49,6 +49,7 @@ void AuditStats::Merge(const AuditStats& other) {
   ops_executed += other.ops_executed;
   graph_nodes += other.graph_nodes;
   graph_edges += other.graph_edges;
+  graph_hashed_nodes += other.graph_hashed_nodes;
   var_dict_entries += other.var_dict_entries;
   isolation_dg_nodes += other.isolation_dg_nodes;
   isolation_dg_edges += other.isolation_dg_edges;
@@ -59,11 +60,9 @@ void Verifier::BuildAdviceIndices() {
   // inner loop does several lookups per operation, and O(log n) node-based
   // probes there dominate the serial audit. Index entries hold pointers into
   // the advice, which the caller keeps alive for the whole audit.
-  size_t total_ops = 0;
   opcount_idx_.reserve(advice_->opcounts.size());
   for (const auto& [key, count] : advice_->opcounts) {
     opcount_idx_.emplace(key, count);
-    total_ops += count;
   }
   nondet_idx_.reserve(advice_->nondet.size());
   for (const auto& [op, record] : advice_->nondet) {
@@ -99,13 +98,6 @@ void Verifier::BuildAdviceIndices() {
                                   var_log_entries + advice_->tx_logs.size() +
                                   advice_->handler_logs.size() +
                                   advice_->response_emitted_by.size();
-
-  // Pre-size the execution graph: the program chains alone contribute one
-  // node per operation plus the 0/inf pseudo-ops, and every log entry adds
-  // at most a handful of edges. Over-reserving slightly is fine.
-  graph_.ReserveNodes(total_ops + 2 * advice_->opcounts.size() + 2 * trace_rids_.size() + 16);
-  graph_.ReserveEdges(total_ops + 3 * advice_->opcounts.size() + 4 * trace_rids_.size() +
-                      handler_ops + tx_ops + 3 * var_log_entries + 16);
   op_map_.reserve(handler_ops + tx_ops);
 }
 
@@ -121,13 +113,7 @@ void Verifier::AddProgramEdges() {
     if (count >= kOpNumInf) {
       Reject("opcount overflow");
     }
-    DirectedGraph::NodeId prev = graph_.AddNode(NodeKey::ForOp(OpRef{rid, hid, 0}));
-    for (OpNum i = 1; i <= count; ++i) {
-      DirectedGraph::NodeId node = graph_.AddNode(NodeKey::ForOp(OpRef{rid, hid, i}));
-      graph_.AddEdge(prev, node);
-      prev = node;
-    }
-    graph_.AddEdge(prev, graph_.AddNode(NodeKey::ForOp(OpRef{rid, hid, kOpNumInf})));
+    graph_.AddChain(rid, hid, count);
   }
 }
 
@@ -500,11 +486,18 @@ void Verifier::StreamEpoch(const EpochSegment& segment) {
     {
       PhaseTimer t(&profile_.preprocess_seconds);
       StreamIngestWindow(segment.window);
+      // Epoch k's rids are [k*E + 1, (k+1)*E] (EpochOfRid), one range of
+      // the sorted trace_rids_: seek to its start, not past every request.
       epoch_rids_.clear();
-      for (RequestId rid : trace_rids_) {
-        if (EpochOfRid(rid, epoch_requests_) == epochs_fed_) {
-          epoch_rids_.insert(rid);
-        }
+      auto rid_it = trace_rids_.begin();
+      if (epochs_fed_ > 0 && epoch_requests_ > 0) {
+        rid_it = epoch_requests_ > (UINT64_MAX - 1) / epochs_fed_
+                     ? trace_rids_.end()
+                     : trace_rids_.lower_bound(epochs_fed_ * epoch_requests_ + 1);
+      }
+      for (; rid_it != trace_rids_.end() && EpochOfRid(*rid_it, epoch_requests_) == epochs_fed_;
+           ++rid_it) {
+        epoch_rids_.insert(epoch_rids_.end(), *rid_it);
       }
       // Epoch completeness: every request of this epoch must have both
       // arrived and responded by the end of its window — the collector's
@@ -714,6 +707,7 @@ AuditResult Verifier::StreamFinish(bool fed_all) {
   diagnostics_.clear();
   stats_.graph_nodes = graph_.node_count();
   stats_.graph_edges = graph_.edge_count();
+  stats_.graph_hashed_nodes = graph_.hashed_node_count();
   stats_.var_dict_entries = var_dict_entries_pruned_;
   for (const auto& [vid, var] : vars_) {
     for (const auto& [key, writes] : var.var_dict) {

@@ -31,6 +31,7 @@
 #include "src/common/graph.h"
 #include "src/common/ids.h"
 #include "src/common/memo.h"
+#include "src/common/pool.h"
 #include "src/common/prof.h"
 #include "src/kem/program.h"
 #include "src/multivalue/multivalue.h"
@@ -48,6 +49,7 @@ struct AuditStats {
   size_t ops_executed = 0;           // Deduplicated operation executions.
   size_t graph_nodes = 0;
   size_t graph_edges = 0;
+  size_t graph_hashed_nodes = 0;     // Of graph_nodes, those outside a chain block.
   size_t var_dict_entries = 0;
   size_t isolation_dg_nodes = 0;
   size_t isolation_dg_edges = 0;
@@ -284,6 +286,9 @@ class Verifier {
 
   const Program& program_;
   VerifierConfig config_;
+  // ReExec's workers, started by the first epoch that has groups to share
+  // among more than one thread and kept for the verifier's life.
+  std::unique_ptr<WorkStealingPool> pool_;
 
   const Advice* advice_ = nullptr;  // The slice of the epoch being fed.
   const UntrackedAccessLog* untracked_accesses_ = nullptr;

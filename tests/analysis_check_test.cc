@@ -27,7 +27,7 @@ std::vector<uint8_t> ReadFixture(const std::string& name) {
   std::string path = std::string(KAROUSOS_FIXTURE_DIR) + "/seg/" + name;
   auto bytes = ReadFileBytes(path);
   EXPECT_TRUE(bytes.has_value()) << "missing fixture " << path;
-  return bytes.value_or(std::vector<uint8_t>{});
+  return bytes ? std::vector<uint8_t>(bytes->begin(), bytes->end()) : std::vector<uint8_t>{};
 }
 
 struct HonestRun {

@@ -240,11 +240,11 @@ TEST(AnalysisLintTest, CheckedInFixtureReportsBothPlantedRules) {
   auto read_file = [](const std::string& path) {
     auto bytes = ReadFileBytes(path);
     EXPECT_TRUE(bytes.has_value()) << "missing fixture " << path;
-    return bytes.value_or(std::vector<uint8_t>{});
+    return bytes.value_or(FileBytes{});
   };
   const std::string dir = KAROUSOS_FIXTURE_DIR;
-  std::vector<uint8_t> trace_bytes = read_file(dir + "/lint_bad.trace");
-  std::vector<uint8_t> advice_bytes = read_file(dir + "/lint_bad.advice");
+  FileBytes trace_bytes = read_file(dir + "/lint_bad.trace");
+  FileBytes advice_bytes = read_file(dir + "/lint_bad.advice");
   ASSERT_FALSE(trace_bytes.empty());
   ASSERT_FALSE(advice_bytes.empty());
 

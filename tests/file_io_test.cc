@@ -80,6 +80,8 @@ TEST(FileIoTest, ZeroSizedProcFileReadsWhole) {
   EXPECT_NE(text.find("VmRSS"), std::string::npos);
 }
 
+std::vector<uint8_t> AsVector(const FileBytes& bytes) { return {bytes.begin(), bytes.end()}; }
+
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::vector<uint8_t> out(n);
@@ -97,14 +99,14 @@ TEST(FileIoTest, LargeFileRoundTripsByteForByte) {
   ASSERT_TRUE(WriteFileBytes(path, data));
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.has_value());
-  EXPECT_EQ(*bytes, data);
+  EXPECT_EQ(AsVector(*bytes), data);
 
   // A rewrite truncates: the shorter contents are all that is read back.
   const std::vector<uint8_t> shorter(data.begin(), data.begin() + 1000);
   ASSERT_TRUE(WriteFileBytes(path, shorter));
   bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.has_value());
-  EXPECT_EQ(*bytes, shorter);
+  EXPECT_EQ(AsVector(*bytes), shorter);
 }
 
 // A pipe cannot be sized: the reader grows its buffer until the writer
@@ -128,7 +130,7 @@ TEST(FileIoTest, PipeReadsToEof) {
   writer.join();
   ::close(fds[0]);
   ASSERT_TRUE(bytes.has_value());
-  EXPECT_EQ(*bytes, data);
+  EXPECT_EQ(AsVector(*bytes), data);
 }
 
 }  // namespace

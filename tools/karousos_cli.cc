@@ -21,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -586,8 +587,8 @@ int CmdServe(const Args& args) {
 struct RunInput {
   bool segmented = false;
   uint64_t epoch_requests = 0;
-  std::vector<uint8_t> trace_bytes;
-  std::vector<uint8_t> advice_bytes;
+  FileBytes trace_bytes;
+  FileBytes advice_bytes;
   std::optional<Trace> trace;
   std::optional<Advice> advice;
 };
@@ -900,7 +901,7 @@ std::string FlagsString(uint8_t flags) {
 // the payload's counts. For advice containers it accumulates the decoded
 // per-component SizeBreakdown and reports stored vs raw-equivalent bytes —
 // the per-file compression ratio.
-int InspectSegments(const std::string& path, const std::vector<uint8_t>& bytes) {
+int InspectSegments(const std::string& path, std::span<const uint8_t> bytes) {
   std::string error;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
   if (reader == nullptr) {
