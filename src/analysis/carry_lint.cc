@@ -1,6 +1,7 @@
 #include "src/analysis/carry_lint.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "src/server/advice.h"
@@ -141,15 +142,16 @@ std::vector<std::pair<OpRef, uint64_t>> CarryLint::ClaimsByOp() const {
   return claims;
 }
 
-std::vector<std::pair<std::pair<VarId, OpRef>, CarryLint::PrecEdge>> CarryLint::PrecEdgesByKey()
-    const {
-  auto edges = prec_edges_;
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  edges.erase(std::unique(edges.begin(), edges.end(),
-                          [](const auto& a, const auto& b) { return a.first == b.first; }),
-              edges.end());
-  return edges;
+std::vector<uint32_t> CarryLint::PrecIndex() const {
+  const auto key = [this](uint32_t i) -> const auto& { return prec_edges_[i].first; };
+  std::vector<uint32_t> index(prec_edges_.size());
+  std::iota(index.begin(), index.end(), 0);
+  std::stable_sort(index.begin(), index.end(),
+                   [&key](uint32_t a, uint32_t b) { return key(a) < key(b); });
+  index.erase(std::unique(index.begin(), index.end(),
+                          [&key](uint32_t a, uint32_t b) { return key(a) == key(b); }),
+              index.end());
+  return index;
 }
 
 bool CarryLint::ForeignTarget(RequestId rid, const std::set<RequestId>& trace_rids) const {
@@ -405,62 +407,54 @@ void CarryLint::FinishImports(std::vector<LintDiagnostic>* out) {
 
 // KAR-SEG-009: each var-log entry names at most one predecessor, so the prec
 // relation is a functional graph per variable — one forward walk with path
-// marking finds every cycle in linear time. Cycles confined to a single epoch
-// are left to the dynamic chain checks (a one-epoch audit could never fire a
-// KAR-SEG rule); only cycles spanning epochs report here.
+// marking finds every cycle in linear time. The walk runs over the key-sorted
+// first-edge index the checkpoint writes, so it starts at keys in ascending
+// (vid, op) order and a restored session reports what an uninterrupted one
+// does. Cycles confined to a single epoch are left to the dynamic chain
+// checks (a one-epoch audit could never fire a KAR-SEG rule); only cycles
+// spanning epochs report here.
 void CarryLint::FinishPrecChains(std::vector<LintDiagnostic>* out) {
   if (epochs_ < 2) {
     return;  // Every edge comes from one epoch, so no cycle spans two.
   }
-  FlatMap<std::pair<VarId, OpRef>, PrecEdge> edges;
-  edges.reserve(prec_edges_.size());
-  for (const auto& [key, edge] : prec_edges_) {
-    edges.emplace(key, edge);
-  }
-  FlatMap<std::pair<VarId, OpRef>, uint8_t> color;  // 0 new, 1 on path, 2 done.
-  color.reserve(2 * edges.size());
-  std::vector<std::pair<VarId, OpRef>> path;
-  for (const auto& [start, start_edge] : edges) {
-    if (color[start] != 0) {
-      continue;
-    }
+  const std::vector<uint32_t> index = PrecIndex();
+  const auto edge = [&](size_t pos) -> const auto& { return prec_edges_[index[pos]]; };
+  const auto by_key = [this](uint32_t i, const std::pair<VarId, OpRef>& k) {
+    return prec_edges_[i].first < k;
+  };
+  // The index position of the edge keyed by pos's prec, or index.size().
+  const auto successor = [&](size_t pos) {
+    const auto next = std::make_pair(edge(pos).first.first, edge(pos).second.prec);
+    auto it = std::lower_bound(index.begin(), index.end(), next, by_key);
+    return it != index.end() && prec_edges_[*it].first == next ? size_t(it - index.begin())
+                                                               : index.size();
+  };
+  std::vector<uint8_t> color(index.size(), 0);  // 0 new, 1 on path, 2 done.
+  std::vector<uint32_t> path;
+  for (size_t start = 0; start < index.size(); ++start) {
     path.clear();
-    std::pair<VarId, OpRef> cur = start;
-    while (true) {
-      uint8_t& c = color[cur];
-      if (c == 2) {
-        break;
-      }
-      if (c == 1) {
-        // Found a cycle: the tail of `path` from the first occurrence of cur.
-        size_t first = 0;
-        while (path[first] != cur) {
-          ++first;
-        }
-        std::set<uint64_t> epochs_in_cycle;
-        std::ostringstream cycle;
-        for (size_t i = first; i < path.size(); ++i) {
-          const PrecEdge& edge = edges.find(path[i])->second;
-          epochs_in_cycle.insert(edge.epoch);
-          cycle << " " << path[i].second.ToString() << "@e" << edge.epoch;
-        }
-        if (epochs_in_cycle.size() >= 2) {
-          std::ostringstream loc;
-          loc << "var_logs[0x" << std::hex << cur.first << std::dec << "]";
-          Emit(kKarSeg009, loc.str(),
-               "variable prec chain is cyclic across epochs:" + cycle.str(), out);
-        }
-        break;
-      }
-      c = 1;
+    size_t cur = start;
+    for (; cur < index.size() && color[cur] == 0; cur = successor(cur)) {
+      color[cur] = 1;
       path.push_back(cur);
-      auto edge_it = edges.find(cur);
-      if (edge_it == edges.end()) {
-        break;
-      }
-      cur = {cur.first, edge_it->second.prec};
     }
-    for (const auto& node : path) {
+    if (cur < index.size() && color[cur] == 1) {
+      // Found a cycle: the tail of `path` from cur's occurrence.
+      bool spans_epochs = false;
+      std::ostringstream cycle;
+      for (auto it = std::find(path.begin(), path.end(), cur); it != path.end(); ++it) {
+        const auto& [key, prec] = edge(*it);
+        spans_epochs |= prec.epoch != edge(cur).second.epoch;
+        cycle << " " << key.second.ToString() << "@e" << prec.epoch;
+      }
+      if (spans_epochs) {
+        std::ostringstream loc;
+        loc << "var_logs[0x" << std::hex << edge(cur).first.first << std::dec << "]";
+        Emit(kKarSeg009, loc.str(), "variable prec chain is cyclic across epochs:" + cycle.str(),
+             out);
+      }
+    }
+    for (uint32_t node : path) {
       color[node] = 2;
     }
   }
@@ -523,9 +517,10 @@ void CarryLint::Serialize(ByteWriter* out) const {
     SerializeTxOpRef(e->first, out);
     out->WriteVarint(e->second);
   }
-  const auto edges = PrecEdgesByKey();
-  out->WriteVarint(edges.size());
-  for (const auto& [key, edge] : edges) {
+  const auto prec_index = PrecIndex();
+  out->WriteVarint(prec_index.size());
+  for (uint32_t i : prec_index) {
+    const auto& [key, edge] = prec_edges_[i];
     out->WriteFixed64(key.first);
     SerializeOpRef(key.second, out);
     SerializeOpRef(edge.prec, out);

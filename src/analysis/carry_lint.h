@@ -182,8 +182,9 @@ class CarryLint {
   std::optional<uint64_t> FirstClaim(const OpRef& op);
   // Every claim once, with its first epoch, in ascending op order.
   std::vector<std::pair<OpRef, uint64_t>> ClaimsByOp() const;
-  // The first prec edge of each key, in ascending key order.
-  std::vector<std::pair<std::pair<VarId, OpRef>, PrecEdge>> PrecEdgesByKey() const;
+  // Positions in prec_edges_ of the first edge of each key, in ascending key
+  // order: the checkpoint's encoding and KAR-SEG-009's walk both read it.
+  std::vector<uint32_t> PrecIndex() const;
   void FinishEarlyContent(std::vector<LintDiagnostic>* out);
   void FinishImports(std::vector<LintDiagnostic>* out);
   void FinishPrecChains(std::vector<LintDiagnostic>* out);
@@ -209,8 +210,8 @@ class CarryLint {
   FlatMap<OpRef, uint64_t> misplaced_claims_;
   FlatMap<std::pair<RequestId, HandlerId>, uint64_t> opcount_epochs_;
   FlatMap<TxOpRef, uint64_t> write_order_epochs_;
-  // Var-log prec edges in fold order (the first edge of a key wins). Only
-  // FinishPrecChains reads them, and only for a stream of two or more epochs.
+  // Var-log prec edges in fold order (the first edge of a key wins). Read
+  // only through PrecIndex, at checkpoint saves and by FinishPrecChains.
   std::vector<std::pair<std::pair<VarId, OpRef>, PrecEdge>> prec_edges_;
   std::vector<EarlyContent> early_content_;
   // node-keyed maps stay std::map: resolvers hand out pointers into them and

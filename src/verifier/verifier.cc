@@ -1,6 +1,7 @@
 #include "src/verifier/verifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "src/analysis/check.h"
@@ -37,6 +38,45 @@ std::string DescribeNode(const NodeKey& key) {
     out << OpRef{key.a, key.b, static_cast<OpNum>(key.c)}.ToString();
   }
   return out.str();
+}
+
+// The step at which the write chain from `start` first revisits a write, or
+// SIZE_MAX if the chain ends. Brent's cycle detection: no set of the chain.
+size_t FirstRevisitStep(const FlatMap<OpRef, OpRef>& write_observer, const OpRef& start) {
+  const auto next = [&write_observer](const OpRef& op) {
+    auto it = write_observer.find(op);
+    return it == write_observer.end() ? OpRef{} : it->second;
+  };
+  if (start.IsNil()) {
+    return SIZE_MAX;
+  }
+  size_t power = 1;
+  size_t cycle = 1;  // Once tortoise == hare: the cycle's length.
+  OpRef tortoise = start;
+  OpRef hare = next(start);
+  while (hare != tortoise) {
+    if (hare.IsNil()) {
+      return SIZE_MAX;
+    }
+    if (power == cycle) {
+      tortoise = hare;
+      power *= 2;
+      cycle = 0;
+    }
+    hare = next(hare);
+    ++cycle;
+  }
+  // The first revisit is `cycle` steps past the cycle's first write.
+  tortoise = hare = start;
+  for (size_t i = 0; i < cycle; ++i) {
+    hare = next(hare);
+  }
+  size_t tail = 0;
+  for (; tortoise != hare; ++tail) {
+    tortoise = next(tortoise);
+    hare = next(hare);
+  }
+  return tail + cycle;
 }
 
 }  // namespace
@@ -305,9 +345,9 @@ void Verifier::AddInternalStateEdges() {
     const VerifierVar& var = vars_.find(vid)->second;
     OpRef cur = var.initializer;
     DirectedGraph::NodeId cur_id = kUnset;
-    FlatSet<OpRef> visited;
-    while (!cur.IsNil()) {
-      if (!visited.insert(cur).second) {
+    const size_t revisit = FirstRevisitStep(var.write_observer, cur);
+    for (size_t step = 0; !cur.IsNil(); ++step) {
+      if (step == revisit) {
         Reject("variable write chain is cyclic");
       }
       reader_ids.clear();

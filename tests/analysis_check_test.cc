@@ -2,17 +2,25 @@
 // rejected under its own rule, clean streams must check clean at every epoch
 // size, the fast-reject pre-screen must stop a poisoned stream at the epoch
 // where the defect lands, and the pre-screen's carry state must survive a
-// checkpoint round trip.
+// checkpoint round trip, and KAR-SEG-009's walk must agree with a reference
+// walk on random prec chains and keep its text across a resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/check.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
 #include "src/common/file_io.h"
+#include "src/common/flat_map.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
@@ -191,6 +199,273 @@ TEST(SegmentCheckTest, CheckpointPreservesCarriedClaims) {
   AuditResult result = restored->Finish();
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.rule, kKarSeg005) << result.reason;
+}
+
+// --- KAR-SEG-009 over the prec-edge index -----------------------------------
+
+using VarKey = std::pair<VarId, OpRef>;
+
+// The hash-table walk KAR-SEG-009 used before it read the sorted index: the
+// first edge of each key in fold order, walked from each key in the table's
+// iteration order. Kept here as the oracle for the findings' content.
+std::vector<LintDiagnostic> ReferencePrecWalk(const std::vector<EpochSegment>& epochs,
+                                              size_t* one_epoch_cycles) {
+  struct Edge {
+    OpRef prec;
+    uint64_t epoch = 0;
+  };
+  FlatMap<VarKey, Edge> edges;
+  for (uint64_t e = 0; e < epochs.size(); ++e) {
+    for (const auto& [vid, log] : epochs[e].advice.var_logs) {
+      for (const auto& [op, entry] : log) {
+        if (!entry.prec.IsNil() && entry.prec != op) {
+          edges.emplace(VarKey{vid, op}, Edge{entry.prec, e});
+        }
+      }
+    }
+  }
+  std::vector<LintDiagnostic> out;
+  FlatMap<VarKey, uint8_t> color;
+  std::vector<VarKey> path;
+  for (const auto& [start, start_edge] : edges) {
+    if (color[start] != 0) {
+      continue;
+    }
+    path.clear();
+    VarKey cur = start;
+    while (true) {
+      uint8_t& c = color[cur];
+      if (c == 2) {
+        break;
+      }
+      if (c == 1) {
+        size_t first = 0;
+        while (path[first] != cur) {
+          ++first;
+        }
+        std::set<uint64_t> cycle_epochs;
+        std::ostringstream cycle;
+        for (size_t i = first; i < path.size(); ++i) {
+          const Edge& edge = edges.find(path[i])->second;
+          cycle_epochs.insert(edge.epoch);
+          cycle << " " << path[i].second.ToString() << "@e" << edge.epoch;
+        }
+        if (cycle_epochs.size() >= 2) {
+          std::ostringstream loc;
+          loc << "var_logs[0x" << std::hex << cur.first << std::dec << "]";
+          out.push_back(LintDiagnostic{kKarSeg009, LintSeverity::kError, loc.str(),
+                                       "variable prec chain is cyclic across epochs:" +
+                                           cycle.str()});
+        } else {
+          ++*one_epoch_cycles;
+        }
+        break;
+      }
+      c = 1;
+      path.push_back(cur);
+      auto it = edges.find(cur);
+      if (it == edges.end()) {
+        break;
+      }
+      cur = {cur.first, it->second.prec};
+    }
+    for (const VarKey& node : path) {
+      color[node] = 2;
+    }
+  }
+  return out;
+}
+
+// Each finding as (location, cycle tokens rotated to start at the least
+// one), sorted: equal for two walks that met the same cycles in any order
+// and entered them at any node.
+std::vector<std::pair<std::string, std::vector<std::string>>> CanonicalFindings(
+    const std::vector<LintDiagnostic>& diagnostics) {
+  const std::string prefix = "variable prec chain is cyclic across epochs:";
+  std::vector<std::pair<std::string, std::vector<std::string>>> out;
+  for (const LintDiagnostic& d : diagnostics) {
+    EXPECT_EQ(d.rule, kKarSeg009);
+    EXPECT_EQ(d.message.rfind(prefix, 0), 0u) << d.message;
+    std::istringstream in(d.message.substr(prefix.size()));
+    std::vector<std::string> tokens;
+    for (std::string t; in >> t;) {
+      tokens.push_back(t);
+    }
+    std::rotate(tokens.begin(), std::min_element(tokens.begin(), tokens.end()), tokens.end());
+    out.emplace_back(d.location, std::move(tokens));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<LintDiagnostic> FinishPrecCheck(const std::vector<EpochSegment>& epochs,
+                                            size_t resume_after = SIZE_MAX) {
+  CarryLint lint;
+  lint.Begin(7);
+  for (size_t e = 0; e < epochs.size(); ++e) {
+    lint.EndEpoch(epochs[e]);
+    if (e == resume_after) {
+      ByteWriter w;
+      lint.Serialize(&w);
+      ByteReader bytes(w.bytes());
+      StateReader in(&bytes);
+      lint.Deserialize(&in);
+      EXPECT_TRUE(in.Done());
+    }
+  }
+  std::vector<LintDiagnostic> out;
+  lint.Finish(&out);
+  return out;
+}
+
+void AddPrec(EpochSegment* epoch, VarId vid, const OpRef& op, const OpRef& prec) {
+  VarLogEntry entry;
+  entry.kind = VarLogEntry::Kind::kWrite;
+  entry.prec = prec;
+  epoch->advice.var_logs[vid][op] = entry;
+}
+
+// Random multi-epoch var logs over a small op space, so keys recur across
+// epochs (the first edge wins), self-precs and dangling precs occur, and
+// cycles form both inside one epoch and across several.
+TEST(PrecChainCheckTest, MatchesTheReferenceWalkOnRandomLogs) {
+  std::mt19937_64 rng(20261019);
+  size_t reported = 0;
+  size_t one_epoch_cycles = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t epoch_count = 2 + rng() % 4;
+    const uint64_t op_space = 4 + rng() % 20;
+    const auto random_op = [&] {
+      uint64_t i = rng() % op_space;
+      return OpRef{1 + i / 3, 0x10 + i % 3, static_cast<OpNum>(i % 2)};
+    };
+    std::vector<EpochSegment> epochs(epoch_count);
+    for (size_t e = 0; e < epoch_count; ++e) {
+      epochs[e].epoch = e;
+      for (uint64_t n = rng() % (2 * op_space); n > 0; --n) {
+        VarId vid = 0xA0 + rng() % 3;
+        OpRef op = random_op();
+        OpRef prec = rng() % 8 == 0 ? OpRef{} : rng() % 10 == 0 ? op : random_op();
+        AddPrec(&epochs[e], vid, op, prec);
+      }
+    }
+    std::vector<LintDiagnostic> got = FinishPrecCheck(epochs);
+    std::vector<LintDiagnostic> want = ReferencePrecWalk(epochs, &one_epoch_cycles);
+    ASSERT_EQ(CanonicalFindings(got), CanonicalFindings(want)) << "trial " << trial;
+    reported += got.size();
+
+    // A checkpoint round trip after any epoch keeps the text and its order.
+    const size_t resume_after = rng() % epoch_count;
+    std::vector<LintDiagnostic> resumed = FinishPrecCheck(epochs, resume_after);
+    ASSERT_EQ(resumed.size(), got.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(resumed[i].location, got[i].location);
+      EXPECT_EQ(resumed[i].message, got[i].message);
+    }
+  }
+  // The generator reaches both kinds of cycle.
+  EXPECT_GT(reported, 50u);
+  EXPECT_GT(one_epoch_cycles, 50u);
+}
+
+// Two cross-epoch cycles, planted so that fold order lists the larger
+// variable's first: findings come in ascending (vid, op) order, each cycle
+// entered at its least key.
+TEST(PrecChainCheckTest, ReportsCrossEpochCyclesInKeyOrder) {
+  const OpRef a{1, 0x1, 0};
+  const OpRef b{2, 0x1, 0};
+  const OpRef c{3, 0x1, 1};
+  std::vector<EpochSegment> epochs(3);
+  AddPrec(&epochs[0], 0xB, b, a);
+  AddPrec(&epochs[0], 0xB, c, c);  // Self-prec: never an edge.
+  AddPrec(&epochs[1], 0xB, a, b);
+  AddPrec(&epochs[1], 0xA, c, b);
+  AddPrec(&epochs[1], 0xA, a, c);  // One-epoch tail into the cycle below.
+  AddPrec(&epochs[2], 0xA, b, c);
+  AddPrec(&epochs[2], 0xA, a, b);  // Duplicate key: epoch 1's edge wins.
+  AddPrec(&epochs[2], 0xC, a, b);  // One-epoch cycle: not reported.
+  AddPrec(&epochs[2], 0xC, b, a);
+
+  std::vector<LintDiagnostic> got = FinishPrecCheck(epochs);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].location, "var_logs[0xa]");
+  EXPECT_EQ(got[0].message,
+            "variable prec chain is cyclic across epochs: (r3,h1,1)@e1 (r2,h1,0)@e2");
+  EXPECT_EQ(got[1].location, "var_logs[0xb]");
+  EXPECT_EQ(got[1].message,
+            "variable prec chain is cyclic across epochs: (r1,h1,0)@e1 (r2,h1,0)@e0");
+  size_t one_epoch_cycles = 0;
+  EXPECT_EQ(CanonicalFindings(got), CanonicalFindings(ReferencePrecWalk(epochs, &one_epoch_cycles)));
+  EXPECT_EQ(one_epoch_cycles, 1u);
+}
+
+// Checkpointing and resuming after every epoch of the KAR-SEG-009 fixture
+// leaves every diagnostic byte-identical. The carry ledger, whose encoding
+// the session checkpoint embeds, holds the cycle; the full audit rejects the
+// fixture dynamically first, and resumes to the same verdict too.
+TEST(PrecChainCheckTest, ResumeAfterEveryEpochKeepsTheFixtureText) {
+  SegmentLoadResult load = LoadSegmentStreams(ReadFixture("kar-seg-009.trace.kseg"),
+                                              ReadFixture("kar-seg-009.advice.kseg"),
+                                              kFixtureEpochSize);
+  ASSERT_TRUE(load.ok) << load.reason;
+  const std::vector<EpochSegment>& epochs = load.slices.segments;
+  ASSERT_GE(epochs.size(), 3u);
+
+  const auto check = [&](bool resume) {
+    CarryLint lint;
+    lint.Begin(kFixtureEpochSize);
+    std::set<RequestId> trace_rids;
+    std::vector<LintDiagnostic> out;
+    for (const EpochSegment& epoch : epochs) {
+      for (const TraceEvent& ev : epoch.window) {
+        trace_rids.insert(ev.rid);
+      }
+      lint.RegisterImports(epoch);
+      lint.CheckEpoch(epoch, trace_rids, &out);
+      lint.EndEpoch(epoch);
+      if (resume) {
+        ByteWriter w;
+        lint.Serialize(&w);
+        ByteReader bytes(w.bytes());
+        StateReader in(&bytes);
+        lint.Deserialize(&in);
+        EXPECT_TRUE(in.Done());
+      }
+    }
+    lint.Finish(&out);
+    return out;
+  };
+  std::vector<LintDiagnostic> want = check(false);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].rule, kKarSeg009);
+  std::vector<LintDiagnostic> got = check(true);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got[0].location, want[0].location);
+  EXPECT_EQ(got[0].message, want[0].message);
+  CheckResult checker = CheckSegmentStreams(ReadFixture("kar-seg-009.trace.kseg"),
+                                            ReadFixture("kar-seg-009.advice.kseg"),
+                                            kFixtureEpochSize);
+  ASSERT_EQ(checker.diagnostics.size(), 1u);
+  EXPECT_EQ(checker.diagnostics[0].message, want[0].message);
+
+  AppSpec app = MakeStacksApp();
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession whole(*app.program, config, kFixtureEpochSize);
+  auto resumed = std::make_unique<AuditSession>(*app.program, config, kFixtureEpochSize);
+  for (const EpochSegment& epoch : epochs) {
+    whole.FeedEpoch(epoch);
+    resumed->FeedEpoch(epoch);
+    std::string error;
+    resumed = AuditSession::Restore(*app.program, config, resumed->SaveCheckpoint(), &error);
+    ASSERT_NE(resumed, nullptr) << error;
+  }
+  AuditResult whole_result = whole.Finish();
+  AuditResult resumed_result = resumed->Finish();
+  EXPECT_FALSE(whole_result.accepted);
+  EXPECT_EQ(resumed_result.accepted, whole_result.accepted);
+  EXPECT_EQ(resumed_result.rule, whole_result.rule);
+  EXPECT_EQ(resumed_result.reason, whole_result.reason);
+  EXPECT_EQ(resumed_result.diagnostics.size(), whole_result.diagnostics.size());
 }
 
 }  // namespace

@@ -637,6 +637,57 @@ TEST(EpochCheckpointTest, RestoreRefusesDuplicateGraphNode) {
   EXPECT_NE(error.find("malformed"), std::string::npos) << error;
 }
 
+// Re-execution links each write to one predecessor and the initializing
+// write to none, so a write chain that revisits a write comes only from a
+// forged checkpoint: here one link redirected to its own predecessor.
+// Postprocess rejects the chain when its walk reaches the revisit.
+TEST(EpochCheckpointTest, ForgedCyclicWriteChainRejects) {
+  HonestRun run = RunApp("stacks", 24);
+  VerifierConfig config{IsolationLevel::kSerializable, 1};
+  AuditSession session(*run.app.program, config, 6);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, 6);
+  for (const EpochSegment& segment : slices.segments) {
+    ASSERT_TRUE(session.FeedEpoch(segment));
+  }
+  std::vector<uint8_t> payload = CheckpointPayload(session.SaveCheckpoint());
+
+  auto link_bytes = [](const OpRef& prec, const OpRef& cur) {
+    ByteWriter w;
+    SerializeOpRef(prec, &w);
+    SerializeOpRef(cur, &w);
+    return w.Take();
+  };
+  // The first logged overwrite whose (prec, cur) bytes occur once: only in
+  // the write-observer table.
+  bool forged = false;
+  for (const auto& [vid, log] : run.server.advice.var_logs) {
+    for (const auto& [op, entry] : log) {
+      if (forged || entry.kind != VarLogEntry::Kind::kWrite || entry.prec.IsNil()) {
+        continue;
+      }
+      const std::vector<uint8_t> link = link_bytes(entry.prec, op);
+      auto at = std::search(payload.begin(), payload.end(), link.begin(), link.end());
+      if (at == payload.end() ||
+          std::search(at + 1, payload.end(), link.begin(), link.end()) != payload.end()) {
+        continue;
+      }
+      const std::vector<uint8_t> loop = link_bytes(entry.prec, entry.prec);
+      at = payload.erase(at, at + static_cast<ptrdiff_t>(link.size()));
+      payload.insert(at, loop.begin(), loop.end());
+      forged = true;
+    }
+  }
+  ASSERT_TRUE(forged);
+
+  std::string error;
+  auto restored = AuditSession::Restore(*run.app.program, config, FrameCheckpoint(payload), &error);
+  ASSERT_NE(restored, nullptr) << error;
+  AuditResult result = restored->Finish(true);
+  EXPECT_FALSE(result.accepted);
+  EXPECT_NE(result.reason.find("variable write chain is cyclic"), std::string::npos)
+      << result.reason;
+}
+
 // A checkpoint taken after a lint rejection carries the diagnostic; a
 // severity byte that names no severity is refused, as the artifact refuses it.
 TEST(EpochCheckpointTest, RestoreRefusesUnknownDiagnosticSeverity) {
