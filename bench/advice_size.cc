@@ -177,10 +177,10 @@ int Main(int argc, char** argv) {
     StreamAuditResult raw_audit, packed_audit;
     for (int rep = 0; rep < kReps; ++rep) {
       double t0 = bench::Now();
-      raw_audit = AuditSegments(app, raw_trace, raw_advice, cfg, kEpochSize);
+      raw_audit = AuditSegments(app, raw_trace, raw_advice, cfg);
       audit_times.push_back(bench::Now() - t0);
     }
-    packed_audit = AuditSegments(app, packed_trace, packed_advice, cfg, kEpochSize);
+    packed_audit = AuditSegments(app, packed_trace, packed_advice, cfg);
     if (!raw_audit.audit.accepted) {
       std::fprintf(stderr, "BUG: [%s] raw stream rejected: %s\n", spec.name,
                    raw_audit.audit.reason.c_str());

@@ -28,18 +28,37 @@ std::string RejectReason(const LintDiagnostic& d) {
 
 PairedSegmentCursor::PairedSegmentCursor(std::span<const uint8_t> trace_bytes,
                                          std::span<const uint8_t> advice_bytes) {
-  trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &trace_open_error_);
-  advice_ =
-      SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &advice_open_error_);
+  std::string error;
+  trace_ = SegmentReader::FromBytes(trace_bytes.data(), trace_bytes.size(), &error);
+  if (trace_ == nullptr) {
+    Fail(kKarSeg001, "trace", "unreadable segment container: " + error, &broken_);
+    return;
+  }
+  advice_ = SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &error);
+  if (advice_ == nullptr) {
+    Fail(kKarSeg001, "advice", "unreadable segment container: " + error, &broken_);
+    return;
+  }
+  const std::optional<uint64_t> trace_size = ReadEpochManifest(trace_.get(), "trace", &broken_);
+  if (!trace_size) return;
+  const std::optional<uint64_t> advice_size =
+      ReadEpochManifest(advice_.get(), "advice", &broken_);
+  if (!advice_size) return;
+  if (*trace_size != *advice_size) {
+    Fail(kKarSeg010, "advice",
+         "trace and advice streams disagree on the epoch size: the trace manifest states " +
+             std::to_string(*trace_size) + ", the advice manifest " +
+             std::to_string(*advice_size),
+         &broken_);
+    return;
+  }
+  epoch_requests_ = trace_size;
 }
 
 int PairedSegmentCursor::Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) {
-  if (trace_ == nullptr) {
-    return Fail(kKarSeg001, "trace", "unreadable segment container: " + trace_open_error_, diags);
-  }
-  if (advice_ == nullptr) {
-    return Fail(kKarSeg001, "advice", "unreadable segment container: " + advice_open_error_,
-                diags);
+  if (!broken_.empty()) {
+    diags->push_back(broken_.front());
+    return -1;
   }
   SegmentRecord trace_rec;
   bool have_trace = trace_->Next(&trace_rec);
@@ -147,16 +166,42 @@ CheckResult SegmentChecker::Finish(bool fed_all) {
   return std::move(result_);
 }
 
+namespace {
+
+// A KAR-SEG-010 finding when the cursor's manifests do not state `expected`.
+bool MatchesExpectation(const PairedSegmentCursor& cursor, std::optional<uint64_t> expected,
+                        std::vector<LintDiagnostic>* diags) {
+  if (!expected || !cursor.epoch_requests() || *cursor.epoch_requests() == *expected) {
+    return true;
+  }
+  Fail(kKarSeg010, "manifest",
+       "the containers state epoch size " + std::to_string(*cursor.epoch_requests()) +
+           ", not the expected " + std::to_string(*expected),
+       diags);
+  return false;
+}
+
+// Turns the last file-layer finding into a not-ok verdict.
+template <typename Result>
+void RejectWithLast(Result* result) {
+  result->ok = false;
+  const LintDiagnostic& last = result->diagnostics.back();
+  result->rule = last.rule;
+  result->reason = RejectReason(last);
+}
+
+}  // namespace
+
 CheckResult CheckSegmentStreams(std::span<const uint8_t> trace_bytes,
                                 std::span<const uint8_t> advice_bytes,
-                                uint64_t epoch_requests) {
-  SegmentChecker checker(epoch_requests);
+                                std::optional<uint64_t> expected_epoch_requests) {
   PairedSegmentCursor cursor(trace_bytes, advice_bytes);
+  SegmentChecker checker(cursor.epoch_requests().value_or(0));
   std::vector<LintDiagnostic> file_diags;
   EpochSegment segment;
-  bool container_error = false;
+  bool container_error = !MatchesExpectation(cursor, expected_epoch_requests, &file_diags);
   bool cut_short = false;
-  while (true) {
+  while (!container_error) {
     int r = cursor.Next(&segment, &file_diags);
     if (r < 0) {
       container_error = true;
@@ -181,10 +226,7 @@ CheckResult CheckSegmentStreams(std::span<const uint8_t> trace_bytes,
     for (LintDiagnostic& d : file_diags) {
       result.diagnostics.push_back(std::move(d));
     }
-    result.ok = false;
-    const LintDiagnostic& first = result.diagnostics.back();
-    result.rule = first.rule;
-    result.reason = RejectReason(first);
+    RejectWithLast(&result);
   } else {
     result = checker.Finish(/*fed_all=*/!cut_short);
   }
@@ -212,18 +254,19 @@ CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_re
 
 SegmentLoadResult LoadSegmentStreams(std::span<const uint8_t> trace_bytes,
                                      std::span<const uint8_t> advice_bytes,
-                                     uint64_t epoch_requests) {
+                                     std::optional<uint64_t> expected_epoch_requests) {
   SegmentLoadResult out;
-  out.slices.epoch_requests = epoch_requests;
   PairedSegmentCursor cursor(trace_bytes, advice_bytes);
+  out.slices.epoch_requests = cursor.epoch_requests().value_or(0);
+  if (!MatchesExpectation(cursor, expected_epoch_requests, &out.diagnostics)) {
+    RejectWithLast(&out);
+    return out;
+  }
   EpochSegment segment;
   while (true) {
     int r = cursor.Next(&segment, &out.diagnostics);
     if (r < 0) {
-      out.ok = false;
-      const LintDiagnostic& first = out.diagnostics.back();
-      out.rule = first.rule;
-      out.reason = RejectReason(first);
+      RejectWithLast(&out);
       break;
     }
     if (r == 0) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -41,11 +42,14 @@ class EpochSource {
 };
 
 // Walks a (trace, advice) container pair in lockstep, decoding one epoch per
-// Next call; only the current frame pair's payloads are resident. Owns the
-// file-layer rules: unreadable container (001) and stream pairing (010) here,
-// frame schema (002) and epoch sequencing (003) through the one epoch-frame
-// step, DecodeEpochFrame (src/server/rollover.h). Both byte buffers must
-// outlive the cursor.
+// Next call; only the current frame pair's payloads are resident. The
+// constructor reads both containers' epoch manifests (ReadEpochManifest,
+// src/server/rollover.h), so the epoch size is known before any epoch is
+// pulled. Owns the file-layer rules: unreadable container (001) and stream
+// pairing (010, including two manifests that disagree) here, frame schema
+// (002, including the manifest) and epoch sequencing (003) through the
+// rollover steps. A broken pair fails its first Next with that finding.
+// Both byte buffers must outlive the cursor.
 class PairedSegmentCursor : public EpochSource {
  public:
   PairedSegmentCursor(std::span<const uint8_t> trace_bytes,
@@ -53,14 +57,18 @@ class PairedSegmentCursor : public EpochSource {
 
   int Next(EpochSegment* out, std::vector<LintDiagnostic>* diags) override;
 
-  // Frames consumed across both containers.
+  // The epoch size both manifests state; nullopt when the pair is broken
+  // before its first epoch frame.
+  std::optional<uint64_t> epoch_requests() const { return epoch_requests_; }
+  // Epoch frames consumed across both containers.
   uint64_t frames() const { return frames_; }
 
  private:
   std::unique_ptr<SegmentReader> trace_;
   std::unique_ptr<SegmentReader> advice_;
-  std::string trace_open_error_;
-  std::string advice_open_error_;
+  // The finding that breaks the pair before its first epoch frame.
+  std::vector<LintDiagnostic> broken_;
+  std::optional<uint64_t> epoch_requests_;
   uint64_t next_epoch_ = 0;
   uint64_t frames_ = 0;
 };
@@ -112,10 +120,12 @@ class SegmentChecker {
 
 // Streaming check of a (trace, advice) container pair: walks both KSEG
 // streams in lockstep (file-layer rules 001..003/010), then runs the
-// SegmentChecker over each decoded epoch.
+// SegmentChecker over each decoded epoch at the manifests' epoch size. A
+// given `expected_epoch_requests` that the manifests do not state is a
+// KAR-SEG-010 finding before any epoch is checked.
 CheckResult CheckSegmentStreams(std::span<const uint8_t> trace_bytes,
                                 std::span<const uint8_t> advice_bytes,
-                                uint64_t epoch_requests);
+                                std::optional<uint64_t> expected_epoch_requests = std::nullopt);
 
 // Slices a monolithic pair (the same SliceRun the session uses) and checks
 // the slices. epoch_requests == 0 checks the run as a single epoch.
@@ -126,7 +136,8 @@ CheckResult CheckRun(const Trace& trace, const Advice& advice, uint64_t epoch_re
 // a not-ok result with the same reason/rule `karousos check` reports. The
 // audit does not call this: it pulls epochs one at a time (src/audit/
 // stream.h). It stays for the pipeline benchmark's decode probe, which
-// measures the whole decoded run.
+// measures the whole decoded run. `slices.epoch_requests` is the manifests'
+// epoch size; `expected_epoch_requests` is checked as in CheckSegmentStreams.
 struct SegmentLoadResult {
   bool ok = true;
   std::string reason;
@@ -134,9 +145,9 @@ struct SegmentLoadResult {
   std::vector<LintDiagnostic> diagnostics;
   EpochSlices slices;
 };
-SegmentLoadResult LoadSegmentStreams(std::span<const uint8_t> trace_bytes,
-                                     std::span<const uint8_t> advice_bytes,
-                                     uint64_t epoch_requests);
+SegmentLoadResult LoadSegmentStreams(
+    std::span<const uint8_t> trace_bytes, std::span<const uint8_t> advice_bytes,
+    std::optional<uint64_t> expected_epoch_requests = std::nullopt);
 
 }  // namespace karousos
 

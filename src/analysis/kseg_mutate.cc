@@ -1,6 +1,7 @@
 #include "src/analysis/kseg_mutate.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "src/common/kcodec.h"
@@ -352,17 +353,18 @@ void BuildFrameMutations(const char* stream, const std::vector<uint8_t>& honest_
   }
   {
     std::vector<uint8_t> b = honest_bytes;
-    b[4] ^= 0x80;  // Unsupported format version (v2 exists now, so +1 on a v1
-                   // stream would be a *valid* upgrade, not damage).
+    b[4] ^= 0x80;  // Unsupported format version.
     emit(std::string("frame:") + stream + ":bad-version", std::move(b));
   }
 
   for (size_t i = 0; i < frames.size(); ++i) {
     const FrameSpan& f = frames[i];
     const uint64_t payload_begin = f.end - f.payload_len;
-    // Payload byte flips (CRC catches them) at spread positions.
-    for (size_t pos : {size_t{0}, f.payload_len / 3, (2 * f.payload_len) / 3,
-                       f.payload_len - 1}) {
+    // Payload byte flips (CRC catches them) at spread positions, each once
+    // (a short payload, like the one-byte manifest's, has fewer than four).
+    const std::set<size_t> positions = {0, f.payload_len / 3, (2 * f.payload_len) / 3,
+                                        f.payload_len - 1};
+    for (size_t pos : positions) {
       if (pos >= f.payload_len) {
         continue;
       }
@@ -385,10 +387,11 @@ void BuildFrameMutations(const char* stream, const std::vector<uint8_t>& honest_
       b[f.begin] = 99;  // Unknown kind.
       emit(tag(i, "kind-unknown"), std::move(b));
     }
-    if (honest_bytes[f.begin + 1] < 0x7f) {
-      // Epoch varint bump (single-byte epochs only): breaks the sequence.
+    if (honest_bytes[f.begin + 2] < 0x7f) {
+      // Epoch varint bump (single-byte epochs only; past the kind and flags
+      // bytes): breaks the sequence, or the manifest's epoch-0 rule.
       std::vector<uint8_t> b = honest_bytes;
-      b[f.begin + 1] += 1;
+      b[f.begin + 2] += 1;
       emit(tag(i, "epoch-bump"), std::move(b));
     }
     {
@@ -439,7 +442,7 @@ void BuildFrameMutations(const char* stream, const std::vector<uint8_t>& honest_
   }
 }
 
-// --- Codec family: damage to storage-class compressed (v2) frames ------------
+// --- Codec family: damage to storage-class compressed frames ----------------
 
 // Parses every frame of a container into records (empty on malformed input).
 std::vector<SegmentRecord> ParseFrames(const std::vector<uint8_t>& bytes) {
@@ -456,11 +459,11 @@ std::vector<SegmentRecord> ParseFrames(const std::vector<uint8_t>& bytes) {
   return records;
 }
 
-// Re-frames records through a v2 writer, recomputing lengths and CRCs — the
-// container structure stays honest, so the mutation lands on the codec layer
-// (the payload decoder), not the framing layer.
+// Re-frames records, recomputing lengths and CRCs — the container structure
+// stays honest, so the mutation lands on the codec layer (the payload
+// decoder), not the framing layer.
 std::vector<uint8_t> RebuildStream(const std::vector<SegmentRecord>& records) {
-  SegmentWriter writer(kSegmentFormatVersionV2);
+  SegmentWriter writer;
   for (const SegmentRecord& r : records) {
     writer.Append(r.kind, r.epoch, r.flags, r.payload);
   }
@@ -550,6 +553,7 @@ void BuildPatchMutations(const Trace& trace, const Advice& advice, uint64_t epoc
   }
   auto emit = [&](const char* what, const RawVarLog& log) {
     EpochFrameWriter writer{KsegCompression{}};
+    writer.AppendManifest(honest.epoch_requests);
     for (size_t i = 0; i < honest.segments.size(); ++i) {
       if (i == target) {
         writer.AppendRaw(SegmentKind::kAdvice, honest.segments[i].epoch,

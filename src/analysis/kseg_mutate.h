@@ -12,7 +12,7 @@
 //   * frame — byte-level container damage (payload/CRC/kind/epoch bytes,
 //     dropped/duplicated/swapped/truncated frames, header corruption) against
 //     every frame of both encoded streams;
-//   * codec — damage to storage-class compressed (v2) streams: unknown or
+//   * codec — damage to storage-class compressed streams: unknown or
 //     stripped flag bits (the flags byte is outside the CRC), a dropped block
 //     stage, stored-payload truncation with the length and CRC fixed up, and
 //     declared-decoded-size tampering on blocked frames. The container framing

@@ -54,25 +54,14 @@ bool HasLintErrors(const std::vector<LintDiagnostic>& diagnostics) {
 
 namespace {
 
-// Shared state for one lint run: the trace's request-id set and the advice
-// under scrutiny, plus the output sink. Whole-run lints (LintAdvice) own their
-// request-id set and resolve every reference inside the advice itself; epoch
-// runs (LintAdviceEpoch) borrow the session's accumulated id sets and fall
-// back to the session's resolvers for references that leave the slice.
+// Shared state for one lint run over an epoch slice: the session's
+// accumulated request-id sets, the slice under scrutiny, the session's
+// resolvers for references that leave the slice, and the output sink.
 class Linter {
  public:
-  Linter(const Trace& trace, const Advice& advice, std::vector<LintDiagnostic>* out)
-      : advice_(advice), out_(*out) {
-    for (RequestId rid : trace.RequestIds()) {
-      own_rids_.insert(rid);
-    }
-    trace_rids_ = &own_rids_;
-    coverage_rids_ = &own_rids_;
-  }
-
   Linter(const Advice& slice, const LintEpochContext& ctx, std::vector<LintDiagnostic>* out)
       : advice_(slice), out_(*out), trace_rids_(ctx.trace_rids), coverage_rids_(ctx.epoch_rids),
-        var_prec_hook_(ctx.var_prec), tx_op_hook_(ctx.tx_op), epoch_mode_(true) {}
+        var_prec_hook_(ctx.var_prec), tx_op_hook_(ctx.tx_op) {}
 
   void Run() {
     // Rules run in catalogue order so that the first error — the one the
@@ -84,12 +73,8 @@ class Linter {
     CheckHandlerLogs();       // 005
     CheckDuplicateClaims();   // 006
     CheckResponseEmittedBy(); // 007, 008
-    if (!epoch_mode_) {
-      // The write order is global; epoch sessions lint the accumulated order
-      // once, at Finish, through RunWriteOrderRules.
-      CheckWriteOrderRefs(advice_.write_order);   // 009
-      CheckWriteOrderAcyclic(advice_.write_order);// 010
-    }
+    // 009 and 010: the write order is global, so it is linted once, at
+    // Finish, through RunWriteOrderRules.
     CheckTxLogGets();         // 011
     CheckTxLogCoverage();     // 012
     CheckNondet();            // 013
@@ -109,9 +94,8 @@ class Linter {
 
   bool InTrace(RequestId rid) const { return trace_rids_->count(rid) > 0; }
 
-  // Resolves a transaction-log coordinate: the advice under scrutiny first
-  // (the whole advice in a whole-run lint, the slice in epoch mode), then the
-  // epoch hook.
+  // Resolves a transaction-log coordinate: the slice first, then the epoch
+  // hook.
   ResolvedTxOp LookupTxOp(const TxOpRef& ref) const {
     auto log_it = advice_.tx_logs.find(TxnKey{ref.rid, ref.tid});
     if (log_it != advice_.tx_logs.end()) {
@@ -504,24 +488,14 @@ class Linter {
 
   const Advice& advice_;
   std::vector<LintDiagnostic>& out_;
-  // Whole-run lints build own_rids_ from the trace and point both universes at
-  // it; epoch runs borrow the session's sets (all requests streamed so far vs
-  // this epoch's requests).
-  std::set<RequestId> own_rids_;
+  // The session's sets: all requests streamed so far, and this epoch's.
   const std::set<RequestId>* trace_rids_ = nullptr;
   const std::set<RequestId>* coverage_rids_ = nullptr;
   std::function<VarPrecLookup(VarId, const OpRef&)> var_prec_hook_;
   TxOpResolverFn tx_op_hook_;
-  bool epoch_mode_ = false;
 };
 
 }  // namespace
-
-std::vector<LintDiagnostic> LintAdvice(const Trace& trace, const Advice& advice) {
-  std::vector<LintDiagnostic> diagnostics;
-  Linter(trace, advice, &diagnostics).Run();
-  return diagnostics;
-}
 
 std::vector<LintDiagnostic> LintAdviceEpoch(const Advice& slice, const LintEpochContext& ctx) {
   std::vector<LintDiagnostic> diagnostics;

@@ -1,5 +1,7 @@
-// The advice linter: a pure, re-execution-free structural pass over a
-// deserialized (Trace, Advice) pair.
+// The advice linter: a pure, re-execution-free structural pass over each
+// epoch's advice slice, run by the streamed audit's pre-screen and by the
+// model check (src/analysis/check.h; CheckRun(trace, advice, 0) lints a
+// whole run as one epoch).
 //
 // The verifier's grouped re-execution eventually rejects any malformed
 // advice, but it does so deep inside ReExec with reasons phrased in terms of
@@ -42,13 +44,6 @@
 
 namespace karousos {
 
-// Runs every lint rule and returns the findings in rule-ID order (then in
-// deterministic advice-iteration order within a rule). Pure: no re-execution,
-// no program access, no mutation.
-std::vector<LintDiagnostic> LintAdvice(const Trace& trace, const Advice& advice);
-
-// --- Epoch-sliced linting (the streaming AuditSession) ----------------------
-//
 // The session lints each epoch's advice slice as it arrives. Rules that are
 // local to a slice run unchanged; the cross-slice references (a var-log prec
 // or a GET's dictating write living in another epoch) resolve through the
@@ -74,8 +69,11 @@ struct LintEpochContext {
   TxOpResolverFn tx_op;
 };
 
-// Runs rules 001-008 and 011-014 over one epoch slice. Write-order rules are
-// deferred; run LintWriteOrder over the accumulated order at Finish.
+// Runs rules 001-008 and 011-014 over one epoch slice and returns the
+// findings in rule-ID order (then in deterministic advice-iteration order
+// within a rule). Pure: no re-execution, no program access, no mutation.
+// Write-order rules are deferred; run LintWriteOrder over the accumulated
+// order at Finish.
 std::vector<LintDiagnostic> LintAdviceEpoch(const Advice& slice, const LintEpochContext& ctx);
 
 // Rules 009/010 over an assembled write order, resolving entries through

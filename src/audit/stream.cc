@@ -217,10 +217,11 @@ StreamAuditResult AuditSource(const AppSpec& app, EpochSource* source, uint64_t 
 
 StreamAuditResult AuditSegments(const AppSpec& app, std::span<const uint8_t> trace_bytes,
                                 std::span<const uint8_t> advice_bytes,
-                                const VerifierConfig& config, uint64_t epoch_requests,
+                                const VerifierConfig& config,
                                 const UntrackedAccessLog* untracked) {
   PairedSegmentCursor cursor(trace_bytes, advice_bytes);
-  return AuditSource(app, &cursor, epoch_requests, config, untracked);
+  // A broken pair fails its first pull, before the session sees an epoch.
+  return AuditSource(app, &cursor, cursor.epoch_requests().value_or(0), config, untracked);
 }
 
 StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Advice& advice,

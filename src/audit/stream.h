@@ -75,13 +75,14 @@ StreamAuditResult AuditStreamed(const AppSpec& app, const Trace& trace, const Ad
                                 const VerifierConfig& config, uint64_t epoch_requests,
                                 const UntrackedAccessLog* untracked = nullptr);
 
-// Audits directly from KSEG container bytes (the production artifact),
-// pulling epochs from a PairedSegmentCursor (src/analysis/check.h). A corrupt
-// container rejects with the reason/rule `karousos check` reports unless an
-// earlier epoch already decided the audit.
+// Audits directly from KSEG container bytes (the production artifact) at the
+// epoch size their manifests state, pulling epochs from a
+// PairedSegmentCursor (src/analysis/check.h). A corrupt container rejects
+// with the reason/rule `karousos check` reports unless an earlier epoch
+// already decided the audit.
 StreamAuditResult AuditSegments(const AppSpec& app, std::span<const uint8_t> trace_bytes,
                                 std::span<const uint8_t> advice_bytes,
-                                const VerifierConfig& config, uint64_t epoch_requests,
+                                const VerifierConfig& config,
                                 const UntrackedAccessLog* untracked = nullptr);
 
 }  // namespace karousos

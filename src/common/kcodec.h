@@ -3,7 +3,7 @@
 // Advice bytes are the audit's dominant cost at production traffic (the paper
 // reports advice size as a headline metric), and most of those bytes are
 // high-entropy 64-bit digests and repeated keys. Three composable stages, each
-// behind its own frame flag in the v2 segment container:
+// behind its own bit of a segment frame's flags byte:
 //
 //   * kFrameFlagLanes — columnar delta+varint coding for the monotone and
 //     near-monotone integer lanes (request ids, opnums, opcounts, tx indices):
@@ -37,9 +37,8 @@
 
 namespace karousos {
 
-// Frame-flag bits (v2 segment container, one flags byte per frame). Readers
-// reject any bit outside kFrameFlagsKnownMask; old (v1-only) readers reject
-// the whole container through the existing format-version path.
+// Frame-flag bits (one flags byte per segment frame, src/common/segment.h).
+// Readers reject any bit outside kFrameFlagsKnownMask.
 inline constexpr uint8_t kFrameFlagLanes = 0x01;
 inline constexpr uint8_t kFrameFlagDict = 0x02;
 inline constexpr uint8_t kFrameFlagBlock = 0x04;

@@ -9,6 +9,8 @@ namespace karousos {
 
 namespace {
 
+constexpr size_t kHeaderBytes = sizeof(kSegmentMagic) + 1;  // Magic, version.
+
 void AppendVarint(std::vector<uint8_t>* buf, uint64_t v) {
   while (v >= 0x80) {
     buf->push_back(static_cast<uint8_t>(v) | 0x80);
@@ -31,121 +33,59 @@ const char* SegmentKindName(SegmentKind kind) {
       return "shard-boundary";
     case SegmentKind::kShardArtifact:
       return "shard-artifact";
+    case SegmentKind::kEpochManifest:
+      return "epoch-manifest";
   }
   return "unknown";
 }
 
-SegmentWriter::SegmentWriter(uint8_t format_version) : version_(format_version) {
+SegmentWriter::SegmentWriter() {
   buf_.insert(buf_.end(), kSegmentMagic, kSegmentMagic + 4);
-  buf_.push_back(version_);
-  if (version_ != kSegmentFormatVersion && version_ != kSegmentFormatVersionV2) {
-    error_ = "unsupported segment format version " + std::to_string(version_);
-  }
-}
-
-SegmentWriter::SegmentWriter(const std::string& path, uint8_t format_version)
-    : SegmentWriter(format_version) {
-  to_file_ = true;
-  file_.open(path, std::ios::binary | std::ios::trunc);
-  if (!file_) {
-    error_ = "cannot open segment file for writing: " + path;
-    return;
-  }
-  file_.write(reinterpret_cast<const char*>(buf_.data()), static_cast<std::streamsize>(buf_.size()));
-  if (!file_) {
-    error_ = "write failed on segment file: " + path;
-  }
-}
-
-void SegmentWriter::Append(SegmentKind kind, uint64_t epoch, const std::vector<uint8_t>& payload) {
-  Append(kind, epoch, /*flags=*/0, payload);
+  buf_.push_back(kSegmentFormatVersion);
 }
 
 void SegmentWriter::Append(SegmentKind kind, uint64_t epoch, uint8_t flags,
                            const std::vector<uint8_t>& payload) {
-  if (!ok()) {
-    return;
-  }
-  if (flags != 0 && version_ < kSegmentFormatVersionV2) {
-    error_ = "frame flags require segment format version 2";
-    return;
-  }
-  std::vector<uint8_t> frame;
-  frame.push_back(static_cast<uint8_t>(kind));
-  if (version_ >= kSegmentFormatVersionV2) {
-    frame.push_back(flags);
-  }
-  AppendVarint(&frame, epoch);
-  AppendVarint(&frame, payload.size());
+  buf_.push_back(static_cast<uint8_t>(kind));
+  buf_.push_back(flags);
+  AppendVarint(&buf_, epoch);
+  AppendVarint(&buf_, payload.size());
   uint32_t crc = Crc32(payload);
   for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<uint8_t>(crc >> (i * 8)));
+    buf_.push_back(static_cast<uint8_t>(crc >> (i * 8)));
   }
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  buf_.insert(buf_.end(), frame.begin(), frame.end());
-  if (to_file_) {
-    file_.write(reinterpret_cast<const char*>(frame.data()), static_cast<std::streamsize>(frame.size()));
-    file_.flush();
-    if (!file_) {
-      error_ = "write failed on segment file";
-    }
-  }
-}
-
-std::unique_ptr<SegmentReader> SegmentReader::OpenFile(const std::string& path,
-                                                       std::string* error) {
-  std::unique_ptr<SegmentReader> r(new SegmentReader());
-  r->from_file_ = true;
-  r->file_.open(path, std::ios::binary);
-  if (!r->file_) {
-    *error = "cannot open segment file: " + path;
-    return nullptr;
-  }
-  if (!r->ReadHeader(error)) {
-    return nullptr;
-  }
-  return r;
+  buf_.insert(buf_.end(), payload.begin(), payload.end());
 }
 
 std::unique_ptr<SegmentReader> SegmentReader::FromBytes(const uint8_t* data, size_t size,
                                                         std::string* error) {
-  std::unique_ptr<SegmentReader> r(new SegmentReader());
-  r->mem_ = data;
-  r->mem_size_ = size;
-  if (!r->ReadHeader(error)) {
+  if (size < kHeaderBytes) {
+    *error = "segment file too short for header (" + std::to_string(size) + " bytes)";
     return nullptr;
   }
-  return r;
-}
-
-bool SegmentReader::Pull(uint8_t* dest, size_t n, size_t* got) {
-  if (from_file_) {
-    file_.read(reinterpret_cast<char*>(dest), static_cast<std::streamsize>(n));
-    *got = static_cast<size_t>(file_.gcount());
-  } else {
-    size_t avail = mem_size_ - pos_;
-    *got = n < avail ? n : avail;
-    if (*got > 0) {  // An empty payload's dest (or an empty buffer) may be null.
-      std::memcpy(dest, mem_ + pos_, *got);
-    }
+  if (std::memcmp(data, kSegmentMagic, 4) != 0) {
+    *error = "not a segment file (bad magic)";
+    return nullptr;
   }
-  pos_ += *got;
-  return *got == n;
+  if (data[4] != kSegmentFormatVersion) {
+    *error = "unsupported segment format version " + std::to_string(data[4]) + " (expected " +
+             std::to_string(kSegmentFormatVersion) + ")";
+    return nullptr;
+  }
+  return std::unique_ptr<SegmentReader>(new SegmentReader(data, size));
 }
 
-bool SegmentReader::PullByte(uint8_t* b) {
-  size_t got = 0;
-  return Pull(b, 1, &got);
+void SegmentReader::Fail(uint64_t frame_offset, const std::string& msg) {
+  error_ = "segment frame at offset " + std::to_string(frame_offset) + ": " + msg;
 }
 
 bool SegmentReader::PullVarint(uint64_t* v, const char* what, uint64_t frame_offset) {
   *v = 0;
   int shift = 0;
-  uint8_t b = 0;
-  while (PullByte(&b)) {
+  while (pos_ < size_) {
+    const uint8_t b = data_[pos_++];
     if (shift >= 64) {
-      Fail("segment frame at offset " + std::to_string(frame_offset) + ": malformed " +
-           std::string(what) + " varint");
+      Fail(frame_offset, "malformed " + std::string(what) + " varint");
       return false;
     }
     *v |= static_cast<uint64_t>(b & 0x7f) << shift;
@@ -154,58 +94,29 @@ bool SegmentReader::PullVarint(uint64_t* v, const char* what, uint64_t frame_off
     }
     shift += 7;
   }
-  Fail("segment frame at offset " + std::to_string(frame_offset) + ": truncated " +
-       std::string(what));
+  Fail(frame_offset, "truncated " + std::string(what));
   return false;
 }
 
-bool SegmentReader::ReadHeader(std::string* error) {
-  uint8_t header[5];
-  size_t got = 0;
-  if (!Pull(header, sizeof(header), &got)) {
-    *error = "segment file too short for header (" + std::to_string(got) + " bytes)";
-    return false;
-  }
-  if (std::memcmp(header, kSegmentMagic, 4) != 0) {
-    *error = "not a segment file (bad magic)";
-    return false;
-  }
-  if (header[4] != kSegmentFormatVersion && header[4] != kSegmentFormatVersionV2) {
-    *error = "unsupported segment format version " + std::to_string(header[4]) + " (expected " +
-             std::to_string(kSegmentFormatVersion) + " or " +
-             std::to_string(kSegmentFormatVersionV2) + ")";
-    return false;
-  }
-  version_ = header[4];
-  return true;
-}
-
 bool SegmentReader::Next(SegmentRecord* out) {
-  if (!ok()) {
-    return false;
+  if (!ok() || pos_ == size_) {
+    return false;  // Broken, or a clean end of stream.
   }
-  uint64_t frame_offset = pos_;
-  uint8_t kind_byte = 0;
-  if (!PullByte(&kind_byte)) {
-    return false;  // Clean end of stream.
-  }
+  const uint64_t frame_offset = pos_;
+  const uint8_t kind_byte = data_[pos_++];
   if (kind_byte < static_cast<uint8_t>(SegmentKind::kTrace) ||
-      kind_byte > static_cast<uint8_t>(SegmentKind::kShardArtifact)) {
-    Fail("segment frame at offset " + std::to_string(frame_offset) + ": unknown kind " +
-         std::to_string(kind_byte));
+      kind_byte > static_cast<uint8_t>(SegmentKind::kEpochManifest)) {
+    Fail(frame_offset, "unknown kind " + std::to_string(kind_byte));
     return false;
   }
-  uint8_t flags = 0;
-  if (version_ >= kSegmentFormatVersionV2) {
-    if (!PullByte(&flags)) {
-      Fail("segment frame at offset " + std::to_string(frame_offset) + ": truncated flags");
-      return false;
-    }
-    if ((flags & ~kFrameFlagsKnownMask) != 0) {
-      Fail("segment frame at offset " + std::to_string(frame_offset) +
-           ": unknown frame flags 0x" + std::to_string(flags & ~kFrameFlagsKnownMask));
-      return false;
-    }
+  if (pos_ == size_) {
+    Fail(frame_offset, "truncated flags");
+    return false;
+  }
+  const uint8_t flags = data_[pos_++];
+  if ((flags & ~kFrameFlagsKnownMask) != 0) {
+    Fail(frame_offset, "unknown frame flags 0x" + std::to_string(flags & ~kFrameFlagsKnownMask));
+    return false;
   }
   uint64_t epoch = 0;
   uint64_t length = 0;
@@ -213,48 +124,26 @@ bool SegmentReader::Next(SegmentRecord* out) {
       !PullVarint(&length, "payload length", frame_offset)) {
     return false;
   }
-  uint8_t crc_bytes[4];
-  size_t got = 0;
-  if (!Pull(crc_bytes, sizeof(crc_bytes), &got)) {
-    Fail("segment frame at offset " + std::to_string(frame_offset) + ": truncated CRC");
+  if (size_ - pos_ < 4) {
+    Fail(frame_offset, "truncated CRC");
     return false;
   }
   uint32_t stored_crc = 0;
   for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(crc_bytes[i]) << (i * 8);
+    stored_crc |= static_cast<uint32_t>(data_[pos_++]) << (i * 8);
   }
-  // Guard the allocation: a corrupted length must not trigger a huge reserve.
-  if (!from_file_ && length > mem_size_ - pos_) {
-    Fail("segment frame at offset " + std::to_string(frame_offset) + ": truncated payload (want " +
-         std::to_string(length) + " bytes, have " + std::to_string(mem_size_ - pos_) + ")");
+  // Checked before the copy: a forged length never reaches an allocation.
+  if (length > size_ - pos_) {
+    Fail(frame_offset, "truncated payload (want " + std::to_string(length) + " bytes, have " +
+                           std::to_string(size_ - pos_) + ")");
     return false;
   }
-  std::vector<uint8_t> payload;
-  if (from_file_) {
-    // Read in bounded chunks so a forged multi-gigabyte length fails at the
-    // true file size instead of a bad_alloc.
-    constexpr size_t kChunk = 1 << 20;
-    uint64_t want = length;
-    while (want > 0) {
-      size_t step = want < kChunk ? static_cast<size_t>(want) : kChunk;
-      size_t base = payload.size();
-      payload.resize(base + step);
-      if (!Pull(payload.data() + base, step, &got)) {
-        Fail("segment frame at offset " + std::to_string(frame_offset) +
-             ": truncated payload (want " + std::to_string(length) + " bytes, have " +
-             std::to_string(payload.size() - step + got) + ")");
-        return false;
-      }
-      want -= step;
-    }
-  } else {
-    payload.resize(static_cast<size_t>(length));
-    Pull(payload.data(), payload.size(), &got);
-  }
-  uint32_t computed = Crc32(payload);
+  std::vector<uint8_t> payload(data_ + pos_, data_ + pos_ + length);
+  pos_ += length;
+  const uint32_t computed = Crc32(payload);
   if (computed != stored_crc) {
-    Fail("segment frame at offset " + std::to_string(frame_offset) + ": CRC mismatch (stored " +
-         std::to_string(stored_crc) + ", computed " + std::to_string(computed) + ")");
+    Fail(frame_offset, "CRC mismatch (stored " + std::to_string(stored_crc) + ", computed " +
+                           std::to_string(computed) + ")");
     return false;
   }
   out->kind = static_cast<SegmentKind>(kind_byte);

@@ -339,8 +339,11 @@ Advice MergeSlices(EpochSlices&& slices) {
   return out;
 }
 
-EpochFrameWriter::EpochFrameWriter(const KsegCompression& c)
-    : c_(c), writer_(c.any() ? kSegmentFormatVersionV2 : kSegmentFormatVersion) {}
+void EpochFrameWriter::AppendManifest(uint64_t epoch_requests) {
+  payload_.Clear();
+  payload_.WriteVarint(epoch_requests);
+  writer_.Append(SegmentKind::kEpochManifest, 0, payload_.bytes());
+}
 
 void EpochFrameWriter::AppendTrace(const EpochSegment& seg) {
   payload_.Clear();
@@ -384,6 +387,7 @@ void EpochFrameWriter::AppendRaw(SegmentKind kind, uint64_t epoch,
 
 std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c) {
   EpochFrameWriter writer(c);
+  writer.AppendManifest(slices.epoch_requests);
   for (const EpochSegment& seg : slices.segments) {
     writer.AppendTrace(seg);
   }
@@ -392,6 +396,7 @@ std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCo
 
 std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices, const KsegCompression& c) {
   EpochFrameWriter writer(c);
+  writer.AppendManifest(slices.epoch_requests);
   for (const EpochSegment& seg : slices.segments) {
     writer.AppendAdvice(seg);
   }
@@ -448,6 +453,45 @@ std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
   out.advice = std::move(*advice);
   out.imports = std::move(*imports);
   return out;
+}
+
+std::optional<uint64_t> DecodeEpochManifestPayload(const std::vector<uint8_t>& payload) {
+  ByteReader in(payload);
+  std::optional<uint64_t> epoch_requests = in.ReadVarint();
+  ByteWriter canonical;
+  if (epoch_requests) canonical.WriteVarint(*epoch_requests);
+  if (!epoch_requests || canonical.bytes() != payload) return std::nullopt;
+  return epoch_requests;
+}
+
+std::optional<uint64_t> ReadEpochManifest(SegmentReader* reader, const char* stream,
+                                          std::vector<LintDiagnostic>* diags) {
+  SegmentRecord rec;
+  const auto fail = [&](const char* rule, std::string location, std::string message) {
+    diags->push_back(LintDiagnostic{rule, LintSeverity::kError, std::move(location),
+                                    std::move(message)});
+    return std::nullopt;
+  };
+  if (!reader->Next(&rec)) {
+    if (!reader->ok()) {
+      return fail(kKarSeg001, stream, "unreadable segment container: " + reader->error());
+    }
+    return fail(kKarSeg002, stream, "container holds no epoch-manifest frame");
+  }
+  std::string location = std::string(stream) + "[offset " + std::to_string(rec.offset) + "]";
+  if (rec.kind != SegmentKind::kEpochManifest) {
+    return fail(kKarSeg002, std::move(location),
+                std::string("container must open with an epoch-manifest frame, found ") +
+                    SegmentKindName(rec.kind));
+  }
+  if (rec.flags != 0) {
+    return fail(kKarSeg002, std::move(location), "epoch-manifest frame must be raw (flags 0)");
+  }
+  std::optional<uint64_t> epoch_requests = DecodeEpochManifestPayload(rec.payload);
+  if (rec.epoch != 0 || !epoch_requests) {
+    return fail(kKarSeg002, std::move(location), "epoch-manifest frame is malformed");
+  }
+  return epoch_requests;
 }
 
 bool DecodeEpochFrame(const SegmentRecord& rec, SegmentKind kind, uint64_t epoch,

@@ -169,24 +169,27 @@ Advice MergeSlices(EpochSlices&& slices);
 // The KSEG frame layer: one writer and one reader for every epoch frame, in
 // the epoch containers below and in shard files (src/server/shard.h).
 //
-// Trace and advice travel as two segment streams: one kTrace frame per epoch,
-// and one kAdvice frame per epoch whose payload is the advice slice followed
-// by the imports. `c` names the storage-class codec stages applied per frame
-// and recorded in the v2 frame flags. With no stages the container is the
-// raw v1 one, byte-identical to the record-golden fixtures. The block stage is
-// dropped per frame when it does not shrink the payload, so a frame's flags
-// always name exactly the transforms its bytes carry.
+// Trace and advice travel as two segment streams. Each opens with a raw
+// kEpochManifest frame stating slices.epoch_requests, then holds one kTrace
+// frame per epoch, or one kAdvice frame per epoch whose payload is the advice
+// slice followed by the imports. `c` names the storage-class codec stages
+// applied per epoch frame and recorded in its flags byte; with no stages
+// every frame is raw. The block stage is dropped per frame when it does not
+// shrink the payload, so a frame's flags always name exactly the transforms
+// its bytes carry.
 std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices,
                                          const KsegCompression& c = {});
 std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices,
                                           const KsegCompression& c = {});
 
-// Appends epoch frames under one codec choice. Every KSEG epoch-frame encoder
-// (the two above and EncodeShardFile) writes through this one appender.
+// Appends frames under one codec choice. Every KSEG epoch-frame encoder (the
+// two above and EncodeShardFile) writes through this one appender.
 class EpochFrameWriter {
  public:
-  explicit EpochFrameWriter(const KsegCompression& c);
+  explicit EpochFrameWriter(const KsegCompression& c) : c_(c) {}
 
+  // The epoch container's opening frame.
+  void AppendManifest(uint64_t epoch_requests);
   void AppendTrace(const EpochSegment& seg);
   void AppendAdvice(const EpochSegment& seg);
   // A frame that stays raw under every codec choice (the shard boundary).
@@ -204,6 +207,19 @@ class EpochFrameWriter {
   // only the largest frame ever allocates.
   ByteWriter payload_;
 };
+
+// The epoch size a manifest payload states: exactly one canonical varint.
+std::optional<uint64_t> DecodeEpochManifestPayload(const std::vector<uint8_t>& payload);
+
+// Reads an epoch container's manifest, its first frame, and returns the
+// epoch size it states. On a container that does not open with exactly one
+// well-formed manifest (a raw kEpochManifest frame at epoch 0 whose payload is
+// one canonical varint) appends the one finding, located at "<stream>" or
+// "<stream>[offset N]", to *diags and returns nullopt: KAR-SEG-001 when the
+// frame cannot be read, KAR-SEG-002 otherwise. A second manifest is left for
+// DecodeEpochFrame, which refuses it where an epoch frame belongs.
+std::optional<uint64_t> ReadEpochManifest(SegmentReader* reader, const char* stream,
+                                          std::vector<LintDiagnostic>* diags);
 
 // Decodes one frame payload, undoing the stages named in the frame's flags
 // byte (block first, then the grammar-aware lanes/dict transcoder); flags == 0

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/analysis/carry_lint.h"
+#include "src/common/file_io.h"
 #include "src/server/kseg_codec.h"
 
 namespace karousos {
@@ -648,12 +649,12 @@ class ShardFileLoader {
 }  // namespace
 
 ShardLoadResult LoadShardFile(const std::string& path) {
-  std::string error;
-  auto reader = SegmentReader::OpenFile(path, &error);
-  return ShardFileLoader().Load(std::move(reader), error);
+  std::optional<FileBytes> bytes = ReadFileBytes(path);
+  if (!bytes) return ShardFileLoader().Load(nullptr, "cannot open segment file: " + path);
+  return LoadShardBytes(*bytes);
 }
 
-ShardLoadResult LoadShardBytes(const std::vector<uint8_t>& bytes) {
+ShardLoadResult LoadShardBytes(std::span<const uint8_t> bytes) {
   std::string error;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
   return ShardFileLoader().Load(std::move(reader), error);

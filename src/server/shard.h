@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,7 +167,7 @@ struct ShardLoadResult {
 };
 
 ShardLoadResult LoadShardFile(const std::string& path);
-ShardLoadResult LoadShardBytes(const std::vector<uint8_t>& bytes);
+ShardLoadResult LoadShardBytes(std::span<const uint8_t> bytes);
 
 // Recomputes the boundary digests/totals/chains from content — shared by the
 // slicer, the loader's validation, and tests that build adversarial fixtures.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/analysis/carry_lint.h"
+#include "src/common/file_io.h"
 #include "src/common/segment.h"
 #include "src/common/serde.h"
 #include "src/server/advice.h"
@@ -780,12 +781,12 @@ ShardArtifactLoadResult LoadShardArtifact(std::unique_ptr<SegmentReader> reader,
 }  // namespace
 
 ShardArtifactLoadResult LoadShardArtifactFile(const std::string& path) {
-  std::string error;
-  auto reader = SegmentReader::OpenFile(path, &error);
-  return LoadShardArtifact(std::move(reader), error);
+  std::optional<FileBytes> bytes = ReadFileBytes(path);
+  if (!bytes) return LoadShardArtifact(nullptr, "cannot open segment file: " + path);
+  return LoadShardArtifactBytes(*bytes);
 }
 
-ShardArtifactLoadResult LoadShardArtifactBytes(const std::vector<uint8_t>& bytes) {
+ShardArtifactLoadResult LoadShardArtifactBytes(std::span<const uint8_t> bytes) {
   std::string error;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
   return LoadShardArtifact(std::move(reader), error);

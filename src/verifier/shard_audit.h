@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -153,7 +154,7 @@ struct ShardArtifactLoadResult {
 };
 
 ShardArtifactLoadResult LoadShardArtifactFile(const std::string& path);
-ShardArtifactLoadResult LoadShardArtifactBytes(const std::vector<uint8_t>& bytes);
+ShardArtifactLoadResult LoadShardArtifactBytes(std::span<const uint8_t> bytes);
 
 }  // namespace karousos
 

@@ -3,11 +3,14 @@
 // size, the fast-reject pre-screen must stop a poisoned stream at the epoch
 // where the defect lands, and the pre-screen's carry state must survive a
 // checkpoint round trip, and KAR-SEG-009's walk must agree with a reference
-// walk on random prec chains and keep its text across a resume.
+// walk on random prec chains and keep its text across a resume. The epoch
+// manifest each container opens with must be well formed and agree with its
+// peer's, or the pair is refused under a file-layer rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
@@ -21,6 +24,8 @@
 #include "src/audit/stream.h"
 #include "src/common/file_io.h"
 #include "src/common/flat_map.h"
+#include "src/common/segment.h"
+#include "src/common/serde.h"
 #include "src/verifier/session.h"
 #include "src/workload/workload.h"
 
@@ -81,7 +86,7 @@ TEST_P(SegRuleFixture, CheckerReportsThePlantedRule) {
   // same one — the pre-screen fires before any replay could decide otherwise.
   StreamAuditResult audited =
       AuditSegments(MakeStacksApp(), trace_bytes, advice_bytes,
-                    VerifierConfig{IsolationLevel::kSerializable, 1}, kFixtureEpochSize);
+                    VerifierConfig{IsolationLevel::kSerializable, 1});
   EXPECT_FALSE(audited.audit.accepted) << "audit accepted the " << rule << " fixture";
   if (!audited.audit.rule.empty()) {
     EXPECT_EQ(audited.audit.rule, rule) << audited.audit.reason;
@@ -118,6 +123,166 @@ TEST(SegmentCheckTest, CleanStreamChecksCleanAtEveryEpochSize) {
   EXPECT_TRUE(r.ok) << r.reason;
   EXPECT_EQ(r.epochs, slices.segments.size());
   EXPECT_EQ(r.frames, 2 * slices.segments.size());
+}
+
+// --- The epoch manifest -----------------------------------------------------
+
+struct Frame {
+  SegmentKind kind = SegmentKind::kTrace;
+  uint8_t flags = 0;
+  uint64_t epoch = 0;
+  std::vector<uint8_t> payload;
+};
+
+std::vector<Frame> ReadFrames(const std::vector<uint8_t>& bytes) {
+  std::string error;
+  auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
+  EXPECT_NE(reader, nullptr) << error;
+  std::vector<Frame> frames;
+  SegmentRecord rec;
+  while (reader != nullptr && reader->Next(&rec)) {
+    frames.push_back(Frame{rec.kind, rec.flags, rec.epoch, rec.payload});
+  }
+  return frames;
+}
+
+std::vector<uint8_t> WriteFrames(const std::vector<Frame>& frames) {
+  SegmentWriter writer;
+  for (const Frame& f : frames) {
+    writer.Append(f.kind, f.epoch, f.flags, f.payload);
+  }
+  return writer.Take();
+}
+
+std::vector<uint8_t> Varint(uint64_t v) {
+  ByteWriter w;
+  w.WriteVarint(v);
+  return w.Take();
+}
+
+// An honest pair at epoch size 7, as frames: each container's manifest first.
+struct FramedPair {
+  std::vector<Frame> trace;
+  std::vector<Frame> advice;
+};
+
+FramedPair HonestFrames(const HonestRun& run) {
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kFixtureEpochSize);
+  FramedPair pair{ReadFrames(EncodeTraceSegments(slices, KsegCompression::All())),
+                  ReadFrames(EncodeAdviceSegments(slices, KsegCompression::All()))};
+  EXPECT_EQ(pair.trace.front().kind, SegmentKind::kEpochManifest);
+  EXPECT_EQ(pair.trace.front().payload, Varint(kFixtureEpochSize));
+  EXPECT_EQ(pair.advice.front().payload, Varint(kFixtureEpochSize));
+  return pair;
+}
+
+// Every manifest defect is a file-layer finding under its own rule, in the
+// check and in the audit alike, before any epoch is fed: never a
+// re-execution verdict against the server. Each is planted in the trace
+// container and, separately, in the advice container.
+TEST(EpochManifestTest, DefectsRejectUnderTheirRuleBeforeAnyEpoch) {
+  HonestRun run = RunStacks(28);
+  const FramedPair honest = HonestFrames(run);
+  const VerifierConfig config{IsolationLevel::kSerializable, 1};
+  ASSERT_TRUE(AuditSegments(run.app, WriteFrames(honest.trace), WriteFrames(honest.advice), config)
+                  .audit.accepted);
+
+  struct Defect {
+    const char* name;
+    const char* rule;
+    void (*plant)(std::vector<Frame>*);
+  };
+  const Defect defects[] = {
+      {"missing", kKarSeg002, [](std::vector<Frame>* c) { c->erase(c->begin()); }},
+      {"duplicated", kKarSeg002, [](std::vector<Frame>* c) { c->insert(c->begin(), c->front()); }},
+      {"after the first epoch frame", kKarSeg002,
+       [](std::vector<Frame>* c) { std::swap((*c)[0], (*c)[1]); }},
+      {"at the end", kKarSeg002,
+       [](std::vector<Frame>* c) {
+         c->push_back(c->front());
+         c->erase(c->begin());
+       }},
+      {"flagged", kKarSeg002, [](std::vector<Frame>* c) { c->front().flags = kFrameFlagBlock; }},
+      {"empty payload", kKarSeg002, [](std::vector<Frame>* c) { c->front().payload.clear(); }},
+      {"overlong varint", kKarSeg002,
+       [](std::vector<Frame>* c) { c->front().payload = {0x87, 0x00}; }},
+      {"trailing byte", kKarSeg002, [](std::vector<Frame>* c) { c->front().payload.push_back(0); }},
+      {"nonzero epoch field", kKarSeg002, [](std::vector<Frame>* c) { c->front().epoch = 1; }},
+      {"another size", kKarSeg010,
+       [](std::vector<Frame>* c) { c->front().payload = Varint(kFixtureEpochSize + 1); }},
+  };
+  for (const Defect& defect : defects) {
+    for (bool in_trace : {true, false}) {
+      SCOPED_TRACE(std::string(defect.name) + " manifest in the " +
+                   (in_trace ? "trace" : "advice") + " container");
+      FramedPair pair = honest;
+      defect.plant(in_trace ? &pair.trace : &pair.advice);
+      const std::vector<uint8_t> trace = WriteFrames(pair.trace);
+      const std::vector<uint8_t> advice = WriteFrames(pair.advice);
+      CheckResult check = CheckSegmentStreams(trace, advice);
+      EXPECT_FALSE(check.ok);
+      EXPECT_EQ(check.rule, defect.rule) << check.reason;
+      EXPECT_EQ(check.epochs, 0u);
+      EXPECT_EQ(check.reason.rfind("segment stream: ", 0), 0u) << check.reason;
+      StreamAuditResult audited = AuditSegments(run.app, trace, advice, config);
+      EXPECT_FALSE(audited.audit.accepted);
+      EXPECT_EQ(audited.audit.rule, defect.rule) << audited.audit.reason;
+      EXPECT_EQ(audited.audit.reason, check.reason);
+      EXPECT_EQ(audited.epochs, 0u);
+    }
+  }
+}
+
+// Whatever size two agreeing manifests state, the check and the audit end in
+// a verdict: the slices were cut at 7, so most sizes reject, but none may
+// crash, hang or overflow.
+TEST(EpochManifestTest, RewrittenSizesEndInAVerdict) {
+  HonestRun run = RunStacks(28);
+  const FramedPair honest = HonestFrames(run);
+  const VerifierConfig config{IsolationLevel::kSerializable, 1};
+  const uint64_t e = kFixtureEpochSize;
+  for (uint64_t size : {uint64_t{0}, uint64_t{1}, e - 1, e, e + 1,
+                        std::numeric_limits<uint64_t>::max()}) {
+    SCOPED_TRACE("both manifests state " + std::to_string(size));
+    FramedPair pair = honest;
+    pair.trace.front().payload = Varint(size);
+    pair.advice.front().payload = Varint(size);
+    const std::vector<uint8_t> trace = WriteFrames(pair.trace);
+    const std::vector<uint8_t> advice = WriteFrames(pair.advice);
+    CheckResult check = CheckSegmentStreams(trace, advice);
+    StreamAuditResult audited = AuditSegments(run.app, trace, advice, config);
+    EXPECT_EQ(check.ok, check.reason.empty());
+    EXPECT_EQ(audited.audit.accepted, audited.audit.reason.empty());
+    if (size == e) {
+      EXPECT_TRUE(check.ok) << check.reason;
+      EXPECT_TRUE(audited.audit.accepted) << audited.audit.reason;
+    }
+  }
+}
+
+// A caller's expected size is checked against the manifests before any epoch.
+TEST(EpochManifestTest, ExpectedSizeMustMatchTheManifests) {
+  HonestRun run = RunStacks(28);
+  EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kFixtureEpochSize);
+  const std::vector<uint8_t> trace = EncodeTraceSegments(slices);
+  const std::vector<uint8_t> advice = EncodeAdviceSegments(slices);
+  EXPECT_TRUE(CheckSegmentStreams(trace, advice, kFixtureEpochSize).ok);
+  SegmentLoadResult loaded = LoadSegmentStreams(trace, advice);
+  ASSERT_TRUE(loaded.ok) << loaded.reason;
+  EXPECT_EQ(loaded.slices.epoch_requests, kFixtureEpochSize);
+  EXPECT_EQ(loaded.slices.segments.size(), slices.segments.size());
+
+  CheckResult check = CheckSegmentStreams(trace, advice, kFixtureEpochSize + 1);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.rule, kKarSeg010);
+  EXPECT_EQ(check.epochs, 0u);
+  EXPECT_NE(check.reason.find("epoch size 7, not the expected 8"), std::string::npos)
+      << check.reason;
+  loaded = LoadSegmentStreams(trace, advice, kFixtureEpochSize + 1);
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_EQ(loaded.rule, kKarSeg010);
+  EXPECT_EQ(loaded.reason, check.reason);
+  EXPECT_TRUE(loaded.slices.segments.empty());
 }
 
 // --- Fast reject mid-stream -------------------------------------------------

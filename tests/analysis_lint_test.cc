@@ -1,6 +1,8 @@
 // Advice-linter unit tests: one corruption per rule in the KAR-ADV catalogue
 // (src/analysis/lint.h), each asserting that exactly the expected rule ID
-// fires, plus clean-advice checks and the checked-in known-bad fixture.
+// fires, plus clean-advice checks and the checked-in known-bad fixture. Each
+// run is linted whole, as the one epoch of CheckRun(trace, advice, 0)
+// (src/analysis/check.h).
 //
 // The corruptions target honest stacks advice — stacks exercises every
 // advice section (handler logs, variable logs, transaction logs, write
@@ -10,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/lint.h"
+#include "src/analysis/check.h"
 #include "src/apps/app_util.h"
 #include "src/audit/audit.h"
 #include "src/common/file_io.h"
@@ -35,6 +37,11 @@ ServerRunResult RunStacks(CollectMode mode = CollectMode::kKarousos) {
   return server.Run(GenerateWorkload(wl));
 }
 
+// Every finding of the model check over the run read as one epoch.
+std::vector<LintDiagnostic> Lint(const Trace& trace, const Advice& advice) {
+  return CheckRun(trace, advice, 0).diagnostics;
+}
+
 // True iff some diagnostic carries the rule.
 bool HasRule(const std::vector<LintDiagnostic>& diagnostics, const std::string& rule) {
   for (const LintDiagnostic& d : diagnostics) {
@@ -49,7 +56,7 @@ bool HasRule(const std::vector<LintDiagnostic>& diagnostics, const std::string& 
 // audit's structured rejection names the same rule (the corruptions below
 // each trip exactly one rule, which is therefore the first error).
 void ExpectRule(const ServerRunResult& run, const std::string& rule) {
-  std::vector<LintDiagnostic> diagnostics = LintAdvice(run.trace, run.advice);
+  std::vector<LintDiagnostic> diagnostics = Lint(run.trace, run.advice);
   EXPECT_TRUE(HasRule(diagnostics, rule)) << "lint did not report " << rule;
   ASSERT_FALSE(diagnostics.empty());
   EXPECT_EQ(diagnostics.front().rule, rule) << diagnostics.front().Format();
@@ -63,12 +70,12 @@ void ExpectRule(const ServerRunResult& run, const std::string& rule) {
 
 TEST(AnalysisLintTest, HonestKarousosAdviceIsClean) {
   ServerRunResult run = RunStacks();
-  EXPECT_TRUE(LintAdvice(run.trace, run.advice).empty());
+  EXPECT_TRUE(Lint(run.trace, run.advice).empty());
 }
 
 TEST(AnalysisLintTest, HonestOrochiAdviceIsClean) {
   ServerRunResult run = RunStacks(CollectMode::kOrochi);
-  EXPECT_TRUE(LintAdvice(run.trace, run.advice).empty());
+  EXPECT_TRUE(Lint(run.trace, run.advice).empty());
 }
 
 TEST(AnalysisLintTest, Rule001PhantomRequestId) {
@@ -226,8 +233,8 @@ TEST(AnalysisLintTest, LintIsDeterministic) {
   ServerRunResult run = RunStacks();
   run.advice.tags[999] = 1;
   run.advice.write_order.push_back(run.advice.write_order.front());
-  std::vector<LintDiagnostic> first = LintAdvice(run.trace, run.advice);
-  std::vector<LintDiagnostic> second = LintAdvice(run.trace, run.advice);
+  std::vector<LintDiagnostic> first = Lint(run.trace, run.advice);
+  std::vector<LintDiagnostic> second = Lint(run.trace, run.advice);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].Format(), second[i].Format());
@@ -255,7 +262,7 @@ TEST(AnalysisLintTest, CheckedInFixtureReportsBothPlantedRules) {
   auto advice = Advice::Deserialize(&advice_reader);
   ASSERT_TRUE(advice.has_value());
 
-  std::vector<LintDiagnostic> diagnostics = LintAdvice(*trace, *advice);
+  std::vector<LintDiagnostic> diagnostics = Lint(*trace, *advice);
   EXPECT_TRUE(HasRule(diagnostics, "KAR-ADV-003"));
   EXPECT_TRUE(HasRule(diagnostics, "KAR-ADV-010"));
 

@@ -763,9 +763,10 @@ void BreakAdviceFrame(std::vector<uint8_t>* container, uint64_t epoch) {
   std::unique_ptr<SegmentReader> reader =
       SegmentReader::FromBytes(container->data(), container->size(), &error);
   ASSERT_NE(reader, nullptr) << error;
-  std::vector<uint64_t> ends;  // One past each frame's last byte.
+  std::vector<uint64_t> ends;  // One past each epoch frame's last byte.
   SegmentRecord record;
   while (reader->Next(&record)) {
+    if (record.kind == SegmentKind::kEpochManifest) continue;  // The first frame.
     if (!ends.empty()) {
       ends.back() = record.offset;
     }
@@ -821,7 +822,7 @@ TEST(EpochStreamOrderTest, FirstFindingInStreamOrderWins) {
     std::vector<uint8_t> advice_bytes = honest_advice;
     BreakAdviceFrame(&advice_bytes, broken);
     EXPECT_EQ(CheckSegmentStreams(trace_bytes, advice_bytes, 7).rule, kKarSeg001) << context;
-    StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, 7);
+    StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config);
     EXPECT_FALSE(audited.audit.accepted) << context;
     EXPECT_EQ(audited.audit.rule, kKarSeg001) << context;
     EXPECT_EQ(audited.audit.reason.rfind("segment stream: ", 0), 0u) << audited.audit.reason;
@@ -831,7 +832,7 @@ TEST(EpochStreamOrderTest, FirstFindingInStreamOrderWins) {
     advice_bytes = linted_advice;
     BreakAdviceFrame(&advice_bytes, broken);
     CheckResult check = CheckSegmentStreams(trace_bytes, advice_bytes, 7);
-    audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, 7);
+    audited = AuditSegments(run.app, trace_bytes, advice_bytes, config);
     EXPECT_FALSE(check.ok) << context;
     EXPECT_EQ(check.rule, "KAR-ADV-014") << context << ": " << check.reason;
     EXPECT_FALSE(audited.audit.accepted) << context;
@@ -983,7 +984,7 @@ TEST(EpochStaticFindingsTest, StreamCutShortReportsNothingPastTheDecidingEpoch) 
   EpochSlices slices = SliceRun(run.server.trace, run.server.advice, kEpochSize);
   const std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices);
   const std::vector<uint8_t> advice_bytes = EncodeAdviceSegments(slices);
-  StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config, kEpochSize);
+  StreamAuditResult audited = AuditSegments(run.app, trace_bytes, advice_bytes, config);
   EXPECT_EQ(audited.epochs, 3u);
   ExpectSameOutcome(reference.audit, audited.audit, "decided at epoch 2");
   EXPECT_FALSE(HasRule(audited.audit.diagnostics, "KAR-ADV-010"));

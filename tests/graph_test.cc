@@ -331,17 +331,18 @@ uint64_t DigestOfBytes(const std::vector<uint8_t>& bytes) {
   return d.Finish();
 }
 
-// A checkpoint after every epoch of an honest stacks run: its bytes are the
-// ones the key-by-key graph wrote (digests below, format v6), restoring and
+// A checkpoint after every epoch of an honest stacks run: its payloads are the
+// ones the key-by-key graph wrote (digests below of the whole file, checkpoint
+// format v6 in a segment container of format 3), restoring and
 // saving again gives them back, and the resumed audit ends with the
 // uninterrupted audit's verdict line and the same hashed-node count, so
 // Restore re-forms the chain blocks.
 TEST(GraphChainTest, CheckpointAfterEveryEpochKeepsBytesAndLayout) {
   constexpr uint64_t kEpochSize = 7;
   constexpr uint64_t kDigests[] = {
-      0xa1e0cc8d108429c6ULL, 0x0de8331622867206ULL, 0xa0fd3c9776e6d89cULL,
-      0xe274635ed0efd400ULL, 0xc66da411c276b952ULL, 0x14c1203ba6a4f14bULL,
-      0xc0913f1ef561aa5fULL, 0x59dd5fbe36180d9aULL, 0x31cd00ebdd23ee55ULL,
+      0x7fdf2a8c7dafb54aULL, 0xba7c70d9fd543e96ULL, 0x2d356d1e857239d5ULL,
+      0xa31ce17272ea30bcULL, 0xafa261b52debb184ULL, 0x59afc13b13803babULL,
+      0x91485060d8f9aae1ULL, 0x6654b51bb98d428fULL, 0xac0b958979718bc4ULL,
   };
   AppSpec app = MakeStacksApp();
   ServerRunResult run = Record(app, "stacks", WorkloadKind::kMixed, 60);

@@ -3,7 +3,7 @@
 // level), the audit verdict must be bit-identical between compressed and raw
 // streams across the full epoch/threads matrix, and corrupted
 // compressed containers must reject cleanly — mirroring
-// tests/segment_corruption_test.cc for the v2 flagged format.
+// tests/segment_corruption_test.cc for flagged frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,6 +74,16 @@ std::vector<SegmentRecord> WalkFrames(const std::vector<uint8_t>& bytes) {
   return frames;
 }
 
+// The epoch frames behind the container's manifest.
+std::vector<SegmentRecord> EpochFrames(const std::vector<uint8_t>& bytes) {
+  std::vector<SegmentRecord> frames = WalkFrames(bytes);
+  EXPECT_FALSE(frames.empty());
+  if (frames.empty()) return frames;
+  EXPECT_EQ(frames.front().kind, SegmentKind::kEpochManifest);
+  frames.erase(frames.begin());
+  return frames;
+}
+
 class KsegCompressTest : public ::testing::TestWithParam<FixtureSpec> {};
 
 // decode(encode(x)) == x, at the byte level of the raw encoding: every stage
@@ -84,8 +94,8 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
   ServerRunResult run = RunFixtureWorkload(spec);
   EpochSlices slices = SliceRun(run.trace, run.advice, spec.epoch_requests);
 
-  const std::vector<SegmentRecord> raw_trace = WalkFrames(EncodeTraceSegments(slices));
-  const std::vector<SegmentRecord> raw_advice = WalkFrames(EncodeAdviceSegments(slices));
+  const std::vector<SegmentRecord> raw_trace = EpochFrames(EncodeTraceSegments(slices));
+  const std::vector<SegmentRecord> raw_advice = EpochFrames(EncodeAdviceSegments(slices));
 
   for (uint8_t flags = 0; flags <= kFrameFlagsKnownMask; ++flags) {
     const KsegCompression c = KsegCompression::FromFlags(flags);
@@ -93,8 +103,8 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
 
     std::vector<uint8_t> trace_bytes = EncodeTraceSegments(slices, c);
     std::vector<uint8_t> advice_bytes = EncodeAdviceSegments(slices, c);
-    std::vector<SegmentRecord> trace_frames = WalkFrames(trace_bytes);
-    std::vector<SegmentRecord> advice_frames = WalkFrames(advice_bytes);
+    std::vector<SegmentRecord> trace_frames = EpochFrames(trace_bytes);
+    std::vector<SegmentRecord> advice_frames = EpochFrames(advice_bytes);
     ASSERT_EQ(trace_frames.size(), raw_trace.size());
     ASSERT_EQ(advice_frames.size(), raw_advice.size());
 
@@ -124,7 +134,7 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
   }
 }
 
-// The no-stage config must forward to the raw (v1) encoder bit for bit, and
+// The no-stage config must forward to the raw encoder bit for bit, and
 // the full stack must actually shrink the advice stream.
 TEST_P(KsegCompressTest, RawConfigIsByteIdenticalAndFullStackShrinks) {
   const FixtureSpec& spec = GetParam();
@@ -202,10 +212,8 @@ TEST(KsegCompressDifferentialTest, VerdictsMatchRawAcrossMatrix) {
                      " threads=" + std::to_string(threads));
         VerifierConfig vc;
         vc.threads = threads;
-        StreamAuditResult raw_audit =
-            AuditSegments(app, raw_trace, raw_advice, vc, epoch_requests);
-        StreamAuditResult comp_audit =
-            AuditSegments(app, comp_trace, comp_advice, vc, epoch_requests);
+        StreamAuditResult raw_audit = AuditSegments(app, raw_trace, raw_advice, vc);
+        StreamAuditResult comp_audit = AuditSegments(app, comp_trace, comp_advice, vc);
         EXPECT_TRUE(raw_audit.audit.accepted) << raw_audit.audit.reason;
         EXPECT_EQ(raw_audit.audit.accepted, comp_audit.audit.accepted);
         EXPECT_EQ(raw_audit.audit.reason, comp_audit.audit.reason);
@@ -310,7 +318,10 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
       std::string error;
       auto reader = SegmentReader::FromBytes(flipped.data(), flipped.size(), &error);
       bool rejected = reader == nullptr;
-      if (reader) {
+      std::vector<LintDiagnostic> manifest_diags;
+      if (reader && !ReadEpochManifest(reader.get(), "advice", &manifest_diags)) {
+        rejected = true;
+      } else if (reader) {
         SegmentRecord rec;
         while (reader->Next(&rec)) {
           if (rec.kind != SegmentKind::kAdvice ||

@@ -127,8 +127,7 @@ TEST_P(ScenarioDifferentialTest, OutcomeIsInvariantAcrossTheMatrix) {
 
       // Streamed from the serialized KSEG containers (the wire artifact).
       StreamAuditResult from_kseg =
-          AuditSegments(run.app, trace_kseg, advice_kseg, config, epoch_size,
-                        &run.server.untracked_accesses);
+          AuditSegments(run.app, trace_kseg, advice_kseg, config, &run.server.untracked_accesses);
       ExpectSameOutcome(oracle, from_kseg.audit, context + " path=segments");
     }
   }

@@ -87,11 +87,11 @@ TEST(SegmentCorruptionTest, BitFlipAtEveryPositionFailsCleanlyOrIsCaught) {
   const size_t header = sizeof(kSegmentMagic) + 1;
 
   // Payload and CRC byte ranges, where a flip MUST produce a hard error (the
-  // checksum seals them). Flips in kind/epoch/length bytes may instead
+  // checksum seals them). Flips in kind/flags/epoch/length bytes may instead
   // re-frame the stream; there the requirement is only a clean outcome —
   // either an error or frames that still satisfy the CRC contract (asserted
   // inside Drain) — never a crash or overread.
-  // A frame is kind + epoch varint + length varint + crc(4) + payload, so
+  // A frame is kind + flags + epoch varint + length varint + crc(4) + payload, so
   // each frame's sealed bytes are the last 4 + |payload| before the next
   // frame's offset (or the file end).
   std::set<size_t> sealed;
@@ -145,9 +145,9 @@ TEST(SegmentCorruptionTest, DeclaredLengthBeyondFileIsRejected) {
   SegmentWriter writer;
   writer.Append(SegmentKind::kTrace, 0, Bytes("payload"));
   std::vector<uint8_t> bytes = writer.Take();
-  // Frame layout after the 5-byte header: kind, epoch, length, crc, payload.
-  // Inflate the declared length far past the file size.
-  bytes[7] = 0x7f;
+  // Frame layout after the 5-byte header: kind, flags, epoch, length, crc,
+  // payload. Inflate the declared length far past the file size.
+  bytes[8] = 0x7f;
   EXPECT_EQ(Drain(bytes), -1);
 }
 

@@ -1,10 +1,11 @@
 // Segment container wire format: golden bytes (the layout is a compatibility
 // promise — collectors and verifiers may be built from different revisions),
-// roundtrips through writer/reader, format-version rejection, and the epoch
-// slicer's structural invariants.
+// roundtrips through writer/reader, format-version rejection, the epoch
+// manifest, and the epoch slicer's structural invariants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,18 +24,18 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 }
 
 // The exact bytes of a one-frame container: magic, version, then
-// kind=kTrace(1) | epoch=5 | length=9 | crc32("123456789") little-endian |
-// payload. 0xCBF43926 is the standard CRC-32 check value, so this test pins
+// kind=kTrace(1) | flags=0 | epoch=5 | length=9 | crc32("123456789")
+// little-endian | payload. 0xCBF43926 is the standard CRC-32 check value, so this test pins
 // the polynomial, the init/final xor, and the byte order all at once.
 TEST(SegmentFormatTest, GoldenBytes) {
   SegmentWriter writer;
   writer.Append(SegmentKind::kTrace, 5, Bytes("123456789"));
-  ASSERT_TRUE(writer.ok()) << writer.error();
 
   const std::vector<uint8_t> expected = {
       'K', 'S', 'E', 'G',      // magic
-      0x01,                    // format version
+      0x03,                    // format version
       0x01,                    // kind: kTrace
+      0x00,                    // flags: raw
       0x05,                    // epoch varint
       0x09,                    // payload length varint
       0x26, 0x39, 0xf4, 0xcb,  // crc 0xCBF43926, little-endian
@@ -48,7 +49,6 @@ TEST(SegmentFormatTest, RoundtripMultipleFrames) {
   writer.Append(SegmentKind::kAdvice, 0, Bytes("slice-zero"));
   writer.Append(SegmentKind::kTrace, 1, {});  // Empty payloads are legal.
   writer.Append(SegmentKind::kCheckpoint, 1, Bytes("carry"));
-  ASSERT_TRUE(writer.ok());
   std::vector<uint8_t> bytes = writer.Take();
 
   std::string error;
@@ -74,29 +74,30 @@ TEST(SegmentFormatTest, RoundtripMultipleFrames) {
   EXPECT_TRUE(reader->ok()) << reader->error();
 }
 
-TEST(SegmentFormatTest, FutureFormatVersionIsRejected) {
+// The retired layouts (v1 without the flags byte, v2 with it) and any later
+// version are refused at the header.
+TEST(SegmentFormatTest, OtherFormatVersionsAreRejected) {
   SegmentWriter writer;
   writer.Append(SegmentKind::kTrace, 0, Bytes("payload"));
   std::vector<uint8_t> bytes = writer.Take();
-  bytes[4] = kSegmentFormatVersionV2 + 1;
-
-  std::string error;
-  auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
-  EXPECT_EQ(reader, nullptr);
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{kSegmentFormatVersion + 1}}) {
+    bytes[4] = version;
+    std::string error;
+    auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
+    EXPECT_EQ(reader, nullptr) << "version " << int{version};
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
 }
 
-TEST(SegmentFormatTest, V2FlagsRoundtripAndUnknownBitsReject) {
-  SegmentWriter writer(kSegmentFormatVersionV2);
+TEST(SegmentFormatTest, FlagsRoundtripAndUnknownBitsReject) {
+  SegmentWriter writer;
   writer.Append(SegmentKind::kTrace, 0, kFrameFlagLanes | kFrameFlagDict, Bytes("compact"));
-  writer.Append(SegmentKind::kAdvice, 0, /*flags=*/0, Bytes("raw-in-v2"));
-  ASSERT_TRUE(writer.ok()) << writer.error();
+  writer.Append(SegmentKind::kAdvice, 0, /*flags=*/0, Bytes("raw"));
   std::vector<uint8_t> bytes = writer.Take();
 
   std::string error;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
   ASSERT_NE(reader, nullptr) << error;
-  EXPECT_EQ(reader->format_version(), kSegmentFormatVersionV2);
   SegmentRecord rec;
   ASSERT_TRUE(reader->Next(&rec));
   EXPECT_EQ(rec.flags, kFrameFlagLanes | kFrameFlagDict);
@@ -114,13 +115,6 @@ TEST(SegmentFormatTest, V2FlagsRoundtripAndUnknownBitsReject) {
   EXPECT_FALSE(reject->Next(&rec));
   EXPECT_FALSE(reject->ok());
   EXPECT_NE(reject->error().find("unknown frame flags"), std::string::npos) << reject->error();
-}
-
-TEST(SegmentFormatTest, V1WriterRefusesFlags) {
-  SegmentWriter writer;  // v1
-  writer.Append(SegmentKind::kTrace, 0, kFrameFlagBlock, Bytes("x"));
-  EXPECT_FALSE(writer.ok());
-  EXPECT_NE(writer.error().find("version 2"), std::string::npos) << writer.error();
 }
 
 TEST(SegmentFormatTest, WrongMagicIsRejected) {
@@ -207,6 +201,10 @@ TEST(EpochSlicerTest, SegmentStreamEncodingRoundtrips) {
   std::string error;
   auto reader = SegmentReader::FromBytes(advice_bytes.data(), advice_bytes.size(), &error);
   ASSERT_NE(reader, nullptr) << error;
+  // The container opens by stating the epoch size it was sliced at.
+  std::vector<LintDiagnostic> diags;
+  EXPECT_EQ(ReadEpochManifest(reader.get(), "advice", &diags), std::optional<uint64_t>(5));
+  EXPECT_TRUE(diags.empty());
   SegmentRecord rec;
   size_t frames = 0;
   size_t tags = 0;

@@ -54,6 +54,8 @@ void CheckStreamDecodes(const std::vector<uint8_t>& bytes, SegmentKind want_kind
   std::string error;
   auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
   ASSERT_NE(reader, nullptr) << error;
+  std::vector<LintDiagnostic> diags;
+  ASSERT_TRUE(ReadEpochManifest(reader.get(), "stream", &diags).has_value());
   SegmentRecord rec;
   size_t frames = 0;
   while (reader->Next(&rec)) {
@@ -96,8 +98,10 @@ TEST_P(ServerRecordStressTest, SegmentsDecodeAndMergeBack) {
   std::string error;
   auto reader = SegmentReader::FromBytes(advice_segments.data(), advice_segments.size(), &error);
   ASSERT_NE(reader, nullptr) << error;
+  std::vector<LintDiagnostic> diags;
   EpochSlices decoded;
-  decoded.epoch_requests = epoch_requests;
+  decoded.epoch_requests = ReadEpochManifest(reader.get(), "advice", &diags).value_or(0);
+  EXPECT_EQ(decoded.epoch_requests, epoch_requests);
   SegmentRecord rec;
   while (reader->Next(&rec)) {
     auto payload = DecodeAdviceSegmentPayload(rec.payload);

@@ -641,11 +641,11 @@ std::vector<Frame> ReadFrames(const std::vector<uint8_t>& bytes) {
   return frames;
 }
 
-// Writes `frames` as a v2 container, so a frame may carry any flag bits.
+// Writes `frames` as a container; a frame may carry any flag bits.
 // `truncate_after` >= 0 drops every later frame and cuts the container's last
 // byte, which lies inside frame `truncate_after`.
 std::vector<uint8_t> WriteFrames(const std::vector<Frame>& frames, int truncate_after = -1) {
-  SegmentWriter writer(kSegmentFormatVersionV2);
+  SegmentWriter writer;
   for (size_t i = 0; i < frames.size(); ++i) {
     writer.Append(frames[i].kind, frames[i].epoch, frames[i].flags, frames[i].payload);
     if (static_cast<int>(i) == truncate_after) {
@@ -702,14 +702,16 @@ TEST(FrameDefectAgreementTest, PairedContainersAndShardFileReportTheSameRule) {
       const bool is_trace = kind == SegmentKind::kTrace;
       std::vector<Frame> paired = is_trace ? trace : advice;
       std::vector<Frame> shard_file = file;
+      // Both layouts open with one frame (the manifest, the boundary).
+      const size_t paired_index = 1 + kEpoch;
       const size_t file_index = 1 + 2 * kEpoch + (is_trace ? 0 : 1);
       int paired_cut = -1;
       int file_cut = -1;
       if (defect.plant != nullptr) {
-        defect.plant(&paired[kEpoch]);
+        defect.plant(&paired[paired_index]);
         defect.plant(&shard_file[file_index]);
       } else {
-        paired_cut = static_cast<int>(kEpoch);
+        paired_cut = static_cast<int>(paired_index);
         file_cut = static_cast<int>(file_index);
       }
       const std::vector<uint8_t> planted = WriteFrames(paired, paired_cut);

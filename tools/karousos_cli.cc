@@ -7,11 +7,11 @@
 //   karousos inspect --advice advice.bin
 //
 // `serve` runs the instrumented server and writes the collector's trace and
-// the server's advice in the wire format; `audit` replays them through the
-// verifier; `tamper` forges the first response (for demos); `inspect` prints
-// the advice composition; `analyze` runs the analysis layer alone — the
-// structural advice linter over (trace, advice) files, or (with --races) the
-// §5 happens-before race detector over a fresh in-process serve.
+// the server's advice in the wire format, or as KSEG epoch containers;
+// `audit` replays them through the verifier; `tamper` forges the first
+// response (for demos); `inspect` prints the advice composition; `check` runs
+// the audit's static half alone; `analyze --races` runs the §5
+// happens-before race detector over a fresh in-process serve.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -30,7 +30,6 @@
 #include <algorithm>
 
 #include "src/analysis/check.h"
-#include "src/analysis/lint.h"
 #include "src/analysis/race.h"
 #include "src/audit/audit.h"
 #include "src/audit/stream.h"
@@ -53,8 +52,8 @@ int Usage() {
                "  karousos serve  --app <motd|stacks|wiki|auction|mixed> [--workload <reads|writes|mixed>]\n"
                "                  [--requests N] [--concurrency C] [--seed S] [--mode karousos|orochi]\n"
                "                  [--isolation ser|rc|ru] [--inputs FILE]\n"
-               "                  --out-trace FILE --out-advice FILE\n"
-               "                  [--out-segments DIR --epoch-size N] [--compress none|all]\n"
+               "                  [--out-trace FILE --out-advice FILE]\n"
+               "                  [--out-segments DIR [--epoch-size N]]\n"
                "      --workload: request mix — reads (90/10), writes (10/90), or mixed\n"
                "      (50/50; wiki/auction/mixed apps use their native mixes)\n"
                "      --requests/--concurrency/--seed: workload size, in-flight window,\n"
@@ -62,11 +61,11 @@ int Usage() {
                "      --mode: advice collection — karousos (default) or the orochi\n"
                "      baseline; --isolation: store isolation level\n"
                "      --inputs: serve a JSON-lines request stream instead of --workload\n"
+               "      --out-trace/--out-advice: write the monolithic pair\n"
                "      --out-segments: also (or instead) write the epoch-segmented KSEG\n"
-               "      containers DIR/trace.kseg and DIR/advice.kseg\n"
-               "      --compress: codec for the KSEG containers — 'all' (the lanes,\n"
-               "      dict and block stages; emits format v2 frames) or 'none' (raw v1,\n"
-               "      the default)\n"
+               "      containers DIR/trace.kseg and DIR/advice.kseg, in epochs of\n"
+               "      --epoch-size requests (default %llu) under every codec stage; each\n"
+               "      container states its epoch size\n"
                "  karousos serve  --app <...> --listen <unix:/path|host:port>\n"
                "                  [--net-workers N] [--net-batch] [--out-shards DIR]\n"
                "                  [--concurrency C] [--seed S] [--mode ...] [--isolation ...]\n"
@@ -97,7 +96,8 @@ int Usage() {
                "                  [--isolation ser|rc|ru] [--threads N] [--profile]\n"
                "                  [--epoch-size N] [--checkpoint FILE] [--resume FILE]\n"
                "      --segments: audit DIR/trace.kseg + DIR/advice.kseg (KSEG containers\n"
-               "      are also auto-detected on --trace/--advice; --epoch-size required)\n"
+               "      are also auto-detected on --trace/--advice) at the epoch size the\n"
+               "      containers state\n"
                "      every audit streams its input epoch by epoch and runs the static\n"
                "      KAR-SEG pre-screen before each epoch's re-execution; the pre-screen\n"
                "      alone enforces KAR-SEG-007 and KAR-SEG-008\n"
@@ -105,13 +105,15 @@ int Usage() {
                "      threads); the verdict is identical for every value\n"
                "      --profile: print phase-timing JSON (Preprocess/ReExec/Postprocess)\n"
                "      --epoch-size: read a monolithic pair as epochs of N requests (0 = one\n"
-               "      epoch; default %llu); the verdict is the same at every size\n"
+               "      epoch; default %llu); the verdict is the same at every size. On\n"
+               "      KSEG input it is optional and must equal the stated size (else exit 2)\n"
                "      --checkpoint: save the carry state to FILE after every epoch\n"
                "      --resume: restore the carry state from FILE and continue from the\n"
                "      first unaudited epoch\n"
                "  karousos shard  --trace FILE --advice FILE --shards K --out-dir DIR\n"
-               "                  [--epoch-size N] [--shard-mode hash|range] [--compress none|all]\n"
+               "                  [--epoch-size N] [--shard-mode hash|range]\n"
                "      partition one run into K self-contained shard files DIR/shard<i>.kseg\n"
+               "      in epochs of N requests (default %llu), under every codec stage\n"
                "      (group-atomic by request hash, or contiguous rid ranges); each shard\n"
                "      carries the replicated trace, its advice slice, and a cross-shard\n"
                "      boundary manifest, and audits independently with `audit-shard`\n"
@@ -127,18 +129,20 @@ int Usage() {
                "  karousos tamper --trace FILE --out FILE\n"
                "  karousos inspect --advice FILE | --trace FILE\n"
                "      advice/trace files print composition; segment containers print\n"
-               "      per-epoch frame headers (kind, epoch, payload size, CRC)\n"
+               "      the stated epoch size and per-epoch frame headers (kind, epoch,\n"
+               "      payload size, CRC)\n"
                "  karousos check  --segments DIR | --trace FILE --advice FILE\n"
                "                  [--epoch-size N]\n"
                "      streaming static model check (KAR-ADV + KAR-SEG rules), no\n"
-               "      re-execution: KSEG containers need --epoch-size; monolithic files\n"
-               "      are sliced at --epoch-size (default %llu); exit 1 on reject\n"
-               "  karousos analyze --trace FILE --advice FILE [--epoch-size N]\n"
-               "      lint the advice against the trace; segment containers run the\n"
-               "      streaming model check instead; exit 1 on findings\n"
+               "      re-execution: KSEG containers are read at their stated epoch size\n"
+               "      (--epoch-size, if given, must equal it); monolithic files are\n"
+               "      sliced at --epoch-size (default %llu; 0 lints the run as one\n"
+               "      epoch); exit 1 on reject\n"
                "  karousos analyze --races --app <motd|stacks|wiki|auction|mixed> [--workload ...]\n"
                "                  [--requests N] [--concurrency C] [--seed S]\n"
                "      serve in-process and race-check untracked accesses; exit 1 on findings\n",
+               static_cast<unsigned long long>(kDefaultEpochRequests),
+               static_cast<unsigned long long>(kDefaultEpochRequests),
                static_cast<unsigned long long>(kDefaultEpochRequests),
                static_cast<unsigned long long>(kDefaultEpochRequests));
   return 2;
@@ -158,13 +162,11 @@ struct Args {
   std::string resume_path;
   std::string segments_dir;
   std::string out_segments_dir;
-  std::string compress;  // "", "none" or "all".
   size_t requests = 200;
   int concurrency = 8;
   uint64_t seed = 1;
   unsigned threads = 1;
-  uint64_t epoch_size = 0;
-  bool epoch_size_set = false;
+  std::optional<uint64_t> epoch_size;
   bool races = false;
   bool profile = false;
   // Network front-end (serve --listen / load --connect).
@@ -265,7 +267,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       args.threads = ParseNumber<unsigned>(flag, value);
     } else if (flag == "--epoch-size") {
       args.epoch_size = ParseNumber<uint64_t>(flag, value);
-      args.epoch_size_set = true;
     } else if (flag == "--checkpoint") {
       args.checkpoint_path = value;
     } else if (flag == "--resume") {
@@ -274,8 +275,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       args.segments_dir = value;
     } else if (flag == "--out-segments") {
       args.out_segments_dir = value;
-    } else if (flag == "--compress") {
-      args.compress = value;
     } else if (flag == "--listen") {
       args.listen = value;
     } else if (flag == "--connect") {
@@ -319,20 +318,6 @@ AppSpec AppOrExit(const std::string& name) {
     std::exit(2);
   }
   return std::move(*app);
-}
-
-// `--compress` takes none (raw v1, the default) or all: partial stage sets
-// do not pay on the stored advice (BENCH_advice_size.json), so they stay
-// library-only.
-KsegCompression ParseCompression(const std::string& s) {
-  if (s.empty() || s == "none") {
-    return KsegCompression{};
-  }
-  if (s == "all") {
-    return KsegCompression::All();
-  }
-  std::fprintf(stderr, "unknown --compress value '%s' (want none or all)\n", s.c_str());
-  std::exit(2);
 }
 
 IsolationLevel ParseIsolation(const std::string& s) {
@@ -495,10 +480,6 @@ int CmdServe(const Args& args) {
   if (!want_monolith && args.out_segments_dir.empty()) {
     return Usage();
   }
-  if (!args.out_segments_dir.empty() && !args.epoch_size_set) {
-    std::fprintf(stderr, "--out-segments needs --epoch-size\n");
-    return 2;
-  }
   std::vector<Value> inputs;
   if (!args.inputs_path.empty()) {
     // One JSON request per line.
@@ -552,43 +533,34 @@ int CmdServe(const Args& args) {
   if (!args.out_segments_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(args.out_segments_dir, ec);
-    const KsegCompression comp = ParseCompression(args.compress);
-    EpochSlices slices = SliceRun(run.trace, run.advice, args.epoch_size);
+    EpochSlices slices =
+        SliceRun(run.trace, run.advice, args.epoch_size.value_or(kDefaultEpochRequests));
     std::string trace_out = args.out_segments_dir + "/trace.kseg";
     std::string advice_out = args.out_segments_dir + "/advice.kseg";
-    std::vector<uint8_t> trace_seg = EncodeTraceSegments(slices, comp);
-    std::vector<uint8_t> advice_seg = EncodeAdviceSegments(slices, comp);
+    std::vector<uint8_t> trace_seg = EncodeTraceSegments(slices, KsegCompression::All());
+    std::vector<uint8_t> advice_seg = EncodeAdviceSegments(slices, KsegCompression::All());
     if (!WriteFileBytes(trace_out, trace_seg) || !WriteFileBytes(advice_out, advice_seg)) {
       std::fprintf(stderr, "failed to write segment containers in %s\n",
                    args.out_segments_dir.c_str());
       return 1;
     }
     std::printf("segments: %zu epochs (epoch size %llu) -> %s (%zu B), %s (%zu B)\n",
-                slices.segments.size(), static_cast<unsigned long long>(args.epoch_size),
+                slices.segments.size(), static_cast<unsigned long long>(slices.epoch_requests),
                 trace_out.c_str(), trace_seg.size(), advice_out.c_str(), advice_seg.size());
-    if (comp.any()) {
-      const size_t raw_advice = EncodeAdviceSegments(slices).size();
-      const size_t raw_trace = EncodeTraceSegments(slices).size();
-      std::printf("compressed (%s): advice %zu -> %zu B (%.2fx), trace %zu -> %zu B (%.2fx)\n",
-                  args.compress.c_str(), raw_advice, advice_seg.size(),
-                  advice_seg.empty() ? 0.0 : static_cast<double>(raw_advice) / advice_seg.size(),
-                  raw_trace, trace_seg.size(),
-                  trace_seg.empty() ? 0.0 : static_cast<double>(raw_trace) / trace_seg.size());
-    }
   }
   return 0;
 }
 
-// The (trace, advice) pair `audit`, `check` and `analyze` read: KSEG
-// containers (--segments DIR, or detected on --trace/--advice; --epoch-size
-// required), kept as bytes for the container front ends, or monolithic files,
-// decoded and read as epochs of --epoch-size (kDefaultEpochRequests if not
-// given).
+// The (trace, advice) pair `audit` and `check` read: KSEG containers
+// (--segments DIR, or detected on --trace/--advice), kept as bytes behind a
+// cursor that has read their epoch manifests, or monolithic files, decoded and
+// read as epochs of --epoch-size (kDefaultEpochRequests if not given).
 struct RunInput {
-  bool segmented = false;
-  uint64_t epoch_requests = 0;
   FileBytes trace_bytes;
   FileBytes advice_bytes;
+  std::unique_ptr<PairedSegmentCursor> segments;  // Set for KSEG input.
+  // The containers' stated size, or the monolithic pair's slicing size.
+  std::optional<uint64_t> epoch_requests;
   std::optional<Trace> trace;
   std::optional<Advice> advice;
 };
@@ -611,17 +583,22 @@ std::optional<int> ReadRunInput(const Args& args, RunInput* in) {
     return 1;
   }
   if (LooksLikeSegmentFile(*trace_bytes) || LooksLikeSegmentFile(*advice_bytes)) {
-    if (!args.epoch_size_set) {
-      std::fprintf(stderr, "--epoch-size is required for segment containers\n");
-      return 2;
-    }
-    in->segmented = true;
-    in->epoch_requests = args.epoch_size;
     in->trace_bytes = std::move(*trace_bytes);
     in->advice_bytes = std::move(*advice_bytes);
+    in->segments = std::make_unique<PairedSegmentCursor>(in->trace_bytes, in->advice_bytes);
+    // Unset when the manifests are broken: the walk then rejects under the
+    // file-layer rule, and a given --epoch-size has nothing to disagree with.
+    in->epoch_requests = in->segments->epoch_requests();
+    if (args.epoch_size && in->epoch_requests && *args.epoch_size != *in->epoch_requests) {
+      std::fprintf(stderr,
+                   "--epoch-size %llu disagrees with the epoch size %llu the containers state\n",
+                   static_cast<unsigned long long>(*args.epoch_size),
+                   static_cast<unsigned long long>(*in->epoch_requests));
+      return 2;
+    }
     return std::nullopt;
   }
-  in->epoch_requests = args.epoch_size_set ? args.epoch_size : kDefaultEpochRequests;
+  in->epoch_requests = args.epoch_size.value_or(kDefaultEpochRequests);
   // The trace's bytes are freed before the advice decodes, so the advice
   // decodes beside the decoded trace, not beside the raw trace as well.
   ByteReader trace_reader(*trace_bytes);
@@ -663,17 +640,28 @@ int CmdAudit(const Args& args) {
       std::printf("REJECTED: %s\n", error.c_str());
       return 1;
     }
+    // KSEG epochs are cut at the stated size; a checkpoint taken at another
+    // size would not line up with them.
+    if (in.segments && in.epoch_requests && session->epoch_requests() != *in.epoch_requests) {
+      std::fprintf(stderr, "checkpoint %s has epoch size %llu, the containers state %llu\n",
+                   args.resume_path.c_str(),
+                   static_cast<unsigned long long>(session->epoch_requests()),
+                   static_cast<unsigned long long>(*in.epoch_requests));
+      return 2;
+    }
     std::printf("resumed from %s at epoch %llu\n", args.resume_path.c_str(),
                 static_cast<unsigned long long>(session->next_epoch()));
   } else {
-    session = std::make_unique<AuditSession>(*app.program, config, in.epoch_requests);
+    // A broken KSEG pair has no size; it rejects before any epoch is fed.
+    session =
+        std::make_unique<AuditSession>(*app.program, config, in.epoch_requests.value_or(0));
   }
-  // A resumed audit decodes at the checkpoint's epoch size, or epoch indices
-  // would not line up with the audited prefix. A monolithic run is sliced by
-  // moving its advice, and the trace goes once it is sliced.
+  // A resumed monolithic audit slices at the checkpoint's epoch size, or epoch
+  // indices would not line up with the audited prefix. A monolithic run is
+  // sliced by moving its advice, and the trace goes once it is sliced.
   std::unique_ptr<EpochSource> source;
-  if (in.segmented) {
-    source = std::make_unique<PairedSegmentCursor>(in.trace_bytes, in.advice_bytes);
+  if (in.segments) {
+    source = std::move(in.segments);
   } else {
     source = std::make_unique<SliceSource>(
         SliceRunOwned(*in.trace, std::move(*in.advice), session->epoch_requests()));
@@ -743,13 +731,13 @@ int CmdShard(const Args& args) {
     std::fprintf(stderr, "malformed advice file\n");
     return 1;
   }
-  const KsegCompression comp = ParseCompression(args.compress);
+  const uint64_t epoch_requests = args.epoch_size.value_or(kDefaultEpochRequests);
   ShardSpec spec{args.shards, *mode};
-  std::vector<ShardFile> shards = ShardRun(*trace, *advice, args.epoch_size, spec);
+  std::vector<ShardFile> shards = ShardRun(*trace, *advice, epoch_requests, spec);
   std::error_code ec;
   std::filesystem::create_directories(args.out_dir, ec);
   for (const ShardFile& shard : shards) {
-    std::vector<uint8_t> bytes = EncodeShardFile(shard, comp);
+    std::vector<uint8_t> bytes = EncodeShardFile(shard, KsegCompression::All());
     const std::string path =
         args.out_dir + "/shard" + std::to_string(shard.boundary.shard) + ".kseg";
     if (!WriteFileBytes(path, bytes)) {
@@ -767,7 +755,7 @@ int CmdShard(const Args& args) {
                 shard.boundary.export_var_refs.size());
   }
   std::printf("sharded into %zu files (%s mode, epoch size %llu) in %s\n", shards.size(),
-              ShardModeName(*mode), static_cast<unsigned long long>(args.epoch_size),
+              ShardModeName(*mode), static_cast<unsigned long long>(epoch_requests),
               args.out_dir.c_str());
   return 0;
 }
@@ -908,8 +896,8 @@ int InspectSegments(const std::string& path, std::span<const uint8_t> bytes) {
     std::printf("malformed segment container: %s\n", error.c_str());
     return 1;
   }
-  std::printf("%s: segment container, format v%u, %zu B\n", path.c_str(),
-              reader->format_version(), bytes.size());
+  std::printf("%s: segment container, format v%u, %zu B\n", path.c_str(), bytes[4],
+              bytes.size());
   SegmentRecord record;
   size_t frames = 0;
   size_t stored_advice = 0;
@@ -956,6 +944,13 @@ int InspectSegments(const std::string& path, std::span<const uint8_t> bytes) {
                     payload->advice.tags.size(), payload->advice.var_log_entry_count(),
                     payload->advice.tx_logs.size(),
                     payload->imports.tx_ops.size() + payload->imports.var_entries.size());
+      } else {
+        std::printf("  (undecodable payload)");
+      }
+    } else if (record.kind == SegmentKind::kEpochManifest) {
+      std::optional<uint64_t> epoch_requests = DecodeEpochManifestPayload(record.payload);
+      if (epoch_requests) {
+        std::printf("  (epoch size %llu)", static_cast<unsigned long long>(*epoch_requests));
       } else {
         std::printf("  (undecodable payload)");
       }
@@ -1082,14 +1077,18 @@ int CmdInspect(const Args& args) {
   return 0;
 }
 
-// The streaming static model check: file-layer walk (KSEG only) + per-epoch
-// KAR-ADV lint + cross-epoch KAR-SEG rules, no re-execution. Monolithic
-// files are sliced at the input's epoch size first. Shared by `check` and by
-// `analyze` when it is handed segment containers.
-int RunCheck(const RunInput& in) {
-  CheckResult result =
-      in.segmented ? CheckSegmentStreams(in.trace_bytes, in.advice_bytes, in.epoch_requests)
-                   : CheckRun(*in.trace, *in.advice, in.epoch_requests);
+// `karousos check`: the static half of the audit, standalone — the
+// file-layer walk (KSEG only), per-epoch KAR-ADV lint and cross-epoch KAR-SEG
+// rules, no re-execution. Accepts the segmented production artifact
+// (--segments DIR or KSEG --trace/--advice) or a monolithic pair, which it
+// slices first, as `audit` does.
+int CmdCheck(const Args& args) {
+  RunInput in;
+  if (auto code = ReadRunInput(args, &in)) {
+    return *code;
+  }
+  CheckResult result = in.segments ? CheckSegmentStreams(in.trace_bytes, in.advice_bytes)
+                                   : CheckRun(*in.trace, *in.advice, *in.epoch_requests);
   for (const LintDiagnostic& d : result.diagnostics) {
     std::printf("%s\n", d.Format().c_str());
   }
@@ -1098,46 +1097,11 @@ int RunCheck(const RunInput& in) {
     return 1;
   }
   std::printf("model check: clean (%llu epochs", static_cast<unsigned long long>(result.epochs));
-  if (in.segmented) {
+  if (in.segments) {
     std::printf(", %llu frames", static_cast<unsigned long long>(result.frames));
   }
   std::printf(")\n");
   return 0;
-}
-
-// `karousos check`: the static half of the audit, standalone. Accepts the
-// segmented production artifact (--segments DIR or KSEG --trace/--advice) or
-// a monolithic pair, which it slices first, as `audit` does.
-int CmdCheck(const Args& args) {
-  RunInput in;
-  if (auto code = ReadRunInput(args, &in)) {
-    return *code;
-  }
-  return RunCheck(in);
-}
-
-// Runs the structural advice linter over (trace, advice) files — the
-// audit's static checks over the whole run at once, without re-execution. Prints every diagnostic; exits 1 iff there are findings.
-// Segment containers divert to the streaming model check.
-int CmdAnalyzeLint(const Args& args) {
-  RunInput in;
-  if (auto code = ReadRunInput(args, &in)) {
-    return *code;
-  }
-  if (in.segmented) {
-    return RunCheck(in);
-  }
-  std::vector<LintDiagnostic> diagnostics = LintAdvice(*in.trace, *in.advice);
-  for (const LintDiagnostic& d : diagnostics) {
-    std::printf("%s\n", d.Format().c_str());
-  }
-  if (diagnostics.empty()) {
-    std::printf("advice lint: clean (%zu requests, %zu var-log entries)\n",
-                in.advice->tags.size(), in.advice->var_log_entry_count());
-    return 0;
-  }
-  std::printf("advice lint: %zu finding(s)\n", diagnostics.size());
-  return 1;
 }
 
 // Serves the app in-process with untracked-access recording on and runs the
@@ -1161,7 +1125,7 @@ int CmdAnalyzeRaces(const Args& args) {
 }
 
 int CmdAnalyze(const Args& args) {
-  return args.races ? CmdAnalyzeRaces(args) : CmdAnalyzeLint(args);
+  return args.races ? CmdAnalyzeRaces(args) : Usage();
 }
 
 int Main(int argc, char** argv) {

@@ -134,7 +134,7 @@ FamilyStats RunFamily(const Family& family) {
     return stats;
   }
   StreamAuditResult honest_audit =
-      AuditSegments(app, honest_trace, honest_advice, audit_config, family.epoch_size);
+      AuditSegments(app, honest_trace, honest_advice, audit_config);
   if (!honest_audit.audit.accepted) {
     std::printf("BUG: [%s] honest stream rejected by the audit: %s\n", family.name,
                 honest_audit.audit.reason.c_str());
@@ -154,7 +154,7 @@ FamilyStats RunFamily(const Family& family) {
     return stats;
   }
   StreamAuditResult packed_audit =
-      AuditSegments(app, packed_trace, packed_advice, audit_config, family.epoch_size);
+      AuditSegments(app, packed_trace, packed_advice, audit_config);
   if (!packed_audit.audit.accepted) {
     std::printf("BUG: [%s] compressed honest stream rejected by the audit: %s\n", family.name,
                 packed_audit.audit.reason.c_str());
@@ -177,7 +177,7 @@ FamilyStats RunFamily(const Family& family) {
     ++kind->mutations;
     CheckResult check;
     try {
-      check = CheckSegmentStreams(m.trace_bytes, m.advice_bytes, family.epoch_size);
+      check = CheckSegmentStreams(m.trace_bytes, m.advice_bytes);
     } catch (const std::exception& e) {
       std::printf("BUG: [%s] %s: model check crashed: %s\n", family.name, m.name.c_str(),
                   e.what());
@@ -186,8 +186,7 @@ FamilyStats RunFamily(const Family& family) {
     }
     StreamAuditResult audited;
     try {
-      audited =
-          AuditSegments(app, m.trace_bytes, m.advice_bytes, audit_config, family.epoch_size);
+      audited = AuditSegments(app, m.trace_bytes, m.advice_bytes, audit_config);
     } catch (const std::exception& e) {
       std::printf("BUG: [%s] %s: audit crashed: %s\n", family.name, m.name.c_str(), e.what());
       ++stats.bugs;

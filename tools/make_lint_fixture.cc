@@ -4,8 +4,8 @@
 //     operation position that no log entry occupies (KAR-ADV-003), and
 //   * the first write-order entry is appended again at the end, turning the
 //     alleged total order into a cycle (KAR-ADV-010).
-// Both corruptions survive serialization, so `karousos analyze` and the
-// verifier's preprocess stage must both report them from the checked-in
+// Both corruptions survive serialization, so `karousos check --epoch-size 0`
+// and the verifier's pre-screen must both report them from the checked-in
 // files. Regenerate with the `make_lint_fixture` build target.
 //
 // With a third argument, also emits one segmented known-bad fixture pair per
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/analysis/check.h"
-#include "src/analysis/lint.h"
 #include "src/apps/app.h"
 #include "src/common/file_io.h"
 #include "src/common/segment.h"
@@ -45,7 +44,8 @@ int EmitSegmentFixtures(const Trace& trace, const Advice& advice, const std::str
   const std::vector<uint8_t> honest_trace = EncodeTraceSegments(honest);
   const std::vector<uint8_t> honest_advice = EncodeAdviceSegments(honest);
 
-  // Frame offsets of one encoded stream (for the byte-level recipes).
+  // Epoch-frame offsets of one encoded stream, past its manifest (for the
+  // byte-level recipes).
   auto map_frames = [](const std::vector<uint8_t>& bytes) {
     struct Span {
       uint64_t begin;
@@ -57,6 +57,7 @@ int EmitSegmentFixtures(const Trace& trace, const Advice& advice, const std::str
     auto reader = SegmentReader::FromBytes(bytes.data(), bytes.size(), &error);
     SegmentRecord rec;
     while (reader != nullptr && reader->Next(&rec)) {
+      if (rec.kind == SegmentKind::kEpochManifest) continue;
       if (!frames.empty()) {
         frames.back().end = rec.offset;
       }
@@ -307,10 +308,10 @@ int Main(int argc, char** argv) {
   }
   run.advice.write_order.push_back(run.advice.write_order.front());
 
-  // Sanity: the linter must flag exactly the two planted rules.
+  // Sanity: the one-epoch model check must flag both planted rules.
   bool saw_003 = false;
   bool saw_010 = false;
-  for (const LintDiagnostic& d : LintAdvice(run.trace, run.advice)) {
+  for (const LintDiagnostic& d : CheckRun(run.trace, run.advice, 0).diagnostics) {
     saw_003 |= d.rule == "KAR-ADV-003";
     saw_010 |= d.rule == "KAR-ADV-010";
   }

@@ -1,10 +1,13 @@
 #!/bin/sh
 # Smoke-checks the streamed `karousos audit` over a compressed KSEG container:
-# --checkpoint must write its file, --resume must restore it and reach the
-# uninterrupted verdict, a forged trace must be rejected on the same streamed
-# path, and a truncated last frame must be rejected only after the epochs
-# before it were fed. A monolithic pair without --epoch-size must stream at
-# the default epoch size with that size's verdict, and a numeric flag whose
+# the containers state their epoch size, so an honest pair is accepted with no
+# --epoch-size or with the stated one, and another value (or a checkpoint taken
+# at another size) exits 2 without a verdict; --checkpoint must write its file,
+# --resume must restore it and reach the uninterrupted verdict, a forged trace
+# must be rejected on the same streamed path, and a truncated last frame must
+# be rejected only after the epochs before it were fed. A monolithic pair
+# without --epoch-size must stream at the default epoch size with that size's
+# verdict, and a numeric flag whose
 # value does not parse whole and in range must exit 2. Also checks that
 # `serve --inputs` refuses a request nested past the decoder's depth cap with
 # a JSON error instead of crashing or recording a trace the audit cannot read,
@@ -29,7 +32,7 @@ mkdir -p "$dir" || fail "cannot create $dir"
 
 "$bin" serve --app stacks --requests 200 --concurrency 8 \
     --out-trace "$dir/trace.bin" --out-advice "$dir/advice.bin" \
-    --out-segments "$dir/seg" --epoch-size 50 --compress all ||
+    --out-segments "$dir/seg" --epoch-size 50 ||
   fail "serve exited $?"
 
 # Uninterrupted audit of the KSEG directory, checkpointing after every epoch.
@@ -42,6 +45,45 @@ accepted="$(printf '%s\n' "$out" | grep '^ACCEPTED: ')" || fail "audit printed n
 epochs="$(printf '%s\n' "$out" | sed -n 's/^streamed \([0-9][0-9]*\) epochs.*/\1/p')"
 [ -n "$epochs" ] || fail "audit printed no epoch count"
 [ -s "$dir/ckpt" ] || fail "--checkpoint wrote no $dir/ckpt"
+
+# The containers state their epoch size: no --epoch-size is needed, and
+# `inspect` and the audit both report the stated one.
+"$bin" inspect --trace "$dir/seg/trace.kseg" | grep -q '^  @5 .*epoch-manifest.*(epoch size 50)$' ||
+  fail "inspect did not print the stated epoch size 50"
+out="$("$bin" audit --app stacks --segments "$dir/seg")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -eq 0 ] || fail "audit without --epoch-size exited $status on an honest run"
+printf '%s\n' "$out" | grep -qx "streamed $epochs epochs (epoch size 50)" ||
+  fail "audit without --epoch-size did not stream at the stated size 50"
+[ "$(printf '%s\n' "$out" | grep '^ACCEPTED: ')" = "$accepted" ] ||
+  fail "audit without --epoch-size reached another verdict"
+"$bin" check --segments "$dir/seg" | grep -q '^model check: clean' ||
+  fail "check without --epoch-size is not clean on an honest run"
+
+# A size other than the stated one is an operator error, not a verdict on
+# the server: exit 2 naming both sizes, before any epoch is fed.
+for cmd in audit check; do
+  out="$("$bin" $cmd --app stacks --segments "$dir/seg" --epoch-size 40 2>"$dir/size_err")"
+  status=$?
+  [ "$status" -eq 2 ] || fail "$cmd --epoch-size 40 on epoch-50 containers exited $status, want 2"
+  if printf '%s\n' "$out" | grep -q 'REJECTED'; then
+    fail "$cmd --epoch-size 40 printed a verdict: $out"
+  fi
+  grep -q -- '--epoch-size 40 .* 50 ' "$dir/size_err" ||
+    fail "$cmd --epoch-size 40 did not name both sizes: $(cat "$dir/size_err")"
+done
+# A checkpoint of a monolithic audit at epoch size 40 cannot resume the
+# epoch-50 containers.
+"$bin" audit --app stacks --trace "$dir/trace.bin" --advice "$dir/advice.bin" \
+    --epoch-size 40 --checkpoint "$dir/ckpt40" >/dev/null ||
+  fail "monolithic audit at epoch size 40 exited $?"
+out="$("$bin" audit --app stacks --segments "$dir/seg" --resume "$dir/ckpt40" 2>"$dir/size_err")"
+status=$?
+[ "$status" -eq 2 ] || fail "resuming epoch-50 containers from an epoch-40 checkpoint exited $status"
+if printf '%s\n' "$out" | grep -q 'REJECTED'; then
+  fail "resuming from an epoch-40 checkpoint printed a verdict: $out"
+fi
 
 # Resume from the checkpoint: same verdict line, announced restore point.
 out="$("$bin" audit --app stacks --segments "$dir/seg" --epoch-size 50 --resume "$dir/ckpt")"
