@@ -217,10 +217,11 @@ int Main(int argc, char** argv) {
     row.tx_logs_bytes = b.tx_logs;
     row.write_order_bytes = b.write_order;
     row.other_bytes = b.other;
+    // A stage-off advice frame is the slice's advice bytes, then the imports.
     for (const EpochSegment& seg : slices.segments) {
       ByteWriter w;
-      seg.imports.Serialize(&w);
-      row.imports_bytes += w.size();
+      EncodeAdviceSegmentPayload(seg.advice, seg.imports, KsegCompression{}, &w);
+      row.imports_bytes += w.size() - seg.advice.MeasureSize().total;
     }
     row.record_seconds = bench::Median(record_times);
     row.audit_seconds = bench::Median(audit_times);

@@ -503,7 +503,7 @@ void BuildCodecMutations(const char* stream, const std::vector<uint8_t>& honest_
       emit(tag(i, "flag-unknown-bit"), std::move(b));
     }
     if (f.flags != 0) {
-      // Strip the flags: compact/blocked bytes reach the raw grammar decoder.
+      // Strip the flags: compact/blocked bytes reach the stage-off decoder.
       std::vector<uint8_t> b = honest_bytes;
       b[flags_at] = 0;
       emit(tag(i, "flag-clear"), std::move(b));
@@ -545,8 +545,7 @@ void BuildPatchMutations(const Trace& trace, const Advice& advice, uint64_t epoc
   const size_t target = honest.segments.size() / 2;
   const Advice& slice = honest.segments[target].advice;
   ByteWriter payload;
-  slice.Serialize(&payload);
-  honest.segments[target].imports.Serialize(&payload);
+  EncodeAdviceSegmentPayload(slice, honest.segments[target].imports, KsegCompression{}, &payload);
   VarId vid = 0x7061746368;  // A variable the run does not have.
   while (advice.var_logs.count(vid) != 0) {
     ++vid;

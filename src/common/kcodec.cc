@@ -279,4 +279,144 @@ std::optional<std::vector<std::string_view>> ReadStringDict(ByteReader* in) {
   return dict;
 }
 
+void FieldEncoder::Finish() {
+  if (tables_) {
+    tables_->ids.Serialize(out_);
+    tables_->strs.Serialize(out_);
+    out_->WriteBytes(scratch_.bytes().data(), scratch_.size());
+  }
+}
+
+void FieldEncoder::DictVal(const Value& v) {
+  body_->WriteByte(static_cast<uint8_t>(v.kind()));
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      break;
+    case Value::Kind::kBool:
+      body_->WriteBool(v.AsBool());
+      break;
+    case Value::Kind::kInt:
+      body_->WriteVarint(ZigzagEncode(v.AsInt()));
+      break;
+    case Value::Kind::kDouble: {
+      double d = v.AsDouble();
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      body_->WriteFixed64(bits);
+      break;
+    }
+    case Value::Kind::kString:
+      Str(v.AsString());
+      break;
+    case Value::Kind::kList:
+      body_->WriteVarint(v.AsList().size());
+      for (const Value& item : v.AsList()) {
+        DictVal(item);
+      }
+      break;
+    case Value::Kind::kMap:
+      body_->WriteVarint(v.AsMap().size());
+      for (const auto& [key, item] : v.AsMap()) {
+        Str(key);
+        DictVal(item);
+      }
+      break;
+  }
+}
+
+bool FieldDecoder::Init() {
+  if (!dict_) {
+    return true;
+  }
+  auto ids = ReadU64Dict(in_);
+  if (!ids) {
+    return false;
+  }
+  auto strs = ReadStringDict(in_);
+  if (!strs) {
+    return false;
+  }
+  ids_ = std::move(*ids);
+  strs_ = std::move(*strs);
+  return true;
+}
+
+std::optional<Value> FieldDecoder::DictVal(size_t depth) {
+  auto kind_byte = in_->ReadByte();
+  if (!kind_byte || *kind_byte > static_cast<uint8_t>(Value::Kind::kMap)) {
+    return std::nullopt;
+  }
+  switch (static_cast<Value::Kind>(*kind_byte)) {
+    case Value::Kind::kNull:
+      return Value();
+    case Value::Kind::kBool: {
+      auto b = in_->ReadBool();
+      if (!b) {
+        return std::nullopt;
+      }
+      return Value(*b);
+    }
+    case Value::Kind::kInt: {
+      auto z = in_->ReadVarint();
+      if (!z) {
+        return std::nullopt;
+      }
+      return Value(ZigzagDecode(*z));
+    }
+    case Value::Kind::kDouble: {
+      auto bits = in_->ReadFixed64();
+      if (!bits) {
+        return std::nullopt;
+      }
+      double d;
+      std::memcpy(&d, &*bits, sizeof(d));
+      return Value(d);
+    }
+    case Value::Kind::kString: {
+      auto s = StrView();
+      if (!s) {
+        return std::nullopt;
+      }
+      return Value(*s);
+    }
+    case Value::Kind::kList: {
+      auto n = in_->ReadVarint();
+      if (!n || !in_->CanHold(*n, 1) || depth == kMaxValueDepth) {
+        return std::nullopt;
+      }
+      ValueList items;
+      items.reserve(static_cast<size_t>(*n));
+      for (uint64_t i = 0; i < *n; ++i) {
+        auto item = DictVal(depth + 1);
+        if (!item) {
+          return std::nullopt;
+        }
+        items.push_back(std::move(*item));
+      }
+      return Value(std::move(items));
+    }
+    case Value::Kind::kMap: {
+      auto n = in_->ReadVarint();
+      if (!n || !in_->CanHold(*n, 2) || depth == kMaxValueDepth) {
+        return std::nullopt;
+      }
+      ValueMap m;
+      m.reserve(static_cast<size_t>(*n));
+      for (uint64_t i = 0; i < *n; ++i) {
+        auto key = Str();
+        if (!key) {
+          return std::nullopt;
+        }
+        auto item = DictVal(depth + 1);
+        // Keys are written in increasing order, as in ByteReader::ReadValue.
+        if (!item || !m.AppendInOrder(std::move(*key), std::move(*item))) {
+          return std::nullopt;
+        }
+      }
+      return Value(std::move(m));
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace karousos

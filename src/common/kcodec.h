@@ -17,16 +17,17 @@
 //     LZ77 with hash-chain matching, no external deps) applied to the whole
 //     frame payload last, undone first on decode.
 //
-// The grammar-aware transcoder that applies lanes/dict to advice and trace
-// payloads lives in src/server/kseg_codec.h; this header owns the primitives
-// and the block codec. Every decoder here returns nullopt on malformed input
-// — a corrupt compressed frame is indistinguishable from server misbehavior
-// and must reject cleanly, never crash or over-allocate.
+// This header owns the primitives, the field coders through which the one
+// advice/trace/import grammar applies lanes and dict (below), and the block
+// codec. Every decoder here returns nullopt on malformed input — a corrupt
+// compressed frame is indistinguishable from server misbehavior and must
+// reject cleanly, never crash or over-allocate.
 #ifndef SRC_COMMON_KCODEC_H_
 #define SRC_COMMON_KCODEC_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -96,7 +97,7 @@ inline std::optional<uint64_t> ReadDelta(ByteReader* in, uint64_t* prev) {
 
 // --- Per-segment dictionaries ------------------------------------------------
 
-// Interns 64-bit id digests in first-use order. The transcoder writes the
+// Interns 64-bit id digests in first-use order. FieldEncoder writes the
 // body against refs first, then serializes the table ahead of it.
 class U64DictBuilder {
  public:
@@ -153,6 +154,168 @@ class StringDictBuilder {
 std::optional<std::vector<uint64_t>> ReadU64Dict(ByteReader* in);
 // The string views alias the reader's buffer, which must outlive them.
 std::optional<std::vector<std::string_view>> ReadStringDict(ByteReader* in);
+
+// --- Field coders ------------------------------------------------------------
+//
+// The advice, trace and import grammar (Advice::Encode/Decode in
+// src/server/advice.h, EncodeTraceEvents/DecodeTraceEvents in
+// src/trace/trace.h, ContinuityImports::Encode/Decode in
+// src/server/rollover.h) is written once, one coder call per field. Each
+// field kind has a plain coding and, under its stage, a compact one:
+//
+//   Id      fixed64           dict: varint reference into the id table
+//   Lane    varint            lanes: zigzag delta against the lane's last value
+//   RelRid  varint            lanes: zigzag delta against an anchor rid
+//   Str     length + bytes    dict: varint reference into the string table
+//   Val     serde Value       dict: its strings and map keys as references
+//   Varint, Byte, Bool        plain under every stage
+//
+// With every stage off each coder writes exactly ByteWriter's plain encoding
+// and there are no tables, so the monolithic advice and trace files and a
+// flags-0 KSEG frame are this grammar with its stages off.
+
+class FieldEncoder {
+ public:
+  // Appends the unit to *out. Under the dict stage the body is written to a
+  // scratch buffer until Finish puts the tables (first-use order) ahead of
+  // it; otherwise straight to *out.
+  FieldEncoder(const KsegCompression& c, ByteWriter* out)
+      : lanes_(c.lanes), out_(out), body_(c.dict ? &scratch_ : out), start_(body_->size()) {
+    if (c.dict) {
+      tables_ = std::make_unique<Tables>();
+    }
+  }
+  FieldEncoder(const FieldEncoder&) = delete;
+  FieldEncoder& operator=(const FieldEncoder&) = delete;
+
+  void Id(uint64_t v) {
+    if (tables_) {
+      body_->WriteVarint(tables_->ids.Ref(v));
+    } else {
+      body_->WriteFixed64(v);
+    }
+  }
+  void Lane(uint64_t v, uint64_t* prev) {
+    if (lanes_) {
+      WriteDelta(body_, v, prev);
+    } else {
+      body_->WriteVarint(v);
+    }
+  }
+  // A cross-reference rid (a var-log prec, a GET's dictating PUT), coded
+  // relative to the coordinate that refers to it, where it clusters.
+  void RelRid(uint64_t v, uint64_t anchor) { Lane(v, &anchor); }
+  void Str(std::string_view s) {
+    if (tables_) {
+      body_->WriteVarint(tables_->strs.Ref(s));
+    } else {
+      body_->WriteString(s);
+    }
+  }
+  void Val(const Value& v) {
+    if (tables_) {
+      DictVal(v);
+    } else {
+      body_->WriteValue(v);
+    }
+  }
+  void Varint(uint64_t v) { body_->WriteVarint(v); }
+  void Byte(uint8_t b) { body_->WriteByte(b); }
+  void Bool(bool b) { body_->WriteBool(b); }
+
+  // The body written so far: the unit's size with the dict stage off, a
+  // lower bound on it with the stage on.
+  size_t BodyBytes() const { return body_->size() - start_; }
+  // Ends the unit: writes the tables and then the body (dict stage only).
+  void Finish();
+
+ private:
+  struct Tables {
+    U64DictBuilder ids;
+    StringDictBuilder strs;
+  };
+  void DictVal(const Value& v);
+
+  bool lanes_;
+  ByteWriter* out_;
+  ByteWriter scratch_;
+  ByteWriter* body_;
+  size_t start_;
+  std::unique_ptr<Tables> tables_;  // Dict stage only.
+};
+
+// The inverse. Every accessor returns nullopt on malformed input; the
+// grammar bails on the first one.
+class FieldDecoder {
+ public:
+  // Reads the unit from *in's position on; *in's buffer must outlive the
+  // decoder and the string views it hands out.
+  FieldDecoder(ByteReader* in, const KsegCompression& c)
+      : in_(in), lanes_(c.lanes), dict_(c.dict), unit_bytes_(in->remaining()) {}
+
+  // Reads the tables (dict stage); false when they are malformed.
+  bool Init();
+
+  std::optional<uint64_t> Id() {
+    if (!dict_) {
+      return in_->ReadFixed64();
+    }
+    auto ref = in_->ReadVarint();
+    if (!ref || *ref >= ids_.size()) {
+      return std::nullopt;
+    }
+    return ids_[static_cast<size_t>(*ref)];
+  }
+  std::optional<uint64_t> Lane(uint64_t* prev) {
+    return lanes_ ? ReadDelta(in_, prev) : in_->ReadVarint();
+  }
+  std::optional<uint64_t> RelRid(uint64_t anchor) { return Lane(&anchor); }
+  std::optional<std::string_view> StrView() {
+    if (!dict_) {
+      return in_->ReadStringView();
+    }
+    auto ref = in_->ReadVarint();
+    if (!ref || *ref >= strs_.size()) {
+      return std::nullopt;
+    }
+    return strs_[static_cast<size_t>(*ref)];
+  }
+  std::optional<std::string> Str() {
+    auto s = StrView();
+    if (!s) {
+      return std::nullopt;
+    }
+    return std::string(*s);
+  }
+  // `depth` counts the lists/maps already open around the value; nesting
+  // past kMaxValueDepth is malformed under every stage.
+  std::optional<Value> Val(size_t depth = 0) {
+    return dict_ ? DictVal(depth) : in_->ReadValueAt(depth);
+  }
+  std::optional<uint64_t> Varint() { return in_->ReadVarint(); }
+  std::optional<uint8_t> Byte() { return in_->ReadByte(); }
+  std::optional<bool> Bool() { return in_->ReadBool(); }
+
+  // The fewest bytes an Id field takes: a fixed64, or a one-byte reference.
+  // Every other field takes at least one byte, so a count guard adds these
+  // to its entry's field count.
+  size_t IdBytes() const { return dict_ ? 1 : 8; }
+  bool CanHold(uint64_t count, size_t min_bytes) const { return in_->CanHold(count, min_bytes); }
+  size_t remaining() const { return in_->remaining(); }
+  bool AtEnd() const { return in_->AtEnd(); }
+  // The bytes from the unit's start, tables included, to the input's end.
+  size_t unit_bytes() const { return unit_bytes_; }
+
+ private:
+  std::optional<Value> DictVal(size_t depth);
+
+  ByteReader* in_;
+  bool lanes_;
+  bool dict_;
+  size_t unit_bytes_;
+  std::vector<uint64_t> ids_;
+  std::vector<std::string_view> strs_;  // Views into the input.
+};
 
 // --- LZ4-style block codec ---------------------------------------------------
 

@@ -85,11 +85,11 @@ void SerializeOpRef(const OpRef& op, ByteWriter* out) {
 std::optional<OpRef> DeserializeOpRef(ByteReader* in) {
   auto rid = in->ReadVarint();
   auto hid = in->ReadFixed64();
-  auto opnum = in->ReadVarint();
-  if (!rid || !hid || !opnum || *opnum > kOpNumInf) {
+  auto opnum = Narrow32(in->ReadVarint());
+  if (!rid || !hid || !opnum) {
     return std::nullopt;
   }
-  return OpRef{*rid, *hid, static_cast<OpNum>(*opnum)};
+  return OpRef{*rid, *hid, *opnum};
 }
 
 void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out) {
@@ -101,11 +101,11 @@ void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out) {
 std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in) {
   auto rid = in->ReadVarint();
   auto tid = in->ReadFixed64();
-  auto index = in->ReadVarint();
+  auto index = Narrow32(in->ReadVarint());
   if (!rid || !tid || !index) {
     return std::nullopt;
   }
-  return TxOpRef{*rid, *tid, static_cast<uint32_t>(*index)};
+  return TxOpRef{*rid, *tid, *index};
 }
 
 void SerializeTxnKey(const TxnKey& txn, ByteWriter* out) {

@@ -21,7 +21,7 @@
 namespace karousos {
 
 // The deepest list/map nesting a Value decoder accepts. Both Value decoders
-// (ByteReader::ReadValue and the KSEG dictionary transcoder) recurse once per
+// (ByteReader::ReadValue and the dict stage's FieldDecoder) recurse once per
 // level, so a hostile payload of nested one-element lists would otherwise
 // overflow the stack; past this depth they return nullopt like any other
 // malformed input. Application values nest a few levels deep.
@@ -103,6 +103,16 @@ void SerializeTxOpRef(const TxOpRef& op, ByteWriter* out);
 std::optional<TxOpRef> DeserializeTxOpRef(ByteReader* in);
 void SerializeTxnKey(const TxnKey& txn, ByteWriter* out);
 std::optional<TxnKey> DeserializeTxnKey(ByteReader* in);
+
+// A varint field held in 32 bits (an opnum, an opcount, a TxOpRef index):
+// nullopt when it is missing or does not fit, so a decoder refuses a wide
+// value as malformed instead of truncating it.
+inline std::optional<uint32_t> Narrow32(std::optional<uint64_t> v) {
+  if (!v || *v > UINT32_MAX) {
+    return std::nullopt;
+  }
+  return static_cast<uint32_t>(*v);
+}
 
 // Smallest encodings of the coordinates above, for count bounds.
 inline constexpr size_t kMinOpRefBytes = 10;    // rid 1 + hid 8 + opnum 1.

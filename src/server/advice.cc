@@ -8,16 +8,6 @@ namespace karousos {
 
 namespace {
 
-// The raw grammar's field coders, in the shape WriteStoredWrite and
-// ReadVarPatch take.
-struct RawSink {
-  ByteWriter* out;
-  void Byte(uint8_t b) { out->WriteByte(b); }
-  void Varint(uint64_t v) { out->WriteVarint(v); }
-  void Str(std::string_view s) { out->WriteString(s); }
-  void Val(const Value& v) { out->WriteValue(v); }
-};
-
 // The bytes a resolver copies to materialize `value` from a patch: its entry
 // array, with a map's key bytes. The planner charges the same amount.
 size_t MaterializedBytes(const Value& value) {
@@ -31,122 +21,220 @@ size_t MaterializedBytes(const Value& value) {
   return bytes;
 }
 
-struct RawSource {
-  ByteReader* in;
-  std::optional<uint64_t> Varint() { return in->ReadVarint(); }
-  std::optional<std::string> Str() { return in->ReadString(); }
-  std::optional<Value> Val(size_t depth) { return in->ReadValueAt(depth); }
-  bool CanHold(uint64_t count, size_t min_bytes) const { return in->CanHold(count, min_bytes); }
-};
-
-void SerializeTags(const std::map<RequestId, uint64_t>& tags, ByteWriter* out) {
-  out->WriteVarint(tags.size());
-  for (const auto& [rid, tag] : tags) {
-    out->WriteVarint(rid);
-    out->WriteFixed64(tag);
+// Reads the patch of a write whose kind byte was `form` (kMapPatch or
+// kListAppend). Keys must come in strictly increasing order.
+bool ReadVarPatch(VarWriteForm form, FieldDecoder* in, VarPatch* patch) {
+  patch->form = form;
+  auto n = in->Varint();
+  // A set is a key and a value; an erase or an appended item, one field.
+  if (!n || !in->CanHold(*n, form == VarWriteForm::kMapPatch ? 2 : 1)) {
+    return false;
   }
+  if (form == VarWriteForm::kListAppend) {
+    patch->appended.reserve(static_cast<size_t>(*n));
+    for (uint64_t i = 0; i < *n; ++i) {
+      auto item = in->Val(1);
+      if (!item) {
+        return false;
+      }
+      patch->appended.push_back(std::move(*item));
+    }
+    return true;
+  }
+  patch->sets.reserve(static_cast<size_t>(*n));
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto key = in->Str();
+    auto value = key ? in->Val(1) : std::nullopt;
+    if (!value || !patch->sets.AppendInOrder(std::move(*key), std::move(*value))) {
+      return false;
+    }
+  }
+  auto n_erases = in->Varint();
+  if (!n_erases || !in->CanHold(*n_erases, 1)) {
+    return false;
+  }
+  patch->erases.reserve(static_cast<size_t>(*n_erases));
+  for (uint64_t i = 0; i < *n_erases; ++i) {
+    auto key = in->Str();
+    if (!key || (!patch->erases.empty() && !(patch->erases.back() < *key))) {
+      return false;
+    }
+    patch->erases.push_back(std::move(*key));
+  }
+  return true;
 }
 
-void SerializeHandlerLogs(const std::map<RequestId, std::vector<HandlerLogEntry>>& logs,
-                          ByteWriter* out) {
-  out->WriteVarint(logs.size());
-  for (const auto& [rid, log] : logs) {
-    out->WriteVarint(rid);
-    out->WriteVarint(log.size());
-    for (const HandlerLogEntry& e : log) {
-      out->WriteByte(static_cast<uint8_t>(e.kind));
-      out->WriteFixed64(e.hid);
-      out->WriteVarint(e.opnum);
-      out->WriteFixed64(e.event);
-      if (e.kind != HandlerLogEntry::Kind::kEmit) {
-        out->WriteFixed64(e.function);
+// Reads the rest of a var-log entry whose kind byte was `kind`: nothing for
+// a read, the value of a full write, or the patch of a patched one (whose
+// value stays empty until VarPatchResolver fills it). False when malformed.
+bool ReadStoredWrite(uint8_t kind, FieldDecoder* in, VarLogEntry* entry,
+                            VarPatch* patch) {
+  if (kind > static_cast<uint8_t>(VarWriteForm::kListAppend)) {
+    return false;
+  }
+  entry->kind = kind == 0 ? VarLogEntry::Kind::kRead : VarLogEntry::Kind::kWrite;
+  if (kind == 0) {
+    return true;
+  }
+  const auto form = static_cast<VarWriteForm>(kind);
+  if (form != VarWriteForm::kFull) {
+    return ReadVarPatch(form, in, patch);
+  }
+  auto value = in->Val(0);
+  if (value) {
+    entry->value = std::move(*value);
+  }
+  return value.has_value();
+}
+
+}  // namespace
+
+// Writes a logged write's kind byte and stored form: `value` in full, or
+// the patch `diff` describes.
+void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, FieldEncoder* out) {
+  out->Byte(static_cast<uint8_t>(diff.form));
+  switch (diff.form) {
+    case VarWriteForm::kFull:
+      out->Val(value);
+      return;
+    case VarWriteForm::kMapPatch:
+      out->Varint(diff.sets.size());
+      for (const ValueMap::value_type* set : diff.sets) {
+        out->Str(set->first);
+        out->Val(set->second);
       }
+      out->Varint(diff.erases.size());
+      for (const std::string* key : diff.erases) {
+        out->Str(*key);
+      }
+      return;
+    case VarWriteForm::kListAppend: {
+      const ValueList& items = value.AsList();
+      out->Varint(items.size() - diff.appended_from);
+      for (size_t i = diff.appended_from; i < items.size(); ++i) {
+        out->Val(items[i]);
+      }
+      return;
     }
   }
 }
 
-// `unit_start`: where the unit that holds the advice starts in `out`.
-void SerializeVarLogs(const std::map<VarId, VarLog>& logs, size_t unit_start, ByteWriter* out) {
+// The component order and per-entry field order are the wire format. Rids
+// run as lanes per component; opnums as lanes per log.
+void Advice::Encode(FieldEncoder* e, SizeBreakdown* breakdown) const {
+  const size_t start = e->BodyBytes();
   VarPatchPlanner planner;
-  out->WriteVarint(logs.size());
-  for (const auto& [vid, log] : logs) {
-    out->WriteFixed64(vid);
-    out->WriteVarint(log.size());
+  e->Varint(tags.size());
+  uint64_t prev_rid = 0;
+  for (const auto& [rid, tag] : tags) {
+    e->Lane(rid, &prev_rid);
+    e->Id(tag);
+  }
+  const size_t after_tags = e->BodyBytes();
+
+  e->Varint(handler_logs.size());
+  prev_rid = 0;
+  for (const auto& [rid, log] : handler_logs) {
+    e->Lane(rid, &prev_rid);
+    e->Varint(log.size());
+    uint64_t prev_opnum = 0;
+    for (const HandlerLogEntry& entry : log) {
+      e->Byte(static_cast<uint8_t>(entry.kind));
+      e->Id(entry.hid);
+      e->Lane(entry.opnum, &prev_opnum);
+      e->Id(entry.event);
+      if (entry.kind != HandlerLogEntry::Kind::kEmit) {
+        e->Id(entry.function);
+      }
+    }
+  }
+  const size_t after_hls = e->BodyBytes();
+
+  e->Varint(var_logs.size());
+  for (const auto& [vid, log] : var_logs) {
+    e->Id(vid);
+    e->Varint(log.size());
+    uint64_t prev_op_rid = 0;
+    uint64_t prev_op_opnum = 0;
     const std::vector<const Value*> bases = PatchBases(log);
     size_t i = 0;
     for (const auto& [op, entry] : log) {
-      SerializeOpRef(op, out);
+      e->Lane(op.rid, &prev_op_rid);
+      e->Id(op.hid);
+      e->Lane(op.opnum, &prev_op_opnum);
       if (entry.kind == VarLogEntry::Kind::kWrite) {
-        WriteStoredWrite(planner.Plan(entry.value, bases[i], out->size() - unit_start),
-                         entry.value, out);
+        WriteStoredWrite(planner.Plan(entry.value, bases[i], e->BodyBytes() - start), entry.value,
+                         e);
       } else {
-        out->WriteByte(static_cast<uint8_t>(entry.kind));
+        e->Byte(static_cast<uint8_t>(entry.kind));
       }
       ++i;
-      SerializeOpRef(entry.prec, out);
+      e->RelRid(entry.prec.rid, op.rid);
+      e->Id(entry.prec.hid);
+      e->Varint(entry.prec.opnum);
     }
   }
-}
+  const size_t after_vls = e->BodyBytes();
 
-void SerializeTxLogs(const TransactionLogs& logs, ByteWriter* out) {
-  out->WriteVarint(logs.size());
-  for (const auto& [txn, log] : logs) {
-    SerializeTxnKey(txn, out);
-    out->WriteVarint(log.size());
+  e->Varint(tx_logs.size());
+  prev_rid = 0;
+  for (const auto& [txn, log] : tx_logs) {
+    e->Lane(txn.rid, &prev_rid);
+    e->Id(txn.tid);
+    e->Varint(log.size());
+    uint64_t prev_opnum = 0;
     for (const TxOperation& op : log) {
-      out->WriteByte(static_cast<uint8_t>(op.type));
-      out->WriteFixed64(op.hid);
-      out->WriteVarint(op.opnum);
+      e->Byte(static_cast<uint8_t>(op.type));
+      e->Id(op.hid);
+      e->Lane(op.opnum, &prev_opnum);
       if (op.type == TxOpType::kPut) {
-        out->WriteString(op.key);
-        out->WriteValue(op.put_value);
+        e->Str(op.key);
+        e->Val(op.put_value);
       } else if (op.type == TxOpType::kGet) {
-        out->WriteString(op.key);
-        out->WriteBool(op.get_found);
+        e->Str(op.key);
+        e->Bool(op.get_found);
         if (op.get_found) {
-          SerializeTxOpRef(op.get_from, out);
+          e->RelRid(op.get_from.rid, txn.rid);
+          e->Id(op.get_from.tid);
+          e->Varint(op.get_from.index);
         }
       }
     }
   }
-}
+  const size_t after_txls = e->BodyBytes();
 
-// Single serialization pass shared by Serialize and MeasureSize: the
-// component boundaries are noted as writer offsets while encoding, so
-// measuring the breakdown no longer costs a second (or sixth) full encode.
-void SerializeWithBreakdown(const Advice& a, ByteWriter* out, Advice::SizeBreakdown* breakdown) {
-  const size_t start = out->size();
-  SerializeTags(a.tags, out);
-  const size_t after_tags = out->size();
-  SerializeHandlerLogs(a.handler_logs, out);
-  const size_t after_hls = out->size();
-  SerializeVarLogs(a.var_logs, start, out);
-  const size_t after_vls = out->size();
-  SerializeTxLogs(a.tx_logs, out);
-  const size_t after_txls = out->size();
-  out->WriteVarint(a.write_order.size());
-  for (const TxOpRef& w : a.write_order) {
-    SerializeTxOpRef(w, out);
+  e->Varint(write_order.size());
+  prev_rid = 0;
+  for (const TxOpRef& w : write_order) {
+    e->Lane(w.rid, &prev_rid);
+    e->Id(w.tid);
+    e->Varint(w.index);
   }
-  const size_t after_wo = out->size();
-  out->WriteVarint(a.response_emitted_by.size());
-  for (const auto& [rid, by] : a.response_emitted_by) {
-    out->WriteVarint(rid);
-    out->WriteFixed64(by.first);
-    out->WriteVarint(by.second);
+  const size_t after_wo = e->BodyBytes();
+
+  e->Varint(response_emitted_by.size());
+  prev_rid = 0;
+  for (const auto& [rid, by] : response_emitted_by) {
+    e->Lane(rid, &prev_rid);
+    e->Id(by.first);
+    e->Varint(by.second);
   }
-  out->WriteVarint(a.opcounts.size());
-  for (const auto& [key, count] : a.opcounts) {
-    out->WriteVarint(key.first);
-    out->WriteFixed64(key.second);
-    out->WriteVarint(count);
+  e->Varint(opcounts.size());
+  prev_rid = 0;
+  for (const auto& [key, count] : opcounts) {
+    e->Lane(key.first, &prev_rid);
+    e->Id(key.second);
+    e->Varint(count);
   }
-  out->WriteVarint(a.nondet.size());
-  for (const auto& [op, record] : a.nondet) {
-    SerializeOpRef(op, out);
-    out->WriteByte(static_cast<uint8_t>(record.kind));
+  e->Varint(nondet.size());
+  prev_rid = 0;
+  for (const auto& [op, record] : nondet) {
+    e->Lane(op.rid, &prev_rid);
+    e->Id(op.hid);
+    e->Varint(op.opnum);
+    e->Byte(static_cast<uint8_t>(record.kind));
     if (record.kind == NondetRecord::Kind::kValue) {
-      out->WriteValue(record.value);
+      e->Val(record.value);
     }
   }
   if (breakdown != nullptr) {
@@ -155,109 +243,121 @@ void SerializeWithBreakdown(const Advice& a, ByteWriter* out, Advice::SizeBreakd
     breakdown->var_logs = after_vls - after_hls;
     breakdown->tx_logs = after_txls - after_vls;
     breakdown->write_order = after_wo - after_txls;
-    breakdown->other = out->size() - after_wo;
-    breakdown->total = out->size() - start;
+    breakdown->other = e->BodyBytes() - after_wo;
+    breakdown->total = e->BodyBytes() - start;
   }
 }
 
-}  // namespace
-
-void Advice::Serialize(ByteWriter* out) const {
-  SerializeWithBreakdown(*this, out, nullptr);
-}
-
-std::optional<Advice> Advice::Deserialize(ByteReader* in, StoredWrites* stored) {
+// Each count that sizes a reservation is bounded by its entry's fewest
+// bytes: one per field, eight per Id with the dict stage off.
+std::optional<Advice> Advice::Decode(FieldDecoder* d, StoredWrites* stored) {
   Advice a;
-  VarPatchResolver resolver(in->remaining());
-  RawSource source{in};
+  VarPatchResolver resolver(d->unit_bytes());
   StoredWrites counts;
-  auto n_tags = in->ReadVarint();
+  const size_t id = d->IdBytes();
+
+  auto n_tags = d->Varint();
   if (!n_tags) {
     return std::nullopt;
   }
+  uint64_t prev_rid = 0;
   for (uint64_t i = 0; i < *n_tags; ++i) {
-    auto rid = in->ReadVarint();
-    auto tag = in->ReadFixed64();
+    auto rid = d->Lane(&prev_rid);
+    auto tag = d->Id();
     if (!rid || !tag) {
       return std::nullopt;
     }
     a.tags[*rid] = *tag;
   }
-  auto n_hls = in->ReadVarint();
+
+  auto n_hls = d->Varint();
   if (!n_hls) {
     return std::nullopt;
   }
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_hls; ++i) {
-    auto rid = in->ReadVarint();
-    auto n = in->ReadVarint();
-    // An entry is at least kind, hid, opnum and event: 1 + 8 + 1 + 8 bytes.
-    if (!rid || !n || !in->CanHold(*n, 18)) {
+    auto rid = d->Lane(&prev_rid);
+    auto n = d->Varint();
+    // Kind, hid, opnum, event.
+    if (!rid || !n || !d->CanHold(*n, 2 + 2 * id)) {
       return std::nullopt;
     }
     std::vector<HandlerLogEntry> log;
-    log.reserve(*n);
+    log.reserve(static_cast<size_t>(*n));
+    uint64_t prev_opnum = 0;
     for (uint64_t j = 0; j < *n; ++j) {
-      HandlerLogEntry e;
-      auto kind = in->ReadByte();
-      auto hid = in->ReadFixed64();
-      auto opnum = in->ReadVarint();
-      auto event = in->ReadFixed64();
-      if (!kind || *kind > 2 || !hid || !opnum || !event) {
+      HandlerLogEntry entry;
+      auto kind = d->Byte();
+      if (!kind || *kind > 2) {
         return std::nullopt;
       }
-      e.kind = static_cast<HandlerLogEntry::Kind>(*kind);
-      e.hid = *hid;
-      e.opnum = static_cast<OpNum>(*opnum);
-      e.event = *event;
-      if (e.kind != HandlerLogEntry::Kind::kEmit) {
-        auto function = in->ReadFixed64();
+      auto hid = d->Id();
+      auto opnum = Narrow32(d->Lane(&prev_opnum));
+      auto event = d->Id();
+      if (!hid || !opnum || !event) {
+        return std::nullopt;
+      }
+      entry.kind = static_cast<HandlerLogEntry::Kind>(*kind);
+      entry.hid = *hid;
+      entry.opnum = *opnum;
+      entry.event = *event;
+      if (entry.kind != HandlerLogEntry::Kind::kEmit) {
+        auto function = d->Id();
         if (!function) {
           return std::nullopt;
         }
-        e.function = *function;
+        entry.function = *function;
       }
-      log.push_back(e);
+      log.push_back(entry);
     }
     a.handler_logs[*rid] = std::move(log);
   }
-  auto n_vls = in->ReadVarint();
+
+  auto n_vls = d->Varint();
   if (!n_vls) {
     return std::nullopt;
   }
   for (uint64_t i = 0; i < *n_vls; ++i) {
-    auto vid = in->ReadFixed64();
-    auto n = in->ReadVarint();
-    // An entry is at least op, kind and prec: 10 + 1 + 10 bytes.
-    if (!vid || !n || !in->CanHold(*n, 21)) {
+    auto vid = d->Id();
+    auto n = d->Varint();
+    // Op rid, hid, opnum, kind, prec rid, hid, opnum.
+    if (!vid || !n || !d->CanHold(*n, 5 + 2 * id)) {
       return std::nullopt;
     }
     VarLog log;
+    uint64_t prev_op_rid = 0;
+    uint64_t prev_op_opnum = 0;
     for (uint64_t j = 0; j < *n; ++j) {
-      auto op = DeserializeOpRef(in);
-      auto kind = in->ReadByte();
-      const size_t at = in->remaining() + 1;
+      auto op_rid = d->Lane(&prev_op_rid);
+      auto op_hid = d->Id();
+      auto op_opnum = Narrow32(d->Lane(&prev_op_opnum));
+      auto kind = d->Byte();
+      const size_t at = d->remaining() + 1;
       VarLogEntry entry;
       VarPatch patch;
-      if (!op || !kind || !ReadStoredWrite(*kind, &source, &entry, &patch)) {
+      if (!op_rid || !op_hid || !op_opnum || !kind || !ReadStoredWrite(*kind, d, &entry, &patch)) {
         return std::nullopt;
       }
       if (*kind == static_cast<uint8_t>(VarWriteForm::kFull)) {
         ++counts.full;
-        counts.full_bytes += at - in->remaining();
+        counts.full_bytes += at - d->remaining();
       } else if (*kind != 0) {
         ++counts.patches;
-        counts.patch_bytes += at - in->remaining();
+        counts.patch_bytes += at - d->remaining();
       }
-      auto prec = DeserializeOpRef(in);
-      if (!prec) {
+      const OpRef op{*op_rid, *op_hid, *op_opnum};
+      auto prec_rid = d->RelRid(op.rid);
+      auto prec_hid = d->Id();
+      auto prec_opnum = Narrow32(d->Varint());
+      if (!prec_rid || !prec_hid || !prec_opnum) {
         return std::nullopt;
       }
-      entry.prec = *prec;
-      // Honest advice arrives key-sorted (serialized from a std::map), so the
-      // end hint makes each insert amortized O(1); duplicate keys still keep
-      // the first occurrence, exactly as plain emplace does.
+      entry.prec = OpRef{*prec_rid, *prec_hid, *prec_opnum};
+      // Honest advice arrives key-sorted (encoded from a std::map), so the
+      // end hint makes each insert amortized O(1); a duplicate key keeps the
+      // first occurrence, exactly as plain emplace does.
       const size_t had = log.size();
-      auto it = log.emplace_hint(log.end(), *op, std::move(entry));
+      auto it = log.emplace_hint(log.end(), op, std::move(entry));
       if (*kind > static_cast<uint8_t>(VarWriteForm::kFull) && log.size() != had) {
         resolver.Add(it, std::move(patch));
       }
@@ -267,117 +367,138 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in, StoredWrites* stored) 
     }
     a.var_logs[*vid] = std::move(log);
   }
-  auto n_txls = in->ReadVarint();
+
+  auto n_txls = d->Varint();
   if (!n_txls) {
     return std::nullopt;
   }
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_txls; ++i) {
-    auto txn = DeserializeTxnKey(in);
-    auto n = in->ReadVarint();
-    // An op is at least type, hid and opnum: 1 + 8 + 1 bytes.
-    if (!txn || !n || !in->CanHold(*n, 10)) {
+    auto rid = d->Lane(&prev_rid);
+    auto tid = d->Id();
+    auto n = d->Varint();
+    // Type, hid, opnum.
+    if (!rid || !tid || !n || !d->CanHold(*n, 2 + id)) {
       return std::nullopt;
     }
     TransactionLog log;
-    log.reserve(*n);
+    log.reserve(static_cast<size_t>(*n));
+    uint64_t prev_opnum = 0;
     for (uint64_t j = 0; j < *n; ++j) {
       TxOperation op;
-      auto type = in->ReadByte();
-      auto hid = in->ReadFixed64();
-      auto opnum = in->ReadVarint();
-      if (!type || *type > static_cast<uint8_t>(TxOpType::kGet) || !hid || !opnum) {
+      auto type = d->Byte();
+      if (!type || *type > static_cast<uint8_t>(TxOpType::kGet)) {
+        return std::nullopt;
+      }
+      auto hid = d->Id();
+      auto opnum = Narrow32(d->Lane(&prev_opnum));
+      if (!hid || !opnum) {
         return std::nullopt;
       }
       op.type = static_cast<TxOpType>(*type);
       op.hid = *hid;
-      op.opnum = static_cast<OpNum>(*opnum);
+      op.opnum = *opnum;
       if (op.type == TxOpType::kPut) {
-        auto key = in->ReadString();
-        auto value = in->ReadValue();
+        auto key = d->Str();
+        auto value = d->Val();
         if (!key || !value) {
           return std::nullopt;
         }
         op.key = std::move(*key);
         op.put_value = std::move(*value);
       } else if (op.type == TxOpType::kGet) {
-        auto key = in->ReadString();
-        auto found = in->ReadBool();
+        auto key = d->Str();
+        auto found = d->Bool();
         if (!key || !found) {
           return std::nullopt;
         }
         op.key = std::move(*key);
         op.get_found = *found;
         if (op.get_found) {
-          auto from = DeserializeTxOpRef(in);
-          if (!from) {
+          auto from_rid = d->RelRid(*rid);
+          auto from_tid = d->Id();
+          auto from_index = Narrow32(d->Varint());
+          if (!from_rid || !from_tid || !from_index) {
             return std::nullopt;
           }
-          op.get_from = *from;
+          op.get_from = TxOpRef{*from_rid, *from_tid, *from_index};
         }
       }
       log.push_back(std::move(op));
     }
-    a.tx_logs[*txn] = std::move(log);
+    a.tx_logs[TxnKey{*rid, *tid}] = std::move(log);
   }
-  auto n_wo = in->ReadVarint();
-  // An entry is a TxOpRef: rid, tid and index, 1 + 8 + 1 bytes at least.
-  if (!n_wo || !in->CanHold(*n_wo, 10)) {
+
+  auto n_wo = d->Varint();
+  // Rid, tid, index.
+  if (!n_wo || !d->CanHold(*n_wo, 2 + id)) {
     return std::nullopt;
   }
-  a.write_order.reserve(*n_wo);
+  a.write_order.reserve(static_cast<size_t>(*n_wo));
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_wo; ++i) {
-    auto w = DeserializeTxOpRef(in);
-    if (!w) {
+    auto rid = d->Lane(&prev_rid);
+    auto tid = d->Id();
+    auto index = Narrow32(d->Varint());
+    if (!rid || !tid || !index) {
       return std::nullopt;
     }
-    a.write_order.push_back(*w);
+    a.write_order.push_back(TxOpRef{*rid, *tid, *index});
   }
-  auto n_reb = in->ReadVarint();
+
+  auto n_reb = d->Varint();
   if (!n_reb) {
     return std::nullopt;
   }
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_reb; ++i) {
-    auto rid = in->ReadVarint();
-    auto hid = in->ReadFixed64();
-    auto opnum = in->ReadVarint();
+    auto rid = d->Lane(&prev_rid);
+    auto hid = d->Id();
+    auto opnum = Narrow32(d->Varint());
     if (!rid || !hid || !opnum) {
       return std::nullopt;
     }
-    a.response_emitted_by[*rid] = {*hid, static_cast<OpNum>(*opnum)};
+    a.response_emitted_by[*rid] = {*hid, *opnum};
   }
-  auto n_oc = in->ReadVarint();
+
+  auto n_oc = d->Varint();
   if (!n_oc) {
     return std::nullopt;
   }
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_oc; ++i) {
-    auto rid = in->ReadVarint();
-    auto hid = in->ReadFixed64();
-    auto count = in->ReadVarint();
+    auto rid = d->Lane(&prev_rid);
+    auto hid = d->Id();
+    auto count = Narrow32(d->Varint());
     if (!rid || !hid || !count) {
       return std::nullopt;
     }
-    a.opcounts[{*rid, *hid}] = static_cast<OpNum>(*count);
+    a.opcounts[{*rid, *hid}] = *count;
   }
-  auto n_nd = in->ReadVarint();
+
+  auto n_nd = d->Varint();
   if (!n_nd) {
     return std::nullopt;
   }
+  prev_rid = 0;
   for (uint64_t i = 0; i < *n_nd; ++i) {
-    auto op = DeserializeOpRef(in);
-    auto kind = in->ReadByte();
-    if (!op || !kind || *kind > 1) {
+    auto rid = d->Lane(&prev_rid);
+    auto hid = d->Id();
+    auto opnum = Narrow32(d->Varint());
+    auto kind = d->Byte();
+    if (!rid || !hid || !opnum || !kind || *kind > 1) {
       return std::nullopt;
     }
     NondetRecord record;
     record.kind = static_cast<NondetRecord::Kind>(*kind);
     if (record.kind == NondetRecord::Kind::kValue) {
-      auto value = in->ReadValue();
+      auto value = d->Val();
       if (!value) {
         return std::nullopt;
       }
       record.value = std::move(*value);
     }
-    a.nondet.emplace(*op, std::move(record));
+    a.nondet.emplace(OpRef{*rid, *hid, *opnum}, std::move(record));
   }
   if (stored != nullptr) {
     *stored = counts;
@@ -385,16 +506,23 @@ std::optional<Advice> Advice::Deserialize(ByteReader* in, StoredWrites* stored) 
   return a;
 }
 
+void Advice::Serialize(ByteWriter* out) const {
+  FieldEncoder e(KsegCompression{}, out);
+  Encode(&e);
+  e.Finish();
+}
+
+std::optional<Advice> Advice::Deserialize(ByteReader* in, StoredWrites* stored) {
+  FieldDecoder d(in, KsegCompression{});
+  return Decode(&d, stored);
+}
+
 Advice::SizeBreakdown Advice::MeasureSize() const {
   SizeBreakdown b;
   ByteWriter w;
-  SerializeWithBreakdown(*this, &w, &b);
+  FieldEncoder e(KsegCompression{}, &w);
+  Encode(&e, &b);
   return b;
-}
-
-void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, ByteWriter* out) {
-  RawSink sink{out};
-  WriteStoredWrite(diff, value, &sink);
 }
 
 VarWriteDiff VarPatchPlanner::Plan(const Value& value, const Value* base, size_t unit_bytes) {

@@ -11,8 +11,11 @@
 //   * opcounts           — per-(rid, hid) total operation counts;
 //   * nondet             — recorded non-deterministic results (§5).
 //
-// Advice has a real wire format (Serialize/Deserialize) so that Figure 8's
-// advice-size experiment measures actual bytes.
+// Advice has a real wire format so that Figure 8's advice-size experiment
+// measures actual bytes. Its grammar is written once (Encode/Decode, over the
+// field coders of src/common/kcodec.h): the monolithic advice file is that
+// grammar with every codec stage off, and a KSEG advice frame is the same
+// grammar under the stages its flags name, followed by the imports.
 #ifndef SRC_SERVER_ADVICE_H_
 #define SRC_SERVER_ADVICE_H_
 
@@ -24,6 +27,7 @@
 
 #include "src/adya/history.h"
 #include "src/common/ids.h"
+#include "src/common/kcodec.h"
 #include "src/common/serde.h"
 #include "src/common/value.h"
 
@@ -76,11 +80,6 @@ struct Advice {
   std::map<std::pair<RequestId, HandlerId>, OpNum> opcounts;
   std::map<OpRef, NondetRecord> nondet;
 
-  void Serialize(ByteWriter* out) const;
-  // `stored`, when given, receives the split of the logged writes into
-  // full values and patches as the bytes hold them.
-  static std::optional<Advice> Deserialize(ByteReader* in, StoredWrites* stored = nullptr);
-
   // Encoded size, total and per component (Figure 8 and its breakdowns).
   struct SizeBreakdown {
     size_t total = 0;
@@ -91,6 +90,21 @@ struct Advice {
     size_t write_order = 0;
     size_t other = 0;
   };
+
+  // The one advice grammar. Encode writes the components in paper order
+  // through `e` (Finish is the caller's) and, when `breakdown` is given,
+  // notes each component's body bytes there. Decode reads them back from
+  // `d`, leaving it after the advice; nullopt when malformed. `stored`, when
+  // given, receives the split of the logged writes into full values and
+  // patches as the bytes hold them.
+  void Encode(FieldEncoder* e, SizeBreakdown* breakdown = nullptr) const;
+  static std::optional<Advice> Decode(FieldDecoder* d, StoredWrites* stored = nullptr);
+
+  // The grammar with every stage off: the monolithic advice file.
+  // Deserialize reads from the reader's position and leaves it after the
+  // advice.
+  void Serialize(ByteWriter* out) const;
+  static std::optional<Advice> Deserialize(ByteReader* in, StoredWrites* stored = nullptr);
   SizeBreakdown MeasureSize() const;
 
   // Counters used by the logging ablation.
@@ -104,9 +118,9 @@ struct Advice {
 // logged, 3 a write stored as a list append over it. A patch resolves inside
 // the unit it is stored in (one advice file, one KSEG frame), so a decoded
 // VarLogEntry always holds the full value and the verifier never sees a
-// patch. Every encoder plans with PatchBases and VarPatchPlanner and writes
-// with WriteStoredWrite; every decoder reads with ReadStoredWrite and
-// resolves with VarPatchResolver.
+// patch. The advice grammar plans with PatchBases and VarPatchPlanner,
+// writes with WriteStoredWrite (as the recorder's spool does) and resolves
+// with VarPatchResolver.
 enum class VarWriteForm : uint8_t { kFull = 1, kMapPatch = 2, kListAppend = 3 };
 
 // The bytes resolving one unit's patches may copy, per byte of the unit.
@@ -151,39 +165,8 @@ class VarPatchPlanner {
 };
 
 // Writes a logged write's kind byte and stored form: `value` in full, or
-// the patch `diff` describes. `out` offers Byte(uint8_t), Varint(uint64_t),
-// Str(string_view) and Val(const Value&).
-template <typename Sink>
-void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, Sink* out) {
-  out->Byte(static_cast<uint8_t>(diff.form));
-  switch (diff.form) {
-    case VarWriteForm::kFull:
-      out->Val(value);
-      return;
-    case VarWriteForm::kMapPatch:
-      out->Varint(diff.sets.size());
-      for (const ValueMap::value_type* set : diff.sets) {
-        out->Str(set->first);
-        out->Val(set->second);
-      }
-      out->Varint(diff.erases.size());
-      for (const std::string* key : diff.erases) {
-        out->Str(*key);
-      }
-      return;
-    case VarWriteForm::kListAppend: {
-      const ValueList& items = value.AsList();
-      out->Varint(items.size() - diff.appended_from);
-      for (size_t i = diff.appended_from; i < items.size(); ++i) {
-        out->Val(items[i]);
-      }
-      return;
-    }
-  }
-}
-
-// The same in the raw grammar.
-void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, ByteWriter* out);
+// the patch `diff` describes.
+void WriteStoredWrite(const VarWriteDiff& diff, const Value& value, FieldEncoder* out);
 
 // A patch as read, before it is resolved against its base.
 struct VarPatch {
@@ -192,74 +175,6 @@ struct VarPatch {
   std::vector<std::string> erases;  // kMapPatch.
   ValueList appended;               // kListAppend.
 };
-
-// Reads the patch of a write whose kind byte was `form` (kMapPatch or
-// kListAppend). `in` offers Varint(), Str(), Val(depth) and
-// CanHold(count, min_bytes). Keys must come in strictly increasing order.
-template <typename Source>
-bool ReadVarPatch(VarWriteForm form, Source* in, VarPatch* patch) {
-  patch->form = form;
-  auto n = in->Varint();
-  // A set is a key and a value; an erase or an appended item, one field.
-  if (!n || !in->CanHold(*n, form == VarWriteForm::kMapPatch ? 2 : 1)) {
-    return false;
-  }
-  if (form == VarWriteForm::kListAppend) {
-    patch->appended.reserve(static_cast<size_t>(*n));
-    for (uint64_t i = 0; i < *n; ++i) {
-      auto item = in->Val(1);
-      if (!item) {
-        return false;
-      }
-      patch->appended.push_back(std::move(*item));
-    }
-    return true;
-  }
-  patch->sets.reserve(static_cast<size_t>(*n));
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto key = in->Str();
-    auto value = key ? in->Val(1) : std::nullopt;
-    if (!value || !patch->sets.AppendInOrder(std::move(*key), std::move(*value))) {
-      return false;
-    }
-  }
-  auto n_erases = in->Varint();
-  if (!n_erases || !in->CanHold(*n_erases, 1)) {
-    return false;
-  }
-  patch->erases.reserve(static_cast<size_t>(*n_erases));
-  for (uint64_t i = 0; i < *n_erases; ++i) {
-    auto key = in->Str();
-    if (!key || (!patch->erases.empty() && !(patch->erases.back() < *key))) {
-      return false;
-    }
-    patch->erases.push_back(std::move(*key));
-  }
-  return true;
-}
-
-// Reads the rest of a var-log entry whose kind byte was `kind`: nothing for
-// a read, the value of a full write, or the patch of a patched one (whose
-// value stays empty until VarPatchResolver fills it). False when malformed.
-template <typename Source>
-bool ReadStoredWrite(uint8_t kind, Source* in, VarLogEntry* entry, VarPatch* patch) {
-  if (kind > static_cast<uint8_t>(VarWriteForm::kListAppend)) {
-    return false;
-  }
-  entry->kind = kind == 0 ? VarLogEntry::Kind::kRead : VarLogEntry::Kind::kWrite;
-  if (kind == 0) {
-    return true;
-  }
-  const auto form = static_cast<VarWriteForm>(kind);
-  if (form != VarWriteForm::kFull) {
-    return ReadVarPatch(form, in, patch);
-  }
-  auto value = in->Val(0);
-  if (value) {
-    entry->value = std::move(*value);
-  }
-  return value.has_value();
-}
 
 // Materializes the patches of one unit's var logs. The decoder Adds each
 // patched entry as it inserts it (its value still empty), and Resolves the

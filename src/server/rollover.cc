@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/analysis/carry_lint.h"
-#include "src/server/kseg_codec.h"
 
 namespace karousos {
 
@@ -34,7 +33,11 @@ ContinuityImports::TxOpImport ContinuityImports::TxOpImport::Deserialize(StateRe
   imp.key = in->S();
   imp.value = in->Val();
   imp.hid = in->F64();
-  imp.opnum = static_cast<OpNum>(in->V());
+  const uint64_t opnum = in->V();
+  if (opnum > kOpNumInf) {
+    in->Fail();
+  }
+  imp.opnum = static_cast<OpNum>(opnum);
   return imp;
 }
 
@@ -56,24 +59,96 @@ ContinuityImports::VarImport ContinuityImports::VarImport::Deserialize(StateRead
   return imp;
 }
 
-void ContinuityImports::Serialize(ByteWriter* out) const {
-  out->WriteVarint(tx_ops.size());
+void ContinuityImports::Encode(FieldEncoder* e) const {
+  e->Varint(tx_ops.size());
+  uint64_t prev_rid = 0;
   for (const TxOpImport& imp : tx_ops) {
-    imp.Serialize(out);
+    e->Lane(imp.ref.rid, &prev_rid);
+    e->Id(imp.ref.tid);
+    e->Varint(imp.ref.index);
+    e->Bool(imp.txn_present);
+    e->Bool(imp.op_present);
+    e->Byte(imp.type);
+    e->Str(imp.key);
+    e->Val(imp.value);
+    e->Id(imp.hid);
+    e->Varint(imp.opnum);
   }
-  out->WriteVarint(var_entries.size());
+  e->Varint(var_entries.size());
+  prev_rid = 0;
   for (const VarImport& imp : var_entries) {
-    imp.Serialize(out);
+    e->Id(imp.vid);
+    e->Lane(imp.op.rid, &prev_rid);
+    e->Id(imp.op.hid);
+    e->Varint(imp.op.opnum);
+    e->Bool(imp.present);
+    e->Byte(imp.kind);
+    e->Val(imp.value);
   }
 }
 
-std::optional<ContinuityImports> ContinuityImports::Deserialize(ByteReader* in) {
-  StateReader r(in);
+std::optional<ContinuityImports> ContinuityImports::Decode(FieldDecoder* d) {
   ContinuityImports imports;
-  r.List(&imports.tx_ops, TxOpImport::kMinBytes, [&r] { return TxOpImport::Deserialize(&r); });
-  r.List(&imports.var_entries, VarImport::kMinBytes,
-         [&r] { return VarImport::Deserialize(&r); });
-  if (!r.ok()) return std::nullopt;
+  const size_t id = d->IdBytes();
+  auto tx_count = d->Varint();
+  // Rid, tid, index, two bools, type, key, value, hid, opnum.
+  if (!tx_count || !d->CanHold(*tx_count, 8 + 2 * id)) {
+    return std::nullopt;
+  }
+  imports.tx_ops.reserve(static_cast<size_t>(*tx_count));
+  uint64_t prev_rid = 0;
+  for (uint64_t i = 0; i < *tx_count; ++i) {
+    TxOpImport imp;
+    auto rid = d->Lane(&prev_rid);
+    auto tid = d->Id();
+    auto index = Narrow32(d->Varint());
+    auto txn_present = d->Bool();
+    auto op_present = d->Bool();
+    auto type = d->Byte();
+    auto key = d->Str();
+    auto value = d->Val();
+    auto hid = d->Id();
+    auto opnum = Narrow32(d->Varint());
+    if (!rid || !tid || !index || !txn_present || !op_present || !type || !key || !value ||
+        !hid || !opnum) {
+      return std::nullopt;
+    }
+    imp.ref = TxOpRef{*rid, *tid, *index};
+    imp.txn_present = *txn_present;
+    imp.op_present = *op_present;
+    imp.type = *type;
+    imp.key = std::move(*key);
+    imp.value = std::move(*value);
+    imp.hid = *hid;
+    imp.opnum = *opnum;
+    imports.tx_ops.push_back(std::move(imp));
+  }
+  auto var_count = d->Varint();
+  // Vid, rid, hid, opnum, present, kind, value.
+  if (!var_count || !d->CanHold(*var_count, 5 + 2 * id)) {
+    return std::nullopt;
+  }
+  imports.var_entries.reserve(static_cast<size_t>(*var_count));
+  prev_rid = 0;
+  for (uint64_t i = 0; i < *var_count; ++i) {
+    VarImport imp;
+    auto vid = d->Id();
+    auto rid = d->Lane(&prev_rid);
+    auto hid = d->Id();
+    auto opnum = Narrow32(d->Varint());
+    auto present = d->Bool();
+    auto kind = d->Byte();
+    auto value = d->Val();
+    if (!vid || !rid || !hid || !opnum || !present || !kind || !value) {
+      return std::nullopt;
+    }
+    imp.vid = *vid;
+    imp.op = OpRef{*rid, *hid, *opnum};
+    imp.present = *present;
+    imp.kind = *kind;
+    imp.value = std::move(*value);
+    imports.var_entries.push_back(std::move(imp));
+  }
   return imports;
 }
 
@@ -347,22 +422,13 @@ void EpochFrameWriter::AppendManifest(uint64_t epoch_requests) {
 
 void EpochFrameWriter::AppendTrace(const EpochSegment& seg) {
   payload_.Clear();
-  if (c_.lanes || c_.dict) {
-    EncodeCompactTracePayload(seg.window, c_, &payload_);
-  } else {
-    SerializeTraceEvents(seg.window, &payload_);
-  }
+  EncodeTraceSegmentPayload(seg.window, c_, &payload_);
   AppendPayload(SegmentKind::kTrace, seg.epoch);
 }
 
 void EpochFrameWriter::AppendAdvice(const EpochSegment& seg) {
   payload_.Clear();
-  if (c_.lanes || c_.dict) {
-    EncodeCompactAdvicePayload(seg.advice, seg.imports, c_, &payload_);
-  } else {
-    seg.advice.Serialize(&payload_);
-    seg.imports.Serialize(&payload_);
-  }
+  EncodeAdviceSegmentPayload(seg.advice, seg.imports, c_, &payload_);
   AppendPayload(SegmentKind::kAdvice, seg.epoch);
 }
 
@@ -383,6 +449,21 @@ void EpochFrameWriter::AppendPayload(SegmentKind kind, uint64_t epoch) {
 void EpochFrameWriter::AppendRaw(SegmentKind kind, uint64_t epoch,
                                  const std::vector<uint8_t>& payload) {
   writer_.Append(kind, epoch, payload);
+}
+
+void EncodeTraceSegmentPayload(const std::vector<TraceEvent>& events, const KsegCompression& c,
+                               ByteWriter* out) {
+  FieldEncoder e(c, out);
+  EncodeTraceEvents(events, &e);
+  e.Finish();
+}
+
+void EncodeAdviceSegmentPayload(const Advice& advice, const ContinuityImports& imports,
+                                const KsegCompression& c, ByteWriter* out) {
+  FieldEncoder e(c, out);
+  advice.Encode(&e);
+  imports.Encode(&e);
+  e.Finish();
 }
 
 std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices, const KsegCompression& c) {
@@ -425,14 +506,12 @@ std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
   std::vector<uint8_t> unblocked;
   const std::vector<uint8_t>* body = Unblock(payload, flags, &unblocked);
   if (body == nullptr) return std::nullopt;
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  if (c.lanes || c.dict) {
-    return DecodeCompactTracePayload(body->data(), body->size(), c);
-  }
   ByteReader reader(*body);
-  auto window = Trace::Deserialize(&reader);
+  FieldDecoder d(&reader, KsegCompression::FromFlags(flags));
+  if (!d.Init()) return std::nullopt;
+  auto window = DecodeTraceEvents(&d);
   if (!window || !reader.AtEnd()) return std::nullopt;
-  return std::move(window->events);
+  return window;
 }
 
 std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
@@ -440,14 +519,12 @@ std::optional<AdviceSegmentPayload> DecodeAdviceSegmentPayload(
   std::vector<uint8_t> unblocked;
   const std::vector<uint8_t>* body = Unblock(payload, flags, &unblocked);
   if (body == nullptr) return std::nullopt;
-  const KsegCompression c = KsegCompression::FromFlags(flags);
-  if (c.lanes || c.dict) {
-    return DecodeCompactAdvicePayload(body->data(), body->size(), c);
-  }
   ByteReader reader(*body);
-  auto advice = Advice::Deserialize(&reader);
+  FieldDecoder d(&reader, KsegCompression::FromFlags(flags));
+  if (!d.Init()) return std::nullopt;
+  auto advice = Advice::Decode(&d);
   if (!advice) return std::nullopt;
-  auto imports = ContinuityImports::Deserialize(&reader);
+  auto imports = ContinuityImports::Decode(&d);
   if (!imports || !reader.AtEnd()) return std::nullopt;
   AdviceSegmentPayload out;
   out.advice = std::move(*advice);

@@ -57,9 +57,10 @@ inline constexpr uint64_t kDefaultEpochRequests = 1000;
 // holds — including its defects — so that validation reaches the same
 // verdict at every epoch size.
 struct ContinuityImports {
-  // Each import has one encoding, the KSEG raw frame's, wherever it travels
-  // (epoch frames, shard files, the checkpoint, the pre-screen state and the
-  // shard artifact).
+  // In epoch frames and shard files the imports are the tail of the advice
+  // grammar (Encode/Decode below). The checkpoint, the pre-screen state and
+  // the shard artifact carry single imports in that grammar's stage-off
+  // bytes, through the per-import codecs.
   struct TxOpImport {
     TxOpRef ref;
     bool txn_present = false;  // The referenced transaction exists at all.
@@ -94,8 +95,10 @@ struct ContinuityImports {
 
   bool empty() const { return tx_ops.empty() && var_entries.empty(); }
 
-  void Serialize(ByteWriter* out) const;
-  static std::optional<ContinuityImports> Deserialize(ByteReader* in);
+  // The counted tx-op imports, then the counted var imports, in the advice
+  // grammar's field coders. Decode returns nullopt when they are malformed.
+  void Encode(FieldEncoder* e) const;
+  static std::optional<ContinuityImports> Decode(FieldDecoder* d);
 };
 
 // Looks up what the full advice alleges at an out-of-slice transaction-log /
@@ -173,14 +176,23 @@ Advice MergeSlices(EpochSlices&& slices);
 // kEpochManifest frame stating slices.epoch_requests, then holds one kTrace
 // frame per epoch, or one kAdvice frame per epoch whose payload is the advice
 // slice followed by the imports. `c` names the storage-class codec stages
-// applied per epoch frame and recorded in its flags byte; with no stages
-// every frame is raw. The block stage is dropped per frame when it does not
-// shrink the payload, so a frame's flags always name exactly the transforms
-// its bytes carry.
+// applied per epoch frame and recorded in its flags byte; with no stages a
+// trace frame's payload is the window's monolithic trace bytes and an advice
+// frame's the slice's monolithic advice bytes then the imports. The block
+// stage is dropped per frame when it does not shrink the payload, so a
+// frame's flags always name exactly the transforms its bytes carry.
 std::vector<uint8_t> EncodeTraceSegments(const EpochSlices& slices,
                                          const KsegCompression& c = {});
 std::vector<uint8_t> EncodeAdviceSegments(const EpochSlices& slices,
                                           const KsegCompression& c = {});
+
+// One frame's payload before the block stage: the trace or advice grammar
+// (src/trace/trace.h, src/server/advice.h) under c.lanes and c.dict, with
+// the dict stage's tables in front. c.block is the frame writer's.
+void EncodeTraceSegmentPayload(const std::vector<TraceEvent>& events, const KsegCompression& c,
+                               ByteWriter* out);
+void EncodeAdviceSegmentPayload(const Advice& advice, const ContinuityImports& imports,
+                                const KsegCompression& c, ByteWriter* out);
 
 // Appends frames under one codec choice. Every KSEG epoch-frame encoder (the
 // two above and EncodeShardFile) writes through this one appender.
@@ -222,10 +234,11 @@ std::optional<uint64_t> ReadEpochManifest(SegmentReader* reader, const char* str
                                           std::vector<LintDiagnostic>* diags);
 
 // Decodes one frame payload, undoing the stages named in the frame's flags
-// byte (block first, then the grammar-aware lanes/dict transcoder); flags == 0
-// is the raw decode. Returns nullopt on malformed payloads and on unknown flag
-// bits (the segment reader already screens them, but the payload decoders
-// never trust their input); the caller turns that into a clean rejection.
+// byte: block first, then the grammar under lanes/dict, which must consume
+// the payload exactly. Returns nullopt on malformed payloads and on unknown
+// flag bits (the segment reader already screens them, but the payload
+// decoders never trust their input); the caller turns that into a clean
+// rejection.
 std::optional<std::vector<TraceEvent>> DecodeTraceSegmentPayload(
     const std::vector<uint8_t>& payload, uint8_t flags = 0);
 struct AdviceSegmentPayload {

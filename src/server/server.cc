@@ -166,8 +166,9 @@ class ServerCtx : public Ctx {
                        : var.last_write;
       SerializeOpRef(cur, &server_.advice_spool_);
       // The prec, when logged, wrote var.value: spool the patch over it.
+      FieldEncoder spool(KsegCompression{}, &server_.advice_spool_);
       WriteStoredWrite(entry.prec.IsNil() ? VarWriteDiff{} : DiffVarWrite(entry.value, var.value),
-                       entry.value, &server_.advice_spool_);
+                       entry.value, &spool);
       server_.builder_.AddVarEntry(vid, cur, std::move(entry));
     }
     var.value = value.CollapsedValue();

@@ -6,7 +6,6 @@
 
 #include "src/analysis/carry_lint.h"
 #include "src/common/file_io.h"
-#include "src/server/kseg_codec.h"
 
 namespace karousos {
 

@@ -81,39 +81,56 @@ size_t Trace::request_count() const {
   return n;
 }
 
+void EncodeTraceEvents(const std::vector<TraceEvent>& events, FieldEncoder* e) {
+  e->Varint(events.size());
+  uint64_t prev_rid = 0;
+  for (const TraceEvent& ev : events) {
+    e->Byte(static_cast<uint8_t>(ev.kind));
+    e->Lane(ev.rid, &prev_rid);
+    e->Val(ev.payload);
+  }
+}
+
+std::optional<std::vector<TraceEvent>> DecodeTraceEvents(FieldDecoder* d) {
+  auto n = d->Varint();
+  // An event is at least kind, rid and a null payload: 3 bytes.
+  if (!n || !d->CanHold(*n, 3)) {
+    return std::nullopt;
+  }
+  std::vector<TraceEvent> events;
+  events.reserve(static_cast<size_t>(*n));
+  uint64_t prev_rid = 0;
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto kind = d->Byte();
+    auto rid = d->Lane(&prev_rid);
+    auto payload = d->Val();
+    if (!kind || *kind > 1 || !rid || !payload) {
+      return std::nullopt;
+    }
+    events.push_back(
+        TraceEvent{static_cast<TraceEvent::Kind>(*kind), *rid, std::move(*payload)});
+  }
+  return events;
+}
+
 void SerializeTraceEvents(const std::vector<TraceEvent>& events, ByteWriter* out) {
   // Reserve the fixed per-event floor (kind byte + 1-byte rid varint + value
   // header) up front; payload bytes still grow as needed.
   out->Reserve(1 + events.size() * 3);
-  out->WriteVarint(events.size());
-  for (const TraceEvent& ev : events) {
-    out->WriteByte(static_cast<uint8_t>(ev.kind));
-    out->WriteVarint(ev.rid);
-    out->WriteValue(ev.payload);
-  }
+  FieldEncoder e(KsegCompression{}, out);
+  EncodeTraceEvents(events, &e);
+  e.Finish();
 }
 
 void Trace::Serialize(ByteWriter* out) const { SerializeTraceEvents(events, out); }
 
 std::optional<Trace> Trace::Deserialize(ByteReader* in) {
-  auto n = in->ReadVarint();
-  // An event is at least kind, rid and a null payload: 3 bytes.
-  if (!n || !in->CanHold(*n, 3)) {
+  FieldDecoder d(in, KsegCompression{});
+  auto events = DecodeTraceEvents(&d);
+  if (!events) {
     return std::nullopt;
   }
-  Trace trace;
-  trace.events.reserve(*n);
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto kind = in->ReadByte();
-    auto rid = in->ReadVarint();
-    auto payload = in->ReadValue();
-    if (!kind || *kind > 1 || !rid || !payload) {
-      return std::nullopt;
-    }
-    trace.events.push_back(TraceEvent{static_cast<TraceEvent::Kind>(*kind), *rid,
-                                      std::move(*payload)});
-  }
-  return trace;
+  return Trace{std::move(*events)};
 }
 
 }  // namespace karousos

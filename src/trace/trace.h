@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/kcodec.h"
 #include "src/common/serde.h"
 #include "src/common/value.h"
 
@@ -36,13 +37,23 @@ struct Trace {
 
   size_t request_count() const;
 
+  // The grammar below with every stage off: the monolithic trace file.
+  // Deserialize reads from the reader's position and leaves it after the
+  // trace.
   void Serialize(ByteWriter* out) const;
   static std::optional<Trace> Deserialize(ByteReader* in);
 };
 
-// Serializes a bare event list in the Trace wire format (identical bytes to
-// Trace{events}.Serialize) — lets callers holding a window of events encode
-// it without copying into a temporary Trace.
+// The one trace grammar: the event count, then each event's kind, rid (a
+// lane) and payload, through the field coders of src/common/kcodec.h. A
+// KSEG trace frame is this grammar under the stages its flags name. Encode
+// leaves Finish to the caller; Decode leaves `d` after the events and
+// returns nullopt when they are malformed.
+void EncodeTraceEvents(const std::vector<TraceEvent>& events, FieldEncoder* e);
+std::optional<std::vector<TraceEvent>> DecodeTraceEvents(FieldDecoder* d);
+
+// A bare event list with every stage off (identical bytes to
+// Trace{events}.Serialize), for callers holding a window of events.
 void SerializeTraceEvents(const std::vector<TraceEvent>& events, ByteWriter* out);
 
 // Built-once lookup index over a trace. `Trace::RequestInput`/`Response` scan

@@ -3,6 +3,7 @@
 // segment streams to the committed pre-rewrite fixtures
 // (tests/fixtures/record_golden/, regenerated only intentionally via
 // tools/make_record_golden).
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,8 @@
 
 #include "src/apps/app.h"
 #include "src/common/file_io.h"
+#include "src/common/kcodec.h"
+#include "src/common/segment.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -161,10 +164,166 @@ TEST_P(AdviceGoldenTest, OneEpochSliceIsTheWholeRun) {
   EXPECT_EQ(merged.bytes(), original.bytes());
 }
 
+// The monolithic files are the frame grammar with every stage off: the one
+// stage-off frame of a one-epoch slicing holds the golden advice bytes, then
+// the two zero import counts, and the golden trace bytes.
+TEST_P(AdviceGoldenTest, StageOffFramesHoldTheMonolithicBytes) {
+  const FixtureSpec& spec = GetParam();
+  ServerRunResult run = RunFixtureWorkload(spec);
+  const EpochSlices slices = SliceRun(run.trace, run.advice, 0);
+  auto only_epoch_payload = [](const std::vector<uint8_t>& container) {
+    std::string error;
+    auto reader = SegmentReader::FromBytes(container.data(), container.size(), &error);
+    EXPECT_NE(reader, nullptr) << error;
+    std::vector<std::vector<uint8_t>> payloads;
+    SegmentRecord rec;
+    while (reader != nullptr && reader->Next(&rec)) {
+      if (rec.kind != SegmentKind::kEpochManifest) {
+        EXPECT_EQ(rec.flags, 0);
+        payloads.push_back(rec.payload);
+      }
+    }
+    EXPECT_EQ(payloads.size(), 1u);
+    return payloads.empty() ? std::vector<uint8_t>{} : payloads.front();
+  };
+  std::vector<uint8_t> advice = ReadFixture(std::string(spec.name) + ".advice");
+  advice.push_back(0);  // No tx-op imports.
+  advice.push_back(0);  // No var imports.
+  EXPECT_EQ(only_epoch_payload(EncodeAdviceSegments(slices, KsegCompression{})), advice);
+  EXPECT_EQ(only_epoch_payload(EncodeTraceSegments(slices, KsegCompression{})),
+            ReadFixture(std::string(spec.name) + ".trace"));
+}
+
 INSTANTIATE_TEST_SUITE_P(RecordGolden, AdviceGoldenTest, ::testing::ValuesIn(kFixtures),
                          [](const ::testing::TestParamInfo<FixtureSpec>& param) {
                            return std::string(param.param.name);
                          });
+
+// --- Fields held in 32 bits ---------------------------------------------------
+
+// A value that fits in 32 bits, unlikely to occur by chance in the bytes.
+constexpr uint32_t kSentinel = 0x0ABCDEF1;
+// The same field widened past 32 bits; truncated, it would read as 3.
+constexpr uint64_t kWide = (uint64_t{1} << 32) + 3;
+
+std::vector<uint8_t> VarintBytes(uint64_t v) {
+  ByteWriter w;
+  w.WriteVarint(v);
+  return w.Take();
+}
+
+// `bytes` with the one occurrence of varint `from` replaced by varint `to`.
+std::vector<uint8_t> Splice(const std::vector<uint8_t>& bytes, uint64_t from, uint64_t to) {
+  const std::vector<uint8_t> needle = VarintBytes(from);
+  auto at = std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+  EXPECT_NE(at, bytes.end());
+  EXPECT_EQ(std::search(at + 1, bytes.end(), needle.begin(), needle.end()), bytes.end());
+  if (at == bytes.end()) {
+    return bytes;
+  }
+  std::vector<uint8_t> out(bytes.begin(), at);
+  const std::vector<uint8_t> replacement = VarintBytes(to);
+  out.insert(out.end(), replacement.begin(), replacement.end());
+  out.insert(out.end(), at + static_cast<ptrdiff_t>(needle.size()), bytes.end());
+  return out;
+}
+
+struct NarrowField {
+  const char* name;
+  // Opnums of a log run as a lane: under the lanes stage the first one is
+  // stored as a zigzag delta from 0.
+  bool lane;
+  Advice advice;
+  ContinuityImports imports;
+};
+
+std::vector<NarrowField> NarrowFields() {
+  std::vector<NarrowField> fields;
+  const TxnKey txn{1, 9};
+  auto add = [&fields](const char* name, bool lane) -> NarrowField& {
+    fields.push_back(NarrowField{name, lane, {}, {}});
+    return fields.back();
+  };
+  add("handler-log opnum", true).advice.handler_logs[1] = {
+      HandlerLogEntry{HandlerLogEntry::Kind::kEmit, 5, kSentinel, 6, 0}};
+  TxOperation put;
+  put.type = TxOpType::kPut;
+  put.hid = 5;
+  put.opnum = kSentinel;
+  put.key = "k";
+  put.put_value = Value(int64_t{1});
+  add("tx-op opnum", true).advice.tx_logs[txn] = {put};
+  TxOperation get;
+  get.type = TxOpType::kGet;
+  get.hid = 5;
+  get.opnum = 1;
+  get.key = "k";
+  get.get_found = true;
+  get.get_from = TxOpRef{1, 9, kSentinel};
+  add("get_from index", false).advice.tx_logs[txn] = {get};
+  add("write-order index", false).advice.write_order = {TxOpRef{1, 9, kSentinel}};
+  add("responseEmittedBy opnum", false).advice.response_emitted_by[1] = {5, kSentinel};
+  add("opcount", false).advice.opcounts[{1, 5}] = kSentinel;
+  ContinuityImports::TxOpImport imp;
+  imp.ref = TxOpRef{2, 9, 1};
+  imp.txn_present = true;
+  imp.op_present = true;
+  imp.hid = 5;
+  imp.opnum = kSentinel;
+  add("tx-import opnum", false).imports.tx_ops = {imp};
+  imp.ref.index = kSentinel;
+  imp.opnum = 1;
+  add("tx-import index", false).imports.tx_ops = {imp};
+  return fields;
+}
+
+// Each 32-bit field, widened to 2^32 + 3, is malformed in a monolithic file,
+// a stage-off frame and an all-stage frame, where a truncating decoder
+// would read 3.
+TEST(AdviceNarrowFieldTest, WideValuesAreRefused) {
+  const KsegCompression lanes_dict{true, true, false};
+  for (const NarrowField& field : NarrowFields()) {
+    SCOPED_TRACE(field.name);
+    const uint64_t lane_from = ZigzagEncode(kSentinel);
+    const uint64_t lane_to = ZigzagEncode(static_cast<int64_t>(kWide));
+
+    if (field.imports.empty()) {
+      ByteWriter monolithic;
+      field.advice.Serialize(&monolithic);
+      ByteReader honest(monolithic.bytes());
+      EXPECT_TRUE(Advice::Deserialize(&honest).has_value());
+      const std::vector<uint8_t> wide = Splice(monolithic.bytes(), kSentinel, kWide);
+      ByteReader r(wide);
+      EXPECT_FALSE(Advice::Deserialize(&r).has_value());
+    }
+
+    ByteWriter stage_off;
+    EncodeAdviceSegmentPayload(field.advice, field.imports, KsegCompression{}, &stage_off);
+    EXPECT_TRUE(DecodeAdviceSegmentPayload(stage_off.bytes(), 0).has_value());
+    EXPECT_FALSE(
+        DecodeAdviceSegmentPayload(Splice(stage_off.bytes(), kSentinel, kWide), 0).has_value());
+
+    ByteWriter staged;
+    EncodeAdviceSegmentPayload(field.advice, field.imports, lanes_dict, &staged);
+    const std::vector<uint8_t> wide =
+        field.lane ? Splice(staged.bytes(), lane_from, lane_to)
+                   : Splice(staged.bytes(), kSentinel, kWide);
+    const uint8_t all = KsegCompression::All().Flags();
+    EXPECT_TRUE(DecodeAdviceSegmentPayload(BlockFrameEncode(staged.bytes()), all).has_value());
+    EXPECT_FALSE(DecodeAdviceSegmentPayload(BlockFrameEncode(wide), all).has_value());
+  }
+
+  // The TxOpRef coordinate codec every state payload shares.
+  for (uint64_t index : {uint64_t{3}, kWide}) {
+    ByteWriter ref;
+    ref.WriteVarint(1);
+    ref.WriteFixed64(9);
+    ref.WriteVarint(index);
+    ByteReader r(ref.bytes());
+    auto decoded = DeserializeTxOpRef(&r);
+    EXPECT_EQ(decoded.has_value(), index == 3) << index;
+  }
+}
 
 }  // namespace
 }  // namespace karousos

@@ -32,8 +32,8 @@
 namespace karousos {
 namespace {
 
-// The fixture run's shape (tools/make_lint_fixture.cc): stacks, 40 requests,
-// epoch size 7.
+// The frozen tests/fixtures/seg/ pairs (DESIGN.md, "Streaming advice model
+// checker") were cut from one stacks run of 40 requests at epoch size 7.
 constexpr uint64_t kFixtureEpochSize = 7;
 
 std::vector<uint8_t> ReadFixture(const std::string& name) {

@@ -241,8 +241,9 @@ TEST(AnalysisLintTest, LintIsDeterministic) {
   }
 }
 
-// The checked-in fixture (tools/make_lint_fixture.cc): lint reports both
-// planted corruptions; a full audit rejects with the first one, structured.
+// The frozen tests/fixtures/lint_bad.* pair (DESIGN.md, "Analysis layer"):
+// lint reports both planted corruptions; a full audit rejects with the first
+// one, structured.
 TEST(AnalysisLintTest, CheckedInFixtureReportsBothPlantedRules) {
   auto read_file = [](const std::string& path) {
     auto bytes = ReadFileBytes(path);

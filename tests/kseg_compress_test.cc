@@ -16,7 +16,6 @@
 #include "src/audit/stream.h"
 #include "src/common/kcodec.h"
 #include "src/common/segment.h"
-#include "src/server/kseg_codec.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -127,8 +126,8 @@ TEST_P(KsegCompressTest, AllStageCombinationsRoundTripByteIdentically) {
       auto decoded = DecodeAdviceSegmentPayload(rec.payload, rec.flags);
       ASSERT_TRUE(decoded.has_value()) << "advice epoch " << rec.epoch;
       ByteWriter reserialized;
-      decoded->advice.Serialize(&reserialized);
-      decoded->imports.Serialize(&reserialized);
+      EncodeAdviceSegmentPayload(decoded->advice, decoded->imports, KsegCompression{},
+                                 &reserialized);
       EXPECT_EQ(reserialized.bytes(), raw_advice[i].payload) << "advice epoch " << rec.epoch;
     }
   }
@@ -357,7 +356,7 @@ TEST(KsegCompressCorruptionTest, BitFlipAtEveryPositionIsClean) {
   }
 }
 
-// The dictionary transcoder has its own recursive Value decoder; it must cap
+// The dict stage has its own recursive Value decoder; it must cap
 // nesting exactly like ByteReader::ReadValue, so a 50,000-deep payload (which
 // overflows the stack uncapped) is malformed while the cap depth decodes.
 TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
@@ -368,7 +367,7 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
   KsegCompression dict_only;
   dict_only.dict = true;
   ByteWriter encoded;
-  EncodeCompactAdvicePayload(advice, ContinuityImports{}, dict_only, &encoded);
+  EncodeAdviceSegmentPayload(advice, ContinuityImports{}, dict_only, &encoded);
   ByteWriter needle;
   needle.WriteValue(sentinel);  // Ints encode alike with and without the dict stage.
   const std::vector<uint8_t>& bytes = encoded.bytes();
@@ -382,13 +381,13 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsTooDeepValue) {
     }
     spliced.push_back(static_cast<uint8_t>(Value::Kind::kNull));
     spliced.insert(spliced.end(), at + static_cast<ptrdiff_t>(needle.size()), bytes.end());
-    EXPECT_EQ(DecodeCompactAdvicePayload(spliced.data(), spliced.size(), dict_only).has_value(),
+    EXPECT_EQ(DecodeAdviceSegmentPayload(spliced, dict_only.Flags()).has_value(),
               depth <= kMaxValueDepth)
         << "depth " << depth;
   }
 }
 
-// The dictionary transcoder refers to map keys by dictionary index; like
+// The dict stage refers to map keys by dictionary index; like
 // ByteReader::ReadValue it refuses a map whose keys do not strictly increase.
 TEST(KsegCompressCorruptionTest, DictStageRejectsNonCanonicalMapKeys) {
   const Value first(int64_t{0x1111111111});
@@ -399,7 +398,7 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsNonCanonicalMapKeys) {
   KsegCompression dict_only;
   dict_only.dict = true;
   ByteWriter encoded;
-  EncodeCompactAdvicePayload(advice, ContinuityImports{}, dict_only, &encoded);
+  EncodeAdviceSegmentPayload(advice, ContinuityImports{}, dict_only, &encoded);
   const std::vector<uint8_t>& bytes = encoded.bytes();
   // Each value follows its one-byte key reference.
   auto key_ref_at = [&bytes](const Value& v) {
@@ -414,22 +413,23 @@ TEST(KsegCompressCorruptionTest, DictStageRejectsNonCanonicalMapKeys) {
   const size_t b_ref = key_ref_at(second);
   ASSERT_NE(bytes[a_ref], bytes[b_ref]);
 
-  auto decoded = DecodeCompactAdvicePayload(bytes.data(), bytes.size(), dict_only);
+  auto decoded = DecodeAdviceSegmentPayload(bytes, dict_only.Flags());
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->advice.var_logs.at(7).at(OpRef{1, 2, 3}).value, map);
 
   std::vector<uint8_t> duplicate = bytes;
   duplicate[b_ref] = bytes[a_ref];
-  EXPECT_FALSE(DecodeCompactAdvicePayload(duplicate.data(), duplicate.size(), dict_only));
+  EXPECT_FALSE(DecodeAdviceSegmentPayload(duplicate, dict_only.Flags()));
 
   std::vector<uint8_t> swapped = bytes;
   std::swap(swapped[a_ref], swapped[b_ref]);
-  EXPECT_FALSE(DecodeCompactAdvicePayload(swapped.data(), swapped.size(), dict_only));
+  EXPECT_FALSE(DecodeAdviceSegmentPayload(swapped, dict_only.Flags()));
 }
 
-// The transcoder's count headers are bounded by their entries' minimum
-// encoded size (one byte a field): a trace or advice body whose count claims
-// remaining() entries is rejected up front under every stage set.
+// The grammar's count headers are bounded by their entries' minimum
+// encoded size (a byte a field, eight an id without the dict stage): a trace
+// or advice body whose count claims remaining() entries is rejected up front
+// under every stage set.
 TEST(KsegCompressCorruptionTest, CountHeaderClaimingRemainingBytesRejects) {
   constexpr size_t kTail = 64;
   KsegCompression none;
@@ -440,7 +440,7 @@ TEST(KsegCompressCorruptionTest, CountHeaderClaimingRemainingBytesRejects) {
     trace.WriteVarint(kTail);
     std::vector<uint8_t> bytes = trace.Take();
     bytes.resize(bytes.size() + kTail, 0);
-    EXPECT_FALSE(DecodeCompactTracePayload(bytes.data(), bytes.size(), c).has_value());
+    EXPECT_FALSE(DecodeTraceSegmentPayload(bytes, c.Flags()).has_value());
 
     ByteWriter advice;
     advice.WriteVarint(0);      // Tags.
@@ -449,7 +449,7 @@ TEST(KsegCompressCorruptionTest, CountHeaderClaimingRemainingBytesRejects) {
     advice.WriteVarint(kTail);  // ... claiming every remaining byte as an entry.
     bytes = advice.Take();
     bytes.resize(bytes.size() + kTail, 0);
-    EXPECT_FALSE(DecodeCompactAdvicePayload(bytes.data(), bytes.size(), c).has_value());
+    EXPECT_FALSE(DecodeAdviceSegmentPayload(bytes, c.Flags()).has_value());
   }
 }
 

@@ -292,12 +292,14 @@ TEST(SerdeTest, CountHeadersAreBoundedByTheMinimumEntrySize) {
     ByteReader trace_reader(trace_bytes);
     EXPECT_FALSE(Trace::Deserialize(&trace_reader).has_value()) << count;
 
-    ByteWriter var_imports;
+    // The imports follow the advice in an advice frame.
+    ByteWriter tx_imports;
+    Advice().Serialize(&tx_imports);
+    ByteWriter var_imports = tx_imports;
     var_imports.WriteVarint(0);  // No tx-op imports.
     for (const std::vector<uint8_t>& bytes :
-         {CountHeader(ByteWriter(), count, kTail), CountHeader(var_imports, count, kTail)}) {
-      ByteReader r(bytes);
-      EXPECT_FALSE(ContinuityImports::Deserialize(&r).has_value()) << count;
+         {CountHeader(tx_imports, count, kTail), CountHeader(var_imports, count, kTail)}) {
+      EXPECT_FALSE(DecodeAdviceSegmentPayload(bytes).has_value()) << count;
     }
   }
 

@@ -14,7 +14,6 @@
 #include "src/apps/app.h"
 #include "src/common/segment.h"
 #include "src/server/advice.h"
-#include "src/server/kseg_codec.h"
 #include "src/server/rollover.h"
 #include "src/server/server.h"
 #include "src/workload/workload.h"
@@ -177,8 +176,8 @@ TEST(VarPatchTest, CompactRoundTripResolvesBackwardChains) {
                                   KsegCompression{false, true, false},
                                   KsegCompression{true, true, false}}) {
     ByteWriter w;
-    EncodeCompactAdvicePayload(a, ContinuityImports{}, c, &w);
-    auto decoded = DecodeCompactAdvicePayload(w.bytes().data(), w.size(), c);
+    EncodeAdviceSegmentPayload(a, ContinuityImports{}, c, &w);
+    auto decoded = DecodeAdviceSegmentPayload(w.bytes(), c.Flags());
     ASSERT_TRUE(decoded.has_value());
     ExpectSameValues(decoded->advice, a);
     EXPECT_EQ(Encode(decoded->advice), Encode(a));
@@ -263,8 +262,8 @@ TEST(VarPatchTest, PlannerKeepsHonestUnitsWithinTheCopyBudget) {
   EXPECT_GT(stored.patches, stored.full);
   const KsegCompression c{true, true, false};
   ByteWriter w;
-  EncodeCompactAdvicePayload(long_chain, ContinuityImports{}, c, &w);
-  auto decoded = DecodeCompactAdvicePayload(w.bytes().data(), w.size(), c);
+  EncodeAdviceSegmentPayload(long_chain, ContinuityImports{}, c, &w);
+  auto decoded = DecodeAdviceSegmentPayload(w.bytes(), c.Flags());
   ASSERT_TRUE(decoded.has_value());
   ExpectSameValues(decoded->advice, long_chain);
 }
@@ -335,8 +334,7 @@ TEST(VarPatchTest, DecodedMutationFramesReencodeToTheirBytes) {
         continue;
       }
       ByteWriter again;
-      payload->advice.Serialize(&again);
-      payload->imports.Serialize(&again);
+      EncodeAdviceSegmentPayload(payload->advice, payload->imports, KsegCompression{}, &again);
       EXPECT_EQ(again.bytes(), rec.payload) << m.name << " frame " << rec.epoch;
       ByteReader r(rec.payload);
       StoredWrites stored;

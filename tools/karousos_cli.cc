@@ -935,11 +935,11 @@ int InspectSegments(const std::string& path, std::span<const uint8_t> bytes) {
         breakdown.tx_logs += b.tx_logs;
         breakdown.write_order += b.write_order;
         breakdown.other += b.other;
-        ByteWriter imports_raw;
-        payload->imports.Serialize(&imports_raw);
-        imports_bytes += imports_raw.size();
+        ByteWriter raw;
+        EncodeAdviceSegmentPayload(payload->advice, payload->imports, KsegCompression{}, &raw);
+        imports_bytes += raw.size() - b.total;
         stored_advice += record.payload.size();
-        raw_advice += b.total + imports_raw.size();
+        raw_advice += raw.size();
         std::printf("  (%zu requests, %zu var-log entries, %zu txns, %zu imports)",
                     payload->advice.tags.size(), payload->advice.var_log_entry_count(),
                     payload->advice.tx_logs.size(),
