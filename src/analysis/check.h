@@ -6,9 +6,20 @@
 // KAR-ADV lint resolving through the CarryLint ledger, the KAR-SEG
 // cross-epoch rules of src/analysis/carry_lint.h). The session holds the same
 // CarryLint, driven in the same order, as its fast-reject pre-screen and its
-// cross-epoch ledger, so any stream the checker rejects is rejected by the
-// full audit with the same first rule, and statically-rejectable advice never
-// reaches ReExec. KAR-SEG-007 and KAR-SEG-008 findings are enforced only by
+// cross-epoch ledger, so the full audit rejects every stream the checker
+// rejects, and advice that breaks a per-epoch rule in epoch e never reaches
+// epoch e's ReExec. The audit reports the checker's first rule only when no
+// dynamic check decides first. It runs epoch e's static rules after every
+// earlier epoch's graph building and re-execution and after epoch e's own
+// trace checks (window balance, epoch completeness), and its finish-time
+// rules (KAR-SEG-009, dangling imports, the global write-order lint) after
+// every epoch's re-execution and the trace coverage and balance checks. When
+// one of those rejects first, the audit gives its reason, often with no rule:
+// re-execution rejects tests/fixtures/seg/kar-seg-009.* with "two writes
+// overwrite the same value" where the checker reports KAR-SEG-009, and a pair
+// whose manifests agree on a size other than the one it was sliced at fails
+// the audit's trace checks or re-execution where the checker reports a
+// KAR-ADV rule. KAR-SEG-007 and KAR-SEG-008 findings are enforced only by
 // this pass; a stream that breaks only them passes every dynamic check.
 // The container walk (PairedSegmentCursor) owns the file-layer rules
 // KAR-SEG-001..003 and 010; the checker and the streamed audit

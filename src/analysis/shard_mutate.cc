@@ -164,25 +164,11 @@ std::vector<ShardMutationOutcome> RunShardMutationCorpus(const Program& program,
   boundary_case("drop-last-rid", [](ShardBoundary& b) {
     if (b.rids.empty()) return false;
     b.rids.pop_back();
-    b.rid_digest = DigestRids(b.rids);
     return true;
   });
   boundary_case("ghost-rid", [](ShardBoundary& b) {
     if (b.rids.empty()) return false;
     b.rids.push_back(b.rids.back() + 999983);
-    b.rid_digest = DigestRids(b.rids);
-    return true;
-  });
-  boundary_case("stale-rid-digest", [](ShardBoundary& b) {
-    b.rid_digest ^= 0x5a5a5a5a;
-    return true;
-  });
-  boundary_case("trace-digest-flip", [](ShardBoundary& b) {
-    b.trace_digest ^= 1;
-    return true;
-  });
-  boundary_case("balance-digest-flip", [](ShardBoundary& b) {
-    b.balance_digest ^= 1;
     return true;
   });
   boundary_case("epochs+1", [](ShardBoundary& b) {
@@ -201,20 +187,6 @@ std::vector<ShardMutationOutcome> RunShardMutationCorpus(const Program& program,
   boundary_case("position-out-of-range", [](ShardBoundary& b) {
     if (b.write_order_positions.empty()) return false;
     b.write_order_positions.back() = b.write_order_total + 17;
-    return true;
-  });
-  boundary_case("total-tags+1", [](ShardBoundary& b) {
-    b.total_tags += 1;
-    return true;
-  });
-  boundary_case("drop-chain", [](ShardBoundary& b) {
-    if (b.chains.empty()) return false;
-    b.chains.pop_back();
-    return true;
-  });
-  boundary_case("chain-writes+1", [](ShardBoundary& b) {
-    if (b.chains.empty()) return false;
-    b.chains.front().writes += 1;
     return true;
   });
   boundary_case("drop-export-tx", [](ShardBoundary& b) {
@@ -248,7 +220,6 @@ std::vector<ShardMutationOutcome> RunShardMutationCorpus(const Program& program,
       for (RequestId rid : a[1].rids) {
         if (rid != 0) {
           a[0].rids.insert(std::lower_bound(a[0].rids.begin(), a[0].rids.end(), rid), rid);
-          a[0].rid_digest = DigestRids(a[0].rids);
           return true;
         }
       }

@@ -7,9 +7,9 @@
 //   * file     — byte-level damage (flips, truncations) against one encoded
 //     shard file: the container CRC/framing layer's turf (KAR-SEG-001..003);
 //   * boundary — semantic lies in the kShardBoundary manifest, re-encoded
-//     over honest content (dropped/ghost rids, stale digests, position and
-//     totals tampering, chain/export-obligation edits): caught at load
-//     (KAR-SEG-011) or at merge (KAR-SEG-012..015);
+//     over honest content (dropped/ghost rids, epoch count, position and
+//     write-order total tampering, dropped export obligations): caught at
+//     load (KAR-SEG-011) or at merge (KAR-SEG-012..015);
 //   * artifact — merge-only adversaries: every shard passes individually, the
 //     verdict artifacts are tampered afterwards (stolen rids, duplicated
 //     stitch positions, totals lies, split groups, missing/duplicated

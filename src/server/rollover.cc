@@ -222,20 +222,16 @@ bool VarImportMatches(const ContinuityImports::VarImport& imp, const ResolvedVar
   return real.is_write == imp_is_write && (!imp_is_write || *real.value == imp.value);
 }
 
-EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {
-  // One up-front copy, then the owned slicer: a single slicing implementation
-  // keeps server-side and verifier-side segments byte-identical by
-  // construction.
-  Advice copy = advice;
-  return SliceRunOwned(trace, std::move(copy), epoch_requests);
-}
+namespace {
 
-EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests) {
-  EpochSlices out;
-  out.epoch_requests = epoch_requests;
-
-  // The trace's request ids fix the epoch count; advice content beyond the
-  // last trace epoch is clamped into the final slice.
+// Cuts the trace into its epochs' chronological windows. The trace's request
+// ids fix the epoch count; advice content beyond the last trace epoch is
+// clamped into the final slice. Window e ends at the earliest index past the
+// last event of every completed request of epochs <= e. A request missing its
+// arrival or response never completes, so its epoch's cut collapses to the
+// end of the trace (the balance check then rejects at Finish, with the reason
+// a one-epoch audit gives).
+EpochSlices CutWindows(const Trace& trace, uint64_t epoch_requests) {
   struct RidSeen {
     bool req = false;
     bool resp = false;
@@ -253,15 +249,7 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
     max_epoch = std::max(max_epoch, EpochOfRid(rid, epoch_requests));
   }
   const size_t epochs = static_cast<size_t>(max_epoch) + 1;
-  const auto clamp_epoch = [&](RequestId rid) {
-    return std::min(EpochOfRid(rid, epoch_requests), max_epoch);
-  };
 
-  // Chronological cuts: window e ends at the earliest index past the last
-  // event of every completed request of epochs <= e. A request missing its
-  // arrival or response never completes, so its epoch's cut collapses to the
-  // end of the trace (the balance check then rejects at Finish, with the
-  // reason a one-epoch audit gives).
   std::vector<size_t> completion(epochs, 0);  // One-past-last event index.
   std::vector<bool> incomplete(epochs, false);
   for (const auto& [rid, s] : seen) {
@@ -272,6 +260,8 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
       completion[e] = std::max(completion[e], s.last + 1);
     }
   }
+  EpochSlices out;
+  out.epoch_requests = epoch_requests;
   out.segments.resize(epochs);
   size_t prev_cut = 0;
   size_t running_completion = 0;
@@ -287,70 +277,89 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
                                   trace.events.begin() + static_cast<ptrdiff_t>(cut));
     prev_cut = cut;
   }
+  return out;
+}
 
-  // Continuity imports: allegations for every forward cross-epoch reference,
-  // deduplicated and emitted in sorted order so server-side and
-  // verifier-side slicing produce byte-identical segments. Computed *before*
-  // the slicing below moves the referenced content out of the full advice.
-  {
-    std::vector<std::map<TxOpRef, ContinuityImports::TxOpImport>> tx_imports(epochs);
-    std::vector<std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport>> var_imports(
-        epochs);
-    for (const auto& [txn, log] : advice.tx_logs) {
-      const size_t e = static_cast<size_t>(clamp_epoch(txn.rid));
-      for (const TxOperation& op : log) {
-        if (op.type != TxOpType::kGet || op.get_from.IsNil()) continue;
-        if (clamp_epoch(op.get_from.rid) <= e) continue;
-        tx_imports[e].emplace(op.get_from, DescribeTxOp(advice, op.get_from));
-      }
-    }
-    for (const auto& [vid, log] : advice.var_logs) {
-      for (const auto& [op, entry] : log) {
-        const size_t e = static_cast<size_t>(clamp_epoch(op.rid));
-        if (entry.prec.IsNil()) continue;
-        if (clamp_epoch(entry.prec.rid) <= e) continue;
-        var_imports[e].emplace(std::make_pair(vid, entry.prec),
-                               DescribeVarEntry(advice, vid, entry.prec));
-      }
-    }
-    for (size_t e = 0; e < epochs; ++e) {
-      EpochSegment& seg = out.segments[e];
-      for (auto& [ref, imp] : tx_imports[e]) seg.imports.tx_ops.push_back(std::move(imp));
-      for (auto& [key, imp] : var_imports[e]) seg.imports.var_entries.push_back(std::move(imp));
+// The one continuity-import pass, over the full advice: a reference needs an
+// allegation when its target lies in a later epoch or is owned by another
+// partition (never confirmable locally). Imports are deduplicated and emitted
+// in sorted order, so every slicer produces byte-identical segments. Returns
+// the imports of partition p's epoch e at [p * epochs + e].
+template <typename OwnerOf>
+std::vector<ContinuityImports> SliceImports(const Advice& advice, size_t partitions,
+                                            uint64_t epoch_requests, uint64_t max_epoch,
+                                            OwnerOf owner_of) {
+  const auto clamp_epoch = [&](RequestId rid) {
+    return std::min(EpochOfRid(rid, epoch_requests), max_epoch);
+  };
+  const size_t epochs = static_cast<size_t>(max_epoch) + 1;
+  std::vector<std::map<TxOpRef, ContinuityImports::TxOpImport>> tx_imports(partitions * epochs);
+  std::vector<std::map<std::pair<VarId, OpRef>, ContinuityImports::VarImport>> var_imports(
+      partitions * epochs);
+  for (const auto& [txn, log] : advice.tx_logs) {
+    const uint32_t p = owner_of(txn.rid);
+    const uint64_t e = clamp_epoch(txn.rid);
+    for (const TxOperation& op : log) {
+      if (op.type != TxOpType::kGet || op.get_from.IsNil()) continue;
+      if (clamp_epoch(op.get_from.rid) <= e && owner_of(op.get_from.rid) == p) continue;
+      tx_imports[p * epochs + e].emplace(op.get_from, DescribeTxOp(advice, op.get_from));
     }
   }
+  for (const auto& [vid, log] : advice.var_logs) {
+    for (const auto& [op, entry] : log) {
+      if (entry.prec.IsNil()) continue;
+      const uint32_t p = owner_of(op.rid);
+      const uint64_t e = clamp_epoch(op.rid);
+      if (clamp_epoch(entry.prec.rid) <= e && owner_of(entry.prec.rid) == p) continue;
+      var_imports[p * epochs + e].emplace(std::make_pair(vid, entry.prec),
+                                          DescribeVarEntry(advice, vid, entry.prec));
+    }
+  }
+  std::vector<ContinuityImports> out(partitions * epochs);
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (auto& [ref, imp] : tx_imports[i]) out[i].tx_ops.push_back(std::move(imp));
+    for (auto& [key, imp] : var_imports[i]) out[i].var_entries.push_back(std::move(imp));
+  }
+  return out;
+}
 
-  // Advice slices, by owning request id — content moves out of the full
-  // advice (per-epoch key sequences are ascending subsequences of the
-  // source maps, so end-hinted inserts rebuild each slice in one pass).
+// Moves one partition's advice into its epochs' slices, by owning request id
+// (per-epoch key sequences are ascending subsequences of the source maps, so
+// end-hinted inserts rebuild each slice in one pass).
+void SliceAdvice(Advice&& advice, EpochSlices* slices) {
+  const uint64_t max_epoch = slices->segments.size() - 1;
+  const auto clamp_epoch = [&](RequestId rid) {
+    return std::min(EpochOfRid(rid, slices->epoch_requests), max_epoch);
+  };
+  std::vector<EpochSegment>& segments = slices->segments;
   for (const auto& [rid, tag] : advice.tags) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = segments[clamp_epoch(rid)].advice;
     target.tags.emplace_hint(target.tags.end(), rid, tag);
   }
   for (auto& [rid, log] : advice.handler_logs) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = segments[clamp_epoch(rid)].advice;
     target.handler_logs.emplace_hint(target.handler_logs.end(), rid, std::move(log));
   }
   for (auto& [vid, log] : advice.var_logs) {
     for (auto& [op, entry] : log) {
-      VarLog& target = out.segments[clamp_epoch(op.rid)].advice.var_logs[vid];
+      VarLog& target = segments[clamp_epoch(op.rid)].advice.var_logs[vid];
       target.emplace_hint(target.end(), op, std::move(entry));
     }
   }
   for (auto& [txn, log] : advice.tx_logs) {
-    Advice& target = out.segments[clamp_epoch(txn.rid)].advice;
+    Advice& target = segments[clamp_epoch(txn.rid)].advice;
     target.tx_logs.emplace_hint(target.tx_logs.end(), txn, std::move(log));
   }
   for (const auto& [rid, emitter] : advice.response_emitted_by) {
-    Advice& target = out.segments[clamp_epoch(rid)].advice;
+    Advice& target = segments[clamp_epoch(rid)].advice;
     target.response_emitted_by.emplace_hint(target.response_emitted_by.end(), rid, emitter);
   }
   for (const auto& [key, count] : advice.opcounts) {
-    Advice& target = out.segments[clamp_epoch(key.first)].advice;
+    Advice& target = segments[clamp_epoch(key.first)].advice;
     target.opcounts.emplace_hint(target.opcounts.end(), key, count);
   }
   for (auto& [op, record] : advice.nondet) {
-    Advice& target = out.segments[clamp_epoch(op.rid)].advice;
+    Advice& target = segments[clamp_epoch(op.rid)].advice;
     target.nondet.emplace_hint(target.nondet.end(), op, std::move(record));
   }
 
@@ -358,23 +367,64 @@ EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_re
   // belong to epochs <= e; the first later-epoch entry ends the chunk, and
   // earlier-epoch entries stranded behind it move to the later chunk. The
   // chunks therefore concatenate to exactly the alleged global order.
+  const WriteOrder& order = advice.write_order;
   size_t pos = 0;
-  for (size_t e = 0; e < epochs; ++e) {
-    WriteOrder& chunk = out.segments[e].advice.write_order;
-    if (e + 1 == epochs) {
-      chunk.assign(advice.write_order.begin() + static_cast<ptrdiff_t>(pos),
-                   advice.write_order.end());
-      pos = advice.write_order.size();
-      break;
-    }
-    while (pos < advice.write_order.size() &&
-           clamp_epoch(advice.write_order[pos].rid) <= e) {
-      chunk.push_back(advice.write_order[pos]);
+  for (size_t e = 0; e + 1 < segments.size(); ++e) {
+    WriteOrder& chunk = segments[e].advice.write_order;
+    while (pos < order.size() && clamp_epoch(order[pos].rid) <= e) {
+      chunk.push_back(order[pos]);
       ++pos;
     }
   }
+  segments.back().advice.write_order.assign(order.begin() + static_cast<ptrdiff_t>(pos),
+                                            order.end());
+}
 
+// Slices every partition: each gets the whole trace's windows, the imports
+// SliceImports gives it, and its own advice. `advice` may be (*parts)[0]:
+// every import is described before any content moves out of `parts`.
+template <typename OwnerOf>
+std::vector<EpochSlices> SliceParts(const Trace& trace, const Advice& advice,
+                                    std::vector<Advice>* parts, OwnerOf owner_of,
+                                    uint64_t epoch_requests) {
+  EpochSlices windows = CutWindows(trace, epoch_requests);
+  const size_t epochs = windows.segments.size();
+  std::vector<ContinuityImports> imports =
+      SliceImports(advice, parts->size(), epoch_requests, epochs - 1, owner_of);
+  std::vector<EpochSlices> out(parts->size());
+  for (size_t p = 0; p < parts->size(); ++p) {
+    out[p] = p + 1 == parts->size() ? std::move(windows) : windows;
+    for (size_t e = 0; e < epochs; ++e) {
+      out[p].segments[e].imports = std::move(imports[p * epochs + e]);
+    }
+    SliceAdvice(std::move((*parts)[p]), &out[p]);
+  }
   return out;
+}
+
+}  // namespace
+
+EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests) {
+  // One up-front copy, then the owned slicer: a single slicing implementation
+  // keeps server-side and verifier-side segments byte-identical by
+  // construction.
+  Advice copy = advice;
+  return SliceRunOwned(trace, std::move(copy), epoch_requests);
+}
+
+EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests) {
+  std::vector<Advice> parts;
+  parts.push_back(std::move(advice));
+  return std::move(
+      SliceParts(trace, parts[0], &parts, [](RequestId) { return uint32_t{0}; }, epoch_requests)
+          .front());
+}
+
+std::vector<EpochSlices> SlicePartitions(const Trace& trace, const Advice& advice,
+                                         std::vector<Advice>&& parts,
+                                         const std::function<uint32_t(RequestId)>& owner_of,
+                                         uint64_t epoch_requests) {
+  return SliceParts(trace, advice, &parts, owner_of, epoch_requests);
 }
 
 Advice MergeSlices(EpochSlices&& slices) {

@@ -18,7 +18,8 @@
 //     prec in a later epoch), the slice carries what the collector alleges
 //     lives at the referenced coordinates. The verifier uses the allegation
 //     immediately and confirms it against the real slice when that epoch
-//     arrives: a wrong continuity record can only cause rejection.
+//     arrives: a wrong continuity record can only cause rejection. Cut into
+//     shards (SlicePartitions), a reference into another shard needs one too.
 //
 // The same slicer runs on the collector's side (`karousos serve
 // --out-segments`, shard files) and on the verifier's (slicing monolithic
@@ -27,6 +28,7 @@
 #define SRC_SERVER_ROLLOVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -104,8 +106,8 @@ struct ContinuityImports {
 // Looks up what the full advice alleges at an out-of-slice transaction-log /
 // var-log coordinate. Allegations mirror defects faithfully (absent txn,
 // out-of-range index, missing entry) so validation reaches the same verdict
-// at every epoch size. Shared by the epoch slicer below and the
-// shard slicer (src/server/shard.h).
+// at every epoch size and shard count. The slicers' one import pass below
+// describes every import through these.
 ContinuityImports::TxOpImport DescribeTxOp(const Advice& advice, const TxOpRef& ref);
 ContinuityImports::VarImport DescribeVarEntry(const Advice& advice, VarId vid, const OpRef& op);
 
@@ -156,12 +158,24 @@ struct EpochSlices {
 // it, exactly as a one-epoch audit would).
 EpochSlices SliceRun(const Trace& trace, const Advice& advice, uint64_t epoch_requests);
 
-// Move-based slicer for callers done with the advice (the shard slicer, a
-// recorder that only stores segments): consumes the advice instead of
+// Move-based slicer for callers done with the advice (a recorder that only
+// stores segments, the monolithic audit): consumes the advice instead of
 // copying every log and value into the slices (continuity
 // imports are computed from the full advice before any content moves).
 // Produces slices byte-identical to SliceRun's for the same inputs.
 EpochSlices SliceRunOwned(const Trace& trace, Advice&& advice, uint64_t epoch_requests);
+
+// Slices a run whose advice is split among request partitions (the shard
+// slicer, src/server/shard.h): parts[p] holds the content partition p owns,
+// and owner_of names the partition of any request id. Every partition gets
+// the whole trace's windows and its own advice slices. Imports come from one
+// pass over the full `advice`: a reference needs one when its target lies in
+// a later epoch or is owned by another partition. SliceRunOwned is the
+// one-partition case of the same pass.
+std::vector<EpochSlices> SlicePartitions(const Trace& trace, const Advice& advice,
+                                         std::vector<Advice>&& parts,
+                                         const std::function<uint32_t(RequestId)>& owner_of,
+                                         uint64_t epoch_requests);
 
 // Rebuilds the monolithic advice from a run's slices, consuming them. For
 // slices produced by SliceRun/SliceRunOwned this is an exact inverse: epochs

@@ -4,7 +4,12 @@
 //
 // The two axes compose orthogonally:
 //   * epochs  slice *time* — every shard file still carries one frame pair
-//     per epoch, so each shard process streams with bounded residency;
+//     per epoch, and a shard audit streams them through the verifier one
+//     epoch at a time. Its residency is not one epoch, though: LoadShardFile
+//     decodes every epoch before the audit starts, and the slices stay
+//     resident until the artifact is written (the exports read logged values
+//     from them). A shard process holds its whole decoded file: the full
+//     trace plus its share of the advice;
 //   * shards  slice *requests* — advice content is owned by the shard of its
 //     request id, the trace windows are replicated to every shard (the trace
 //     is trusted and small relative to advice), and the write order is
@@ -24,20 +29,21 @@
 // whose target lives out-of-shard is never confirmable locally, so the shard
 // audits against the allegation and the merge confirms allegations across
 // shards (a wrong import can only cause rejection, exactly as on the epoch
-// axis).
+// axis). One import pass over the full advice (SlicePartitions,
+// src/server/rollover.h) computes them for every shard and epoch.
 //
-// Every shard file opens with a kShardBoundary frame — the cross-shard
-// manifest the merge checks: covered rid set + digest, replicated-trace and
-// balance digests (equal across shards by construction), write-order global
-// positions and alleged total, per-component advice totals, and per-variable
-// write-chain heads/tails. Boundary allegations are validated against the
-// shard's own content at load time (KAR-SEG-011) and against each other at
-// merge time (KAR-SEG-012..015).
+// Every shard file opens with a kShardBoundary frame stating only what the
+// shard's content cannot: the partition (shard, count, mode), the epoch size
+// and count, the covered rid set, each write-order entry's global position
+// and the alleged total, and the export obligations. The loader checks each
+// for form and against the content it constrains (KAR-SEG-011); the merge
+// checks them against each other (KAR-SEG-012..015). Nothing the content
+// gives (advice totals, write chains, trace digests) is restated: the shard
+// audit computes the trace digests the merge compares from the slices.
 #ifndef SRC_SERVER_SHARD_H_
 #define SRC_SERVER_SHARD_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,13 +69,6 @@ struct ShardSpec {
   ShardMode mode = ShardMode::kHash;
 };
 
-// The shard owning every request id that appears in the trace or the advice.
-// Tag groups are atomic: each rid maps with its group lead, so causally
-// related requests always land together. Rid 0 (the init pseudo-request) is
-// shard 0's. Exposed for tests and `karousos inspect`.
-std::map<RequestId, uint32_t> AssignShards(const Trace& trace, const Advice& advice,
-                                           const ShardSpec& spec);
-
 // The cross-shard boundary manifest (first frame of every shard file).
 struct ShardBoundary {
   uint32_t shard = 0;
@@ -78,18 +77,9 @@ struct ShardBoundary {
   uint64_t epoch_requests = 0;
   uint64_t epochs = 0;  // Epoch frame pairs that follow the boundary frame.
 
-  // Trace rids owned by this shard, ascending, plus an order-sensitive
-  // digest. The merge checks that the K rid sets partition the trace exactly
-  // (KAR-SEG-012).
+  // Trace rids owned by this shard, ascending. The merge checks that the K
+  // rid sets partition the trace exactly (KAR-SEG-012).
   std::vector<RequestId> rids;
-  uint64_t rid_digest = 0;
-
-  // Digests over the replicated trace windows and the per-rid
-  // arrival/response summary — identical across shards by construction, so
-  // any disagreement at merge means the shards were cut from different runs
-  // (KAR-SEG-015).
-  uint64_t trace_digest = 0;
-  uint64_t balance_digest = 0;
 
   // Global position (in the alleged total write order) of each write-order
   // entry this shard carries, aligned with the concatenation of its per-epoch
@@ -97,24 +87,6 @@ struct ShardBoundary {
   // across shards must cover 0..total-1 exactly once (KAR-SEG-013).
   std::vector<uint64_t> write_order_positions;
   uint64_t write_order_total = 0;
-
-  // Per-component advice totals for this shard (validated against content at
-  // load; summed and cross-checked at merge).
-  uint64_t total_tags = 0;
-  uint64_t total_handler_entries = 0;
-  uint64_t total_var_entries = 0;
-  uint64_t total_tx_ops = 0;
-  uint64_t total_opcount_sum = 0;
-
-  // Per-variable write-chain endpoints among this shard's var-log write
-  // entries: head/tail in access-coordinate order, plus the write count.
-  struct Chain {
-    VarId vid = 0;
-    OpRef head;
-    OpRef tail;
-    uint64_t writes = 0;
-  };
-  std::vector<Chain> chains;  // Ascending vid.
 
   // Export obligations: coordinates *inside this shard* that other shards'
   // continuity imports reference. The shard audit describes its real content
@@ -156,8 +128,8 @@ std::vector<uint8_t> EncodeShardFile(const ShardFile& shard, const KsegCompressi
 // reason/rule/diagnostic shape the audit uses: container defects reject under
 // KAR-SEG-001, epoch-frame defects under KAR-SEG-002/003 through the same
 // DecodeEpochFrame step the paired containers take, and boundary defects
-// (frame order, epoch count, position monotonicity/bounds, digest or totals
-// disagreeing with the decoded content) under KAR-SEG-011.
+// (frame order, epoch count, rid order and coverage, position
+// monotonicity/bounds, obligation order and ownership) under KAR-SEG-011.
 struct ShardLoadResult {
   bool ok = false;
   std::string reason;  // Prefixed ("segment stream: ...") like the audit's.
@@ -168,12 +140,6 @@ struct ShardLoadResult {
 
 ShardLoadResult LoadShardFile(const std::string& path);
 ShardLoadResult LoadShardBytes(std::span<const uint8_t> bytes);
-
-// Recomputes the boundary digests/totals/chains from content — shared by the
-// slicer, the loader's validation, and tests that build adversarial fixtures.
-uint64_t DigestRids(const std::vector<RequestId>& rids);
-uint64_t DigestTraceWindows(const EpochSlices& slices);
-uint64_t DigestBalance(const EpochSlices& slices);
 
 }  // namespace karousos
 

@@ -19,7 +19,48 @@ namespace karousos {
 
 namespace {
 
-constexpr uint8_t kShardArtifactFormatVersion = 4;
+constexpr uint8_t kShardArtifactFormatVersion = 5;
+constexpr uint64_t kDigestSeed = 0x6b736567;  // "kseg"
+
+uint64_t Mix(uint64_t d, uint64_t x) { return HashMix64(d, SplitMix64(x)); }
+
+// Order-sensitive digest of a rid list.
+uint64_t DigestRids(const std::vector<RequestId>& rids) {
+  uint64_t d = kDigestSeed;
+  for (RequestId rid : rids) d = Mix(d, rid);
+  return Mix(d, rids.size());
+}
+
+// Digest of a shard's replicated trace windows, each by its serialized CRC
+// and length.
+uint64_t DigestTraceWindows(const EpochSlices& slices) {
+  uint64_t d = kDigestSeed;
+  ByteWriter payload;
+  for (const EpochSegment& seg : slices.segments) {
+    payload.Clear();
+    SerializeTraceEvents(seg.window, &payload);
+    d = Mix(d, (static_cast<uint64_t>(Crc32(payload.bytes())) << 32) | payload.size());
+  }
+  return Mix(d, slices.segments.size());
+}
+
+// Digest of the per-rid arrival and response counts over the same windows.
+uint64_t DigestBalance(const EpochSlices& slices) {
+  std::map<RequestId, std::pair<uint64_t, uint64_t>> counts;  // rid -> (arrivals, responses)
+  for (const EpochSegment& seg : slices.segments) {
+    for (const TraceEvent& ev : seg.window) {
+      auto& c = counts[ev.rid];
+      (ev.kind == TraceEvent::Kind::kRequest ? c.first : c.second) += 1;
+    }
+  }
+  uint64_t d = kDigestSeed;
+  for (const auto& [rid, c] : counts) {
+    d = Mix(d, rid);
+    d = Mix(d, c.first);
+    d = Mix(d, c.second);
+  }
+  return Mix(d, counts.size());
+}
 
 // The value a shard's own slices log at a var-log write (the slices stay
 // resident for the whole shard audit). An accepted shard holds each
@@ -55,7 +96,6 @@ void ShardArtifact::Serialize(ByteWriter* out) const {
   for (RequestId rid : rids) {
     out->WriteVarint(rid);
   }
-  out->WriteFixed64(rid_digest);
   out->WriteFixed64(trace_digest);
   out->WriteFixed64(balance_digest);
   out->WriteFixed64(trace_rid_digest);
@@ -142,7 +182,6 @@ std::optional<ShardArtifact> ShardArtifact::Deserialize(ByteReader* in) {
       r.Enum(static_cast<uint8_t>(IsolationLevel::kReadUncommitted)));
 
   r.List(&a.rids, 1, [&r] { return r.V(); });
-  a.rid_digest = r.F64();
   a.trace_digest = r.F64();
   a.balance_digest = r.F64();
   a.trace_rid_digest = r.F64();
@@ -226,9 +265,8 @@ class ShardAudit {
     a.epochs = b.epochs;
     a.isolation = config.isolation;
     a.rids = b.rids;
-    a.rid_digest = b.rid_digest;
-    a.trace_digest = b.trace_digest;
-    a.balance_digest = b.balance_digest;
+    a.trace_digest = DigestTraceWindows(file.slices);
+    a.balance_digest = DigestBalance(file.slices);
     a.write_order_positions = b.write_order_positions;
     a.write_order_total = b.write_order_total;
 
@@ -430,9 +468,6 @@ AuditResult MergeShardArtifacts(const std::vector<ShardArtifact>& artifacts) {
     }
     if (a->write_order_total != head.write_order_total) {
       return fail_flat(kKarSeg015, loc, "alleged write-order totals disagree across artifacts");
-    }
-    if (a->rid_digest != DigestRids(a->rids)) {
-      return fail_flat(kKarSeg015, loc, "artifact rid digest does not match its rid set");
     }
   }
 

@@ -58,9 +58,10 @@ struct ShardArtifact {
   uint64_t epochs = 0;
   IsolationLevel isolation = IsolationLevel::kSerializable;
 
-  // Boundary echoes: per-shard rid coverage and the replicated-run digests.
+  // The boundary's rid coverage, and digests of the replicated trace windows
+  // and of their per-rid arrival/response counts, computed from the shard's
+  // slices (equal across shards cut from one run).
   std::vector<RequestId> rids;
-  uint64_t rid_digest = 0;
   uint64_t trace_digest = 0;
   uint64_t balance_digest = 0;
   // Digest/count over the FULL trace rid universe (replicated, so every

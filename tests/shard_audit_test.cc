@@ -312,8 +312,8 @@ TEST(ShardMergeAdversaryTest, DuplicatedRidAcrossBoundaries) {
   HonestRun run = RunApp("wiki", 60);
   std::vector<ShardArtifact> artifacts = HonestArtifacts(run, 2, 50);
   ASSERT_EQ(artifacts.size(), 2u);
-  // Claim one of shard 1's requests for shard 0 too, keeping shard 0's
-  // self-digest consistent so only the cross-shard partition check can see it.
+  // Claim one of shard 1's requests for shard 0 too: each artifact is well
+  // formed, so only the cross-shard partition check can see it.
   RequestId stolen = 0;
   for (RequestId rid : artifacts[1].rids) {
     if (rid != 0) {
@@ -324,7 +324,6 @@ TEST(ShardMergeAdversaryTest, DuplicatedRidAcrossBoundaries) {
   ASSERT_NE(stolen, 0u);
   artifacts[0].rids.insert(
       std::lower_bound(artifacts[0].rids.begin(), artifacts[0].rids.end(), stolen), stolen);
-  artifacts[0].rid_digest = DigestRids(artifacts[0].rids);
   AuditResult merged = MergeShardArtifacts(artifacts);
   EXPECT_FALSE(merged.accepted);
   EXPECT_EQ(merged.rule, kKarSeg012) << merged.reason;
@@ -495,7 +494,12 @@ TEST(ShardMergeAdversaryTest, TruncatedBoundarySegment) {
   std::vector<ShardFile> shards =
       ShardRun(run.server.trace, run.server.advice, 15, ShardSpec{2, ShardMode::kHash});
   ASSERT_EQ(shards.size(), 2u);
-  std::vector<uint8_t> bytes = EncodeShardFile(shards[0]);
+  // The shard whose boundary lists export obligations, so the payload sweeps
+  // below cross a non-empty export list.
+  const ShardFile& shard =
+      shards[0].boundary.export_tx_refs.empty() ? shards[1] : shards[0];
+  ASSERT_FALSE(shard.boundary.export_tx_refs.empty());
+  std::vector<uint8_t> bytes = EncodeShardFile(shard);
 
   // Any truncation of the shard file is refused before audit.
   std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
@@ -512,9 +516,17 @@ TEST(ShardMergeAdversaryTest, TruncatedBoundarySegment) {
   EXPECT_FALSE(result.rule.empty()) << result.reason;
 
   // Re-framed, the boundary payload itself reaches the decoder.
-  const std::vector<uint8_t> payload = Encode(shards[0].boundary);
-  ASSERT_FALSE(shards[0].boundary.chains.empty());
+  const std::vector<uint8_t> payload = Encode(shard.boundary);
   ASSERT_TRUE(LoadShardBytes(WithBoundaryPayload(bytes, payload)).ok);
+  // Its version byte (the first payload byte) is 2; version 1, which restated
+  // digests, totals and write chains, and version 3 are refused.
+  ASSERT_EQ(payload[0], 2u);
+  for (uint8_t version : {1, 3}) {
+    std::vector<uint8_t> other = payload;
+    other[0] = version;
+    result = LoadShardBytes(WithBoundaryPayload(bytes, other));
+    EXPECT_EQ(result.rule, kKarSeg011) << "version=" << int{version} << ": " << result.reason;
+  }
   // Every proper prefix is refused as a malformed boundary.
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     std::vector<uint8_t> prefix(payload.begin(), payload.begin() + cut);
@@ -532,14 +544,14 @@ TEST(ShardMergeAdversaryTest, TruncatedBoundarySegment) {
     EXPECT_TRUE(result.ok || !result.rule.empty()) << "byte " << i;
   }
   // A count that claims every remaining byte as an entry is refused: the rid
-  // count and the chain count, located by adding one entry to an empty
+  // count and the var export count, located by adding one entry to an empty
   // boundary.
   ShardBoundary empty;
   ShardBoundary one_rid = empty;
   one_rid.rids.push_back(1);
-  ShardBoundary one_chain = empty;
-  one_chain.chains.push_back(ShardBoundary::Chain{});
-  for (const ShardBoundary* one : {&one_rid, &one_chain}) {
+  ShardBoundary one_export = empty;
+  one_export.export_var_refs.emplace_back();
+  for (const ShardBoundary* one : {&one_rid, &one_export}) {
     size_t at = FirstDifference(Encode(empty), Encode(*one));
     std::vector<uint8_t> forged = ClaimRemaining(Encode(empty), at);
     ByteReader in(forged);
@@ -562,14 +574,14 @@ TEST(ShardMergeAdversaryTest, TruncatedArtifactRefused) {
   }
 
   // A well-framed artifact whose version byte (the first payload byte; the
-  // current version is 4) differs does not load.
+  // current version is 5) differs does not load.
   std::vector<uint8_t> raw = Encode(artifacts[0]);
-  ASSERT_EQ(raw[0], 4u);
-  for (uint8_t version : {4, 3, 5}) {
+  ASSERT_EQ(raw[0], 5u);
+  for (uint8_t version : {5, 4, 6}) {
     raw[0] = version;
     ShardArtifactLoadResult result = LoadShardArtifactBytes(FrameArtifact(raw, artifacts[0].shard));
-    EXPECT_EQ(result.ok, version == 4) << "version=" << int{version} << ": " << result.reason;
-    if (version != 4) {
+    EXPECT_EQ(result.ok, version == 5) << "version=" << int{version} << ": " << result.reason;
+    if (version != 5) {
       EXPECT_EQ(result.rule, kKarSeg015) << "version=" << int{version};
     }
   }
@@ -724,6 +736,40 @@ TEST(FrameDefectAgreementTest, PairedContainersAndShardFileReportTheSameRule) {
       // Each finding names the container it was read from.
       EXPECT_EQ(finding.location.rfind(SegmentKindName(kind), 0), 0u) << finding.Format();
       EXPECT_EQ(loaded.diagnostics.back().location.rfind("shard", 0), 0u) << loaded.reason;
+    }
+  }
+}
+
+// The K=1 identity ShardRun promises: shard 0's epoch frames are the epoch
+// containers' frames for SliceRun of the same run, byte for byte, under the
+// same codec stages.
+TEST(ShardEquivalenceTest, OneShardEncodesTheEpochStreamsFrames) {
+  for (const char* app : {"motd", "stacks", "wiki"}) {
+    HonestRun run = RunApp(app, 60);
+    for (uint64_t epoch_size : {uint64_t{1}, uint64_t{7}, uint64_t{50}, uint64_t{0}}) {
+      const EpochSlices slices = SliceRun(run.server.trace, run.server.advice, epoch_size);
+      const std::vector<ShardFile> shards =
+          ShardRun(run.server.trace, run.server.advice, epoch_size, ShardSpec{1});
+      ASSERT_EQ(shards.size(), 1u);
+      for (const KsegCompression& c : {KsegCompression{}, KsegCompression::All()}) {
+        SCOPED_TRACE(std::string(app) + " epoch_size=" + std::to_string(epoch_size) +
+                     (c.any() ? " all stages" : " no stages"));
+        const std::vector<Frame> trace = ReadFrames(EncodeTraceSegments(slices, c));
+        const std::vector<Frame> advice = ReadFrames(EncodeAdviceSegments(slices, c));
+        const std::vector<Frame> file = ReadFrames(EncodeShardFile(shards[0], c));
+        ASSERT_EQ(trace.size(), 1 + slices.segments.size());
+        ASSERT_EQ(advice.size(), trace.size());
+        ASSERT_EQ(file.size(), 1 + 2 * slices.segments.size());
+        for (size_t e = 0; e < slices.segments.size(); ++e) {
+          for (const auto& [want, got] : {std::pair{&trace[1 + e], &file[1 + 2 * e]},
+                                          std::pair{&advice[1 + e], &file[2 + 2 * e]}}) {
+            EXPECT_EQ(got->kind, want->kind) << "epoch " << e;
+            EXPECT_EQ(got->epoch, want->epoch) << "epoch " << e;
+            EXPECT_EQ(got->flags, want->flags) << "epoch " << e;
+            EXPECT_EQ(got->payload, want->payload) << "epoch " << e;
+          }
+        }
+      }
     }
   }
 }

@@ -745,13 +745,13 @@ int CmdShard(const Args& args) {
       return 1;
     }
     std::printf("shard %u/%u -> %s (%zu B): %zu rids, %llu epochs, "
-                "%zu write-order entries of %llu, %zu chains, %zu+%zu export obligations\n",
+                "%zu write-order entries of %llu, %zu+%zu export obligations\n",
                 shard.boundary.shard, shard.boundary.count, path.c_str(), bytes.size(),
                 shard.boundary.rids.size(),
                 static_cast<unsigned long long>(shard.boundary.epochs),
                 shard.boundary.write_order_positions.size(),
                 static_cast<unsigned long long>(shard.boundary.write_order_total),
-                shard.boundary.chains.size(), shard.boundary.export_tx_refs.size(),
+                shard.boundary.export_tx_refs.size(),
                 shard.boundary.export_var_refs.size());
   }
   std::printf("sharded into %zu files (%s mode, epoch size %llu) in %s\n", shards.size(),
@@ -959,13 +959,13 @@ int InspectSegments(const std::string& path, std::span<const uint8_t> bytes) {
       auto boundary = ShardBoundary::Deserialize(&in);
       if (boundary && in.AtEnd()) {
         std::printf("  (shard %u/%u, %s mode, %llu epochs of %llu requests, %zu rids, "
-                    "%zu/%llu write-order entries, %zu chains, %zu+%zu export obligations)",
+                    "%zu/%llu write-order entries, %zu+%zu export obligations)",
                     boundary->shard, boundary->count, ShardModeName(boundary->mode),
                     static_cast<unsigned long long>(boundary->epochs),
                     static_cast<unsigned long long>(boundary->epoch_requests),
                     boundary->rids.size(), boundary->write_order_positions.size(),
                     static_cast<unsigned long long>(boundary->write_order_total),
-                    boundary->chains.size(), boundary->export_tx_refs.size(),
+                    boundary->export_tx_refs.size(),
                     boundary->export_var_refs.size());
       } else {
         std::printf("  (undecodable payload)");

@@ -14,7 +14,9 @@
 # that `inspect --advice` counts the patches a motd run stores (and none in
 # the pre-patch lint fixture) and totals the file's own bytes, and which error
 # a broken monolithic pair reports: a read failure before any decode, then a
-# malformed trace before a malformed advice.
+# malformed trace before a malformed advice. The sharded path (`shard`,
+# `audit-shard`, `audit-merge`) must accept an honest run and refuse a shard
+# file with a flipped payload byte under KAR-SEG-001.
 #
 #   usage: run_cli_smoke.sh <karousos-binary> <work-dir>
 set -u
@@ -134,6 +136,39 @@ printf '%s\n' "$out" | grep -qx "resumed from $dir/ckpt_trunc at epoch $((epochs
 resumed="$(printf '%s\n' "$out" | grep '^ACCEPTED: ')"
 [ "$resumed" = "$accepted" ] ||
   fail "verdict '$resumed' resumed past the truncated frame differs from '$accepted'"
+
+# The sharded path on a small run: `shard` cuts the monolithic pair two ways,
+# `audit-shard` verifies each file on its own, and `audit-merge` folds the
+# verdict artifacts into ACCEPTED. A flipped payload byte in one shard file
+# fails that file's CRC: `audit-shard` refuses it under KAR-SEG-001.
+"$bin" serve --app stacks --requests 60 --concurrency 6 \
+    --out-trace "$dir/shard_trace.bin" --out-advice "$dir/shard_advice.bin" >/dev/null ||
+  fail "serve for the shard run exited $?"
+"$bin" shard --trace "$dir/shard_trace.bin" --advice "$dir/shard_advice.bin" \
+    --shards 2 --epoch-size 20 --out-dir "$dir/shards" >/dev/null ||
+  fail "shard exited $?"
+for i in 0 1; do
+  "$bin" audit-shard --app stacks --shard-file "$dir/shards/shard$i.kseg" \
+      --out "$dir/shards/shard$i.artifact" >/dev/null ||
+    fail "audit-shard of shard $i exited $?"
+done
+out="$("$bin" audit-merge --in-dir "$dir/shards")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -eq 0 ] || fail "audit-merge exited $status on an honest run"
+printf '%s\n' "$out" | grep -q '^ACCEPTED: 2 shards merged' || fail "audit-merge printed no ACCEPTED line"
+shard_size="$(wc -c <"$dir/shards/shard1.kseg")"
+last="$(tail -c 1 "$dir/shards/shard1.kseg" | od -An -tu1 | tr -d ' ')"
+{
+  head -c "$((shard_size - 1))" "$dir/shards/shard1.kseg"
+  printf "\\$(printf '%03o' "$((last ^ 255))")"
+} >"$dir/flipped.kseg" || fail "cannot flip a byte of shard1.kseg"
+out="$("$bin" audit-shard --app stacks --shard-file "$dir/flipped.kseg")"
+status=$?
+printf '%s\n' "$out"
+[ "$status" -ne 0 ] || fail "audit-shard accepted a shard file with a flipped payload byte"
+printf '%s\n' "$out" | grep -q '^REJECTED: segment stream: KAR-SEG-001 ' ||
+  fail "audit-shard of a flipped shard file printed no KAR-SEG-001 rejection: $out"
 
 # A monolithic pair audited without --epoch-size streams at the default epoch
 # size, with the verdict of that size given explicitly.
